@@ -4,14 +4,16 @@ PR 6 made :class:`~repro.schedule.compiled.CompiledSchedule` the execution
 spine, 40–147× faster than the interpreted path, but the tracing stack only
 instruments the interpreted backends.  This module closes that gap:
 
-* :class:`KernelProfiler` re-executes a kernel layer by layer (via the
-  kernel's own ``apply_layer``), timing each layer with
-  ``time.perf_counter_ns`` and deriving per-layer op counts, **occupancy**
-  (comparator-slot utilisation: key-endpoints-touched ÷ 2 ÷ ⌊N/2⌋ — exactly
-  1.0 when a layer engages every disjoint pair the network offers, the
-  comparator-agglomeration ideal) and estimated bytes touched (read+write of
-  every engaged key across the batch).  Results land in a
-  :class:`RunProfile`, in a :class:`~repro.observability.metrics.MetricsRegistry`
+* :class:`KernelProfiler` executes a kernel's own lowered steps layer by
+  layer, timing each layer with ``time.perf_counter_ns`` — split into the
+  step's ``take`` (``permute_ns``) and its in-place slab sorts and
+  comparators (``compute_ns``) — and deriving per-layer op counts,
+  **occupancy** (comparator-slot utilisation: key-endpoints-touched ÷ 2 ÷
+  ⌊N/2⌋ — exactly 1.0 when a layer engages every disjoint pair the network
+  offers, the comparator-agglomeration ideal) and estimated bytes touched
+  (read+write of the full-width ``take`` plus every engaged key, across the
+  batch).  Results land in a :class:`RunProfile`, in a
+  :class:`~repro.observability.metrics.MetricsRegistry`
   (``repro_compiled_run_seconds{cell,packed}`` /
   ``repro_compiled_layer_seconds`` histograms with p50/p99 derivable from
   the buckets, ``repro_compiled_keys_total`` / ``repro_compiled_runs_total``
@@ -23,8 +25,10 @@ instruments the interpreted backends.  This module closes that gap:
   profiler is installed the kernel pays a single ``None`` check.
 * :func:`profile_cell` sweeps a benchreg cell's kernel across batch sizes
   for both the packed and per-round plans, verifying every profiled output
-  against the snake-order ground truth; :func:`render_profile` prints the
-  per-layer tables plus an occupancy heatmap
+  against the snake-order ground truth and timing the *floor* (``np.sort``
+  plus the snake scatter) on the same keys; :func:`render_profile` prints
+  the permute/compute split next to the floor, per-layer tables and an
+  occupancy heatmap
   (:func:`repro.viz.render_heatmap`), and :func:`profile_chrome_trace`
   exports the layer spans as Chrome trace-event JSON.
 
@@ -102,9 +106,14 @@ class LayerProfile:
     nodes_touched: int
     #: layer wall time, nanoseconds (``perf_counter_ns``)
     wall_ns: int
+    #: the layer's ``take`` into its column layout, nanoseconds
+    permute_ns: int
+    #: the layer's in-place slab sorts and comparators, nanoseconds
+    compute_ns: int
     #: comparator-slot utilisation: ``nodes_touched / 2 / floor(N / 2)``
     occupancy: float
-    #: estimated bytes moved: read + write of every engaged key, whole batch
+    #: estimated bytes moved, whole batch: read + write of the full-width
+    #: ``take`` plus read + write of every engaged key
     bytes_touched: int
 
     @property
@@ -119,6 +128,8 @@ class LayerProfile:
             "ops": self.op_count,
             "nodes_touched": self.nodes_touched,
             "wall_ns": self.wall_ns,
+            "permute_ns": self.permute_ns,
+            "compute_ns": self.compute_ns,
             "occupancy": self.occupancy,
             "bytes_touched": self.bytes_touched,
         }
@@ -135,6 +146,8 @@ class RunProfile:
     num_nodes: int
     wall_ns: int
     layers: tuple[LayerProfile, ...]
+    #: the final ``take`` from the last layout back to node order
+    restore_ns: int
 
     @property
     def keys(self) -> int:
@@ -172,6 +185,7 @@ class RunProfile:
             "num_nodes": self.num_nodes,
             "keys": self.keys,
             "wall_ns": self.wall_ns,
+            "restore_ns": self.restore_ns,
             "wall_s": self.wall_s,
             "keys_per_s": self.keys_per_s,
             "ops": self.op_count,
@@ -187,8 +201,9 @@ class KernelProfiler:
     ``registry`` (default: a private one) receives the histogram/counter
     instruments listed in the module docstring; ``tracer`` (optional) gets a
     ``compiled-run`` span wrapping one ``kernel-layer`` span per layer, all
-    with ``kind="kernel"``.  ``enabled=False`` turns :meth:`profiled_run`
-    back into a plain run — the knob the near-zero-overhead contract and its
+    with ``kind="kernel"``.  ``enabled=False`` makes an installed profiler
+    invisible — ``CompiledSchedule.run`` checks it before dispatching to
+    :meth:`profiled_run` — the knob the near-zero-overhead contract and its
     test lean on.
 
     Use directly (``out, profile = profiler.run(kernel, keys)``) or install
@@ -237,10 +252,14 @@ class KernelProfiler:
     # -- capture --------------------------------------------------------
 
     def run(self, kernel: "CompiledSchedule", state: np.ndarray) -> tuple[np.ndarray, RunProfile]:
-        """Execute ``kernel`` over ``state``, returning (output, profile)."""
-        arr, squeeze = kernel._prepare(state)
-        batch = arr.shape[0]
-        itemsize = int(arr.itemsize)
+        """Execute ``kernel`` over ``state``, returning (output, profile).
+
+        Drives the kernel's own steps — the executor :meth:`CompiledSchedule.run`
+        uses — with a clock around each step's ``permute`` and ``compute``.
+        """
+        x, squeeze = kernel.rows(state)
+        batch = x.shape[0]
+        itemsize = int(x.itemsize)
         slots = max(kernel.num_nodes // 2, 1)
         tracer = self.tracer
         layers: list[LayerProfile] = []
@@ -258,7 +277,7 @@ class KernelProfiler:
         )
         t_run = time.perf_counter_ns()
         with run_span:
-            for index, layer in enumerate(kernel.layers):
+            for index, (layer, step) in enumerate(zip(kernel.layers, kernel.steps)):
                 comparators = int(layer.lo.size)
                 block_rows = sum(int(mat.shape[0]) for mat, _ in layer.block_groups)
                 touched = 2 * comparators + sum(int(mat.size) for mat, _ in layer.block_groups)
@@ -278,7 +297,11 @@ class KernelProfiler:
                     # hands back the raw nanoseconds for the LayerProfile —
                     # no hand-rolled perf_counter_ns delta at this site
                     with self._layer_seconds.time(cell=kernel.cell) as timer:
-                        kernel.apply_layer(arr, layer)
+                        t0 = time.perf_counter_ns()
+                        x = step.permute(x)
+                        t1 = time.perf_counter_ns()
+                        step.compute(x)
+                        t2 = time.perf_counter_ns()
                     wall = timer.elapsed_ns
                 layers.append(
                     LayerProfile(
@@ -287,10 +310,15 @@ class KernelProfiler:
                         block_rows=block_rows,
                         nodes_touched=touched,
                         wall_ns=wall,
+                        permute_ns=t1 - t0,
+                        compute_ns=t2 - t1,
                         occupancy=touched / 2 / slots,
-                        bytes_touched=2 * batch * touched * itemsize,
+                        bytes_touched=2 * batch * (kernel.num_nodes + touched) * itemsize,
                     )
                 )
+            t_restore = time.perf_counter_ns()
+            out = kernel.finish(x, squeeze)
+            restore_ns = time.perf_counter_ns() - t_restore
         wall_ns = time.perf_counter_ns() - t_run
         profile = RunProfile(
             cell=kernel.cell,
@@ -300,17 +328,13 @@ class KernelProfiler:
             num_nodes=kernel.num_nodes,
             wall_ns=wall_ns,
             layers=tuple(layers),
+            restore_ns=restore_ns,
         )
         self._record(profile)
-        return (arr[0] if squeeze else arr), profile
+        return out, profile
 
     def profiled_run(self, kernel: "CompiledSchedule", state: np.ndarray) -> np.ndarray:
         """The hook ``CompiledSchedule.run`` dispatches to when installed."""
-        if not self.enabled:  # pragma: no cover - run() short-circuits first
-            arr, squeeze = kernel._prepare(state)
-            for layer in kernel.layers:
-                kernel.apply_layer(arr, layer)
-            return arr[0] if squeeze else arr
         out, _ = self.run(kernel, state)
         return out
 
@@ -399,8 +423,12 @@ def profile_cell(
     Both plans (packed ASAP layers and the faithful per-round plan) are
     profiled ``runs`` times per batch size; every profiled output is checked
     against the snake-order ground truth, so reported numbers only ever
-    describe correct executions.  Per-layer detail comes from each batch's
-    fastest run (least scheduler noise); ``keys_per_s`` uses the median.
+    describe correct executions.  Each profiled run is followed by one run of
+    the floor — ``np.sort`` plus the snake scatter, the ground truth itself —
+    on the same keys; ``floor_ratio`` divides the median profiled wall time
+    by the median floor.  Per-layer detail and the permute/compute split
+    come from each batch's fastest run (least scheduler noise);
+    ``keys_per_s`` uses the median.
     """
     from ..schedule import compile_schedule, snake_order_nodes
     from ..staticcheck import emit_schedule
@@ -437,19 +465,24 @@ def profile_cell(
         }
         for batch in batches:
             keys = rng.integers(0, 2**31, size=(int(batch), dag.num_nodes))
-            expected = np.empty_like(keys)
-            expected[:, snake] = np.sort(keys, axis=1)
             kernel.run(keys)  # warm-up: first-touch allocations, caches
             profiles: list[RunProfile] = []
-            out = None
+            floor_ns: list[int] = []
+            out: np.ndarray | None = None
+            expected: np.ndarray | None = None
             for _ in range(runs):
                 out, profile = prof.run(kernel, keys)
                 profiles.append(profile)
+                t0 = time.perf_counter_ns()
+                expected = np.empty_like(keys)
+                expected[:, snake] = np.sort(keys, axis=1)
+                floor_ns.append(time.perf_counter_ns() - t0)
             if not np.array_equal(out, expected):
                 raise AssertionError(
                     f"profiled kernel output diverged from snake ground truth on {cell.key}"
                 )
             walls = np.array([p.wall_s for p in profiles])
+            floors = np.array(floor_ns) / 1e9
             best = profiles[int(np.argmin(walls))]
             plan["batches"].append(
                 {
@@ -460,6 +493,10 @@ def profile_cell(
                         "p50": float(np.percentile(walls, 50)),
                         "max": float(walls.max()),
                     },
+                    "floor_s": {"min": float(floors.min()), "p50": float(np.median(floors))},
+                    "floor_ratio": float(np.median(walls) / max(np.median(floors), 1e-9)),
+                    "permute_ns": best.restore_ns + sum(lay.permute_ns for lay in best.layers),
+                    "compute_ns": sum(lay.compute_ns for lay in best.layers),
                     "keys_per_s": float(best.keys / np.percentile(walls, 50)),
                     "per_layer": [layer.to_json() for layer in best.layers],
                 }
@@ -476,14 +513,15 @@ def profile_cell(
 def _layer_table(per_layer: list[dict[str, Any]]) -> list[str]:
     header = (
         f"  {'layer':>5} {'comps':>6} {'blocks':>6} {'ops':>5} "
-        f"{'occ%':>6} {'wall µs':>8} {'est KiB':>8}"
+        f"{'occ%':>6} {'wall µs':>8} {'perm µs':>8} {'comp µs':>8} {'est KiB':>8}"
     )
     lines = [header]
     for layer in per_layer:
         lines.append(
             f"  {layer['layer']:>5} {layer['comparators']:>6} {layer['block_rows']:>6} "
             f"{layer['ops']:>5} {layer['occupancy'] * 100:>6.1f} "
-            f"{layer['wall_ns'] / 1e3:>8.1f} {layer['bytes_touched'] / 1024:>8.1f}"
+            f"{layer['wall_ns'] / 1e3:>8.1f} {layer['permute_ns'] / 1e3:>8.1f} "
+            f"{layer['compute_ns'] / 1e3:>8.1f} {layer['bytes_touched'] / 1024:>8.1f}"
         )
     return lines
 
@@ -500,12 +538,17 @@ def render_profile(doc: dict[str, Any]) -> str:
             f"{plan['plan']} plan: {plan['layers']} layers, {plan['ops']} ops, "
             f"mean occupancy {plan['mean_occupancy'] * 100:.1f}%"
         )
-        lines.append(f"  {'batch':>7} {'keys':>9} {'p50 µs':>9} {'min µs':>9} {'keys/s':>13}")
+        lines.append(
+            f"  {'batch':>7} {'keys':>9} {'p50 µs':>9} {'min µs':>9} {'permute µs':>10} "
+            f"{'compute µs':>10} {'floor µs':>9} {'×floor':>7} {'keys/s':>13}"
+        )
         for point in plan["batches"]:
             wall = point["wall_s"]
             lines.append(
                 f"  {point['batch']:>7} {point['keys']:>9} {wall['p50'] * 1e6:>9.1f} "
-                f"{wall['min'] * 1e6:>9.1f} {point['keys_per_s']:>13,.0f}"
+                f"{wall['min'] * 1e6:>9.1f} {point['permute_ns'] / 1e3:>10.1f} "
+                f"{point['compute_ns'] / 1e3:>10.1f} {point['floor_s']['p50'] * 1e6:>9.1f} "
+                f"{point['floor_ratio']:>7.1f} {point['keys_per_s']:>13,.0f}"
             )
         lines.append(f"per-layer detail (batch {plan['batches'][-1]['batch']}):")
         lines.extend(_layer_table(plan["batches"][-1]["per_layer"]))

@@ -270,7 +270,7 @@ class Histogram(_Instrument):
         want the raw measurement::
 
             with latency.time(cell=cell) as timer:
-                kernel.apply_layer(arr, layer)
+                x = step.permute(x)
             wall_ns = timer.elapsed_ns
         """
         return HistogramTimer(self, labels)

@@ -6,22 +6,34 @@ phases an operation only truly depends on earlier operations touching the
 same nodes.  :func:`compile_schedule` exploits this: an ASAP (as soon as
 possible) scan assigns every comparator and block sort the earliest layer
 after its last same-node predecessor, packing independent operations — even
-from different phases — into maximal parallel layers.  Each layer then
-executes as a constant number of NumPy passes over a whole ``(batch, N**r)``
-key array:
+from different phases — into maximal parallel layers (:class:`ScheduleLayer`,
+the IR-level description of a layer).
 
-* all of a layer's comparators as one fancy-indexed ``minimum``/``maximum``
-  pair, and
-* all of a layer's equal-width block sorts as one gathered
-  ``(batch, blocks, width)`` ``np.sort`` (descending rows flipped), scattered
-  back in the blocks' local snake orders.
+The same pass lowers every layer to a :class:`LoweredLayer`, which runs over
+a whole ``(batch, N**r)`` key array as one ``np.take`` along the node axis
+followed by in-place compute on contiguous column spans.  Each layer owns a
+column *layout*:
+
+* its block-sort groups first, one ``(blocks, width)`` slab per width, every
+  row in local snake order — a descending row stored reversed, so one
+  ascending in-place ``sort`` serves both directions;
+* then the comparators' ``lo`` nodes, then their ``hi`` nodes — one
+  ``minimum``/``maximum`` over two adjacent slices;
+* then every node the layer does not touch.
+
+A layer's gather permutation is the composition of the previous layout with
+its own, so the previous layer's scatter, the descending flip and this
+layer's gather are a single ``take``; the first ``take`` is also the input
+copy, and one final ``take`` restores flat node order.  A kernel of ``L``
+layers therefore moves the keys ``L + 1`` times and never fancy-indexes.
 
 With packing disabled the same machinery executes the DAG round by round —
 the faithful per-phase semantics :meth:`CompiledSchedule.run` shares with
 :func:`repro.schedule.ir.replay`; the lattice backend uses that plan for
 single lattices and the packed kernel for batches.
 
-Kernels are cached by the DAG's canonical SHA-256 schedule hash (see
+Kernels are cached by ``(hash, packed, optimize)``, where ``hash`` is the
+canonical SHA-256 schedule hash of the DAG handed in (see
 :meth:`ComparatorDAG.schedule_hash`): two cells with byte-identical
 schedules — however they were emitted — share one compiled artifact.
 """
@@ -29,9 +41,10 @@ schedules — however they were emitted — share one compiled artifact.
 from __future__ import annotations
 
 import threading
+from collections import defaultdict
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -43,6 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "CompiledSchedule",
+    "LoweredLayer",
     "ScheduleLayer",
     "clear_kernel_cache",
     "compile_schedule",
@@ -69,12 +83,47 @@ class ScheduleLayer:
         return int(self.lo.size) + sum(mat.shape[0] for mat, _ in self.block_groups)
 
 
+@dataclass(frozen=True)
+class LoweredLayer:
+    """One layer as the kernel executes it: a gather, then in-place compute."""
+
+    #: column ``c`` of this layer's layout is column ``perm[c]`` of the
+    #: previous layout (of the input, for the first layer)
+    perm: np.ndarray
+    #: block-sort slabs ``(start, stop, width)``: columns ``start:stop`` hold
+    #: rows of ``width`` keys, each sorted ascending in place
+    slabs: tuple[tuple[int, int, int], ...]
+    #: comparator columns ``(start, mid, stop)``: ``lo`` keys in
+    #: ``start:mid``, ``hi`` keys in ``mid:stop`` (empty when ``start == mid``)
+    comparators: tuple[int, int, int]
+
+    def permute(self, x: np.ndarray) -> np.ndarray:
+        """Gather ``(batch, N)`` keys from the previous layout into this one."""
+        return np.take(x, self.perm, axis=1)
+
+    def compute(self, x: np.ndarray) -> None:
+        """Sort the slabs and exchange the comparator pairs, in place."""
+        batch = x.shape[0]
+        for start, stop, width in self.slabs:
+            # a view: the column span is contiguous within each batch row
+            x[:, start:stop].reshape(batch, (stop - start) // width, width).sort(axis=-1)
+        start, mid, stop = self.comparators
+        if mid > start:
+            lo = x[:, start:mid]
+            hi = x[:, mid:stop]
+            low = np.minimum(lo, hi)
+            np.maximum(lo, hi, out=hi)
+            lo[...] = low
+
+
 class CompiledSchedule:
     """An executable layering of one :class:`ComparatorDAG`.
 
     ``packed=True`` (the default) applies the ASAP re-layering described in
     the module docstring; ``packed=False`` keeps one layer per IR round,
-    preserving the emitted phase granularity exactly.
+    preserving the emitted phase granularity exactly.  ``layers`` describes
+    the layers, ``steps`` is their lowering (one per layer) and
+    ``final_perm`` the ``take`` that returns the last layout to node order.
     """
 
     def __init__(
@@ -96,95 +145,122 @@ class CompiledSchedule:
         #: benchreg-style label for profiler metrics (family-n-r, no backend:
         #: the kernel is backend-agnostic once emitted)
         self.cell = f"{dag.factor}-n{dag.n}-r{dag.r}"
-        depth = np.zeros(dag.num_nodes, dtype=np.int64)
-        # layer index -> ([lo...], [hi...], {width: ([rows of nodes], [descending])})
-        comps: dict[int, tuple[list[int], list[int]]] = {}
-        blocks: dict[int, dict[int, tuple[list[tuple[int, ...]], list[bool]]]] = {}
+        depth = [0] * dag.num_nodes
+        # layer index -> its comparators' lo nodes, their hi nodes, and its
+        # block sorts by width: {width: [(row in local snake order, descending)]}
+        lows: defaultdict[int, list[int]] = defaultdict(list)
+        highs: defaultdict[int, list[int]] = defaultdict(list)
+        blocks: defaultdict[int, defaultdict[int, list[tuple[tuple[int, ...], bool]]]]
+        blocks = defaultdict(lambda: defaultdict(list))
         for round_no, rd in enumerate(dag.rounds):
             for op in rd.comparators:
-                layer = (
-                    int(max(depth[op.lo], depth[op.hi])) + 1 if packed else round_no + 1
-                )
-                depth[op.lo] = depth[op.hi] = layer
-                lo_list, hi_list = comps.setdefault(layer, ([], []))
-                lo_list.append(op.lo)
-                hi_list.append(op.hi)
+                lo, hi = op.lo, op.hi
+                layer = max(depth[lo], depth[hi]) + 1 if packed else round_no + 1
+                depth[lo] = depth[hi] = layer
+                lows[layer].append(lo)
+                highs[layer].append(hi)
             for blk in rd.block_sorts:
-                idx = np.asarray(blk.nodes, dtype=np.intp)
-                layer = int(depth[idx].max()) + 1 if packed else round_no + 1
-                depth[idx] = layer
-                rows, desc = blocks.setdefault(layer, {}).setdefault(len(blk.nodes), ([], []))
-                rows.append(blk.nodes)
-                desc.append(blk.descending)
+                nodes = blk.nodes
+                layer = max(map(depth.__getitem__, nodes)) + 1 if packed else round_no + 1
+                for i in nodes:
+                    depth[i] = layer
+                blocks[layer][len(nodes)].append((nodes, blk.descending))
 
         layers: list[ScheduleLayer] = []
-        for layer in sorted(set(comps) | set(blocks)):
-            lo_list, hi_list = comps.get(layer, ([], []))
-            groups = tuple(
-                (
-                    np.asarray(rows, dtype=np.intp),
-                    np.flatnonzero(np.asarray(desc, dtype=bool)),
+        steps: list[LoweredLayer] = []
+        columns = np.arange(dag.num_nodes, dtype=np.intp)
+        # column of every node in the previous layout (the input: node order)
+        position = columns
+        for layer in sorted(set(lows) | set(blocks)):
+            groups = []
+            slabs = []
+            touched: list[int] = []  # nodes in this layer's column order
+            for width, entries in blocks.get(layer, {}).items():
+                start = len(touched)
+                rows = []
+                desc_rows = []
+                for i, (row, descending) in enumerate(entries):
+                    rows.append(row)
+                    if descending:
+                        desc_rows.append(i)
+                        touched.extend(reversed(row))
+                    else:
+                        touched.extend(row)
+                slabs.append((start, len(touched), width))
+                groups.append(
+                    (np.asarray(rows, dtype=np.intp), np.asarray(desc_rows, dtype=np.intp))
                 )
-                for rows, desc in blocks.get(layer, {}).values()
-            )
+            mid = len(touched)
+            touched += lows.get(layer, ())
+            split = len(touched)
+            touched += highs.get(layer, ())
+            stop = len(touched)
+            engaged = set(touched)
+            if len(engaged) != stop:
+                raise ValueError(f"layer {len(layers)} engages a node more than once")
+            if stop < dag.num_nodes:
+                touched += [node for node in range(dag.num_nodes) if node not in engaged]
+            layout = np.asarray(touched, dtype=np.intp)  # the node each column holds
             layers.append(
                 ScheduleLayer(
-                    lo=np.asarray(lo_list, dtype=np.intp),
-                    hi=np.asarray(hi_list, dtype=np.intp),
-                    block_groups=groups,
+                    lo=layout[mid:split], hi=layout[split:stop], block_groups=tuple(groups)
                 )
             )
+            steps.append(
+                LoweredLayer(
+                    perm=position[layout], slabs=tuple(slabs), comparators=(mid, split, stop)
+                )
+            )
+            position = np.empty_like(columns)
+            position[layout] = columns
         self.layers: tuple[ScheduleLayer, ...] = tuple(layers)
+        self.steps: tuple[LoweredLayer, ...] = tuple(steps)
+        self.final_perm = position
 
     @property
     def num_layers(self) -> int:
         return len(self.layers)
 
-    def _prepare(self, state: np.ndarray) -> tuple[np.ndarray, bool]:
-        """Copy/validate ``state`` into a ``(batch, num_nodes)`` work array."""
-        arr = np.array(state, copy=True)
+    def rows(self, state: Any) -> tuple[np.ndarray, bool]:
+        """Validate ``state`` as a ``(batch, num_nodes)`` view (no copy).
+
+        Returns the view and whether ``state`` was a single 1-D key vector.
+        """
+        arr = np.asarray(state)
         squeeze = arr.ndim == 1
-        if squeeze:
-            arr = arr[np.newaxis, :]
-        if arr.ndim != 2 or arr.shape[1] != self.num_nodes:
+        x = arr[np.newaxis, :] if squeeze else arr
+        if x.ndim != 2 or x.shape[1] != self.num_nodes:
             raise ValueError(
                 f"state must have {self.num_nodes} keys per row, got {np.shape(state)}"
             )
-        return arr, squeeze
+        return x, squeeze
 
-    @staticmethod
-    def apply_layer(arr: np.ndarray, layer: ScheduleLayer) -> None:
-        """Execute one layer in place over a prepared ``(batch, N)`` array."""
-        if layer.lo.size:
-            lo = arr[:, layer.lo]
-            hi = arr[:, layer.hi]
-            arr[:, layer.lo] = np.minimum(lo, hi)
-            arr[:, layer.hi] = np.maximum(lo, hi)
-        for nodes, desc_rows in layer.block_groups:
-            sub = np.sort(arr[:, nodes], axis=2)
-            if desc_rows.size:
-                sub[:, desc_rows] = sub[:, desc_rows, ::-1]
-            arr[:, nodes] = sub
+    def finish(self, x: np.ndarray, squeeze: bool) -> np.ndarray:
+        """Take the last layout back to node order, as a fresh array."""
+        return np.take(x[0] if squeeze else x, self.final_perm, axis=-1)
 
     def run(self, state: np.ndarray) -> np.ndarray:
         """Execute the schedule over a key vector or a whole batch.
 
         ``state`` has shape ``(num_nodes,)`` or ``(batch, num_nodes)``,
-        indexed by flat node id; returns a fresh array of the same shape.
-        Semantically identical to :func:`repro.schedule.ir.replay` — the
-        property tests pin that equivalence — just fewer, wider passes.
+        indexed by flat node id; returns a fresh array of the same shape and
+        dtype, leaving ``state`` untouched.  Semantically identical to
+        :func:`repro.schedule.ir.replay` — the property tests pin that
+        equivalence — just fewer, wider passes.
 
         When a :class:`~repro.observability.kernelprof.KernelProfiler` is
         installed (see :func:`set_profiler`) and enabled, the run is timed
-        layer by layer; otherwise the only overhead is one ``None`` check.
+        layer by layer over the same steps; otherwise the only overhead is
+        one ``None`` check.
         """
         profiler = _PROFILER
         if profiler is not None and profiler.enabled:
             return profiler.profiled_run(self, state)
-        arr, squeeze = self._prepare(state)
-        for layer in self.layers:
-            self.apply_layer(arr, layer)
-        return arr[0] if squeeze else arr
+        x, squeeze = self.rows(state)
+        for step in self.steps:
+            x = step.permute(x)
+            step.compute(x)
+        return self.finish(x, squeeze)
 
     __call__ = run
 

@@ -7,7 +7,8 @@ both the service API and its telemetry:
 ``POST /sort``
     body ``{"cell": "path-n3-r3", "keys": [...]}`` → ``200`` with
     ``{"cell": ..., "keys": [...sorted, snake order...]}``; ``400`` on a
-    malformed body or wrong key width; ``503`` with a machine-readable
+    malformed body, a key that is not a JSON integer or lies outside
+    int64, or a wrong key width; ``503`` with a machine-readable
     ``reason`` when admission control sheds the request (backpressure is
     explicit, never a hang);
 ``GET /queues.json``
@@ -43,6 +44,21 @@ from .service import Rejected, SortService
 __all__ = ["build_sort_server"]
 
 _JSON = "application/json"
+_INT64 = np.iinfo(np.int64)
+
+
+def _parse_keys(raw: Any) -> np.ndarray:
+    """A request's JSON ``keys`` as int64, refusing anything that would not
+    round-trip: floats (``np.asarray`` would truncate them), booleans and
+    integers outside int64 all raise ``ValueError``."""
+    if not isinstance(raw, list):
+        raise ValueError("keys must be a JSON array of integers")
+    for key in raw:
+        if type(key) is not int:  # excludes bool, an int subclass
+            raise ValueError(f"keys must be JSON integers, got {json.dumps(key)}")
+        if not _INT64.min <= key <= _INT64.max:
+            raise ValueError(f"key {key} is outside int64")
+    return np.asarray(raw, dtype=np.int64)
 
 
 def _json_body(status: int, doc: dict[str, Any]) -> tuple[int, str, bytes]:
@@ -70,7 +86,7 @@ def build_sort_server(
         try:
             doc = json.loads(payload)
             cell = str(doc["cell"])
-            keys = np.asarray(doc["keys"], dtype=np.int64)
+            keys = _parse_keys(doc["keys"])
         except (ValueError, KeyError, TypeError) as exc:
             return _json_body(400, {"error": f"bad request: {exc}"})
         future = asyncio.run_coroutine_threadsafe(service.submit(cell, keys), loop)

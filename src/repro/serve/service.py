@@ -12,7 +12,8 @@ Mechanics, per cell queue:
 * **deadline-aware micro-batching** — a flusher coroutine collects requests
   until either ``max_batch`` is reached or ``max_delay_ms`` has passed since
   the *oldest* queued request, whichever comes first, then executes the
-  whole batch;
+  whole batch; requests already queued when the window closes still join
+  it, so a backlog flushes in full batches rather than one row at a time;
 * **admission control** — each queue is bounded at ``max_queue_depth``
   outstanding requests; excess load is shed with an explicit
   :class:`Rejected` (the HTTP front-end maps it to ``503``), never silently
@@ -333,7 +334,9 @@ class SortService:
 
     async def _flusher(self, queue: _CellQueue) -> None:
         """Collect → flush forever: ``max_batch`` or ``max_delay_ms`` since
-        the oldest queued request, whichever is reached first."""
+        the oldest queued request, whichever is reached first.  Requests
+        already waiting in the queue always join the batch (up to
+        ``max_batch``), even once the oldest one is past its window."""
         config = self.config
         loop = asyncio.get_running_loop()
         while True:
@@ -341,6 +344,9 @@ class SortService:
             batch = [first]
             flush_at = first.arrival + config.max_delay_ms / 1e3
             while len(batch) < config.max_batch:
+                if not queue.queue.empty():
+                    batch.append(queue.queue.get_nowait())
+                    continue
                 remaining = flush_at - loop.time()
                 if remaining <= 0:
                     break

@@ -79,9 +79,26 @@ class TestKernelProfiler:
         for layer in profile.layers:
             assert layer.occupancy == pytest.approx(layer.nodes_touched / 2 / slots)
             assert 0 < layer.occupancy <= dag.num_nodes / 2 / slots
-            assert layer.bytes_touched == 2 * 8 * layer.nodes_touched * keys.itemsize
+            # read + write of the full-width take plus of every engaged key
+            assert layer.bytes_touched == (
+                2 * 8 * (dag.num_nodes + layer.nodes_touched) * keys.itemsize
+            )
         assert profile.wall_ns >= sum(layer.wall_ns for layer in profile.layers)
         assert 0 < profile.keys_per_s < float("inf")
+
+    @pytest.mark.parametrize("packed", [True, False])
+    def test_permute_compute_split_fits_inside_each_layer(self, rng, packed):
+        kernel, dag = _kernel(packed=packed)
+        keys = rng.integers(0, 2**31, size=(16, dag.num_nodes))
+        _, profile = KernelProfiler().run(kernel, keys)
+        assert len(profile.layers) == kernel.num_layers
+        for layer in profile.layers:
+            assert layer.permute_ns > 0 and layer.compute_ns > 0
+            assert layer.permute_ns + layer.compute_ns <= layer.wall_ns
+        assert 0 < profile.restore_ns
+        assert profile.restore_ns + sum(layer.wall_ns for layer in profile.layers) <= (
+            profile.wall_ns
+        )
 
     def test_registry_instruments_populated(self, rng):
         kernel, dag = _kernel()
@@ -271,6 +288,9 @@ class TestProfileCell:
             for point in plan["batches"]:
                 assert point["keys_per_s"] > 0
                 assert point["wall_s"]["min"] <= point["wall_s"]["p50"]
+                assert 0 < point["floor_s"]["min"] <= point["floor_s"]["p50"]
+                assert point["floor_ratio"] > 0
+                assert point["permute_ns"] > 0 and point["compute_ns"] > 0
 
     def test_full_benchreg_key_and_unknown_cell(self):
         assert resolve_profile_cell("path-n3-r3-lattice").key == "path-n3-r3-lattice"
@@ -284,6 +304,7 @@ class TestProfileCell:
         assert "packed plan" in text and "per-round plan" in text
         assert "occupancy by layer" in text and "L0" in text
         assert "keys/s" in text
+        assert "permute µs" in text and "compute µs" in text and "×floor" in text
 
     def test_chrome_trace_export(self):
         events = json.loads(profile_chrome_trace("path-n3-r3", batch=4))["traceEvents"]

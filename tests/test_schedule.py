@@ -202,3 +202,101 @@ class TestEmission:
             np.ravel(sorter.sort_sequence(keys).lattice),
             np.ravel(stock.sort_sequence(keys).lattice),
         )
+
+
+def _mixed_dag(rounds_ops) -> ComparatorDAG:
+    """A hand-built 16-node DAG, one round (and phase) per entry."""
+    from repro.schedule import SchedulePhase, ScheduleRound
+
+    phases = tuple(
+        SchedulePhase(index=i, path=("sort", f"p{i}"), kind="s2", dim=None, charged_rounds=1)
+        for i in range(len(rounds_ops))
+    )
+    rounds = tuple(
+        ScheduleRound(index=i, phase=i, charge=1, comparators=comps, block_sorts=blocks)
+        for i, (comps, blocks) in enumerate(rounds_ops)
+    )
+    return ComparatorDAG(backend="lattice", factor="synthetic", n=4, r=2,
+                         num_nodes=16, phases=phases, rounds=rounds)
+
+
+class TestLowering:
+    """The layout/``take`` lowering of :class:`CompiledSchedule` against the
+    reference replay, on a layer mixing every kind of operation."""
+
+    @staticmethod
+    def _dag() -> ComparatorDAG:
+        from repro.schedule import BlockSortOp, ComparatorOp
+
+        first = (
+            # comparators, one with lo > hi
+            (ComparatorOp(10, 11), ComparatorOp(13, 12)),
+            # width-4 rows (one descending) and a width-2 descending row;
+            # nodes 14 and 15 stay untouched
+            (
+                BlockSortOp(nodes=(3, 0, 2, 1), descending=False),
+                BlockSortOp(nodes=(7, 5, 4, 6), descending=True),
+                BlockSortOp(nodes=(9, 8), descending=True),
+            ),
+        )
+        # a second layer reads the first layer's layout
+        second = (
+            (ComparatorOp(14, 3),),
+            (BlockSortOp(nodes=(15, 0, 8, 12), descending=True),),
+        )
+        return _mixed_dag([first, second])
+
+    def test_one_layer_mixes_every_operation(self):
+        kernel = compile_schedule(self._dag())
+        assert kernel.num_layers == 2
+        first = kernel.layers[0]
+        assert first.lo.size == 2
+        assert sorted(mat.shape[1] for mat, _ in first.block_groups) == [2, 4]
+        assert len(kernel.steps) == kernel.num_layers
+
+    @pytest.mark.parametrize("packed", [True, False])
+    def test_every_permutation_is_a_bijection(self, packed):
+        kernel = compile_schedule(self._dag(), packed=packed)
+        for perm in [step.perm for step in kernel.steps] + [kernel.final_perm]:
+            assert np.array_equal(np.sort(perm), np.arange(kernel.num_nodes))
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.arange(16)[::-1].copy(),
+            np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1] * 4),
+            np.array([np.iinfo(np.uint64).max, 0, 2**63, 2**63 - 1] * 4, dtype=np.uint64),
+            np.array([-np.inf, np.inf, -0.0, 0.5, 1e308, -1e-308, 3.0, 2.0] * 2),
+        ],
+        ids=["1d", "int64-extremes", "uint64", "float64"],
+    )
+    def test_matches_replay_and_preserves_the_input(self, keys, rng):
+        dag = self._dag()
+        kernel = compile_schedule(dag)
+        batch = np.stack([keys, keys[::-1], keys[rng.permutation(16)]])
+        for state in (keys, batch):
+            before = state.copy()
+            out = kernel.run(state)
+            assert out.dtype == state.dtype and out.shape == state.shape
+            assert np.array_equal(out, replay(dag, state))
+            assert np.array_equal(state, before)
+            assert out.flags.c_contiguous and not np.shares_memory(out, state)
+
+    def test_empty_batch(self):
+        kernel = compile_schedule(self._dag())
+        out = kernel.run(np.empty((0, 16), dtype=np.int64))
+        assert out.shape == (0, 16) and out.dtype == np.int64
+
+    def test_zero_layer_kernel_returns_a_copy(self):
+        kernel = compile_schedule(_mixed_dag([((), ())]))
+        assert kernel.num_layers == 0
+        keys = np.arange(16)
+        out = kernel.run(keys)
+        assert np.array_equal(out, keys) and not np.shares_memory(out, keys)
+
+    def test_a_layer_engaging_a_node_twice_is_rejected(self):
+        from repro.schedule import ComparatorOp
+
+        dag = _mixed_dag([((ComparatorOp(0, 1), ComparatorOp(1, 2)), ())])
+        with pytest.raises(ValueError, match="more than once"):
+            compile_schedule(dag, packed=False)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -132,6 +133,29 @@ class TestSortService:
         (queue,) = snapshot.values()
         assert queue["batches"] == 1
         assert queue["mean_batch_occupancy"] < 1.0
+
+    def test_backlog_queued_past_the_window_flushes_as_one_batch(self, rng):
+        """Requests that queued up while the loop was blocked past
+        max_delay_ms join the oldest one's flush instead of each costing a
+        one-row kernel call."""
+        config = ServiceConfig(max_batch=64, max_delay_ms=1.0)
+
+        async def scenario():
+            async with SortService(config) as service:
+                service.prewarm(CELL)
+                rows = [rng.integers(0, 1000, WIDTH) for _ in range(40)]
+                pending = [asyncio.ensure_future(service.submit(CELL, row)) for row in rows]
+                await asyncio.sleep(0)  # every submit enqueues, none flushes yet
+                time.sleep(0.02)  # block the loop well past the window
+                outs = await asyncio.wait_for(asyncio.gather(*pending), timeout=5.0)
+                for row, out in zip(rows, outs):
+                    assert np.array_equal(out, _expected(row))
+                return service.queues_snapshot()
+
+        snapshot = _run(scenario())
+        (queue,) = snapshot.values()
+        assert queue["completed"] == 40
+        assert queue["batches"] == 1
 
     def test_wrong_width_raises_value_error(self):
         async def scenario():
@@ -435,6 +459,28 @@ class TestHttpFrontend:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=10.0)
             assert excinfo.value.code == 400
+
+    def _post_error(self, url, body):
+        request = urllib.request.Request(url + "/sort", data=body, method="POST")
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10.0)
+        return excinfo.value.code, json.loads(excinfo.value.read())["error"]
+
+    def test_float_keys_are_400_not_truncated(self, live_server):
+        keys = [1.7, 2.2] + list(range(WIDTH - 2))
+        body = json.dumps({"cell": CELL, "keys": keys}).encode()
+        code, error = self._post_error(live_server["url"], body)
+        assert code == 400
+        assert "integers" in error and "1.7" in error
+        body = json.dumps({"cell": CELL, "keys": [True] + list(range(WIDTH - 1))}).encode()
+        assert self._post_error(live_server["url"], body)[0] == 400
+
+    def test_key_outside_int64_is_400_not_500(self, live_server):
+        keys = [2**63] + list(range(WIDTH - 1))
+        body = json.dumps({"cell": CELL, "keys": keys}).encode()
+        code, error = self._post_error(live_server["url"], body)
+        assert code == 400
+        assert "outside int64" in error and str(2**63) in error
 
     def test_wrong_width_is_400_with_the_service_message(self, live_server):
         request = urllib.request.Request(
