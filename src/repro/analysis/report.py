@@ -363,21 +363,19 @@ def _section_kernelprof(seed: int) -> str:
     rows = []
     for key in ("path-n3-r3", "path-n4-r3", "k2-n2-r4"):
         doc = profile_cell(key, batches=(256,), runs=5, seed=seed, profiler=profiler)
-        for plan in doc["plans"]:
-            point = plan["batches"][-1]
-            rows.append(
-                [
-                    doc["cell"],
-                    plan["plan"],
-                    plan["layers"],
-                    plan["ops"],
-                    f"{plan['mean_occupancy'] * 100:.1f}%",
-                    f"{point['wall_s']['p50'] * 1e6:.0f}",
-                    f"{point['keys_per_s']:,.0f}",
-                ]
-            )
+        point = doc["batches"][-1]
+        rows.append(
+            [
+                doc["cell"],
+                doc["layers"],
+                doc["ops"],
+                f"{doc['mean_occupancy'] * 100:.1f}%",
+                f"{point['wall_s']['p50'] * 1e6:.0f}",
+                f"{point['keys_per_s']:,.0f}",
+            ]
+        )
     table = format_markdown_table(
-        ["cell", "plan", "layers", "ops", "mean occ", "p50 µs @256", "keys/s"], rows
+        ["cell", "layers", "ops", "mean occ", "p50 µs @256", "keys/s"], rows
     )
     cache_rows = [
         [
@@ -396,11 +394,10 @@ def _section_kernelprof(seed: int) -> str:
     return (
         "## Compiled kernels — per-layer profile and cache health\n\n"
         "Each row profiles one cell's compiled batch kernel (`repro "
-        "profile`) at batch 256: layer count after ASAP packing (or one "
-        "layer per IR round for the per-round plan), total operations, mean "
-        "comparator-slot occupancy, and median run latency with the derived "
-        "throughput.  The caches below memoise emitted schedules and "
-        "compiled kernels process-wide.\n\n"
+        "profile`) at batch 256: layer count after ASAP packing, total "
+        "operations, mean comparator-slot occupancy, and median run "
+        "latency with the derived throughput.  The caches below memoise "
+        "emitted schedules and compiled kernels process-wide.\n\n"
         + table
         + "\n\nSchedule-cache state after the profiling pass:\n\n"
         + cache_table

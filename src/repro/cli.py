@@ -17,7 +17,7 @@ Reproduces the paper's evaluation from the shell:
   link legality, depth conformance); ``--mutants`` proves the lints catch
   each seeded fault class;
 * ``profile`` — per-layer wall time / occupancy / throughput of one cell's
-  compiled batch kernel across a batch sweep, as tables + heatmap, JSON or a
+  compiled batch kernel across a batch sweep, as tables, JSON or a
   Chrome trace (``--chrome``);
 * ``metrics`` — serve the live Prometheus endpoint (``/metrics``,
   ``/healthz``, ``/snapshot.json``) warmed with profiled kernel runs;
@@ -1050,7 +1050,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cell whose kernel warms the histograms before serving",
     )
     p.add_argument("--batch", type=int, default=64, help="warm-up batch size")
-    p.add_argument("--runs", type=int, default=3, help="warm-up profiled runs per plan")
+    p.add_argument("--runs", type=int, default=3, help="warm-up profiled kernel runs")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_metrics)
 

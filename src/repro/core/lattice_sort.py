@@ -22,12 +22,12 @@ to a :class:`~repro.machine.metrics.CostLedger` in the paper's accounting:
   ``2 S_2 + 2 R`` per merge level, exactly Lemma 3's recurrence.
 
 Since the schedule refactor the recursion above is primarily the *traced*
-executor.  The untraced path interprets the network's emitted
+executor.  The untraced path runs the network's emitted
 :class:`~repro.schedule.ir.ComparatorDAG` instead
 (:meth:`ProductNetworkSorter.schedule` →
-:func:`repro.schedule.compiled.round_plan`): same data movement, same
-ledger, one cached plan per geometry cell — and batch workloads go through
-the layer-packed compiled kernel (see :mod:`repro.schedule.compiled`).
+:func:`repro.schedule.compiled.compile_schedule`): the same layer-packed
+kernel batch workloads and the sort service use, one cached kernel per
+geometry cell, with the ledger synthesized from the phase list.
 
 Because the driver only pays for what it executes, the measured ledger
 reproduces Lemma 3 and Theorem 1 *structurally*: ``(r-1)**2`` two-dimensional
@@ -46,7 +46,7 @@ from ..machine.metrics import CostLedger
 from ..observability import NULL_TRACER, Tracer, coerce_tracer, point_emitter
 from ..orders.gray import rank_lattice
 from ..orders.snake import lattice_to_sequence, sequence_to_lattice
-from ..schedule import ComparatorDAG, emit_lattice_schedule, phase_detail, round_plan
+from ..schedule import ComparatorDAG, compile_schedule, emit_lattice_schedule, phase_detail
 from ..sorters2d.analytic import sorter_for_factor
 from ..sorters2d.base import PublishedRoutingModel, RoutingModel, TwoDimSorterModel
 from .multiway_merge import Emit, TracerLike
@@ -255,10 +255,11 @@ class ProductNetworkSorter:
         )
 
     def _sort_via_schedule(self, a: np.ndarray) -> SortOutcome:
-        """Interpret the emitted IR round by round; synthesize the ledger
-        from the phase list (phase order == the recursion's charge order)."""
+        """Run the emitted IR through its compiled kernel; synthesize the
+        ledger from the phase list (phase order == the recursion's charge
+        order)."""
         dag = self.schedule()
-        out = round_plan(dag).run(a.reshape(-1))
+        out = compile_schedule(dag).run(a.reshape(-1))
         ledger = CostLedger(keep_log=self.keep_log)
         for phase in dag.phases:
             detail = phase_detail(phase, "lattice")

@@ -259,7 +259,7 @@ def build_metrics_server(
 ) -> MetricsServer:
     """A ready-to-serve endpoint, warmed with profiled runs of one cell.
 
-    Profiles ``runs`` executions per plan of ``cell``'s compiled kernel into
+    Profiles ``runs`` executions of ``cell``'s compiled kernel into
     a fresh registry — so ``repro_compiled_run_seconds`` has populated
     buckets from the very first scrape — and attaches a collector that
     refreshes the schedule-cache counters on every request.  The returned

@@ -1,7 +1,7 @@
 """Per-layer profiler for the compiled batch kernel — the hot path's x-ray.
 
-PR 6 made :class:`~repro.schedule.compiled.CompiledSchedule` the execution
-spine, 40–147× faster than the interpreted path, but the tracing stack only
+:class:`~repro.schedule.compiled.CompiledSchedule` is the execution spine,
+40–147× faster than the interpreted path, but the tracing stack only
 instruments the interpreted backends.  This module closes that gap:
 
 * :class:`KernelProfiler` executes a kernel's own lowered steps layer by
@@ -14,23 +14,23 @@ instruments the interpreted backends.  This module closes that gap:
   (read+write of the full-width ``take`` plus every engaged key, across the
   batch).  Results land in a :class:`RunProfile`, in a
   :class:`~repro.observability.metrics.MetricsRegistry`
-  (``repro_compiled_run_seconds{cell,packed}`` /
-  ``repro_compiled_layer_seconds`` histograms with p50/p99 derivable from
-  the buckets, ``repro_compiled_keys_total`` / ``repro_compiled_runs_total``
-  counters) and — when a tracer is attached — as ``compiled-run`` /
-  ``kernel-layer`` spans on the event bus, so the Chrome-trace export
-  renders compiled layers alongside interpreted phase spans.
+  (``repro_compiled_run_seconds{cell}`` /
+  ``repro_compiled_layer_seconds{cell}`` histograms with p50/p99 derivable
+  from the buckets, ``repro_compiled_keys_total{cell}`` /
+  ``repro_compiled_runs_total{cell}`` counters) and — when a tracer is
+  attached — as ``compiled-run`` / ``kernel-layer`` spans on the event
+  bus, so the Chrome-trace export renders compiled layers alongside
+  interpreted phase spans.
 * Installed process-wide (:meth:`KernelProfiler.install` or the context
   manager), the profiler intercepts every ``CompiledSchedule.run``; when no
   profiler is installed the kernel pays a single ``None`` check.
-* :func:`profile_cell` sweeps a benchreg cell's kernel across batch sizes
-  for both the packed and per-round plans, verifying every profiled output
-  against the snake-order ground truth and timing the *floor* (``np.sort``
-  plus the snake scatter) on the same keys; :func:`render_profile` prints
-  the permute/compute split next to the floor, per-layer tables and an
-  occupancy heatmap
-  (:func:`repro.viz.render_heatmap`), and :func:`profile_chrome_trace`
-  exports the layer spans as Chrome trace-event JSON.
+* :func:`profile_cell` sweeps a benchreg cell's kernel across batch sizes,
+  verifying every profiled output against the snake-order ground truth and
+  timing the *floor* (``np.sort`` plus the snake scatter) on the same keys;
+  :func:`render_profile` prints the permute/compute split next to the floor
+  and a per-layer table (occupancy in its ``occ%`` column), and
+  :func:`profile_chrome_trace` exports the layer spans as Chrome
+  trace-event JSON.
 
 This module must not import :mod:`repro.schedule` at module level — the
 schedule modules import :mod:`repro.observability.cachestats`, which
@@ -44,11 +44,10 @@ import time
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, ContextManager, Iterable
+from typing import TYPE_CHECKING, Any, ContextManager
 
 import numpy as np
 
-from ..viz import render_heatmap
 from .metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -141,7 +140,6 @@ class RunProfile:
 
     cell: str
     schedule_hash: str
-    packed: bool
     batch: int
     num_nodes: int
     wall_ns: int
@@ -180,7 +178,6 @@ class RunProfile:
         return {
             "cell": self.cell,
             "schedule_hash": self.schedule_hash,
-            "packed": self.packed,
             "batch": self.batch,
             "num_nodes": self.num_nodes,
             "keys": self.keys,
@@ -229,7 +226,7 @@ class KernelProfiler:
         r = self.registry
         self._run_seconds = r.histogram(
             "repro_compiled_run_seconds",
-            "end-to-end compiled-kernel run wall time, by cell and plan",
+            "end-to-end compiled-kernel run wall time, by cell",
             buckets=RUN_TIME_BUCKETS,
         )
         self._layer_seconds = r.histogram(
@@ -241,7 +238,7 @@ class KernelProfiler:
             "repro_compiled_keys_total", "keys sorted by the compiled kernel, by cell"
         )
         self._runs_total = r.counter(
-            "repro_compiled_runs_total", "profiled compiled-kernel runs, by cell and plan"
+            "repro_compiled_runs_total", "profiled compiled-kernel runs, by cell"
         )
 
     @property
@@ -268,7 +265,6 @@ class KernelProfiler:
                 "compiled-run",
                 kind="kernel",
                 cell=kernel.cell,
-                packed=kernel.packed,
                 batch=batch,
                 layers=kernel.num_layers,
             )
@@ -323,7 +319,6 @@ class KernelProfiler:
         profile = RunProfile(
             cell=kernel.cell,
             schedule_hash=kernel.schedule_hash,
-            packed=kernel.packed,
             batch=batch,
             num_nodes=kernel.num_nodes,
             wall_ns=wall_ns,
@@ -340,25 +335,20 @@ class KernelProfiler:
 
     def _record(self, profile: RunProfile) -> None:
         # per-layer seconds were already observed live by Histogram.time()
-        plan = "packed" if profile.packed else "per-round"
-        self._run_seconds.observe(profile.wall_s, cell=profile.cell, packed=plan)
+        self._run_seconds.observe(profile.wall_s, cell=profile.cell)
         self._keys_total.inc(profile.keys, cell=profile.cell)
-        self._runs_total.inc(cell=profile.cell, packed=plan)
+        self._runs_total.inc(cell=profile.cell)
         self.history.append(profile)
 
     # -- derived statistics ---------------------------------------------
 
-    def run_quantile(self, q: float, cell: str, packed: bool = True) -> float:
-        """Bucket-interpolated run-latency quantile for one (cell, plan)."""
-        plan = "packed" if packed else "per-round"
-        return self._run_seconds.quantile(q, cell=cell, packed=plan)
+    def run_quantile(self, q: float, cell: str) -> float:
+        """Bucket-interpolated run-latency quantile for one cell."""
+        return self._run_seconds.quantile(q, cell=cell)
 
-    def percentiles(self, cell: str, packed: bool = True) -> dict[str, float]:
+    def percentiles(self, cell: str) -> dict[str, float]:
         """p50/p99 run latency, derived from the histogram buckets."""
-        return {
-            "p50": self.run_quantile(0.50, cell, packed),
-            "p99": self.run_quantile(0.99, cell, packed),
-        }
+        return {"p50": self.run_quantile(0.50, cell), "p99": self.run_quantile(0.99, cell)}
 
     # -- process-wide installation --------------------------------------
 
@@ -420,15 +410,15 @@ def profile_cell(
     the raw emitted schedule (still verified against the snake ground
     truth); the document records both hashes so the win is attributable.
 
-    Both plans (packed ASAP layers and the faithful per-round plan) are
-    profiled ``runs`` times per batch size; every profiled output is checked
-    against the snake-order ground truth, so reported numbers only ever
-    describe correct executions.  Each profiled run is followed by one run of
-    the floor — ``np.sort`` plus the snake scatter, the ground truth itself —
-    on the same keys; ``floor_ratio`` divides the median profiled wall time
-    by the median floor.  Per-layer detail and the permute/compute split
-    come from each batch's fastest run (least scheduler noise);
-    ``keys_per_s`` uses the median.
+    The kernel is profiled ``runs`` times per batch size; every profiled
+    output is checked against the snake-order ground truth, so reported
+    numbers only ever describe correct executions.  Each profiled run is
+    followed by one run of the floor — ``np.sort`` plus the snake scatter,
+    the ground truth itself — on the same keys; ``floor_ratio`` divides the
+    median profiled wall time by the median floor.  Per-layer detail and the
+    permute/compute split come from each batch's fastest run (least
+    scheduler noise); ``keys_per_s`` uses the median.  ``mean_occupancy``
+    and ``max_occupancy`` summarise the last batch's layers.
     """
     from ..schedule import compile_schedule, snake_order_nodes
     from ..staticcheck import emit_schedule
@@ -440,6 +430,7 @@ def profile_cell(
     prof = profiler if profiler is not None else KernelProfiler()
     rng = np.random.default_rng(seed)
     snake = snake_order_nodes(dag.n, dag.r)
+    kernel = compile_schedule(dag, optimize=optimize)
     doc: dict[str, Any] = {
         "cell": cell.key,
         "factor": dag.factor,
@@ -450,63 +441,52 @@ def profile_cell(
         "optimize": optimize,
         "seed": seed,
         "runs": runs,
-        "plans": [],
+        "layers": kernel.num_layers,
+        "ops": sum(layer.op_count for layer in kernel.layers),
+        "batches": [],
     }
-    for packed in (True, False):
-        kernel = compile_schedule(dag, packed=packed, optimize=optimize)
-        if optimize:
-            doc["optimized_schedule_hash"] = kernel.schedule_hash
-        plan: dict[str, Any] = {
-            "plan": "packed" if packed else "per-round",
-            "packed": packed,
-            "layers": kernel.num_layers,
-            "ops": sum(layer.op_count for layer in kernel.layers),
-            "batches": [],
-        }
-        for batch in batches:
-            keys = rng.integers(0, 2**31, size=(int(batch), dag.num_nodes))
-            kernel.run(keys)  # warm-up: first-touch allocations, caches
-            profiles: list[RunProfile] = []
-            floor_ns: list[int] = []
-            out: np.ndarray | None = None
-            expected: np.ndarray | None = None
-            for _ in range(runs):
-                out, profile = prof.run(kernel, keys)
-                profiles.append(profile)
-                t0 = time.perf_counter_ns()
-                expected = np.empty_like(keys)
-                expected[:, snake] = np.sort(keys, axis=1)
-                floor_ns.append(time.perf_counter_ns() - t0)
-            if not np.array_equal(out, expected):
-                raise AssertionError(
-                    f"profiled kernel output diverged from snake ground truth on {cell.key}"
-                )
-            walls = np.array([p.wall_s for p in profiles])
-            floors = np.array(floor_ns) / 1e9
-            best = profiles[int(np.argmin(walls))]
-            plan["batches"].append(
-                {
-                    "batch": int(batch),
-                    "keys": best.keys,
-                    "wall_s": {
-                        "min": float(walls.min()),
-                        "p50": float(np.percentile(walls, 50)),
-                        "max": float(walls.max()),
-                    },
-                    "floor_s": {"min": float(floors.min()), "p50": float(np.median(floors))},
-                    "floor_ratio": float(np.median(walls) / max(np.median(floors), 1e-9)),
-                    "permute_ns": best.restore_ns + sum(lay.permute_ns for lay in best.layers),
-                    "compute_ns": sum(lay.compute_ns for lay in best.layers),
-                    "keys_per_s": float(best.keys / np.percentile(walls, 50)),
-                    "per_layer": [layer.to_json() for layer in best.layers],
-                }
+    if optimize:
+        doc["optimized_schedule_hash"] = kernel.schedule_hash
+    for batch in batches:
+        keys = rng.integers(0, 2**31, size=(int(batch), dag.num_nodes))
+        kernel.run(keys)  # warm-up: first-touch allocations, caches
+        profiles: list[RunProfile] = []
+        floor_ns: list[int] = []
+        out: np.ndarray | None = None
+        expected: np.ndarray | None = None
+        for _ in range(runs):
+            out, profile = prof.run(kernel, keys)
+            profiles.append(profile)
+            t0 = time.perf_counter_ns()
+            expected = np.empty_like(keys)
+            expected[:, snake] = np.sort(keys, axis=1)
+            floor_ns.append(time.perf_counter_ns() - t0)
+        if not np.array_equal(out, expected):
+            raise AssertionError(
+                f"profiled kernel output diverged from snake ground truth on {cell.key}"
             )
-        last = plan["batches"][-1]["per_layer"]
-        plan["mean_occupancy"] = (
-            sum(layer["occupancy"] for layer in last) / len(last) if last else 0.0
+        walls = np.array([p.wall_s for p in profiles])
+        floors = np.array(floor_ns) / 1e9
+        best = profiles[int(np.argmin(walls))]
+        doc["batches"].append(
+            {
+                "batch": int(batch),
+                "keys": best.keys,
+                "wall_s": {
+                    "min": float(walls.min()),
+                    "p50": float(np.percentile(walls, 50)),
+                    "max": float(walls.max()),
+                },
+                "floor_s": {"min": float(floors.min()), "p50": float(np.median(floors))},
+                "floor_ratio": float(np.median(walls) / max(np.median(floors), 1e-9)),
+                "permute_ns": best.restore_ns + sum(lay.permute_ns for lay in best.layers),
+                "compute_ns": sum(lay.compute_ns for lay in best.layers),
+                "keys_per_s": float(best.keys / np.percentile(walls, 50)),
+                "per_layer": [layer.to_json() for layer in best.layers],
+            }
         )
-        plan["max_occupancy"] = max((layer["occupancy"] for layer in last), default=0.0)
-        doc["plans"].append(plan)
+    doc["mean_occupancy"] = best.mean_occupancy
+    doc["max_occupancy"] = best.max_occupancy
     return doc
 
 
@@ -527,53 +507,32 @@ def _layer_table(per_layer: list[dict[str, Any]]) -> list[str]:
 
 
 def render_profile(doc: dict[str, Any]) -> str:
-    """Human-readable sweep report: per-layer tables + occupancy heatmap."""
+    """Human-readable sweep report: the batch sweep and a per-layer table."""
     lines = [
         f"kernel profile — {doc['cell']} (N={doc['num_nodes']}, "
-        f"schedule {doc['schedule_hash'][:12]}, {doc['runs']} runs/point)"
+        f"schedule {doc['schedule_hash'][:12]}, {doc['runs']} runs/point)",
+        f"{doc['layers']} layers, {doc['ops']} ops, "
+        f"mean occupancy {doc['mean_occupancy'] * 100:.1f}%",
+        f"  {'batch':>7} {'keys':>9} {'p50 µs':>9} {'min µs':>9} {'permute µs':>10} "
+        f"{'compute µs':>10} {'floor µs':>9} {'×floor':>7} {'keys/s':>13}",
     ]
-    for plan in doc["plans"]:
-        lines.append("")
+    for point in doc["batches"]:
+        wall = point["wall_s"]
         lines.append(
-            f"{plan['plan']} plan: {plan['layers']} layers, {plan['ops']} ops, "
-            f"mean occupancy {plan['mean_occupancy'] * 100:.1f}%"
+            f"  {point['batch']:>7} {point['keys']:>9} {wall['p50'] * 1e6:>9.1f} "
+            f"{wall['min'] * 1e6:>9.1f} {point['permute_ns'] / 1e3:>10.1f} "
+            f"{point['compute_ns'] / 1e3:>10.1f} {point['floor_s']['p50'] * 1e6:>9.1f} "
+            f"{point['floor_ratio']:>7.1f} {point['keys_per_s']:>13,.0f}"
         )
-        lines.append(
-            f"  {'batch':>7} {'keys':>9} {'p50 µs':>9} {'min µs':>9} {'permute µs':>10} "
-            f"{'compute µs':>10} {'floor µs':>9} {'×floor':>7} {'keys/s':>13}"
-        )
-        for point in plan["batches"]:
-            wall = point["wall_s"]
-            lines.append(
-                f"  {point['batch']:>7} {point['keys']:>9} {wall['p50'] * 1e6:>9.1f} "
-                f"{wall['min'] * 1e6:>9.1f} {point['permute_ns'] / 1e3:>10.1f} "
-                f"{point['compute_ns'] / 1e3:>10.1f} {point['floor_s']['p50'] * 1e6:>9.1f} "
-                f"{point['floor_ratio']:>7.1f} {point['keys_per_s']:>13,.0f}"
-            )
-        lines.append(f"per-layer detail (batch {plan['batches'][-1]['batch']}):")
-        lines.extend(_layer_table(plan["batches"][-1]["per_layer"]))
-
-    width = max(plan["layers"] for plan in doc["plans"])
-    matrix = []
-    for plan in doc["plans"]:
-        occ = [round(layer["occupancy"] * 100, 1) for layer in plan["batches"][-1]["per_layer"]]
-        matrix.append(occ + [0.0] * (width - len(occ)))
-    lines.append("")
-    lines.append(
-        render_heatmap(
-            matrix,
-            [plan["plan"] for plan in doc["plans"]],
-            [f"L{i}" for i in range(width)],
-            title="occupancy by layer (%, packed layers fold independent rounds together)",
-        )
-    )
+    lines.append(f"per-layer detail (batch {doc['batches'][-1]['batch']}):")
+    lines.extend(_layer_table(doc["batches"][-1]["per_layer"]))
     return "\n".join(lines)
 
 
 def profile_chrome_trace(
     key: str, batch: int = 256, seed: int = 0, runs: int = 1
 ) -> str:
-    """Chrome trace-event JSON of profiled runs (both plans) of one cell."""
+    """Chrome trace-event JSON of profiled runs of one cell's kernel."""
     from .export import chrome_trace_json
     from .tracer import Tracer
 
@@ -582,23 +541,3 @@ def profile_chrome_trace(
     profile_cell(key, batches=(batch,), runs=runs, seed=seed, profiler=profiler)
     return chrome_trace_json(tracer)
 
-
-def collect_cache_metrics(registry: MetricsRegistry) -> None:
-    """Scrape-time collector: mirror schedule-cache stats into ``registry``."""
-    from .cachestats import publish_cache_metrics
-
-    publish_cache_metrics(registry)
-
-
-def summarize_history(profiles: Iterable[RunProfile]) -> dict[str, Any]:
-    """Aggregate a profile history: runs, keys, wall time by (cell, plan)."""
-    out: dict[str, Any] = {}
-    for profile in profiles:
-        plan = "packed" if profile.packed else "per-round"
-        entry = out.setdefault(
-            f"{profile.cell}/{plan}", {"runs": 0, "keys": 0, "wall_s": 0.0}
-        )
-        entry["runs"] += 1
-        entry["keys"] += profile.keys
-        entry["wall_s"] += profile.wall_s
-    return out

@@ -8,7 +8,8 @@
 * :mod:`repro.schedule.emit` — keyless emitters producing the IR from the
   §3.1/§3.3 recursion for both backends;
 * :mod:`repro.schedule.compiled` — the layer-packed compiled batch kernel
-  (and the per-round plan), cached by schedule hash.
+  that single lattices, batches and the sort service all run, cached by
+  schedule hash.
 
 The lattice and machine backends interpret this artifact; the static checker
 lints it; :mod:`repro.staticcheck.extract` merely certifies that live runs
@@ -30,7 +31,6 @@ from .compiled import (
     clear_kernel_cache,
     compile_schedule,
     get_profiler,
-    round_plan,
     set_profiler,
 )
 from .emit import (
@@ -93,7 +93,6 @@ __all__ = [
     "get_profiler",
     "phase_detail",
     "replay",
-    "round_plan",
     "set_profiler",
     "snake_order_nodes",
     "span_path_entry",

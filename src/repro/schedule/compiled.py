@@ -7,7 +7,8 @@ same nodes.  :func:`compile_schedule` exploits this: an ASAP (as soon as
 possible) scan assigns every comparator and block sort the earliest layer
 after its last same-node predecessor, packing independent operations — even
 from different phases — into maximal parallel layers (:class:`ScheduleLayer`,
-the IR-level description of a layer).
+the IR-level description of a layer).  Every operation lands one layer past
+the deepest of its own nodes, so no two operations of a layer share a node.
 
 The same pass lowers every layer to a :class:`LoweredLayer`, which runs over
 a whole ``(batch, N**r)`` key array as one ``np.take`` along the node axis
@@ -27,13 +28,12 @@ layer's gather are a single ``take``; the first ``take`` is also the input
 copy, and one final ``take`` restores flat node order.  A kernel of ``L``
 layers therefore moves the keys ``L + 1`` times and never fancy-indexes.
 
-With packing disabled the same machinery executes the DAG round by round —
-the faithful per-phase semantics :meth:`CompiledSchedule.run` shares with
-:func:`repro.schedule.ir.replay`; the lattice backend uses that plan for
-single lattices and the packed kernel for batches.
+This kernel is the only compiled executor: single lattices, batches and the
+served queues all run it, and :func:`repro.schedule.ir.replay` stays the
+independent reference it is checked against.
 
-Kernels are cached by ``(hash, packed, optimize)``, where ``hash`` is the
-canonical SHA-256 schedule hash of the DAG handed in (see
+Kernels are cached by ``(hash, optimize)``, where ``hash`` is the canonical
+SHA-256 schedule hash of the DAG handed in (see
 :meth:`ComparatorDAG.schedule_hash`): two cells with byte-identical
 schedules — however they were emitted — share one compiled artifact.
 """
@@ -61,7 +61,6 @@ __all__ = [
     "clear_kernel_cache",
     "compile_schedule",
     "get_profiler",
-    "round_plan",
     "set_profiler",
 ]
 
@@ -119,17 +118,14 @@ class LoweredLayer:
 class CompiledSchedule:
     """An executable layering of one :class:`ComparatorDAG`.
 
-    ``packed=True`` (the default) applies the ASAP re-layering described in
-    the module docstring; ``packed=False`` keeps one layer per IR round,
-    preserving the emitted phase granularity exactly.  ``layers`` describes
-    the layers, ``steps`` is their lowering (one per layer) and
+    The ASAP re-layering described in the module docstring: ``layers``
+    describes the layers, ``steps`` is their lowering (one per layer) and
     ``final_perm`` the ``take`` that returns the last layout to node order.
     """
 
     def __init__(
         self,
         dag: ComparatorDAG,
-        packed: bool = True,
         schedule_hash: str | None = None,
         source_hash: str | None = None,
     ) -> None:
@@ -141,7 +137,6 @@ class CompiledSchedule:
         #: ``schedule_hash`` only for optimizer-produced kernels, where it
         #: names the original emitted schedule
         self.source_hash = source_hash if source_hash is not None else self.schedule_hash
-        self.packed = packed
         #: benchreg-style label for profiler metrics (family-n-r, no backend:
         #: the kernel is backend-agnostic once emitted)
         self.cell = f"{dag.factor}-n{dag.n}-r{dag.r}"
@@ -152,16 +147,16 @@ class CompiledSchedule:
         highs: defaultdict[int, list[int]] = defaultdict(list)
         blocks: defaultdict[int, defaultdict[int, list[tuple[tuple[int, ...], bool]]]]
         blocks = defaultdict(lambda: defaultdict(list))
-        for round_no, rd in enumerate(dag.rounds):
+        for rd in dag.rounds:
             for op in rd.comparators:
                 lo, hi = op.lo, op.hi
-                layer = max(depth[lo], depth[hi]) + 1 if packed else round_no + 1
+                layer = max(depth[lo], depth[hi]) + 1
                 depth[lo] = depth[hi] = layer
                 lows[layer].append(lo)
                 highs[layer].append(hi)
             for blk in rd.block_sorts:
                 nodes = blk.nodes
-                layer = max(map(depth.__getitem__, nodes)) + 1 if packed else round_no + 1
+                layer = max(map(depth.__getitem__, nodes)) + 1
                 for i in nodes:
                     depth[i] = layer
                 blocks[layer][len(nodes)].append((nodes, blk.descending))
@@ -195,10 +190,8 @@ class CompiledSchedule:
             split = len(touched)
             touched += highs.get(layer, ())
             stop = len(touched)
-            engaged = set(touched)
-            if len(engaged) != stop:
-                raise ValueError(f"layer {len(layers)} engages a node more than once")
             if stop < dag.num_nodes:
+                engaged = set(touched)
                 touched += [node for node in range(dag.num_nodes) if node not in engaged]
             layout = np.asarray(touched, dtype=np.intp)  # the node each column holds
             layers.append(
@@ -266,15 +259,14 @@ class CompiledSchedule:
 
     def describe(self) -> str:
         ops = sum(layer.op_count for layer in self.layers)
-        mode = "packed" if self.packed else "per-round"
         return (
-            f"compiled schedule {self.schedule_hash[:12]}: {self.num_layers} {mode} "
+            f"compiled schedule {self.schedule_hash[:12]}: {self.num_layers} packed "
             f"layers, {ops} operations over {self.num_nodes} nodes"
         )
 
 
 _KERNEL_LOCK = threading.Lock()
-_KERNELS: dict[tuple[str, bool, bool], CompiledSchedule] = {}
+_KERNELS: dict[tuple[str, bool], CompiledSchedule] = {}
 
 #: hit/miss/compile-time accounting for the kernel cache (see
 #: :mod:`repro.observability.cachestats`)
@@ -303,9 +295,7 @@ def get_profiler() -> "KernelProfiler | None":
     return _PROFILER
 
 
-def compile_schedule(
-    dag: ComparatorDAG, packed: bool = True, optimize: bool = False
-) -> CompiledSchedule:
+def compile_schedule(dag: ComparatorDAG, optimize: bool = False) -> CompiledSchedule:
     """Compile (or fetch from the hash-keyed cache) a DAG's batch kernel.
 
     ``optimize=True`` first runs the certified optimizer pipeline
@@ -317,7 +307,7 @@ def compile_schedule(
     to compiling the unoptimized schedule.
     """
     schedule_hash = dag.schedule_hash()
-    key = (schedule_hash, packed, optimize)
+    key = (schedule_hash, optimize)
     with _KERNEL_LOCK:
         kernel = _KERNELS.get(key)
     if kernel is not None:
@@ -332,9 +322,7 @@ def compile_schedule(
 
         result = optimize_schedule(dag)
         target, target_hash = result.optimized, result.optimized_hash
-    built = CompiledSchedule(
-        target, packed=packed, schedule_hash=target_hash, source_hash=schedule_hash
-    )
+    built = CompiledSchedule(target, schedule_hash=target_hash, source_hash=schedule_hash)
     KERNEL_CACHE_STATS.record_miss(perf_counter() - t0)
     with _KERNEL_LOCK:
         return _KERNELS.setdefault(key, built)
@@ -346,7 +334,3 @@ def clear_kernel_cache() -> None:
         _KERNELS.clear()
     KERNEL_CACHE_STATS.reset()
 
-
-def round_plan(dag: ComparatorDAG) -> CompiledSchedule:
-    """The unpacked (one layer per IR round) executor for a DAG."""
-    return compile_schedule(dag, packed=False)

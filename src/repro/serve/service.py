@@ -14,6 +14,9 @@ Mechanics, per cell queue:
   the *oldest* queued request, whichever comes first, then executes the
   whole batch; requests already queued when the window closes still join
   it, so a backlog flushes in full batches rather than one row at a time;
+* **request isolation** — a flush runs one kernel pass per key dtype in
+  the batch, so batch-mates never cast each other's keys, and ``submit``
+  refuses NaN keys, which have no place in the sorted order;
 * **admission control** — each queue is bounded at ``max_queue_depth``
   outstanding requests; excess load is shed with an explicit
   :class:`Rejected` (the HTTP front-end maps it to ``503``), never silently
@@ -306,7 +309,8 @@ class SortService:
         Returns the sorted row (snake order over the product lattice) once
         the micro-batch containing this request has flushed.  Raises
         :class:`Rejected` immediately when the queue is full or the service
-        is shutting down, and ``ValueError`` on a malformed key vector.
+        is shutting down, and ``ValueError`` on a malformed key vector or on
+        float keys containing NaN (they have no place in a total order).
         """
         loop = asyncio.get_running_loop()
         queue = self._get_queue(cell_key)
@@ -316,6 +320,8 @@ class SortService:
                 f"cell {queue.key} sorts {queue.kernel.num_nodes}-key vectors, "
                 f"got shape {arr.shape}"
             )
+        if arr.dtype.kind == "f" and np.isnan(arr).any():
+            raise ValueError(f"cell {queue.key} cannot sort NaN keys: they are unordered")
         if self._closed:
             self._reject(queue.key, "shutting_down")
         if queue.depth >= self.config.max_queue_depth:
@@ -359,7 +365,8 @@ class SortService:
             self._flush(queue, batch)
 
     def _flush(self, queue: _CellQueue, batch: list[_Request]) -> None:
-        """Execute one batch synchronously (no awaits: spans stay nested)."""
+        """Execute one batch synchronously (no awaits: spans stay nested),
+        one kernel call per key dtype: batch-mates never cast each other."""
         from contextlib import nullcontext
 
         config = self.config
@@ -379,8 +386,11 @@ class SortService:
             if self.tracer is not None
             else nullcontext()
         )
-        out: np.ndarray | None = None
-        error: BaseException | None = None
+        by_dtype: dict[np.dtype, list[int]] = {}
+        for i, req in enumerate(batch):
+            by_dtype.setdefault(req.keys.dtype, []).append(i)
+        # per request: its sorted row, or the exception its group raised
+        results: list[Any] = [None] * len(batch)
         with span_ctx:
             kernel_ctx: Any = (
                 self.tracer.span("serve-kernel", kind="serve", cell=queue.key, batch=len(batch))
@@ -388,18 +398,22 @@ class SortService:
                 else nullcontext()
             )
             with kernel_ctx:
-                try:
-                    with self._flush_errors.count_exceptions(cell=queue.key):
-                        stacked = np.stack([req.keys for req in batch])
-                        out = queue.kernel.run(stacked)
-                except Exception as exc:  # deliver the failure, keep serving
-                    error = exc
+                for members in by_dtype.values():
+                    try:
+                        with self._flush_errors.count_exceptions(cell=queue.key):
+                            out = queue.kernel.run(np.stack([batch[i].keys for i in members]))
+                    except Exception as exc:  # deliver the failure, keep serving
+                        for i in members:
+                            results[i] = exc
+                    else:
+                        for i, row in zip(members, out):
+                            results[i] = row
         completion = loop.time()
         queue.depth -= len(batch)
         self._queue_depth.set(queue.depth, cell=queue.key)
         self._batches.inc(cell=queue.key)
         self._occupancy.observe(occupancy, cell=queue.key)
-        for i, req in enumerate(batch):
+        for req, result in zip(batch, results):
             latency = completion - req.arrival
             self._queue_wait.observe(flush_start - req.arrival, cell=queue.key)
             self._request_seconds.observe(latency, cell=queue.key)
@@ -407,13 +421,12 @@ class SortService:
                 self._deadline_misses.inc(cell=queue.key)
             if req.future.cancelled():
                 continue
-            if error is not None:
+            if isinstance(result, Exception):
                 self._requests.inc(cell=queue.key, outcome="error")
-                req.future.set_exception(error)
+                req.future.set_exception(result)
             else:
-                assert out is not None
                 self._requests.inc(cell=queue.key, outcome="completed")
-                req.future.set_result(out[i])
+                req.future.set_result(result)
 
     # -- lifecycle -------------------------------------------------------
 

@@ -48,10 +48,10 @@ from repro.schedule import (
 from repro.staticcheck import emit_schedule
 
 
-def _kernel(key: str = "path-n3-r3", packed: bool = True):
+def _kernel(key: str = "path-n3-r3", optimize: bool = False):
     cell = resolve_profile_cell(key)
     dag = emit_schedule(cell.build_factor(), cell.r, backend=cell.backend)
-    return compile_schedule(dag, packed=packed), dag
+    return compile_schedule(dag, optimize=optimize), dag
 
 
 class TestKernelProfiler:
@@ -86,9 +86,9 @@ class TestKernelProfiler:
         assert profile.wall_ns >= sum(layer.wall_ns for layer in profile.layers)
         assert 0 < profile.keys_per_s < float("inf")
 
-    @pytest.mark.parametrize("packed", [True, False])
-    def test_permute_compute_split_fits_inside_each_layer(self, rng, packed):
-        kernel, dag = _kernel(packed=packed)
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_permute_compute_split_fits_inside_each_layer(self, rng, optimize):
+        kernel, dag = _kernel(optimize=optimize)
         keys = rng.integers(0, 2**31, size=(16, dag.num_nodes))
         _, profile = KernelProfiler().run(kernel, keys)
         assert len(profile.layers) == kernel.num_layers
@@ -111,12 +111,12 @@ class TestKernelProfiler:
             2 * 4 * dag.num_nodes
         )
         series = registry.histogram("repro_compiled_run_seconds").snapshot_series(
-            cell=kernel.cell, packed="packed"
+            cell=kernel.cell
         )
         assert series["count"] == 2
+        assert registry.counter("repro_compiled_runs_total").value(cell=kernel.cell) == 2
         text = registry.expose_text()
         assert "repro_compiled_run_seconds_bucket" in text
-        assert 'packed="packed"' in text
 
     def test_install_routes_compiled_runs_through_the_profiler(self, rng):
         kernel, dag = _kernel()
@@ -175,9 +175,9 @@ class TestKernelProfiler:
         keys = rng.integers(0, 2**31, size=(4, dag.num_nodes))
         for _ in range(5):
             profiler.run(kernel, keys)
-        pct = profiler.percentiles(kernel.cell, packed=True)
+        pct = profiler.percentiles(kernel.cell)
         assert 0 < pct["p50"] <= pct["p99"]
-        # unprofiled plan/cell: NaN, not a crash
+        # unprofiled cell: NaN, not a crash
         assert np.isnan(profiler.run_quantile(0.5, "no-such-cell"))
 
 
@@ -220,14 +220,14 @@ class TestHistogramQuantiles:
 
 class TestCacheStats:
     def test_hit_miss_accounting_across_compiles(self, schedule_caches):
-        _, dag = _kernel()  # compiles the packed plan once: 1 miss
+        _, dag = _kernel()  # compiles the unoptimized kernel once: 1 miss
         before = cache_stats()["compiled-kernels"]
         k1 = compile_schedule(dag)
         k2 = compile_schedule(dag)
-        k3 = compile_schedule(dag, packed=False)
+        k3 = compile_schedule(dag, optimize=True)
         assert k1 is k2 and k1 is not k3
         after = cache_stats()["compiled-kernels"]
-        assert after["misses"] == before["misses"] + 1  # the per-round plan
+        assert after["misses"] == before["misses"] + 1  # the optimized kernel
         assert after["hits"] == before["hits"] + 2
         assert after["size"] == 2
         assert after["build_seconds"] > 0
@@ -277,20 +277,19 @@ class TestCacheStats:
 
 
 class TestProfileCell:
-    def test_sweep_covers_both_plans_and_batches(self):
+    def test_sweep_covers_every_batch(self):
         doc = profile_cell("path-n3-r3", batches=(1, 8), runs=2, seed=0)
         assert doc["cell"] == "path-n3-r3-lattice"
-        assert [p["plan"] for p in doc["plans"]] == ["packed", "per-round"]
-        for plan in doc["plans"]:
-            assert [b["batch"] for b in plan["batches"]] == [1, 8]
-            assert plan["layers"] == len(plan["batches"][0]["per_layer"])
-            assert 0 < plan["mean_occupancy"] <= plan["max_occupancy"]
-            for point in plan["batches"]:
-                assert point["keys_per_s"] > 0
-                assert point["wall_s"]["min"] <= point["wall_s"]["p50"]
-                assert 0 < point["floor_s"]["min"] <= point["floor_s"]["p50"]
-                assert point["floor_ratio"] > 0
-                assert point["permute_ns"] > 0 and point["compute_ns"] > 0
+        assert [b["batch"] for b in doc["batches"]] == [1, 8]
+        assert doc["layers"] == len(doc["batches"][0]["per_layer"])
+        assert doc["ops"] == sum(layer["ops"] for layer in doc["batches"][0]["per_layer"])
+        assert 0 < doc["mean_occupancy"] <= doc["max_occupancy"]
+        for point in doc["batches"]:
+            assert point["keys_per_s"] > 0
+            assert point["wall_s"]["min"] <= point["wall_s"]["p50"]
+            assert 0 < point["floor_s"]["min"] <= point["floor_s"]["p50"]
+            assert point["floor_ratio"] > 0
+            assert point["permute_ns"] > 0 and point["compute_ns"] > 0
 
     def test_full_benchreg_key_and_unknown_cell(self):
         assert resolve_profile_cell("path-n3-r3-lattice").key == "path-n3-r3-lattice"
@@ -298,11 +297,11 @@ class TestProfileCell:
         with pytest.raises(ValueError, match="unknown profile cell"):
             profile_cell("torus-n9-r9")
 
-    def test_render_profile_has_tables_and_heatmap(self):
+    def test_render_profile_has_sweep_and_layer_tables(self):
         doc = profile_cell("path-n3-r3", batches=(4,), runs=2, seed=0)
         text = render_profile(doc)
-        assert "packed plan" in text and "per-round plan" in text
-        assert "occupancy by layer" in text and "L0" in text
+        assert f"{doc['layers']} layers, {doc['ops']} ops" in text
+        assert "per-layer detail (batch 4)" in text and "occ%" in text
         assert "keys/s" in text
         assert "permute µs" in text and "compute µs" in text and "×floor" in text
 
@@ -314,8 +313,8 @@ class TestProfileCell:
         assert main(["profile", "--cell", "path-n3-r3", "--batch", "8", "--runs",
                      "2", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert {p["plan"] for p in doc["plans"]} == {"packed", "per-round"}
-        point = doc["plans"][0]["batches"][0]
+        assert doc["layers"] > 0 and doc["ops"] > 0
+        point = doc["batches"][0]
         assert point["per_layer"] and point["keys_per_s"] > 0
 
     def test_cli_profile_unknown_cell_exits_2(self, capsys):

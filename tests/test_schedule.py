@@ -2,10 +2,10 @@
 
 Pins the tentpole contract of the schedule refactor:
 
-* the three interpreters — reference :func:`repro.schedule.replay`, the
-  lattice backend's vectorised round-plan path, and the layer-packed
-  compiled batch kernel — all agree with the snake-order ground truth on
-  random lattices, for every canonical benchreg cell (Hypothesis property);
+* the reference :func:`repro.schedule.replay` and the layer-packed
+  compiled batch kernel (which the lattice backend also runs) agree with
+  the snake-order ground truth on random lattices, for every canonical
+  benchreg cell (Hypothesis property);
 * the compiled kernel sorts a whole ``(batch, N**r)`` array in one pass;
 * emission is keyless and cached, the compiled cache is keyed by the
   canonical schedule hash, and emitted hashes reproduce the hashes pinned
@@ -27,9 +27,9 @@ from repro.core.machine_sort import MachineSorter
 from repro.observability.benchreg import DEFAULT_MATRIX
 from repro.schedule import (
     ComparatorDAG,
+    cache_stats,
     compile_schedule,
     replay,
-    round_plan,
     snake_order_nodes,
 )
 from repro.staticcheck import emit_schedule
@@ -70,7 +70,6 @@ class TestInterpretersAgree:
         )
         expected = _snake_sorted(dag, keys)
         assert np.array_equal(replay(dag, keys), expected)
-        assert np.array_equal(round_plan(dag).run(keys), expected)
         assert np.array_equal(compile_schedule(dag).run(keys), expected)
 
     @pytest.mark.parametrize(
@@ -118,22 +117,20 @@ class TestCompiledBatch:
         out = compile_schedule(dag).run(batch)
         assert out.shape == batch.shape
         assert np.array_equal(out, _snake_sorted(dag, batch))
-        # and the per-round plan agrees row for row
-        assert np.array_equal(out, round_plan(dag).run(batch))
+        # and the reference replay agrees row for row
+        assert np.array_equal(out, replay(dag, batch))
 
     def test_packing_never_worse_and_semantics_identical(self, rng):
         dag = _emit(next(c for c in DEFAULT_MATRIX if c.key == "k2-n2-r4-lattice"))
         packed = compile_schedule(dag)
-        unpacked = round_plan(dag)
-        # the emitted schedules are already near-maximally parallel; ASAP
-        # packing may only fold layers, never split them
-        assert packed.num_layers <= unpacked.num_layers <= len(dag.rounds)
+        # ASAP packing may only fold rounds into layers, never split them
+        assert packed.num_layers <= len(dag.rounds)
         batch = rng.integers(0, 100, size=(64, dag.num_nodes))
-        assert np.array_equal(packed.run(batch), unpacked.run(batch))
+        assert np.array_equal(packed.run(batch), replay(dag, batch))
 
     def test_asap_packing_folds_independent_rounds(self):
         """Comparators from different rounds touching disjoint nodes land in
-        one packed layer (and stay separate in the per-round plan)."""
+        one packed layer."""
         from repro.schedule import ComparatorOp, SchedulePhase, ScheduleRound
 
         phases = tuple(
@@ -150,7 +147,6 @@ class TestCompiledBatch:
         dag = ComparatorDAG(backend="lattice", factor="synthetic", n=2, r=2,
                             num_nodes=4, phases=phases, rounds=rounds)
         assert compile_schedule(dag).num_layers == 1
-        assert round_plan(dag).num_layers == 2
         out = compile_schedule(dag).run(np.array([3, 1, 9, 4]))
         assert np.array_equal(out, [1, 3, 4, 9])
 
@@ -158,7 +154,16 @@ class TestCompiledBatch:
         dag = _emit(DEFAULT_MATRIX[0])
         assert compile_schedule(dag) is compile_schedule(dag)
         assert compile_schedule(dag).schedule_hash == dag.schedule_hash()
-        assert compile_schedule(dag) is not round_plan(dag)
+        assert compile_schedule(dag) is not compile_schedule(dag, optimize=True)
+
+    def test_untraced_lattice_sort_shares_the_batch_kernel(self, schedule_caches, rng):
+        """A single-lattice sort compiles the same cached kernel that batch
+        callers fetch: one miss, then a hit."""
+        sorter = ProductNetworkSorter.for_factor(DEFAULT_MATRIX[0].build_factor(), 3)
+        sorter.sort_sequence(rng.integers(0, 100, size=sorter.network.num_nodes))
+        compile_schedule(sorter.schedule())
+        stats = cache_stats()["compiled-kernels"]
+        assert (stats["misses"], stats["hits"]) == (1, 1)
 
     def test_rejects_wrong_width(self):
         dag = _emit(DEFAULT_MATRIX[0])
@@ -254,11 +259,14 @@ class TestLowering:
         assert sorted(mat.shape[1] for mat, _ in first.block_groups) == [2, 4]
         assert len(kernel.steps) == kernel.num_layers
 
-    @pytest.mark.parametrize("packed", [True, False])
-    def test_every_permutation_is_a_bijection(self, packed):
-        kernel = compile_schedule(self._dag(), packed=packed)
-        for perm in [step.perm for step in kernel.steps] + [kernel.final_perm]:
-            assert np.array_equal(np.sort(perm), np.arange(kernel.num_nodes))
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_every_permutation_is_a_bijection(self, optimize):
+        """Every gather and the final restore permute the nodes: on the mixed
+        layers above and on an emitted cell, raw or optimized."""
+        cell = next(c for c in DEFAULT_MATRIX if c.key == "path-n3-r3-machine")
+        for kernel in (compile_schedule(self._dag()), compile_schedule(_emit(cell), optimize)):
+            for perm in [step.perm for step in kernel.steps] + [kernel.final_perm]:
+                assert np.array_equal(np.sort(perm), np.arange(kernel.num_nodes))
 
     @pytest.mark.parametrize(
         "keys",
@@ -293,10 +301,3 @@ class TestLowering:
         keys = np.arange(16)
         out = kernel.run(keys)
         assert np.array_equal(out, keys) and not np.shares_memory(out, keys)
-
-    def test_a_layer_engaging_a_node_twice_is_rejected(self):
-        from repro.schedule import ComparatorOp
-
-        dag = _mixed_dag([((ComparatorOp(0, 1), ComparatorOp(1, 2)), ())])
-        with pytest.raises(ValueError, match="more than once"):
-            compile_schedule(dag, packed=False)

@@ -173,6 +173,70 @@ class TestSortService:
 
         _run(scenario())
 
+    def test_mixed_dtype_batch_mates_stay_exact(self, rng):
+        """An int64 request beyond float64's exact range shares a flush with
+        a float64 request: each comes back in its own dtype, exact."""
+        big = 2**60 + rng.permutation(WIDTH)  # one float64 value for all 27
+        floats = rng.random(WIDTH)
+
+        async def scenario():
+            async with SortService(ServiceConfig(max_batch=2, max_delay_ms=50.0)) as service:
+                outs = await asyncio.gather(service.submit(CELL, big), service.submit(CELL, floats))
+                return outs, service.queues_snapshot()
+
+        (int_out, float_out), snapshot = _run(scenario())
+        (queue,) = snapshot.values()
+        assert queue["batches"] == 1
+        assert int_out.dtype == np.int64 and np.array_equal(int_out, _expected(big))
+        assert float_out.dtype == np.float64 and np.array_equal(float_out, _expected(floats))
+
+    def test_kernel_error_fails_only_its_dtype_group(self, rng, monkeypatch):
+        """One kernel call per dtype group; a failing group does not take
+        its batch-mates down with it."""
+        ints = [rng.integers(0, 1000, WIDTH) for _ in range(2)]
+        calls = []
+
+        async def scenario():
+            async with SortService(ServiceConfig(max_batch=3, max_delay_ms=50.0)) as service:
+                kernel = service._get_queue(CELL).kernel
+                run = kernel.run
+
+                def run_ints_only(keys):
+                    calls.append((keys.dtype, len(keys)))
+                    if keys.dtype.kind == "f":
+                        raise RuntimeError("float kernel failed")
+                    return run(keys)
+
+                monkeypatch.setattr(kernel, "run", run_ints_only)
+                outs = await asyncio.gather(
+                    service.submit(CELL, ints[0]),
+                    service.submit(CELL, rng.random(WIDTH)),
+                    service.submit(CELL, ints[1]),
+                    return_exceptions=True,
+                )
+                return outs, service.queues_snapshot()
+
+        (first, failed, second), snapshot = _run(scenario())
+        assert calls == [(np.dtype(np.int64), 2), (np.dtype(np.float64), 1)]
+        assert isinstance(failed, RuntimeError)
+        assert np.array_equal(first, _expected(ints[0]))
+        assert np.array_equal(second, _expected(ints[1]))
+        (queue,) = snapshot.values()
+        assert (queue["completed"], queue["errors"], queue["batches"]) == (2, 1, 1)
+
+    def test_nan_keys_raise_value_error(self, rng):
+        keys = rng.random(WIDTH)
+        keys[5] = np.nan
+
+        async def scenario():
+            async with SortService() as service:
+                with pytest.raises(ValueError, match="NaN"):
+                    await service.submit(CELL, keys)
+                return service.queues_snapshot()
+
+        (queue,) = _run(scenario()).values()
+        assert queue["depth"] == 0 and queue["completed"] == 0
+
     def test_overload_sheds_explicitly_without_deadlock(self, rng):
         """Arrival rate >> service rate: excess requests get Rejected with a
         counted reason; admitted requests still complete; nothing hangs."""
