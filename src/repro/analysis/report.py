@@ -408,7 +408,7 @@ def _section_kernelprof(seed: int) -> str:
 def _section_serving(seed: int) -> str:
     from ..serve import ServiceConfig, default_scenarios, run_loadgen
 
-    config = ServiceConfig(max_batch=32, max_delay_ms=1.0, max_queue_depth=1024)
+    config = ServiceConfig(max_batch=32, max_queue_depth=1024)
     rows = []
     all_ok = True
     for scenario in default_scenarios(seed):

@@ -552,7 +552,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         config = ServiceConfig(
             max_batch=args.max_batch,
-            max_delay_ms=args.max_delay_ms,
             max_queue_depth=args.max_queue_depth,
             deadline_ms=args.deadline_ms,
             optimize=args.optimize,
@@ -701,7 +700,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         )
         config = ServiceConfig(
             max_batch=args.max_batch,
-            max_delay_ms=args.max_delay_ms,
             max_queue_depth=args.max_queue_depth,
             deadline_ms=args.deadline_ms,
             flush_penalty_s=args.flush_penalty,
@@ -1070,9 +1068,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cells are built lazily on first request",
     )
     p.add_argument("--max-batch", type=int, default=64,
-                   help="flush a queue when this many requests are waiting")
-    p.add_argument("--max-delay-ms", type=float, default=2.0,
-                   help="... or when the oldest request has waited this long")
+                   help="most requests one flush takes off a queue")
     p.add_argument("--max-queue-depth", type=int, default=512,
                    help="admission bound per queue; excess load is shed with 503")
     p.add_argument("--deadline-ms", type=float, default=None,
@@ -1110,9 +1106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=str, default=None, metavar="URL",
                    help="drive a live service (http://host:port) instead of in-process")
     p.add_argument("--max-batch", type=int, default=64,
-                   help="in-process service: flush threshold")
-    p.add_argument("--max-delay-ms", type=float, default=2.0,
-                   help="in-process service: flush deadline")
+                   help="in-process service: most requests per flush")
     p.add_argument("--max-queue-depth", type=int, default=512,
                    help="in-process service: admission bound")
     p.add_argument("--deadline-ms", type=float, default=None,

@@ -463,7 +463,7 @@ def _serving_record(seed: int = 0) -> dict[str, Any]:
     """
     from ..serve import ServiceConfig, default_scenarios, run_loadgen
 
-    config = ServiceConfig(max_batch=32, max_delay_ms=1.0, max_queue_depth=1024)
+    config = ServiceConfig(max_batch=32, max_queue_depth=1024)
     return {
         "config": config.to_json(),
         "scenarios": [

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left
 from typing import Any, Iterator
 
 from .events import TraceEvent
@@ -255,11 +256,9 @@ class Histogram(_Instrument):
             series = self._series[self.labels(**labels)]
             series.count += 1
             series.total += value
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    series.bucket_counts[i] += 1
-                    return
-            series.bucket_counts[-1] += 1
+            # first bound >= value; past the last bound (or NaN): +Inf
+            index = bisect_left(self.buckets, value) if value <= self.buckets[-1] else -1
+            series.bucket_counts[index] += 1
 
     def time(self, **labels: Any) -> "HistogramTimer":
         """Context manager observing the block's wall time, in seconds.

@@ -61,8 +61,20 @@ __all__ = [
     "clear_kernel_cache",
     "compile_schedule",
     "get_profiler",
+    "reject_nan",
     "set_profiler",
 ]
+
+
+def reject_nan(keys: np.ndarray, cell: str) -> None:
+    """Raise ``ValueError`` when float ``keys`` for ``cell`` hold a NaN.
+
+    NaN has no place in a total order: ``minimum``/``maximum`` propagate it
+    while ``sort`` puts it last, so a network would duplicate it and drop a
+    real key.  Non-float keys pay one dtype test.
+    """
+    if keys.dtype.kind == "f" and np.isnan(keys).any():
+        raise ValueError(f"cell {cell} cannot sort NaN keys: they are unordered")
 
 
 @dataclass(frozen=True)
@@ -218,6 +230,7 @@ class CompiledSchedule:
         """Validate ``state`` as a ``(batch, num_nodes)`` view (no copy).
 
         Returns the view and whether ``state`` was a single 1-D key vector.
+        Float keys containing NaN raise ``ValueError`` (see :func:`reject_nan`).
         """
         arr = np.asarray(state)
         squeeze = arr.ndim == 1
@@ -226,6 +239,7 @@ class CompiledSchedule:
             raise ValueError(
                 f"state must have {self.num_nodes} keys per row, got {np.shape(state)}"
             )
+        reject_nan(x, self.cell)
         return x, squeeze
 
     def finish(self, x: np.ndarray, squeeze: bool) -> np.ndarray:

@@ -9,11 +9,13 @@ batch-axis amortisation measured by benchreg, now behind a queue.
 
 Mechanics, per cell queue:
 
-* **deadline-aware micro-batching** — a flusher coroutine collects requests
-  until either ``max_batch`` is reached or ``max_delay_ms`` has passed since
-  the *oldest* queued request, whichever comes first, then executes the
-  whole batch; requests already queued when the window closes still join
-  it, so a backlog flushes in full batches rather than one row at a time;
+* **group-commit batching** — a flusher coroutine waits for the first
+  request, takes every request already queued behind it (up to
+  ``max_batch``) and flushes at once, with no timer; the kernel runs on the
+  event loop, so whatever arrives during one flush is queued by the time
+  the flusher wakes again and joins the next batch — batches grow with
+  load, a lone request is never held back, and a backlog flushes in full
+  batches rather than one row at a time;
 * **request isolation** — a flush runs one kernel pass per key dtype in
   the batch, so batch-mates never cast each other's keys, and ``submit``
   refuses NaN keys, which have no place in the sorted order;
@@ -70,6 +72,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..observability.metrics import MetricsRegistry
+from ..schedule.compiled import reject_nan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..observability.tracer import Tracer
@@ -83,9 +86,13 @@ __all__ = [
     "SortService",
 ]
 
-#: request-latency buckets: a 1-2.5-5 ladder from 100µs to 2.5s — micro-batch
-#: waits sit at the max_delay scale (milliseconds), overload pushes higher
+#: request-latency buckets: a 1-2.5-5 ladder from 10µs to 2.5s — a
+#: group-commit queue wait below capacity is one flush (tens of µs),
+#: overload pushes it to milliseconds and beyond
 REQUEST_TIME_BUCKETS = (
+    1e-5,
+    2.5e-5,
+    5e-5,
     1e-4,
     2.5e-4,
     5e-4,
@@ -125,10 +132,8 @@ class Rejected(RuntimeError):
 class ServiceConfig:
     """Tuning knobs for :class:`SortService` (validated on construction)."""
 
-    #: flush when this many requests are queued for one cell
+    #: most requests one flush takes off a cell's queue
     max_batch: int = 64
-    #: ... or when the oldest queued request has waited this long
-    max_delay_ms: float = 2.0
     #: admission bound: outstanding (queued, unflushed) requests per cell
     max_queue_depth: int = 512
     #: optional latency SLO; completions past it count a deadline miss
@@ -144,8 +149,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.max_delay_ms < 0:
-            raise ValueError("max_delay_ms must be >= 0")
         if self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
         if self.deadline_ms is not None and self.deadline_ms <= 0:
@@ -156,7 +159,6 @@ class ServiceConfig:
     def to_json(self) -> dict[str, Any]:
         return {
             "max_batch": self.max_batch,
-            "max_delay_ms": self.max_delay_ms,
             "max_queue_depth": self.max_queue_depth,
             "deadline_ms": self.deadline_ms,
             "flush_penalty_s": self.flush_penalty_s,
@@ -320,8 +322,7 @@ class SortService:
                 f"cell {queue.key} sorts {queue.kernel.num_nodes}-key vectors, "
                 f"got shape {arr.shape}"
             )
-        if arr.dtype.kind == "f" and np.isnan(arr).any():
-            raise ValueError(f"cell {queue.key} cannot sort NaN keys: they are unordered")
+        reject_nan(arr, queue.key)
         if self._closed:
             self._reject(queue.key, "shutting_down")
         if queue.depth >= self.config.max_queue_depth:
@@ -339,27 +340,14 @@ class SortService:
     # -- batching --------------------------------------------------------
 
     async def _flusher(self, queue: _CellQueue) -> None:
-        """Collect → flush forever: ``max_batch`` or ``max_delay_ms`` since
-        the oldest queued request, whichever is reached first.  Requests
-        already waiting in the queue always join the batch (up to
-        ``max_batch``), even once the oldest one is past its window."""
+        """Group commit, forever: wait for one request, take every request
+        already queued behind it (up to ``max_batch``) and flush at once.
+        No timer: whatever arrived during the last flush is the next batch."""
         config = self.config
-        loop = asyncio.get_running_loop()
         while True:
-            first = await queue.queue.get()
-            batch = [first]
-            flush_at = first.arrival + config.max_delay_ms / 1e3
-            while len(batch) < config.max_batch:
-                if not queue.queue.empty():
-                    batch.append(queue.queue.get_nowait())
-                    continue
-                remaining = flush_at - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(await asyncio.wait_for(queue.queue.get(), timeout=remaining))
-                except asyncio.TimeoutError:
-                    break
+            batch = [await queue.queue.get()]
+            while len(batch) < config.max_batch and not queue.queue.empty():
+                batch.append(queue.queue.get_nowait())
             if config.flush_penalty_s > 0:  # overload drills only
                 await asyncio.sleep(config.flush_penalty_s)
             self._flush(queue, batch)

@@ -84,6 +84,10 @@ class TestHistogram:
         assert snap["sum"] == 107
         # cumulative: le=1 holds 2, le=2 holds 3, le=4 holds 4, +Inf holds all
         assert snap["buckets"] == {"1": 2, "2": 3, "4": 4, "+Inf": 5}
+        # a NaN observation is counted only in +Inf, as an overflow is
+        h = Histogram("pairs", buckets=(1, 2, 4))
+        h.observe(float("nan"))
+        assert h.snapshot_series()["buckets"] == {"1": 0, "2": 0, "4": 0, "+Inf": 1}
 
     def test_unknown_series_snapshot_is_empty(self):
         h = Histogram("pairs")

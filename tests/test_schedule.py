@@ -170,6 +170,32 @@ class TestCompiledBatch:
         with pytest.raises(ValueError, match="keys per row"):
             compile_schedule(dag).run(np.zeros(dag.num_nodes + 1))
 
+    @pytest.mark.parametrize("optimize", [False, True], ids=["emitted", "optimized"])
+    def test_nan_keys_raise_and_signed_specials_sort_like_replay(self, optimize, rng):
+        """NaN is unordered: min/max would spread it and drop a real key, so
+        the kernel refuses it; ±inf and -0.0 are ordered and sort as replay."""
+        from repro.observability.kernelprof import KernelProfiler
+
+        dag = _emit(next(c for c in DEFAULT_MATRIX if c.key == "path-n3-r3-lattice"))
+        kernel = compile_schedule(dag, optimize=optimize)
+        row = rng.random(dag.num_nodes)
+        row[4] = np.nan
+        batch = rng.random((8, dag.num_nodes))
+        batch[3, 7] = np.nan
+        for state in (row, batch):
+            with pytest.raises(ValueError, match="NaN"):
+                kernel.run(state)
+            with pytest.raises(ValueError, match="NaN"):
+                KernelProfiler().run(kernel, state)
+        specials = np.concatenate(
+            [[np.inf, -np.inf, -0.0, 0.0, -0.0], rng.normal(size=dag.num_nodes - 5)]
+        )
+        batch = np.stack([rng.permutation(specials) for _ in range(16)])
+        out = kernel.run(batch)
+        assert np.array_equal(out, replay(dag, batch))
+        assert np.array_equal(out, _snake_sorted(dag, batch))
+        assert np.array_equal(kernel.run(batch[0]), replay(dag, batch[0]))
+
 
 class TestEmission:
     def test_emission_is_keyless_and_cached(self):

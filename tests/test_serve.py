@@ -1,7 +1,7 @@
 """Tests for the serving layer: micro-batched service, front-end, loadgen.
 
-Covers deadline-aware micro-batching (flush on ``max_batch`` or
-``max_delay_ms``), admission control and explicit backpressure under
+Covers group-commit batching (the flusher takes whatever is queued, up
+to ``max_batch``, and flushes with no timer), admission control and explicit backpressure under
 overload (arrival rate > service rate, no deadlock), snake-order
 correctness of every response, the ``repro_serve_*`` telemetry and
 ``kind="serve"`` span discipline, the HTTP front-end mounted on the
@@ -62,7 +62,6 @@ class TestServiceConfig:
         "kwargs",
         [
             {"max_batch": 0},
-            {"max_delay_ms": -1.0},
             {"max_queue_depth": 0},
             {"deadline_ms": 0.0},
             {"flush_penalty_s": -0.1},
@@ -76,7 +75,7 @@ class TestServiceConfig:
 class TestSortService:
     def test_single_request_sorts_to_snake_order(self, rng):
         async def scenario():
-            async with SortService(ServiceConfig(max_delay_ms=0.5)) as service:
+            async with SortService(ServiceConfig()) as service:
                 keys = rng.integers(0, 1000, WIDTH)
                 out = await service.submit(CELL, keys)
                 assert np.array_equal(out, _expected(keys))
@@ -86,7 +85,7 @@ class TestSortService:
     def test_optimized_service_serves_the_same_snake_order(self, rng):
         # opt-in certified-optimizer kernels: fewer layers, same answers
         async def scenario():
-            config = ServiceConfig(max_delay_ms=0.5, optimize=True)
+            config = ServiceConfig(optimize=True)
             assert config.to_json()["optimize"] is True
             async with SortService(config) as service:
                 service.prewarm(CELL)
@@ -96,17 +95,17 @@ class TestSortService:
 
         _run(scenario())
 
-    def test_full_batch_flushes_without_waiting_for_the_deadline(self, rng):
-        """max_batch requests coalesce into exactly one kernel flush."""
+    def test_full_batch_flushes_as_one_kernel_call(self, rng):
+        """max_batch concurrent requests coalesce into exactly one flush."""
         registry = MetricsRegistry()
-        config = ServiceConfig(max_batch=8, max_delay_ms=10_000.0)
+        config = ServiceConfig(max_batch=8)
 
         async def scenario():
             async with SortService(config, registry=registry) as service:
                 rows = [rng.integers(0, 1000, WIDTH) for _ in range(8)]
                 outs = await asyncio.wait_for(
                     asyncio.gather(*(service.submit(CELL, row) for row in rows)),
-                    timeout=5.0,  # far below max_delay: only max_batch can flush it
+                    timeout=5.0,
                 )
                 for row, out in zip(rows, outs):
                     assert np.array_equal(out, _expected(row))
@@ -118,15 +117,20 @@ class TestSortService:
         assert queue["completed"] == 8
         assert queue["mean_batch_occupancy"] == pytest.approx(1.0)
 
-    def test_partial_batch_flushes_at_the_deadline(self, rng):
-        """A lone request completes after ~max_delay even below max_batch."""
+    def test_lone_request_flushes_without_a_timer(self, rng):
+        """Group commit: a lone request is flushed as soon as the flusher
+        runs, within a few event-loop turns and no clock."""
 
         async def scenario():
-            async with SortService(ServiceConfig(max_batch=64, max_delay_ms=5.0)) as service:
-                out = await asyncio.wait_for(
-                    service.submit(CELL, rng.integers(0, 1000, WIDTH)), timeout=5.0
-                )
-                assert out.shape == (WIDTH,)
+            async with SortService(ServiceConfig(max_batch=64)) as service:
+                service.prewarm(CELL)
+                task = asyncio.ensure_future(service.submit(CELL, rng.integers(0, 1000, WIDTH)))
+                for _ in range(5):
+                    if task.done():
+                        break
+                    await asyncio.sleep(0)
+                assert task.done(), "a lone request waited for something other than the flusher"
+                assert task.result().shape == (WIDTH,)
                 return service.queues_snapshot()
 
         snapshot = _run(scenario())
@@ -134,11 +138,61 @@ class TestSortService:
         assert queue["batches"] == 1
         assert queue["mean_batch_occupancy"] < 1.0
 
-    def test_backlog_queued_past_the_window_flushes_as_one_batch(self, rng):
-        """Requests that queued up while the loop was blocked past
-        max_delay_ms join the oldest one's flush instead of each costing a
-        one-row kernel call."""
-        config = ServiceConfig(max_batch=64, max_delay_ms=1.0)
+    def test_concurrent_submits_flush_in_max_batch_chunks(self, rng, monkeypatch):
+        """20 requests queued at once flush as 8 + 8 + 4 with max_batch=8."""
+        sizes = []
+        rows = [rng.integers(0, 1000, WIDTH) for _ in range(20)]
+
+        async def scenario():
+            async with SortService(ServiceConfig(max_batch=8)) as service:
+                kernel = service._get_queue(CELL).kernel
+                run = kernel.run
+
+                def counting_run(keys):
+                    sizes.append(len(keys))
+                    return run(keys)
+
+                monkeypatch.setattr(kernel, "run", counting_run)
+                return await asyncio.gather(*(service.submit(CELL, row) for row in rows))
+
+        outs = _run(scenario())
+        assert sizes == [8, 8, 4]
+        for row, out in zip(rows, outs):
+            assert np.array_equal(out, _expected(row))
+
+    def test_requests_submitted_during_a_flush_join_the_next_one(self, rng, monkeypatch):
+        """Whatever arrives while a flush runs is queued by the time the
+        flusher wakes again, and goes out together as the next batch."""
+        sizes = []
+        late = [rng.integers(0, 1000, WIDTH) for _ in range(5)]
+        pending = []
+
+        async def scenario():
+            async with SortService(ServiceConfig(max_batch=64)) as service:
+                kernel = service._get_queue(CELL).kernel
+                run = kernel.run
+
+                def run_and_submit(keys):
+                    if not sizes:  # first flush: requests arrive mid-flush
+                        pending.extend(
+                            asyncio.ensure_future(service.submit(CELL, row)) for row in late
+                        )
+                    sizes.append(len(keys))
+                    return run(keys)
+
+                monkeypatch.setattr(kernel, "run", run_and_submit)
+                await service.submit(CELL, rng.integers(0, 1000, WIDTH))
+                return await asyncio.gather(*pending)
+
+        outs = _run(scenario())
+        assert sizes == [1, 5]
+        for row, out in zip(late, outs):
+            assert np.array_equal(out, _expected(row))
+
+    def test_backlog_from_a_blocked_loop_flushes_as_one_batch(self, rng):
+        """Requests that queued up while the loop was blocked join one
+        flush instead of each costing a one-row kernel call."""
+        config = ServiceConfig(max_batch=64)
 
         async def scenario():
             async with SortService(config) as service:
@@ -146,7 +200,7 @@ class TestSortService:
                 rows = [rng.integers(0, 1000, WIDTH) for _ in range(40)]
                 pending = [asyncio.ensure_future(service.submit(CELL, row)) for row in rows]
                 await asyncio.sleep(0)  # every submit enqueues, none flushes yet
-                time.sleep(0.02)  # block the loop well past the window
+                time.sleep(0.02)  # block the loop with the backlog queued
                 outs = await asyncio.wait_for(asyncio.gather(*pending), timeout=5.0)
                 for row, out in zip(rows, outs):
                     assert np.array_equal(out, _expected(row))
@@ -180,7 +234,7 @@ class TestSortService:
         floats = rng.random(WIDTH)
 
         async def scenario():
-            async with SortService(ServiceConfig(max_batch=2, max_delay_ms=50.0)) as service:
+            async with SortService(ServiceConfig(max_batch=2)) as service:
                 outs = await asyncio.gather(service.submit(CELL, big), service.submit(CELL, floats))
                 return outs, service.queues_snapshot()
 
@@ -197,7 +251,7 @@ class TestSortService:
         calls = []
 
         async def scenario():
-            async with SortService(ServiceConfig(max_batch=3, max_delay_ms=50.0)) as service:
+            async with SortService(ServiceConfig(max_batch=3)) as service:
                 kernel = service._get_queue(CELL).kernel
                 run = kernel.run
 
@@ -242,7 +296,7 @@ class TestSortService:
         counted reason; admitted requests still complete; nothing hangs."""
         registry = MetricsRegistry()
         config = ServiceConfig(
-            max_batch=4, max_delay_ms=0.5, max_queue_depth=6, flush_penalty_s=0.05
+            max_batch=4, max_queue_depth=6, flush_penalty_s=0.05
         )
 
         async def scenario():
@@ -295,7 +349,7 @@ class TestSortService:
 
     def test_cell_name_aliases_share_one_queue(self, rng):
         async def scenario():
-            async with SortService(ServiceConfig(max_delay_ms=0.5)) as service:
+            async with SortService(ServiceConfig()) as service:
                 await service.submit("path-n3-r3", rng.integers(0, 1000, WIDTH))
                 await service.submit("path-n3-r3-lattice", rng.integers(0, 1000, WIDTH))
                 assert service.cells == ("path(3)-n3-r3",)
@@ -305,7 +359,7 @@ class TestSortService:
         assert snapshot["path(3)-n3-r3"]["completed"] == 2
 
     def test_deadline_misses_are_counted(self, rng):
-        config = ServiceConfig(max_delay_ms=5.0, deadline_ms=0.001)
+        config = ServiceConfig(deadline_ms=0.001)
 
         async def scenario():
             async with SortService(config) as service:
@@ -319,7 +373,7 @@ class TestSortService:
         registry = MetricsRegistry()
 
         async def scenario():
-            async with SortService(ServiceConfig(max_delay_ms=0.5), registry=registry) as service:
+            async with SortService(ServiceConfig(), registry=registry) as service:
                 await service.submit(CELL, rng.integers(0, 1000, WIDTH))
 
         _run(scenario())
@@ -341,7 +395,7 @@ class TestSortService:
 
         async def scenario():
             async with SortService(
-                ServiceConfig(max_batch=4, max_delay_ms=0.5), tracer=tracer
+                ServiceConfig(max_batch=4), tracer=tracer
             ) as service:
                 rows = [rng.integers(0, 1000, WIDTH) for _ in range(6)]
                 await asyncio.gather(*(service.submit(CELL, row) for row in rows))
@@ -421,7 +475,7 @@ class TestRunLoadgen:
     def test_clean_run_completes_everything_verified(self):
         doc = run_loadgen(
             LoadScenario(requests=40, rate=4000.0, mix="duplicates"),
-            config=ServiceConfig(max_batch=16, max_delay_ms=1.0),
+            config=ServiceConfig(max_batch=16),
         )
         counts = doc["counts"]
         assert counts == {
@@ -438,7 +492,7 @@ class TestRunLoadgen:
         doc = run_loadgen(
             LoadScenario(requests=60, rate=50_000.0, seed=3),
             config=ServiceConfig(
-                max_batch=4, max_delay_ms=0.5, max_queue_depth=8, flush_penalty_s=0.02
+                max_batch=4, max_queue_depth=8, flush_penalty_s=0.02
             ),
         )
         counts = doc["counts"]
@@ -450,7 +504,7 @@ class TestRunLoadgen:
         registry = MetricsRegistry()
         run_loadgen(
             LoadScenario(requests=20, rate=4000.0),
-            config=ServiceConfig(max_delay_ms=0.5),
+            config=ServiceConfig(),
             registry=registry,
         )
         assert "repro_serve_batches_total" in registry.expose_text()
@@ -474,7 +528,7 @@ def live_server(rng):
         nonlocal stop
         stop = asyncio.Event()
         async with SortService(
-            ServiceConfig(max_batch=8, max_delay_ms=1.0), registry=registry
+            ServiceConfig(max_batch=8), registry=registry
         ) as service:
             loop = asyncio.get_running_loop()
             service.prewarm(CELL)
@@ -630,7 +684,7 @@ class TestServeCli:
         assert main(
             ["loadgen", "--requests", "40", "--rate", "50000",
              "--max-queue-depth", "6", "--max-batch", "4",
-             "--max-delay-ms", "0.5", "--flush-penalty", "0.02", "--json"]
+             "--flush-penalty", "0.02", "--json"]
         ) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["counts"]["rejected"] > 0
@@ -670,7 +724,7 @@ class TestHealthEndpoints:
         done = threading.Event()
 
         async def amain():
-            service = SortService(ServiceConfig(max_delay_ms=1.0))
+            service = SortService(ServiceConfig())
             await service.__aenter__()
             loop = asyncio.get_running_loop()
             server = build_sort_server(service, loop)
@@ -713,7 +767,7 @@ class TestServerSideLatency:
     def test_clean_run_reports_consistent_server_percentiles(self):
         doc = run_loadgen(
             LoadScenario(requests=40, rate=2000.0),
-            config=ServiceConfig(max_batch=16, max_delay_ms=1.0),
+            config=ServiceConfig(max_batch=16),
         )
         srv = doc["server_latency_ms"]
         assert set(srv["request"]) == {"p50", "p99"}
@@ -726,7 +780,7 @@ class TestServerSideLatency:
 
     def test_queues_snapshot_carries_queue_wait_percentiles(self, rng):
         async def scenario():
-            async with SortService(ServiceConfig(max_delay_ms=0.5)) as service:
+            async with SortService(ServiceConfig()) as service:
                 keys = rng.integers(0, 1000, WIDTH)
                 await service.submit(CELL, keys.astype(np.int64))
                 return service.queues_snapshot()

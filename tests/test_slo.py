@@ -264,6 +264,18 @@ class TestDefaultServeSlos:
         assert by_name["serve-request-p99"].metric == "repro_serve_request_seconds"
         assert by_name["serve-queue-wait-p99"].threshold_s == pytest.approx(0.1)
 
+    def test_latency_thresholds_are_exact_request_time_buckets(self):
+        """The histogram SLOs count observations at or below a bucket bound
+        as good, so each threshold must be a bound, not snapped down; the
+        ladder also resolves group-commit waits in the tens of µs."""
+        from repro.serve import REQUEST_TIME_BUCKETS
+
+        thresholds = [s.threshold_s for s in default_serve_slos() if s.threshold_s is not None]
+        assert thresholds == [0.25, 0.1]
+        assert all(t in REQUEST_TIME_BUCKETS for t in thresholds)
+        assert REQUEST_TIME_BUCKETS[0] == 1e-5
+        assert list(REQUEST_TIME_BUCKETS) == sorted(set(REQUEST_TIME_BUCKETS))
+
     def test_window_scale_shrinks_every_policy(self):
         base = default_serve_slos()
         scaled = default_serve_slos(window_scale=0.01)
@@ -286,7 +298,7 @@ class TestAcceptanceSyntheticFault:
         doc = run_loadgen(
             LoadScenario(requests=200, rate=4000.0, arrivals="burst", seed=3),
             config=ServiceConfig(
-                max_batch=4, max_delay_ms=0.5, max_queue_depth=4,
+                max_batch=4, max_queue_depth=4,
                 flush_penalty_s=0.05,
             ),
             tracer=tracer,
@@ -348,7 +360,7 @@ class TestAcceptanceSyntheticFault:
 
         doc = run_loadgen(
             LoadScenario(requests=60, rate=2000.0),
-            config=ServiceConfig(max_batch=16, max_delay_ms=1.0),
+            config=ServiceConfig(max_batch=16),
             slo=True,
         )
         assert doc["slo"]["page_alerts"] == 0
