@@ -24,6 +24,10 @@ Two state spaces are supported, mirroring the zero-one lint exactly:
   node-disjoint ``PG_2`` block over all ``2**(N**2)`` inputs, after which a
   sorted 0-1 block is characterised by its zero count alone, so the suffix
   runs over all ``(N**2+1)**blocks`` reachable states.
+
+:func:`zero_one_space` builds either space for both this analysis and the
+zero-one lint, **node-major**: ``(num_nodes, S)`` int8 with one contiguous
+row per node and one column per input.
 """
 
 from __future__ import annotations
@@ -33,15 +37,18 @@ from typing import Iterable
 
 import numpy as np
 
-from ..orders.gray import rank_lattice
 from .ir import ComparatorDAG, ScheduleRound, snake_order_nodes
 
 __all__ = [
     "ActivityTracker",
     "ZeroOneActivity",
+    "ZeroOneSpace",
     "analyze_zero_one_activity",
     "apply_zero_one_round",
+    "compare_exchange",
+    "count_dtype",
     "exhaustive_zero_one_states",
+    "zero_one_space",
 ]
 
 
@@ -72,6 +79,17 @@ class ActivityTracker:
         )
 
 
+def compare_exchange(states: np.ndarray, lo: int, hi: int) -> bool:
+    """Min/max two node rows in place; True if some ``lo`` value exceeded ``hi``."""
+    a, b = states[lo], states[hi]
+    if not (a > b).any():
+        return False
+    low = np.minimum(a, b)
+    np.maximum(a, b, out=b)
+    a[...] = low
+    return True
+
+
 def apply_zero_one_round(
     states: np.ndarray,
     rd: ScheduleRound,
@@ -80,7 +98,11 @@ def apply_zero_one_round(
     cmp_filter: set[int] | None = None,
     blk_filter: set[int] | None = None,
 ) -> None:
-    """Apply one round to 0-1 state rows, recording op activity.
+    """Apply one round to node-major 0-1 states, recording op activity.
+
+    A block sort is an ``N**2``-sorter: on 0-1 keys its output depends only
+    on the block's count of ones, so each output row is one compare of its
+    position against that count.
 
     ``offset`` plus the filters support block-local simulation: node indices
     are shifted by ``-offset`` and only the comparator/block-sort positions in
@@ -89,31 +111,38 @@ def apply_zero_one_round(
     for i, op in enumerate(rd.comparators):
         if cmp_filter is not None and i not in cmp_filter:
             continue
-        lo = states[:, op.lo - offset].copy()
-        hi = states[:, op.hi - offset].copy()
-        swapped = lo > hi
-        if swapped.any():
-            if activity is not None:
-                activity.comparators[(rd.index, i)] = True
-            states[:, op.lo - offset] = np.minimum(lo, hi)
-            states[:, op.hi - offset] = np.maximum(lo, hi)
+        if compare_exchange(states, op.lo - offset, op.hi - offset) and activity is not None:
+            activity.comparators[(rd.index, i)] = True
     for i, blk in enumerate(rd.block_sorts):
         if blk_filter is not None and i not in blk_filter:
             continue
         nodes = np.asarray(blk.nodes, dtype=np.intp) - offset
-        sub = states[:, nodes]
-        target = np.sort(sub, axis=1)
-        if blk.descending:
-            target = target[:, ::-1]
-        if activity is not None and (sub != target).any():
+        block = states[nodes]
+        dtype = count_dtype(len(nodes))
+        ones = block.sum(axis=0, dtype=dtype)
+        # position p of the sorted block holds a one iff p is past the
+        # zeros (ascending) or among the leading ones (descending)
+        rank = np.arange(len(nodes), dtype=dtype)
+        if not blk.descending:
+            rank = rank[::-1]
+        target = (ones > rank[:, None]).view(np.int8)
+        if activity is not None and (block != target).any():
             activity.block_sorts[(rd.index, i)] = True
-        states[:, nodes] = target
+        states[nodes] = target
 
 
 def exhaustive_zero_one_states(num_nodes: int) -> np.ndarray:
-    """All ``2**num_nodes`` 0-1 assignments as int8 rows."""
-    bits = np.arange(1 << num_nodes, dtype=np.uint32)
-    return ((bits[:, None] >> np.arange(num_nodes, dtype=np.uint32)) & 1).astype(np.int8)
+    """All ``2**num_nodes`` 0-1 assignments, node-major ``(num_nodes, S)``
+    int8: row ``k`` holds bit ``k`` of each column index."""
+    states = np.zeros((num_nodes, 1 << num_nodes), dtype=np.int8)
+    for k in range(num_nodes):
+        states[k].reshape(-1, 2, 1 << k)[:, 1] = 1
+    return states
+
+
+def count_dtype(limit: int) -> type[np.signedinteger]:
+    """Signed dtype for counts up to ``limit``: int8 when it fits (fastest sums)."""
+    return np.int8 if limit < 128 else np.int64
 
 
 @dataclass
@@ -144,14 +173,141 @@ class ZeroOneActivity:
         return self.tracker.dead()[1] if self.certified else []
 
 
-def _failed(dag: ComparatorDAG, mode: str, reason: str) -> ZeroOneActivity:
-    return ZeroOneActivity(
-        mode=mode,
-        states=0,
-        certified=False,
-        reason=reason,
-        tracker=ActivityTracker(dag.rounds),
-    )
+@dataclass
+class ZeroOneSpace:
+    """A node-major 0-1 state space and the rounds left to simulate on it.
+
+    ``refusal`` says why no space could be built (the zero-one lint appends
+    ``refusal_note``); ``prefix_failure`` names a factored prefix that leaves
+    a ``PG_2`` block unsorted.
+    """
+
+    mode: str
+    num_nodes: int
+    rounds: list[ScheduleRound] = field(default_factory=list)
+    states: np.ndarray | None = None
+    #: factored: column ``j`` starts from the per-block zero counts
+    #: ``np.unravel_index(j, count_shape)``, laid out along each block's snake
+    count_shape: tuple[int, ...] = ()
+    block_snake_pos: np.ndarray | None = None
+    prefix_block_states: int = 0
+    prefix_failure: str | None = None
+    refusal: str | None = None
+    refusal_note: str = ""
+    refusal_round: int | None = None
+
+    def input_of(self, col: int) -> list[int]:
+        """The 0-1 state that simulation column ``col`` started from."""
+        if self.mode == "exhaustive":
+            return _bits(col, self.num_nodes)
+        assert self.block_snake_pos is not None
+        counts = np.unravel_index(col, self.count_shape)
+        return [int(p >= c) for c in counts for p in self.block_snake_pos]
+
+
+def _bits(col: int, width: int) -> list[int]:
+    return [(col >> k) & 1 for k in range(width)]
+
+
+def zero_one_space(
+    dag: ComparatorDAG,
+    tracker: ActivityTracker,
+    max_exhaustive_nodes: int = 16,
+    max_states: int = 700_000,
+) -> ZeroOneSpace:
+    """Build the exhaustive or factored 0-1 state space of ``dag``.
+
+    Factored mode simulates the initial block-sort prefix here, per
+    node-disjoint ``PG_2`` block over all ``2**(N**2)`` inputs (recording
+    activity in ``tracker``), then seeds one column per combination of
+    per-block zero counts for the suffix.
+    """
+    n, r, num_nodes = dag.n, dag.r, dag.num_nodes
+    if num_nodes <= max_exhaustive_nodes:
+        return ZeroOneSpace(
+            "exhaustive", num_nodes, list(dag.rounds), exhaustive_zero_one_states(num_nodes)
+        )
+    space = ZeroOneSpace("factored", num_nodes)
+
+    def refuse(reason: str, note: str, round_index: int | None = None) -> ZeroOneSpace:
+        space.refusal, space.refusal_note, space.refusal_round = reason, note, round_index
+        return space
+
+    if r < 3:
+        return refuse(
+            f"cannot factor an r={r} schedule and {num_nodes} nodes exceed "
+            f"the exhaustive budget",
+            "unverifiable",
+        )
+    prefix = [rd for rd in dag.rounds if dag.phases[rd.phase].leaf == "initial-block-sorts"]
+    suffix = [rd for rd in dag.rounds if dag.phases[rd.phase].leaf != "initial-block-sorts"]
+    if prefix and suffix and max(rd.index for rd in prefix) > min(rd.index for rd in suffix):
+        return refuse(
+            "initial block-sort rounds interleave with later phases",
+            "cannot factor the 0-1 space",
+        )
+
+    # prefix ops must stay inside one block each (blocks are the contiguous
+    # flat ranges sharing the label prefix (x_r..x_3))
+    bs = n * n
+    nblocks = num_nodes // bs
+    per_block_ops: list[dict[int, tuple[set[int], set[int]]]] = [{} for _ in range(nblocks)]
+    for rd in prefix:
+        for i, op in enumerate(rd.comparators):
+            if op.lo // bs != op.hi // bs:
+                return refuse(
+                    f"prefix round {rd.index}: comparator crosses PG_2 blocks "
+                    f"({op.lo}, {op.hi})",
+                    "cannot factor",
+                    rd.index,
+                )
+            per_block_ops[op.lo // bs].setdefault(rd.index, (set(), set()))[0].add(i)
+        for i, blk in enumerate(rd.block_sorts):
+            owners = {node // bs for node in blk.nodes}
+            if len(owners) != 1:
+                return refuse(
+                    f"prefix round {rd.index}: block sort crosses PG_2 blocks",
+                    "cannot factor",
+                    rd.index,
+                )
+            per_block_ops[owners.pop()].setdefault(rd.index, (set(), set()))[1].add(i)
+
+    # verify the prefix sorts each block, exhaustively over the block
+    snake2 = snake_order_nodes(n, 2)
+    block_states = exhaustive_zero_one_states(bs)
+    for b in range(nblocks):
+        states = block_states.copy()
+        for rd in prefix:
+            if rd.index in per_block_ops[b]:
+                cmp_set, blk_set = per_block_ops[b][rd.index]
+                apply_zero_one_round(states, rd, tracker, b * bs, cmp_set, blk_set)
+        seq = states[snake2]
+        sorted_cols = np.all(seq[:-1] <= seq[1:], axis=0)
+        if not sorted_cols.all():
+            space.prefix_failure = (
+                f"prefix leaves PG_2 block {b} unsorted for 0-1 input "
+                f"{_bits(int(np.argmax(~sorted_cols)), bs)}"
+            )
+            break
+    space.prefix_block_states = block_states.shape[1] * nblocks
+
+    # suffix: every combination of per-block zero counts
+    total = (bs + 1) ** nblocks
+    if total > max_states:
+        return refuse(
+            f"suffix state space (N^2+1)^blocks = {total} exceeds the "
+            f"certification budget {max_states}",
+            "unverifiable",
+        )
+    space.count_shape = (bs + 1,) * nblocks
+    space.block_snake_pos = np.empty(bs, dtype=np.int16)
+    space.block_snake_pos[snake2] = np.arange(bs)
+    counts = np.indices(space.count_shape, dtype=np.int16).reshape(nblocks, -1)
+    space.states = np.empty((num_nodes, total), dtype=np.int8)
+    for b in range(nblocks):
+        space.states[b * bs : (b + 1) * bs] = space.block_snake_pos[:, None] >= counts[b]
+    space.rounds = suffix
+    return space
 
 
 def analyze_zero_one_activity(
@@ -160,110 +316,26 @@ def analyze_zero_one_activity(
     max_states: int = 700_000,
 ) -> ZeroOneActivity:
     """Simulate the full 0-1 space, certify sortedness, record op activity."""
-    n, r, num_nodes = dag.n, dag.r, dag.num_nodes
-    snake = snake_order_nodes(n, r)
     tracker = ActivityTracker(dag.rounds)
-
-    def snake_sorted(states: np.ndarray) -> bool:
-        seq = states[:, snake]
-        return bool(np.all(seq[:, :-1] <= seq[:, 1:]))
-
-    if num_nodes <= max_exhaustive_nodes:
-        states = exhaustive_zero_one_states(num_nodes)
-        for rd in dag.rounds:
-            apply_zero_one_round(states, rd, tracker)
-        ok = snake_sorted(states)
+    space = zero_one_space(dag, tracker, max_exhaustive_nodes, max_states)
+    if space.refusal is not None:
         return ZeroOneActivity(
-            mode="exhaustive",
-            states=int(states.shape[0]),
-            certified=ok,
-            reason=None if ok else "a 0-1 input leaves the snake sequence unsorted",
-            tracker=tracker,
+            mode="unverifiable", states=0, certified=False, reason=space.refusal, tracker=tracker
         )
-
-    # factored prefix/suffix scheme (see lint_zero_one for the soundness
-    # argument; the preconditions mirror _factored_zero_one exactly)
-    bs = n * n
-    nblocks = num_nodes // bs
-    if r < 3:
-        return _failed(
-            dag,
-            "unverifiable",
-            f"cannot factor an r={r} schedule and {num_nodes} nodes exceed "
-            f"the exhaustive budget",
-        )
-    prefix = [rd for rd in dag.rounds if dag.phases[rd.phase].leaf == "initial-block-sorts"]
-    suffix = [rd for rd in dag.rounds if dag.phases[rd.phase].leaf != "initial-block-sorts"]
-    if prefix and suffix and max(rd.index for rd in prefix) > min(rd.index for rd in suffix):
-        return _failed(
-            dag, "unverifiable", "initial block-sort rounds interleave with later phases"
-        )
-
-    per_block_ops: list[dict[int, tuple[set[int], set[int]]]] = [{} for _ in range(nblocks)]
-    for rd in prefix:
-        for i, op in enumerate(rd.comparators):
-            if op.lo // bs != op.hi // bs:
-                return _failed(
-                    dag,
-                    "unverifiable",
-                    f"prefix round {rd.index}: comparator crosses PG_2 blocks "
-                    f"({op.lo}, {op.hi})",
-                )
-            per_block_ops[op.lo // bs].setdefault(rd.index, (set(), set()))[0].add(i)
-        for i, blk in enumerate(rd.block_sorts):
-            owners = {node // bs for node in blk.nodes}
-            if len(owners) != 1:
-                return _failed(
-                    dag,
-                    "unverifiable",
-                    f"prefix round {rd.index}: block sort crosses PG_2 blocks",
-                )
-            per_block_ops[owners.pop()].setdefault(rd.index, (set(), set()))[1].add(i)
-
-    total = (bs + 1) ** nblocks
-    if total > max_states:
-        return _failed(
-            dag,
-            "unverifiable",
-            f"suffix state space (N^2+1)^blocks = {total} exceeds the "
-            f"certification budget {max_states}",
-        )
-
-    snake2 = np.argsort(np.asarray(rank_lattice(n, 2)).ravel())
-    block_states = exhaustive_zero_one_states(bs)
-    prefix_by_index = {rd.index: rd for rd in prefix}
-    ok = True
-    for b in range(nblocks):
-        states = block_states.copy()
-        for rd_index in sorted(per_block_ops[b]):
-            cmp_set, blk_set = per_block_ops[b][rd_index]
-            apply_zero_one_round(
-                states,
-                prefix_by_index[rd_index],
-                tracker,
-                offset=b * bs,
-                cmp_filter=cmp_set,
-                blk_filter=blk_set,
-            )
-        seq = states[:, snake2]
-        ok = ok and bool(np.all(seq[:, :-1] <= seq[:, 1:]))
-
-    counts = np.indices((bs + 1,) * nblocks).reshape(nblocks, -1).T.astype(np.int16)
-    states = np.empty((total, num_nodes), dtype=np.int8)
-    snake_pos2 = np.empty(bs, dtype=np.int64)
-    snake_pos2[snake2] = np.arange(bs)
-    for b in range(nblocks):
-        states[:, b * bs : (b + 1) * bs] = (
-            snake_pos2[None, :] >= counts[:, b][:, None]
-        ).astype(np.int8)
-    for rd in suffix:
-        apply_zero_one_round(states, rd, tracker)
-    ok = ok and snake_sorted(states)
+    assert space.states is not None
+    ok = space.prefix_failure is None
+    if ok:
+        for rd in space.rounds:
+            apply_zero_one_round(space.states, rd, tracker)
+        seq = space.states[snake_order_nodes(dag.n, dag.r)]
+        ok = bool(np.all(seq[:-1] <= seq[1:]))
+    factored = space.mode == "factored"
+    unsorted = "a reachable 0-1 state" if factored else "a 0-1 input"
     return ZeroOneActivity(
-        mode="factored",
-        states=int(total),
+        mode=space.mode,
+        states=int(space.states.shape[1]),
         certified=ok,
-        reason=None if ok else "a reachable 0-1 state leaves the snake sequence unsorted",
+        reason=None if ok else f"{unsorted} leaves the snake sequence unsorted",
         tracker=tracker,
-        stats={"prefix_block_states": int(block_states.shape[0]) * nblocks},
+        stats={"prefix_block_states": space.prefix_block_states} if factored else {},
     )

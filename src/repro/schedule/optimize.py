@@ -51,7 +51,7 @@ import numpy as np
 
 from ..observability.cachestats import CacheStats
 from ..orders.gray import gray_sequence
-from .activity import analyze_zero_one_activity, exhaustive_zero_one_states
+from .activity import analyze_zero_one_activity, compare_exchange, exhaustive_zero_one_states
 from .ir import BlockSortOp, ComparatorDAG, ComparatorOp, ScheduleRound
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -232,12 +232,8 @@ def _chain_sorts(
     pos = {x: i for i, x in enumerate(order)}
     states = exhaustive_zero_one_states(len(order))
     for _, _, op in members:
-        lo, hi = pos[op.lo], pos[op.hi]
-        a = states[:, lo].copy()
-        b = states[:, hi].copy()
-        states[:, lo] = np.minimum(a, b)
-        states[:, hi] = np.maximum(a, b)
-    return bool(np.all(states[:, :-1] <= states[:, 1:]))
+        compare_exchange(states, pos[op.lo], pos[op.hi])
+    return bool(np.all(states[:-1] <= states[1:]))
 
 
 def agglomerate_chains(dag: ComparatorDAG) -> tuple[ComparatorDAG, OptimizationCertificate]:

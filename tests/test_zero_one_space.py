@@ -1,0 +1,346 @@
+"""Node-major 0-1 simulation: the applier, the shared space builder, and
+the optimizer output that rests on them.
+
+``apply_zero_one_round`` is checked round by round against the reference
+``replay`` semantics on random node-major 0-1 states (comparators,
+ascending and descending block sorts, and the block-local ``offset`` plus
+filter path), with every activity flag checked against its definition:
+an op is live iff it changed some state.  The zero-one lint's reported
+counterexamples are replayed to confirm they really leave the snake
+unsorted, and the optimizer's per-cell certificates and hashes are pinned.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.graphs import path_graph
+from repro.observability.benchreg import DEFAULT_MATRIX
+from repro.schedule import (
+    ActivityTracker,
+    ScheduleRound,
+    analyze_zero_one_activity,
+    apply_zero_one_round,
+    exhaustive_zero_one_states,
+    optimize_schedule,
+    replay,
+    snake_order_nodes,
+)
+from repro.schedule.activity import zero_one_space
+from repro.staticcheck import apply_mutant, emit_schedule
+from repro.staticcheck.lints import lint_zero_one
+from repro.staticcheck.mutants import OPTIMIZER_FAULTS
+
+CELL_IDS = [c.key for c in DEFAULT_MATRIX]
+
+
+def _emit(cell):
+    return emit_schedule(cell.build_factor(), cell.r, backend=cell.backend)
+
+
+def _dags():
+    """Every canonical cell, emitted and optimized (the optimized DAGs carry
+    the agglomerated, possibly descending, super-ops)."""
+    out = []
+    for cell in DEFAULT_MATRIX:
+        dag = _emit(cell)
+        out.append((f"{cell.key}/emitted", dag))
+        out.append((f"{cell.key}/optimized", optimize_schedule(dag).optimized))
+    return out
+
+
+DAGS = _dags()
+
+
+def _replay_round(dag, rd: ScheduleRound, states: np.ndarray) -> np.ndarray:
+    """Reference semantics for one round over node-major states."""
+    one_round = dataclasses.replace(dag, rounds=(rd,))
+    return replay(one_round, states.T).T
+
+
+def _changed(before: np.ndarray, after: np.ndarray, nodes) -> bool:
+    idx = np.asarray(nodes, dtype=np.intp)
+    return bool((before[idx] != after[idx]).any())
+
+
+class TestApplyZeroOneRound:
+    def test_the_cells_cover_both_block_sort_directions(self):
+        blocks = [blk for _, dag in DAGS for rd in dag.rounds for blk in rd.block_sorts]
+        assert any(blk.descending for blk in blocks)
+        assert any(not blk.descending for blk in blocks)
+        assert any(rd.comparators for _, dag in DAGS for rd in dag.rounds)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_replay_round_by_round(self, data):
+        _, dag = data.draw(st.sampled_from(DAGS))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        width = data.draw(st.integers(1, 64))
+        states = rng.integers(0, 2, size=(dag.num_nodes, width), dtype=np.int8)
+        tracker = ActivityTracker(dag.rounds)
+        for rd in dag.rounds:
+            before = states.copy()
+            expected = _replay_round(dag, rd, before)
+            apply_zero_one_round(states, rd, tracker)
+            assert states.dtype == np.int8
+            assert np.array_equal(states, expected)
+            # ops of one round are node-disjoint, so each op's own effect is
+            # the change on its nodes
+            for i, op in enumerate(rd.comparators):
+                assert tracker.comparators[(rd.index, i)] == _changed(
+                    before, states, (op.lo, op.hi)
+                )
+            for i, blk in enumerate(rd.block_sorts):
+                assert tracker.block_sorts[(rd.index, i)] == _changed(before, states, blk.nodes)
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_offset_and_filters_apply_one_block_locally(self, data):
+        name, dag = data.draw(st.sampled_from([d for d in DAGS if d[1].r >= 3]))
+        bs = dag.n * dag.n
+        rd = data.draw(st.sampled_from(dag.rounds))
+        block = data.draw(st.integers(0, dag.num_nodes // bs - 1))
+        local = range(block * bs, (block + 1) * bs)
+        cmp_all = {i for i, op in enumerate(rd.comparators) if op.lo in local and op.hi in local}
+        blk_all = {i for i, b in enumerate(rd.block_sorts) if set(b.nodes) <= set(local)}
+        cmp_filter = {i for i in sorted(cmp_all) if data.draw(st.booleans())}
+        blk_filter = {i for i in sorted(blk_all) if data.draw(st.booleans())}
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        full = rng.integers(0, 2, size=(dag.num_nodes, 16), dtype=np.int8)
+        states = full[block * bs : (block + 1) * bs].copy()
+
+        sub_round = dataclasses.replace(
+            rd,
+            comparators=tuple(op for i, op in enumerate(rd.comparators) if i in cmp_filter),
+            block_sorts=tuple(b for i, b in enumerate(rd.block_sorts) if i in blk_filter),
+        )
+        after = _replay_round(dag, sub_round, full)
+        tracker = ActivityTracker(dag.rounds)
+        apply_zero_one_round(
+            states, rd, tracker, offset=block * bs, cmp_filter=cmp_filter, blk_filter=blk_filter
+        )
+        assert np.array_equal(states, after[block * bs : (block + 1) * bs]), name
+        for i, op in enumerate(rd.comparators):
+            live = i in cmp_filter and _changed(full, after, (op.lo, op.hi))
+            assert tracker.comparators[(rd.index, i)] == live
+        for i, b in enumerate(rd.block_sorts):
+            live = i in blk_filter and _changed(full, after, b.nodes)
+            assert tracker.block_sorts[(rd.index, i)] == live
+
+    def test_exhaustive_states_are_node_major_bits(self):
+        states = exhaustive_zero_one_states(5)
+        assert states.shape == (5, 32) and states.dtype == np.int8
+        for col in range(32):
+            assert states[:, col].tolist() == [(col >> k) & 1 for k in range(5)]
+
+
+class TestZeroOneSpace:
+    @pytest.mark.parametrize("cell", DEFAULT_MATRIX, ids=CELL_IDS)
+    def test_lint_and_analysis_share_one_space(self, cell):
+        dag = _emit(cell)
+        lint = lint_zero_one(dag)
+        activity = analyze_zero_one_activity(dag)
+        assert lint.stats["mode"] == activity.mode
+        assert lint.stats["states"] == activity.states
+        assert lint.stats.get("prefix_block_states") == activity.stats.get("prefix_block_states")
+
+    def test_factored_columns_start_from_unravelled_zero_counts(self):
+        dag = emit_schedule(path_graph(3), 3, backend="lattice")
+        space = zero_one_space(dag, ActivityTracker(dag.rounds))
+        assert space.mode == "factored" and space.states is not None
+        assert space.states.shape == (27, 10**3)
+        snake2 = snake_order_nodes(3, 2)
+        for col in (0, 1, 357, 999):
+            state = np.asarray(space.input_of(col))
+            assert np.array_equal(state, space.states[:, col])
+            zeros = np.unravel_index(col, space.count_shape)
+            for b, z in enumerate(zeros):
+                block = state[b * 9 : (b + 1) * 9][snake2]
+                assert block.tolist() == [0] * z + [1] * (9 - z)
+
+    def test_refusals_keep_both_wordings(self):
+        dag = emit_schedule(path_graph(4), 3, backend="lattice")
+        lint = lint_zero_one(dag, max_states=1000)
+        activity = analyze_zero_one_activity(dag, max_states=1000)
+        reason = "suffix state space (N^2+1)^blocks = 83521 exceeds the certification budget 1000"
+        assert activity.mode == "unverifiable" and activity.reason == reason
+        assert [f.message for f in lint.findings] == [f"{reason} — unverifiable"]
+        # the prefix passed before the budget refused the suffix
+        assert lint.stats["mode"] == "factored"
+        assert lint.stats["prefix_block_states"] == 4 * 2**16
+        assert "states" not in lint.stats
+
+
+_INPUT = re.compile(r"0-1 input (\[[01, ]*\])")
+
+
+def _failing_schedules():
+    out = []
+    for cell in DEFAULT_MATRIX:
+        dag = _emit(cell)
+        for name in ("drop_cleanup_sort", "swap_direction"):
+            try:
+                out.append((f"{cell.key}/{name}", apply_mutant(dag, name)))
+            except ValueError:
+                pass
+        optimized = optimize_schedule(dag).optimized
+        fault = next(f for f in OPTIMIZER_FAULTS if f.name == "delete_live_comparator")
+        out.append((f"{cell.key}/{fault.name}", fault.apply(optimized)))
+        # only the initial block sorts and the final clean-up: doomed at the
+        # clean-up's Lemma-1 checkpoint
+        cleanups = [p for p in dag.phases if p.leaf == "block-sorts" and p.merge_depth == 1]
+        if cleanups:
+            keep = [
+                rd
+                for rd in dag.rounds
+                if rd.phase == cleanups[-1].index
+                or dag.phases[rd.phase].leaf == "initial-block-sorts"
+            ]
+            rounds = tuple(dataclasses.replace(rd, index=i) for i, rd in enumerate(keep))
+            out.append((f"{cell.key}/only-final-cleanup", dataclasses.replace(dag, rounds=rounds)))
+    return out
+
+
+FAILING = _failing_schedules()
+
+
+class TestReportedCounterexamples:
+    @pytest.mark.parametrize("dag", [pytest.param(dag, id=name) for name, dag in FAILING])
+    def test_reported_input_really_stays_unsorted(self, dag):
+        result = lint_zero_one(dag)
+        reported = [f.message for f in result.findings if _INPUT.search(f.message)]
+        # a mutant the zero-one lint passes (others catch it) reports nothing
+        assert bool(reported) == (not result.ok)
+        for message in reported:
+            keys = np.asarray(json.loads(_INPUT.search(message).group(1)), dtype=np.int8)
+            assert keys.shape == (dag.num_nodes,)
+            out = replay(dag, keys)[snake_order_nodes(dag.n, dag.r)]
+            assert (out[:-1] > out[1:]).any(), message
+
+    def test_every_counterexample_kind_is_exercised(self):
+        modes, messages = set(), []
+        for _, dag in FAILING:
+            result = lint_zero_one(dag)
+            if not result.ok:
+                modes.add(result.stats["mode"])
+                messages += [f.message for f in result.findings]
+        assert modes == {"exhaustive", "factored"}
+        assert any("leaves the snake sequence unsorted" in m for m in messages)
+        assert any("is unsortable at round" in m for m in messages)
+
+
+#: per cell: every certificate's (pass, mode, states, comparators removed,
+#: block sorts removed), agglomeration's (locally proved, deferred) chains,
+#: and the optimized schedule hash
+PINNED = {
+    "path-n3-r2-lattice": (
+        (
+            ("dead-op-elimination", "exhaustive", 512, 0, 0),
+            ("agglomeration", None, None, 0, 0),
+            ("depth-repacking", None, None, 0, 0),
+        ),
+        (0, 0),
+        "6394cee95cf0b905077a69d22dcc59c42d94038d31fa2dea1d1cca7aca842084",
+    ),
+    "path-n3-r3-lattice": (
+        (
+            ("dead-op-elimination", "factored", 1000, 14, 0),
+            ("agglomeration", None, None, 0, 0),
+            ("depth-repacking", None, None, 0, 0),
+        ),
+        (0, 0),
+        "6109df1adff723295277166bd7b3df95731ece0b48d302e00dc55651ed331855",
+    ),
+    "path-n4-r3-lattice": (
+        (
+            ("dead-op-elimination", "factored", 83521, 36, 0),
+            ("agglomeration", None, None, 0, 0),
+            ("depth-repacking", None, None, 0, 0),
+        ),
+        (0, 0),
+        "74446d96de641019aa03a7f6db2c8ea27f69b4ad060c98165418bf7059e842de",
+    ),
+    "cycle-n4-r3-lattice": (
+        (
+            ("dead-op-elimination", "factored", 83521, 36, 0),
+            ("agglomeration", None, None, 0, 0),
+            ("depth-repacking", None, None, 0, 0),
+        ),
+        (0, 0),
+        "8d336185262288735c1fbca65eb8f280fdb59539f09defb91b59c51d8134d7d1",
+    ),
+    "k2-n2-r4-lattice": (
+        (
+            ("dead-op-elimination", "exhaustive", 65536, 28, 12),
+            ("agglomeration", None, None, 0, 0),
+            ("depth-repacking", None, None, 0, 0),
+        ),
+        (0, 0),
+        "ac40df18d66924ce41770ff2ae3243203a0348039f18fd2912fabf8ee437ed03",
+    ),
+    "k2-n2-r2-machine": (
+        (
+            ("dead-op-elimination", "exhaustive", 16, 0, 0),
+            ("agglomeration", None, None, 6, 0),
+            ("depth-repacking", None, None, 0, 0),
+        ),
+        (1, 0),
+        "962e07f9ed558de90c9de9af7d8c9c993937a545aaa7a9f0274eb79bc84819a0",
+    ),
+    "k2-n2-r3-machine": (
+        (
+            ("dead-op-elimination", "exhaustive", 256, 26, 0),
+            ("agglomeration", None, None, 22, 0),
+            ("depth-repacking", None, None, 0, 0),
+        ),
+        (2, 2),
+        "8df3331e7b5c7843cd37c657a7932873ba095e4857eba4f7d422293833b5e46f",
+    ),
+    "k2-n2-r4-machine": (
+        (
+            ("dead-op-elimination", "exhaustive", 65536, 154, 0),
+            ("agglomeration", None, None, 70, 0),
+            ("depth-repacking", None, None, 0, 0),
+        ),
+        (4, 10),
+        "46246146ae4b51957463a5ee011a822b98a19a11314fe8db3796105ed9be7838",
+    ),
+    "path-n3-r3-machine": (
+        (
+            ("dead-op-elimination", "factored", 1000, 318, 0),
+            ("agglomeration", None, None, 198, 0),
+            ("depth-repacking", None, None, 0, 0),
+        ),
+        (3, 4),
+        "3e1f2d2a86fe592f1131f153f27ee1341b5dfc7050e142eddc1aa73cbb9fcefb",
+    ),
+}
+
+
+class TestPinnedOptimizerOutput:
+    def test_every_canonical_cell_is_pinned(self):
+        assert sorted(PINNED) == sorted(CELL_IDS)
+
+    @pytest.mark.parametrize("cell", DEFAULT_MATRIX, ids=CELL_IDS)
+    def test_certificates_chains_and_hash(self, cell):
+        result = optimize_schedule(_emit(cell))
+        certificates = tuple(
+            (
+                c.pass_name,
+                c.stats.get("mode"),
+                c.stats.get("states"),
+                c.comparators_removed,
+                c.block_sorts_removed,
+            )
+            for c in result.certificates
+        )
+        agglomeration = next(c for c in result.certificates if c.pass_name == "agglomeration")
+        chains = (agglomeration.stats["locally_proved"], agglomeration.stats["deferred"])
+        assert (certificates, chains, result.optimized_hash) == PINNED[cell.key]
