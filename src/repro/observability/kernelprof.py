@@ -6,14 +6,15 @@ instruments the interpreted backends.  This module closes that gap:
 
 * :class:`KernelProfiler` executes a kernel's own lowered steps layer by
   layer, timing each layer with ``time.perf_counter_ns`` — split into the
-  step's ``take`` (``permute_ns``) and its in-place slab sorts and
-  comparators (``compute_ns``) — and deriving per-layer op counts,
-  **occupancy** (comparator-slot utilisation: key-endpoints-touched ÷ 2 ÷
-  ⌊N/2⌋ — exactly 1.0 when a layer engages every disjoint pair the network
-  offers, the comparator-agglomeration ideal) and estimated bytes touched
-  (read+write of the full-width ``take`` plus every engaged key, across the
-  batch).  Results land in a :class:`RunProfile`, in a
-  :class:`~repro.observability.metrics.MetricsRegistry`
+  step's gather (``permute_ns``) and its in-place slab sorts, networks and
+  comparators (``compute_ns``) — and recording each layer's **form** (its
+  node-major or row-major layout and, per slab, whether it ran as a
+  min/max network or a sort), per-layer op counts, **occupancy**
+  (comparator-slot utilisation: key-endpoints-touched ÷ 2 ÷ ⌊N/2⌋ —
+  exactly 1.0 when a layer engages every disjoint pair the network offers,
+  the comparator-agglomeration ideal) and estimated bytes moved by the
+  passes that form makes (see :func:`layer_moves`).  Results land in a
+  :class:`RunProfile`, in a :class:`~repro.observability.metrics.MetricsRegistry`
   (``repro_compiled_run_seconds{cell}`` /
   ``repro_compiled_layer_seconds{cell}`` histograms with p50/p99 derivable
   from the buckets, ``repro_compiled_keys_total{cell}`` /
@@ -59,6 +60,7 @@ __all__ = [
     "LayerProfile",
     "RUN_TIME_BUCKETS",
     "RunProfile",
+    "layer_moves",
     "profile_cell",
     "profile_chrome_trace",
     "render_profile",
@@ -91,6 +93,31 @@ RUN_TIME_BUCKETS = (
 )
 
 
+def layer_moves(step: Any, batch: int) -> int:
+    """Keys one lowered layer reads plus writes over ``batch`` rows.
+
+    Counts each NumPy pass of the layer's form at that batch size: the
+    gather reads and writes every key, twice when it also transposes back
+    to row-major; a compare-exchange (``minimum``, ``maximum``, then the
+    copy of the minima) moves 8 keys per comparator; a sorted slab reads
+    and writes each of its keys once; a network slab pays one
+    compare-exchange per comparator of its network on every block.
+    """
+    from ..schedule.compiled import NETWORKS
+
+    num_nodes = int(step.perm.size)
+    moves = (4 if step.source_node_major and not step.node_major else 2) * num_nodes
+    start, mid, stop = step.comparators
+    moves += 8 * (mid - start)
+    for (first, last, width), form in zip(step.slabs, step.forms(batch)):
+        if form == "network":
+            comparators = sum(len(range(width)[lo]) for lo, _ in NETWORKS[width])
+            moves += 8 * comparators * (last - first) // width
+        else:
+            moves += 2 * (last - first)
+    return moves * batch
+
+
 @dataclass(frozen=True)
 class LayerProfile:
     """One kernel layer of one profiled run."""
@@ -105,19 +132,29 @@ class LayerProfile:
     nodes_touched: int
     #: layer wall time, nanoseconds (``perf_counter_ns``)
     wall_ns: int
-    #: the layer's ``take`` into its column layout, nanoseconds
+    #: the layer's gather into its layout, nanoseconds
     permute_ns: int
-    #: the layer's in-place slab sorts and comparators, nanoseconds
+    #: the layer's in-place slab sorts, networks and comparators, nanoseconds
     compute_ns: int
     #: comparator-slot utilisation: ``nodes_touched / 2 / floor(N / 2)``
     occupancy: float
-    #: estimated bytes moved, whole batch: read + write of the full-width
-    #: ``take`` plus read + write of every engaged key
+    #: estimated bytes the layer's passes read plus write, whole batch
+    #: (:func:`layer_moves` times the key size)
     bytes_touched: int
+    #: ``"node-major"`` or ``"row-major"``
+    layout: str
+    #: per block-sort slab: ``(width, blocks, "network" | "sort")``
+    slabs: tuple[tuple[int, int, str], ...]
 
     @property
     def op_count(self) -> int:
         return self.comparators + self.block_rows
+
+    @property
+    def form(self) -> str:
+        """Compact form label, e.g. ``node 4x4:network`` or ``row 3x9:sort``."""
+        slabs = " ".join(f"{blocks}x{width}:{form}" for width, blocks, form in self.slabs)
+        return f"{self.layout.split('-')[0]} {slabs or 'compare'}"
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -131,6 +168,12 @@ class LayerProfile:
             "compute_ns": self.compute_ns,
             "occupancy": self.occupancy,
             "bytes_touched": self.bytes_touched,
+            "layout": self.layout,
+            "slabs": [
+                {"width": width, "blocks": blocks, "form": form}
+                for width, blocks, form in self.slabs
+            ],
+            "form": self.form,
         }
 
 
@@ -144,7 +187,7 @@ class RunProfile:
     num_nodes: int
     wall_ns: int
     layers: tuple[LayerProfile, ...]
-    #: the final ``take`` from the last layout back to node order
+    #: the final gather from the last layout back to row-major node order
     restore_ns: int
 
     @property
@@ -309,7 +352,12 @@ class KernelProfiler:
                         permute_ns=t1 - t0,
                         compute_ns=t2 - t1,
                         occupancy=touched / 2 / slots,
-                        bytes_touched=2 * batch * (kernel.num_nodes + touched) * itemsize,
+                        bytes_touched=layer_moves(step, batch) * itemsize,
+                        layout=step.layout,
+                        slabs=tuple(
+                            (width, (stop - start) // width, form)
+                            for (start, stop, width), form in zip(step.slabs, step.forms(batch))
+                        ),
                     )
                 )
             t_restore = time.perf_counter_ns()
@@ -493,7 +541,7 @@ def profile_cell(
 def _layer_table(per_layer: list[dict[str, Any]]) -> list[str]:
     header = (
         f"  {'layer':>5} {'comps':>6} {'blocks':>6} {'ops':>5} "
-        f"{'occ%':>6} {'wall µs':>8} {'perm µs':>8} {'comp µs':>8} {'est KiB':>8}"
+        f"{'occ%':>6} {'wall µs':>8} {'perm µs':>8} {'comp µs':>8} {'est KiB':>8}  form"
     )
     lines = [header]
     for layer in per_layer:
@@ -501,7 +549,8 @@ def _layer_table(per_layer: list[dict[str, Any]]) -> list[str]:
             f"  {layer['layer']:>5} {layer['comparators']:>6} {layer['block_rows']:>6} "
             f"{layer['ops']:>5} {layer['occupancy'] * 100:>6.1f} "
             f"{layer['wall_ns'] / 1e3:>8.1f} {layer['permute_ns'] / 1e3:>8.1f} "
-            f"{layer['compute_ns'] / 1e3:>8.1f} {layer['bytes_touched'] / 1024:>8.1f}"
+            f"{layer['compute_ns'] / 1e3:>8.1f} {layer['bytes_touched'] / 1024:>8.1f}  "
+            f"{layer['form']}"
         )
     return lines
 

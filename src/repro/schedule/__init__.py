@@ -27,7 +27,9 @@ from .activity import (
 )
 from .compiled import (
     CompiledSchedule,
+    KeyDomainError,
     ScheduleLayer,
+    check_keys,
     clear_kernel_cache,
     compile_schedule,
     get_profiler,
@@ -69,6 +71,7 @@ __all__ = [
     "ComparatorOp",
     "CompiledSchedule",
     "EmittedMachineSchedule",
+    "KeyDomainError",
     "OptimizationCertificate",
     "OptimizationResult",
     "PASS_NAMES",
@@ -81,6 +84,7 @@ __all__ = [
     "analyze_zero_one_activity",
     "apply_zero_one_round",
     "cache_stats",
+    "check_keys",
     "clear_caches",
     "clear_optimizer_cache",
     "compile_schedule",

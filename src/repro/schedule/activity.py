@@ -48,6 +48,7 @@ __all__ = [
     "compare_exchange",
     "count_dtype",
     "exhaustive_zero_one_states",
+    "sorted_columns",
     "zero_one_space",
 ]
 
@@ -129,6 +130,16 @@ def apply_zero_one_round(
         if activity is not None and (block != target).any():
             activity.block_sorts[(rd.index, i)] = True
         states[nodes] = target
+
+
+def sorted_columns(states: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Which columns of node-major 0-1 ``states`` are sorted along the node
+    ``order``, compared row by row: a reordered copy of the whole space
+    would double the peak memory."""
+    ok = np.ones(states.shape[1], dtype=bool)
+    for a, b in zip(order[:-1], order[1:]):
+        ok &= states[a] <= states[b]
+    return ok
 
 
 def exhaustive_zero_one_states(num_nodes: int) -> np.ndarray:
@@ -220,7 +231,10 @@ def zero_one_space(
     Factored mode simulates the initial block-sort prefix here, per
     node-disjoint ``PG_2`` block over all ``2**(N**2)`` inputs (recording
     activity in ``tracker``), then seeds one column per combination of
-    per-block zero counts for the suffix.
+    per-block zero counts for the suffix.  A block whose prefix is a single
+    ascending sort of the block in local snake order needs no simulation:
+    it is recorded live and sorted outright, so over-budget lattice cells
+    refuse without allocating any state space.
     """
     n, r, num_nodes = dag.n, dag.r, dag.num_nodes
     if num_nodes <= max_exhaustive_nodes:
@@ -272,24 +286,37 @@ def zero_one_space(
                 )
             per_block_ops[owners.pop()].setdefault(rd.index, (set(), set()))[1].add(i)
 
-    # verify the prefix sorts each block, exhaustively over the block
+    # verify the prefix sorts each block, exhaustively over the block —
+    # unless the prefix is one ascending sort of exactly the block's nodes
+    # in local snake order (every lattice cell): that sorts the block and
+    # moves a key on some 0-1 input, so it is live with no simulation
     snake2 = snake_order_nodes(n, 2)
-    block_states = exhaustive_zero_one_states(bs)
+    rounds_by_index = {rd.index: rd for rd in prefix}
+    block_states: np.ndarray | None = None
     for b in range(nblocks):
+        if len(per_block_ops[b]) == 1:
+            ((index, (cmp_set, blk_set)),) = per_block_ops[b].items()
+            if not cmp_set and len(blk_set) == 1:
+                (i,) = blk_set
+                blk = rounds_by_index[index].block_sorts[i]
+                if not blk.descending and blk.nodes == tuple((b * bs + snake2).tolist()):
+                    tracker.block_sorts[(index, i)] = True
+                    continue
+        if block_states is None:
+            block_states = exhaustive_zero_one_states(bs)
         states = block_states.copy()
         for rd in prefix:
             if rd.index in per_block_ops[b]:
                 cmp_set, blk_set = per_block_ops[b][rd.index]
                 apply_zero_one_round(states, rd, tracker, b * bs, cmp_set, blk_set)
-        seq = states[snake2]
-        sorted_cols = np.all(seq[:-1] <= seq[1:], axis=0)
+        sorted_cols = sorted_columns(states, snake2)
         if not sorted_cols.all():
             space.prefix_failure = (
                 f"prefix leaves PG_2 block {b} unsorted for 0-1 input "
                 f"{_bits(int(np.argmax(~sorted_cols)), bs)}"
             )
             break
-    space.prefix_block_states = block_states.shape[1] * nblocks
+    space.prefix_block_states = (1 << bs) * nblocks
 
     # suffix: every combination of per-block zero counts
     total = (bs + 1) ** nblocks
@@ -327,8 +354,7 @@ def analyze_zero_one_activity(
     if ok:
         for rd in space.rounds:
             apply_zero_one_round(space.states, rd, tracker)
-        seq = space.states[snake_order_nodes(dag.n, dag.r)]
-        ok = bool(np.all(seq[:-1] <= seq[1:]))
+        ok = bool(sorted_columns(space.states, snake_order_nodes(dag.n, dag.r)).all())
     factored = space.mode == "factored"
     unsorted = "a reachable 0-1 state" if factored else "a 0-1 input"
     return ZeroOneActivity(

@@ -10,27 +10,44 @@ from different phases — into maximal parallel layers (:class:`ScheduleLayer`,
 the IR-level description of a layer).  Every operation lands one layer past
 the deepest of its own nodes, so no two operations of a layer share a node.
 
-The same pass lowers every layer to a :class:`LoweredLayer`, which runs over
-a whole ``(batch, N**r)`` key array as one ``np.take`` along the node axis
-followed by in-place compute on contiguous column spans.  Each layer owns a
-column *layout*:
+The same pass lowers every layer to a :class:`LoweredLayer`: one gather
+into the layer's *layout*, then in-place compute on contiguous spans.  A
+layout orders the layer's keys as
 
-* its block-sort groups first, one ``(blocks, width)`` slab per width, every
-  row in local snake order — a descending row stored reversed, so one
-  ascending in-place ``sort`` serves both directions;
+* its block-sort groups first, one slab per width, every block in local
+  snake order — a descending block stored reversed, so one ascending
+  sort serves both directions;
 * then the comparators' ``lo`` nodes, then their ``hi`` nodes — one
-  ``minimum``/``maximum`` over two adjacent slices;
+  ``minimum``/``maximum`` over two adjacent spans;
 * then every node the layer does not touch.
 
-A layer's gather permutation is the composition of the previous layout with
-its own, so the previous layer's scatter, the descending flip and this
-layer's gather are a single ``take``; the first ``take`` is also the input
-copy, and one final ``take`` restores flat node order.  A kernel of ``L``
-layers therefore moves the keys ``L + 1`` times and never fancy-indexes.
+A layer stores its keys in one of two forms:
+
+* **node-major** ``(N, batch)`` when every slab is 2, 3 or 4 wide
+  (comparator-only layers included).  A slab is *position-major*: position
+  ``p`` of every block is one contiguous run of ``blocks * batch`` keys.
+  On every call each slab picks its form from its lane count
+  ``blocks * batch`` alone: at least :data:`NETWORK_MIN_LANES` runs the
+  slab as a min/max network over whole runs (:data:`NETWORKS`: 1/3/5
+  comparators for widths 2/3/4), fewer sorts the lanes with one ``sort``
+  along the position axis;
+* **row-major** ``(batch, N)`` otherwise: the wide slabs (widths 9 and 16)
+  keep one in-place ``sort`` of ``(blocks, width)`` rows per batch row,
+  which ``np.sort`` runs faster than any network.
+
+A layer's gather is the composition of the previous layout with its own, so
+the previous layer's scatter, the descending flip, this layer's gather and
+any switch between the two forms are a single pass — a row gather of the
+node-major view; only a switch back to row-major adds a transpose.  The
+first gather is also the input copy, and one final gather restores
+row-major node order.  ``docs/schedule-ir.md`` records the measurements
+behind both forms and the threshold.
 
 This kernel is the only compiled executor: single lattices, batches and the
 served queues all run it, and :func:`repro.schedule.ir.replay` stays the
-independent reference it is checked against.
+independent reference it is checked against.  Its keys must be totally
+ordered (:func:`check_keys`): a network's ``minimum``/``maximum`` would
+duplicate an unordered key where ``sort`` moves it last.
 
 Kernels are cached by ``(hash, optimize)``, where ``hash`` is the canonical
 SHA-256 schedule hash of the DAG handed in (see
@@ -56,25 +73,73 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "CompiledSchedule",
+    "KeyDomainError",
     "LoweredLayer",
+    "NETWORKS",
+    "NETWORK_MIN_LANES",
     "ScheduleLayer",
+    "check_keys",
     "clear_kernel_cache",
     "compile_schedule",
     "get_profiler",
-    "reject_nan",
     "set_profiler",
 ]
 
 
-def reject_nan(keys: np.ndarray, cell: str) -> None:
-    """Raise ``ValueError`` when float ``keys`` for ``cell`` hold a NaN.
+class KeyDomainError(ValueError):
+    """Keys outside the kernel's key domain: not totally ordered under ``<``."""
 
-    NaN has no place in a total order: ``minimum``/``maximum`` propagate it
-    while ``sort`` puts it last, so a network would duplicate it and drop a
-    real key.  Non-float keys pay one dtype test.
+    def __init__(self, cell: str, message: str) -> None:
+        super().__init__(message)
+        self.cell = cell
+
+
+def check_keys(keys: np.ndarray, cell: str) -> None:
+    """Raise :class:`KeyDomainError` unless ``keys`` are totally ordered.
+
+    The key domain is an allowlist: bool, signed and unsigned integers, and
+    floats without NaN (``±inf`` and ``-0.0`` are ordered; the sign of a
+    zero is not preserved).  Everything else is refused — NaN, because
+    ``minimum``/``maximum`` propagate it while ``sort`` puts it last, so a
+    network would duplicate it and drop a real key; datetime64 and
+    timedelta64, whose NaT is unordered in the same way (sort their
+    ``int64`` view instead); complex, object, string and structured keys,
+    which either hold NaN or cannot go through ``minimum``/``maximum``.
+    Integer and bool keys pay one dtype test.
     """
-    if keys.dtype.kind == "f" and np.isnan(keys).any():
-        raise ValueError(f"cell {cell} cannot sort NaN keys: they are unordered")
+    kind = keys.dtype.kind
+    if kind in "biu":
+        return
+    if kind != "f":
+        raise KeyDomainError(
+            cell,
+            f"cell {cell} cannot sort {keys.dtype} keys: only bool, integer "
+            f"and NaN-free float keys are totally ordered",
+        )
+    if np.isnan(keys).any():
+        raise KeyDomainError(cell, f"cell {cell} cannot sort NaN keys: they are unordered")
+
+
+#: fewest lanes (``blocks * batch``) at which a narrow slab runs as a network
+#: instead of one ``sort``; measured in ``docs/schedule-ir.md``
+NETWORK_MIN_LANES = 256
+#: per width, the stages of an optimal sorting network over a position-major
+#: slab's ``(width, lanes)`` view: one ``(lo rows, hi rows)`` slice pair per
+#: stage, whose comparators are disjoint (1, 3 and 5 comparators for widths
+#: 2, 3 and 4).  A layer is node-major when every slab width has a network;
+#: wider slabs run row-major sorts.
+NETWORKS: dict[int, tuple[tuple[slice, slice], ...]] = {
+    2: ((slice(0, 1), slice(1, 2)),),
+    3: ((slice(0, 1), slice(2, 3)), (slice(0, 1), slice(1, 2)), (slice(1, 2), slice(2, 3))),
+    4: ((slice(0, 4, 2), slice(1, 4, 2)), (slice(0, 2), slice(2, 4)), (slice(1, 2), slice(2, 3))),
+}
+
+
+def _exchange(lo: np.ndarray, hi: np.ndarray) -> None:
+    """Compare-exchange two equal-shape views in place: ``lo`` gets the minima."""
+    low = np.minimum(lo, hi)
+    np.maximum(lo, hi, out=hi)
+    lo[...] = low
 
 
 @dataclass(frozen=True)
@@ -98,33 +163,70 @@ class ScheduleLayer:
 class LoweredLayer:
     """One layer as the kernel executes it: a gather, then in-place compute."""
 
-    #: column ``c`` of this layer's layout is column ``perm[c]`` of the
-    #: previous layout (of the input, for the first layer)
+    #: key ``c`` of this layer's layout is key ``perm[c]`` of the previous
+    #: layout (of the input, for the first layer)
     perm: np.ndarray
-    #: block-sort slabs ``(start, stop, width)``: columns ``start:stop`` hold
-    #: rows of ``width`` keys, each sorted ascending in place
+    #: block-sort slabs ``(start, stop, width)``: keys ``start:stop`` hold
+    #: blocks of ``width`` keys, position-major when ``node_major``, else one
+    #: block after another
     slabs: tuple[tuple[int, int, int], ...]
-    #: comparator columns ``(start, mid, stop)``: ``lo`` keys in
-    #: ``start:mid``, ``hi`` keys in ``mid:stop`` (empty when ``start == mid``)
+    #: comparator keys ``(start, mid, stop)``: ``lo`` keys in ``start:mid``,
+    #: ``hi`` keys in ``mid:stop`` (empty when ``start == mid``)
     comparators: tuple[int, int, int]
+    #: keys stored ``(N, batch)``; else ``(batch, N)``
+    node_major: bool
+    #: the previous layout (the input's, for the first layer) is node-major
+    source_node_major: bool
+
+    @property
+    def layout(self) -> str:
+        return "node-major" if self.node_major else "row-major"
+
+    def forms(self, batch: int) -> tuple[str, ...]:
+        """Each slab's form at ``batch`` rows: ``"network"`` or ``"sort"``."""
+        return tuple(
+            "network"
+            if self.node_major and (stop - start) // width * batch >= NETWORK_MIN_LANES
+            else "sort"
+            for start, stop, width in self.slabs
+        )
 
     def permute(self, x: np.ndarray) -> np.ndarray:
-        """Gather ``(batch, N)`` keys from the previous layout into this one."""
+        """Gather keys from the previous layout into this one, switching form."""
+        if self.node_major:
+            # the row gather of a row-major batch's transposed view is also
+            # the switch to node-major: one pass
+            return (x if self.source_node_major else x.T)[self.perm]
+        if self.source_node_major:
+            return np.ascontiguousarray(x[self.perm].T)
         return np.take(x, self.perm, axis=1)
 
     def compute(self, x: np.ndarray) -> None:
-        """Sort the slabs and exchange the comparator pairs, in place."""
-        batch = x.shape[0]
-        for start, stop, width in self.slabs:
-            # a view: the column span is contiguous within each batch row
-            x[:, start:stop].reshape(batch, (stop - start) // width, width).sort(axis=-1)
+        """Sort the slabs and exchange the comparator pairs, in place.
+
+        Each node-major slab picks its form as :meth:`forms` reports it.
+        """
         start, mid, stop = self.comparators
+        if not self.node_major:
+            batch = x.shape[0]
+            for first, last, width in self.slabs:
+                # a view: the span is contiguous within each batch row
+                x[:, first:last].reshape(batch, (last - first) // width, width).sort(axis=-1)
+            if mid > start:
+                _exchange(x[:, start:mid], x[:, mid:stop])
+            return
+        batch = x.shape[1]
+        for first, last, width in self.slabs:
+            lanes = (last - first) // width * batch
+            # position p of every block is row p: a view
+            slab = x[first:last].reshape(width, lanes)
+            if lanes >= NETWORK_MIN_LANES:
+                for lo, hi in NETWORKS[width]:
+                    _exchange(slab[lo], slab[hi])
+            else:
+                slab.sort(axis=0)
         if mid > start:
-            lo = x[:, start:mid]
-            hi = x[:, mid:stop]
-            low = np.minimum(lo, hi)
-            np.maximum(lo, hi, out=hi)
-            lo[...] = low
+            _exchange(x[start:mid], x[mid:stop])
 
 
 class CompiledSchedule:
@@ -132,7 +234,8 @@ class CompiledSchedule:
 
     The ASAP re-layering described in the module docstring: ``layers``
     describes the layers, ``steps`` is their lowering (one per layer) and
-    ``final_perm`` the ``take`` that returns the last layout to node order.
+    ``final_perm`` the gather that returns the last layout to row-major
+    node order.
     """
 
     def __init__(
@@ -176,23 +279,31 @@ class CompiledSchedule:
         layers: list[ScheduleLayer] = []
         steps: list[LoweredLayer] = []
         columns = np.arange(dag.num_nodes, dtype=np.intp)
-        # column of every node in the previous layout (the input: node order)
+        # where every node sits in the previous layout (the input: node order)
         position = columns
+        node_major = False  # the input is a row-major batch
         for layer in sorted(set(lows) | set(blocks)):
+            widths = blocks.get(layer, {})
+            source_node_major = node_major
+            node_major = widths.keys() <= NETWORKS.keys()
             groups = []
             slabs = []
-            touched: list[int] = []  # nodes in this layer's column order
-            for width, entries in blocks.get(layer, {}).items():
+            touched: list[int] = []  # nodes in this layer's layout order
+            for width, entries in widths.items():
                 start = len(touched)
                 rows = []
                 desc_rows = []
+                stored = []
                 for i, (row, descending) in enumerate(entries):
                     rows.append(row)
                     if descending:
                         desc_rows.append(i)
-                        touched.extend(reversed(row))
-                    else:
-                        touched.extend(row)
+                        row = row[::-1]
+                    stored.append(row)
+                # node-major slabs are position-major: position p of every
+                # block, then position p + 1
+                for run in zip(*stored) if node_major else stored:
+                    touched.extend(run)
                 slabs.append((start, len(touched), width))
                 groups.append(
                     (np.asarray(rows, dtype=np.intp), np.asarray(desc_rows, dtype=np.intp))
@@ -205,7 +316,7 @@ class CompiledSchedule:
             if stop < dag.num_nodes:
                 engaged = set(touched)
                 touched += [node for node in range(dag.num_nodes) if node not in engaged]
-            layout = np.asarray(touched, dtype=np.intp)  # the node each column holds
+            layout = np.asarray(touched, dtype=np.intp)  # the node each key holds
             layers.append(
                 ScheduleLayer(
                     lo=layout[mid:split], hi=layout[split:stop], block_groups=tuple(groups)
@@ -213,14 +324,21 @@ class CompiledSchedule:
             )
             steps.append(
                 LoweredLayer(
-                    perm=position[layout], slabs=tuple(slabs), comparators=(mid, split, stop)
+                    perm=position[layout],
+                    slabs=tuple(slabs),
+                    comparators=(mid, split, stop),
+                    node_major=node_major,
+                    source_node_major=source_node_major,
                 )
             )
             position = np.empty_like(columns)
             position[layout] = columns
         self.layers: tuple[ScheduleLayer, ...] = tuple(layers)
         self.steps: tuple[LoweredLayer, ...] = tuple(steps)
+        #: the last gather, back to row-major node order, reads this layout
         self.final_perm = position
+        #: the last layer is node-major (the restore also transposes)
+        self.ends_node_major = node_major
 
     @property
     def num_layers(self) -> int:
@@ -230,7 +348,8 @@ class CompiledSchedule:
         """Validate ``state`` as a ``(batch, num_nodes)`` view (no copy).
 
         Returns the view and whether ``state`` was a single 1-D key vector.
-        Float keys containing NaN raise ``ValueError`` (see :func:`reject_nan`).
+        Keys outside the key domain raise :class:`KeyDomainError` (see
+        :func:`check_keys`).
         """
         arr = np.asarray(state)
         squeeze = arr.ndim == 1
@@ -239,11 +358,14 @@ class CompiledSchedule:
             raise ValueError(
                 f"state must have {self.num_nodes} keys per row, got {np.shape(state)}"
             )
-        reject_nan(x, self.cell)
+        check_keys(x, self.cell)
         return x, squeeze
 
     def finish(self, x: np.ndarray, squeeze: bool) -> np.ndarray:
-        """Take the last layout back to node order, as a fresh array."""
+        """Gather the last layout back to row-major node order, as a fresh array."""
+        if self.ends_node_major:
+            out = np.ascontiguousarray(x[self.final_perm].T)
+            return out[0] if squeeze else out
         return np.take(x[0] if squeeze else x, self.final_perm, axis=-1)
 
     def run(self, state: np.ndarray) -> np.ndarray:

@@ -7,8 +7,10 @@ both the service API and its telemetry:
 ``POST /sort``
     body ``{"cell": "path-n3-r3", "keys": [...]}`` → ``200`` with
     ``{"cell": ..., "keys": [...sorted, snake order...]}``; ``400`` on a
-    malformed body, a key that is not a JSON integer or lies outside
-    int64, or a wrong key width; ``503`` with a machine-readable
+    malformed body or a wrong key width, and a typed ``400`` with
+    ``"reason": "key_domain"`` on a key that is not a JSON integer or lies
+    outside int64 (:class:`~repro.schedule.compiled.KeyDomainError`);
+    ``503`` with a machine-readable
     ``reason`` when admission control sheds the request (backpressure is
     explicit, never a hang);
 ``GET /queues.json``
@@ -39,6 +41,7 @@ from typing import Any
 import numpy as np
 
 from ..observability.httpexpo import MetricsServer
+from ..schedule.compiled import KeyDomainError, check_keys
 from .service import Rejected, SortService
 
 __all__ = ["build_sort_server"]
@@ -47,18 +50,24 @@ _JSON = "application/json"
 _INT64 = np.iinfo(np.int64)
 
 
-def _parse_keys(raw: Any) -> np.ndarray:
-    """A request's JSON ``keys`` as int64, refusing anything that would not
-    round-trip: floats (``np.asarray`` would truncate them), booleans and
-    integers outside int64 all raise ``ValueError``."""
+def _parse_keys(raw: Any, cell: str) -> np.ndarray:
+    """A request's JSON ``keys`` as int64 keys of ``cell``.
+
+    A non-array is a malformed body (``ValueError``).  Anything that would
+    not round-trip — floats (``np.asarray`` would truncate them), booleans,
+    integers outside int64 — is outside the key domain and raises
+    :class:`KeyDomainError`, as :func:`check_keys` does for the kernel.
+    """
     if not isinstance(raw, list):
         raise ValueError("keys must be a JSON array of integers")
     for key in raw:
         if type(key) is not int:  # excludes bool, an int subclass
-            raise ValueError(f"keys must be JSON integers, got {json.dumps(key)}")
+            raise KeyDomainError(cell, f"keys must be JSON integers, got {json.dumps(key)}")
         if not _INT64.min <= key <= _INT64.max:
-            raise ValueError(f"key {key} is outside int64")
-    return np.asarray(raw, dtype=np.int64)
+            raise KeyDomainError(cell, f"key {key} is outside int64")
+    keys = np.asarray(raw, dtype=np.int64)
+    check_keys(keys, cell)
+    return keys
 
 
 def _json_body(status: int, doc: dict[str, Any]) -> tuple[int, str, bytes]:
@@ -86,7 +95,11 @@ def build_sort_server(
         try:
             doc = json.loads(payload)
             cell = str(doc["cell"])
-            keys = _parse_keys(doc["keys"])
+            keys = _parse_keys(doc["keys"], cell)
+        except KeyDomainError as exc:
+            return _json_body(
+                400, {"error": f"bad request: {exc}", "cell": exc.cell, "reason": "key_domain"}
+            )
         except (ValueError, KeyError, TypeError) as exc:
             return _json_body(400, {"error": f"bad request: {exc}"})
         future = asyncio.run_coroutine_threadsafe(service.submit(cell, keys), loop)

@@ -18,7 +18,9 @@ Mechanics, per cell queue:
   batches rather than one row at a time;
 * **request isolation** — a flush runs one kernel pass per key dtype in
   the batch, so batch-mates never cast each other's keys, and ``submit``
-  refuses NaN keys, which have no place in the sorted order;
+  refuses keys outside the kernel's key domain (NaN, NaT, complex, object,
+  strings: :func:`~repro.schedule.compiled.check_keys`), which have no
+  place in the sorted order;
 * **admission control** — each queue is bounded at ``max_queue_depth``
   outstanding requests; excess load is shed with an explicit
   :class:`Rejected` (the HTTP front-end maps it to ``503``), never silently
@@ -72,7 +74,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..observability.metrics import MetricsRegistry
-from ..schedule.compiled import reject_nan
+from ..schedule.compiled import check_keys
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..observability.tracer import Tracer
@@ -311,8 +313,11 @@ class SortService:
         Returns the sorted row (snake order over the product lattice) once
         the micro-batch containing this request has flushed.  Raises
         :class:`Rejected` immediately when the queue is full or the service
-        is shutting down, and ``ValueError`` on a malformed key vector or on
-        float keys containing NaN (they have no place in a total order).
+        is shutting down, ``ValueError`` on a malformed key vector, and its
+        subclass :class:`~repro.schedule.compiled.KeyDomainError` on keys
+        outside the kernel's key domain (see
+        :func:`~repro.schedule.compiled.check_keys`): they have no place in a
+        total order.
         """
         loop = asyncio.get_running_loop()
         queue = self._get_queue(cell_key)
@@ -322,7 +327,7 @@ class SortService:
                 f"cell {queue.key} sorts {queue.kernel.num_nodes}-key vectors, "
                 f"got shape {arr.shape}"
             )
-        reject_nan(arr, queue.key)
+        check_keys(arr, queue.key)
         if self._closed:
             self._reject(queue.key, "shutting_down")
         if queue.depth >= self.config.max_queue_depth:

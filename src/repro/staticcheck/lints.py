@@ -54,6 +54,7 @@ from ..schedule.activity import (
     ActivityTracker,
     apply_zero_one_round,
     count_dtype,
+    sorted_columns,
     zero_one_space,
 )
 from .dag import ComparatorDAG, ScheduleRound, snake_order_nodes
@@ -346,22 +347,25 @@ def _round_max_move(rd: ScheduleRound, sranks: np.ndarray) -> int:
     return move
 
 
-def _snake_boundaries(seq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per column of node-major 0-1 states in snake order: the zero count and
-    the first one's and last zero's positions (exact where a column holds
-    both).  Running or/and over the contiguous rows counts leading zeros and
-    trailing ones; an ``argmax`` down the columns is strided and ~30x slower.
+def _snake_boundaries(
+    states: np.ndarray, snake: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per column of node-major 0-1 states: the zero count and the first
+    one's and last zero's snake positions (exact where a column holds both).
+    Running or/and over the rows, taken in snake order, counts leading zeros
+    and trailing ones; an ``argmax`` down the columns is strided and ~30x
+    slower, and a snake-ordered copy would double the peak memory.
     """
-    num, cols = seq.shape
+    num, cols = len(snake), states.shape[1]
     dtype = count_dtype(num)
     seen, run = np.zeros(cols, dtype=np.int8), np.ones(cols, dtype=np.int8)
     seen_rows, trailing_ones = np.zeros(cols, dtype=dtype), np.zeros(cols, dtype=dtype)
-    for head, tail in zip(seq, seq[::-1]):
-        seen |= head
+    for head, tail in zip(snake, snake[::-1]):
+        seen |= states[head]
         seen_rows += seen
-        run &= tail
+        run &= states[tail]
         trailing_ones += run
-    zeros = num - seq.sum(axis=0, dtype=dtype).astype(np.int64)
+    zeros = num - states.sum(axis=0, dtype=dtype).astype(np.int64)
     return zeros, num - seen_rows.astype(np.int64), num - 1 - trailing_ones.astype(np.int64)
 
 
@@ -409,7 +413,7 @@ def lint_zero_one(
         result.stats["states"] = int(states.shape[1])
         for rd in space.rounds:
             if rd.index in checkpoint_rounds:
-                z, first1, last0 = _snake_boundaries(states[snake])
+                z, first1, last0 = _snake_boundaries(states, snake)
                 unsorted = (z > 0) & (z < num_nodes) & (first1 < z)
                 if unsorted.any():
                     dirty = int((last0[unsorted] - first1[unsorted] + 1).max())
@@ -432,11 +436,10 @@ def lint_zero_one(
                         break
             apply_zero_one_round(states, rd, activity)
         else:
-            seq = states[snake]
-            sorted_cols = np.all(seq[:-1] <= seq[1:], axis=0)
+            sorted_cols = sorted_columns(states, snake)
             if not sorted_cols.all():
                 col = int(np.argmax(~sorted_cols))
-                out = seq[:, col]
+                out = states[snake, col]
                 pos = int(np.argmax(out[:-1] > out[1:]))
                 _fail(
                     result,

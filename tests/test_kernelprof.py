@@ -79,10 +79,13 @@ class TestKernelProfiler:
         for layer in profile.layers:
             assert layer.occupancy == pytest.approx(layer.nodes_touched / 2 / slots)
             assert 0 < layer.occupancy <= dag.num_nodes / 2 / slots
-            # read + write of the full-width take plus of every engaged key
-            assert layer.bytes_touched == (
-                2 * 8 * (dag.num_nodes + layer.nodes_touched) * keys.itemsize
-            )
+        # keys moved per batch row: the 27-key gather (twice when it also
+        # transposes back to row-major), 8 per compare-exchange and 2 per
+        # sorted key; layer 3 is the node-major comparator layer
+        moves = [54 + 54, 54 + 54, 54 + 54, 54 + 8 * 9, 108 + 2 * 9 + 8 * 9, 54 + 2 * 18]
+        assert [layer.bytes_touched for layer in profile.layers] == [
+            m * 8 * keys.itemsize for m in moves
+        ]
         assert profile.wall_ns >= sum(layer.wall_ns for layer in profile.layers)
         assert 0 < profile.keys_per_s < float("inf")
 
@@ -290,6 +293,22 @@ class TestProfileCell:
             assert 0 < point["floor_s"]["min"] <= point["floor_s"]["p50"]
             assert point["floor_ratio"] > 0
             assert point["permute_ns"] > 0 and point["compute_ns"] > 0
+
+    def test_every_layer_reports_its_form(self):
+        """k2-n2-r4's width-4 slabs sort at batch 1 and run as networks at
+        256; path-n4-r3's width-16 slabs stay row-major sorts."""
+        doc = profile_cell("k2-n2-r4", batches=(1, 256), runs=1, seed=0, optimize=True)
+        for point, form in zip(doc["batches"], ("sort", "network")):
+            for layer in point["per_layer"]:
+                assert layer["layout"] == "node-major"
+                assert layer["slabs"] == [{"width": 4, "blocks": 4, "form": form}]
+                assert layer["form"] == f"node 4x4:{form}"
+                # 16-key gather, then 2 moves per sorted key or 8 per exchange
+                moves = 32 + (32 if form == "sort" else 8 * 5 * 4)
+                assert layer["bytes_touched"] == moves * point["batch"] * 8
+        assert "node 4x4:network" in render_profile(doc)
+        text = render_profile(profile_cell("path-n4-r3", batches=(256,), runs=1, seed=0))
+        assert "row 4x16:sort" in text and "node compare" in text
 
     def test_full_benchreg_key_and_unknown_cell(self):
         assert resolve_profile_cell("path-n3-r3-lattice").key == "path-n3-r3-lattice"

@@ -32,6 +32,7 @@ from repro.schedule import (
     replay,
     snake_order_nodes,
 )
+from repro.schedule.compiled import NETWORK_MIN_LANES
 from repro.staticcheck import emit_schedule
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -251,9 +252,28 @@ def _mixed_dag(rounds_ops) -> ComparatorDAG:
                          num_nodes=16, phases=phases, rounds=rounds)
 
 
+#: batch sizes for the lowering property: the smallest batches, both sides
+#: of the network threshold for a 4-block slab, and the benchmark's 256
+LOWERING_BATCHES = (1, 2, NETWORK_MIN_LANES // 4 - 1, NETWORK_MIN_LANES // 4, 256)
+
+
+def _keys(dtype: str, shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
+    """Random keys of one dtype, heavy on its extremes and duplicates."""
+    if dtype == "bool":
+        return rng.integers(0, 2, size=shape).astype(bool)
+    if dtype == "float64":
+        pool = np.array([np.inf, -np.inf, -0.0, 0.0, 1e308, -1e308, 5e-324, 1.5, -1.5])
+        return np.where(rng.random(shape) < 0.5, rng.choice(pool, shape), rng.normal(size=shape))
+    info = np.iinfo(dtype)
+    pool = np.array([info.min, info.max, info.min + 1, info.max - 1, 0], dtype=dtype)
+    noise = rng.integers(info.min, info.max, size=shape, dtype=dtype, endpoint=True)
+    return np.where(rng.random(shape) < 0.3, rng.choice(pool, shape), noise)
+
+
 class TestLowering:
-    """The layout/``take`` lowering of :class:`CompiledSchedule` against the
-    reference replay, on a layer mixing every kind of operation."""
+    """The node-major/row-major lowering of :class:`CompiledSchedule` against
+    the reference replay: on layers mixing every kind of operation, and on
+    every canonical kernel, raw and optimized, in both slab forms."""
 
     @staticmethod
     def _dag() -> ComparatorDAG:
@@ -305,16 +325,28 @@ class TestLowering:
         ids=["1d", "int64-extremes", "uint64", "float64"],
     )
     def test_matches_replay_and_preserves_the_input(self, keys, rng):
+        """Three rows sort every slab; 256 rows run the width-2 and width-4
+        slabs as networks (see ``test_mixed_layers_take_both_forms``)."""
         dag = self._dag()
         kernel = compile_schedule(dag)
         batch = np.stack([keys, keys[::-1], keys[rng.permutation(16)]])
-        for state in (keys, batch):
+        wide = np.stack([keys[rng.permutation(16)] for _ in range(256)])
+        for state in (keys, batch, wide):
             before = state.copy()
             out = kernel.run(state)
             assert out.dtype == state.dtype and out.shape == state.shape
             assert np.array_equal(out, replay(dag, state))
             assert np.array_equal(state, before)
             assert out.flags.c_contiguous and not np.shares_memory(out, state)
+
+    def test_mixed_layers_take_both_forms(self):
+        kernel = compile_schedule(self._dag())
+        assert [step.layout for step in kernel.steps] == ["node-major", "node-major"]
+        assert [step.forms(3) for step in kernel.steps] == [("sort", "sort"), ("sort",)]
+        assert [step.forms(256) for step in kernel.steps] == [
+            ("network", "network"),
+            ("network",),
+        ]
 
     def test_empty_batch(self):
         kernel = compile_schedule(self._dag())
@@ -327,3 +359,130 @@ class TestLowering:
         keys = np.arange(16)
         out = kernel.run(keys)
         assert np.array_equal(out, keys) and not np.shares_memory(out, keys)
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["raw", "optimized"])
+    @pytest.mark.parametrize("cell", DEFAULT_MATRIX, ids=CELL_IDS)
+    @given(
+        batch=st.sampled_from(LOWERING_BATCHES),
+        dtype=st.sampled_from(["int8", "int64", "uint64", "bool", "float64"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_kernel_matches_replay(self, cell, optimize, batch, dtype, seed):
+        dag = _emit(cell)
+        kernel = compile_schedule(dag, optimize)
+        keys = _keys(dtype, (batch, dag.num_nodes), np.random.default_rng(seed))
+        out = kernel.run(keys)
+        assert out.dtype == keys.dtype and out.shape == keys.shape
+        # == on floats: the sign of a zero is not preserved
+        assert np.array_equal(out, replay(dag, keys))
+        assert np.array_equal(out, _snake_sorted(dag, keys))
+
+    @pytest.mark.parametrize(
+        "key, layouts, forms_1, forms_256",
+        [
+            (
+                "k2-n2-r4-lattice",
+                ["node-major"] * 6,
+                [("sort",)] * 6,
+                [("network",)] * 6,
+            ),
+            (
+                "path-n4-r3-lattice",
+                ["row-major"] * 3 + ["node-major", "row-major"],
+                [("sort",)] * 3 + [(), ("sort",)],
+                [("sort",)] * 3 + [(), ("sort",)],
+            ),
+        ],
+        ids=["k2-n2-r4", "path-n4-r3"],
+    )
+    def test_forms_are_pinned(self, key, layouts, forms_1, forms_256, monkeypatch):
+        """The optimized kernels' layouts and slab forms at batch 1 and 256,
+        and that ``compute`` really runs the networks it reports."""
+        import repro.schedule.compiled as compiled
+
+        dag = _emit(next(c for c in DEFAULT_MATRIX if c.key == key))
+        kernel = compile_schedule(dag, optimize=True)
+        assert [step.layout for step in kernel.steps] == layouts
+        assert [step.forms(1) for step in kernel.steps] == forms_1
+        assert [step.forms(256) for step in kernel.steps] == forms_256
+        stages = []
+        real = compiled._exchange
+
+        def spy(lo, hi):
+            stages.append(lo.shape[0])
+            real(lo, hi)
+
+        monkeypatch.setattr(compiled, "_exchange", spy)
+        for batch, forms in ((1, forms_1), (256, forms_256)):
+            stages.clear()
+            keys = np.random.default_rng(batch).integers(0, 99, size=(batch, dag.num_nodes))
+            assert np.array_equal(kernel.run(keys), _snake_sorted(dag, keys))
+            networks = sum(form == "network" for step in forms for form in step)
+            comparator_layers = sum(
+                step.comparators[1] > step.comparators[0] for step in kernel.steps
+            )
+            # a width-4 network runs in three stages, each one exchange
+            assert len(stages) == 3 * networks + comparator_layers
+
+
+class TestKeyDomain:
+    """Only totally ordered keys reach the kernel: NaN, NaT, complex,
+    object and string keys raise :class:`KeyDomainError` on every kernel,
+    in both slab forms."""
+
+    @staticmethod
+    def _unordered(num_nodes: int, batch: int, rng: np.random.Generator):
+        times = rng.integers(0, 10**9, size=(batch, num_nodes)).astype("datetime64[s]")
+        times[-1, 3] = np.datetime64("NaT")
+        spans = times - np.datetime64(0, "s")
+        complex_keys = rng.normal(size=(batch, num_nodes)) + 0j
+        complex_keys[-1, 5] = complex(np.nan, 0.0)
+        floats = rng.normal(size=(batch, num_nodes))
+        floats[-1, 2] = np.nan
+        objects = rng.integers(0, 9, size=(batch, num_nodes)).astype(object)
+        strings = rng.integers(0, 9, size=(batch, num_nodes)).astype(str)
+        return {
+            "NaT": (times, "datetime64"),
+            "timedelta": (spans, "timedelta64"),
+            "complex NaN": (complex_keys, "complex128"),
+            "NaN": (floats, "NaN"),
+            "object": (objects, "object"),
+            "str": (strings, "<U"),
+        }
+
+    @pytest.mark.parametrize("batch", [1, 256])
+    @pytest.mark.parametrize("optimize", [False, True], ids=["raw", "optimized"])
+    @pytest.mark.parametrize("key", ["path-n3-r3-lattice", "k2-n2-r4-lattice"])
+    def test_unordered_keys_raise_a_typed_error(self, key, optimize, batch, rng):
+        from repro.observability.kernelprof import KernelProfiler
+        from repro.schedule import KeyDomainError
+
+        dag = _emit(next(c for c in DEFAULT_MATRIX if c.key == key))
+        kernel = compile_schedule(dag, optimize)
+        for name, (keys, words) in self._unordered(dag.num_nodes, batch, rng).items():
+            for state in (keys, keys[-1]):
+                with pytest.raises(KeyDomainError, match=words) as excinfo:
+                    kernel.run(state)
+                assert excinfo.value.cell == kernel.cell, name
+                with pytest.raises(KeyDomainError, match=words):
+                    KernelProfiler().run(kernel, state)
+
+    def test_the_allowlist(self):
+        from repro.schedule import KeyDomainError, check_keys
+
+        for dtype in ("bool", "int8", "int64", "uint8", "uint64", "float16", "float64"):
+            check_keys(np.array([0, 1, 1], dtype=dtype), "c")
+        check_keys(np.array([-np.inf, np.inf, -0.0]), "c")
+        for bad in (
+            np.array(["a"]),
+            np.array([b"a"]),
+            np.array([1 + 0j]),
+            np.array([1], dtype="datetime64[s]"),
+            np.array([1], dtype="timedelta64[s]"),
+            np.array([1], dtype=object),
+            np.zeros(1, dtype=[("a", "i8")]),
+        ):
+            with pytest.raises(KeyDomainError, match="only bool, integer and NaN-free float"):
+                check_keys(bad, "c")
+        assert issubclass(KeyDomainError, ValueError)

@@ -291,6 +291,34 @@ class TestSortService:
         (queue,) = _run(scenario()).values()
         assert queue["depth"] == 0 and queue["completed"] == 0
 
+    def test_keys_outside_the_key_domain_raise_a_typed_error(self, rng):
+        """NaT, complex NaN, object and string keys never reach a batch."""
+        from repro.schedule import KeyDomainError
+
+        times = rng.integers(0, 10**9, WIDTH).astype("datetime64[s]")
+        times[4] = np.datetime64("NaT")
+        complex_keys = rng.normal(size=WIDTH) + 0j
+        complex_keys[2] = complex(np.nan, 0.0)
+        unordered = [
+            times,
+            complex_keys,
+            rng.integers(0, 9, WIDTH).astype(object),
+            rng.integers(0, 9, WIDTH).astype(str),
+        ]
+
+        async def scenario():
+            async with SortService() as service:
+                for keys in unordered:
+                    with pytest.raises(KeyDomainError, match="only bool, integer") as excinfo:
+                        await service.submit(CELL, keys)
+                    assert excinfo.value.cell == "path(3)-n3-r3"
+                out = await service.submit(CELL, rng.integers(0, 9, WIDTH).astype(bool))
+                assert out.dtype == bool
+                return service.queues_snapshot()
+
+        (queue,) = _run(scenario()).values()
+        assert queue["depth"] == 0 and queue["completed"] == 1
+
     def test_overload_sheds_explicitly_without_deadlock(self, rng):
         """Arrival rate >> service rate: excess requests get Rejected with a
         counted reason; admitted requests still complete; nothing hangs."""
@@ -592,6 +620,20 @@ class TestHttpFrontend:
         assert "integers" in error and "1.7" in error
         body = json.dumps({"cell": CELL, "keys": [True] + list(range(WIDTH - 1))}).encode()
         assert self._post_error(live_server["url"], body)[0] == 400
+
+    def test_keys_outside_the_key_domain_are_a_typed_400(self, live_server):
+        for bad in ('"7"', "NaN", "1.5", "true", str(2**63)):
+            body = f'{{"cell": "{CELL}", "keys": [{bad}' + ", 0" * (WIDTH - 1) + "]}"
+            request = urllib.request.Request(
+                live_server["url"] + "/sort", data=body.encode(), method="POST"
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=10.0)
+            assert excinfo.value.code == 400
+            doc = json.loads(excinfo.value.read())
+            assert doc["reason"] == "key_domain" and doc["cell"] == CELL, bad
+        status, _ = self._post(live_server["url"], {"cell": CELL, "keys": list(range(WIDTH))})
+        assert status == 200
 
     def test_key_outside_int64_is_400_not_500(self, live_server):
         keys = [2**63] + list(range(WIDTH - 1))

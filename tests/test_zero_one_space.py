@@ -177,6 +177,58 @@ class TestZeroOneSpace:
         assert lint.stats["prefix_block_states"] == 4 * 2**16
         assert "states" not in lint.stats
 
+    @pytest.mark.parametrize("cell", DEFAULT_MATRIX, ids=CELL_IDS)
+    def test_a_lattice_prefix_is_live_without_block_simulation(self, cell, monkeypatch):
+        """A prefix that is one ascending snake-order sort per block is
+        recorded live outright; any other prefix is still simulated."""
+        import repro.schedule.activity as activity
+
+        widths = []
+        real = activity.exhaustive_zero_one_states
+
+        def spy(num_nodes):
+            widths.append(num_nodes)
+            return real(num_nodes)
+
+        monkeypatch.setattr(activity, "exhaustive_zero_one_states", spy)
+        dag = _emit(cell)
+        tracker = ActivityTracker(dag.rounds)
+        space = zero_one_space(dag, tracker)
+        if space.mode != "factored":
+            return
+        bs = dag.n * dag.n
+        assert space.prefix_block_states == 2**bs * (dag.num_nodes // bs)
+        prefix = [
+            (rd.index, i)
+            for rd in dag.rounds
+            if dag.phases[rd.phase].leaf == "initial-block-sorts"
+            for i in range(len(rd.block_sorts))
+        ]
+        assert all(tracker.block_sorts[key] for key in prefix)
+        assert (bs in widths) == (cell.backend != "lattice")
+
+    def test_an_over_budget_lattice_cell_refuses_without_states(self, monkeypatch):
+        """path-n5-r3 used to simulate all 2**25 inputs of each 25-node block
+        (about 5 GB) before the budget refused it."""
+        import repro.schedule.activity as activity
+
+        def refuse(num_nodes):
+            raise AssertionError(f"allocated the 2**{num_nodes} block space")
+
+        monkeypatch.setattr(activity, "exhaustive_zero_one_states", refuse)
+        dag = emit_schedule(path_graph(5), 3, backend="lattice")
+        lint = lint_zero_one(dag)
+        activity_result = analyze_zero_one_activity(dag)
+        reason = (
+            "suffix state space (N^2+1)^blocks = 11881376 exceeds the certification "
+            "budget 700000"
+        )
+        assert activity_result.mode == "unverifiable" and activity_result.reason == reason
+        assert [f.message for f in lint.findings] == [f"{reason} — unverifiable"]
+        assert lint.stats["prefix_block_states"] == 5 * 2**25
+        result = optimize_schedule(dag)
+        assert result.fell_back and result.optimized is dag
+
 
 _INPUT = re.compile(r"0-1 input (\[[01, ]*\])")
 
