@@ -216,15 +216,12 @@ def _section_topology(seed: int) -> str:
 
 
 def _section_bench(seed: int) -> str:
-    from ..observability.benchreg import DEFAULT_MATRIX, run_matrix
+    from ..observability.benchreg import DEFAULT_MATRIX, candidate_errors, run_matrix
 
     doc = run_matrix(DEFAULT_MATRIX, seed=seed, label="report")
     rows = []
-    all_ok = True
     for cell in doc["cells"]:
         m, conf = cell["metrics"], cell["conformance"]
-        ok = cell["sorted_ok"] and conf["ok"]
-        all_ok &= ok
         predicted = conf["model_total_rounds"]
         rows.append(
             [
@@ -234,17 +231,20 @@ def _section_bench(seed: int) -> str:
                 m["s2_calls"],
                 m["routing_calls"],
                 conf["vacuous_routing_spans"],
-                "ok" if ok else "FAILED",
+                "ok" if cell["sorted_ok"] and conf["ok"] else "FAILED",
             ]
         )
     table = format_markdown_table(
         ["cell", "rounds", "closed form", "S2 calls", "R calls", "vacuous R", "conformance"],
         rows,
     )
+    errors = candidate_errors(doc)
     verdict = (
-        "Every cell's critical path matches the Lemma 3 / Theorem 1 closed forms."
-        if all_ok
-        else "CONFORMANCE FAILURES FOUND."
+        "Every cell's critical path matches the Lemma 3 / Theorem 1 closed forms, "
+        "both compiled kernels sort, and the serving suite answers every request "
+        "correctly."
+        if not errors
+        else "FAILURES FOUND:\n\n" + "\n".join(f"- {err}" for err in errors)
     )
     return (
         "## Performance observatory — workload matrix conformance\n\n"

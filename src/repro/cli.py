@@ -315,59 +315,38 @@ def _cmd_worked_example(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_run(args: argparse.Namespace) -> int:
-    from .observability.benchreg import DEFAULT_MATRIX, bench_path, run_matrix, write_document
-
-    batch = args.batch if args.compiled else None
-    doc = run_matrix(
+    from .observability.benchreg import (
         DEFAULT_MATRIX,
-        seed=args.seed,
-        label=args.label,
-        compiled_batch=batch,
-        serving=args.serving,
+        bench_path,
+        candidate_errors,
+        run_matrix,
+        write_document,
     )
+
+    doc = run_matrix(DEFAULT_MATRIX, seed=args.seed, label=args.label)
     path = args.out if args.out else bench_path(args.label)
     write_document(doc, path)
-    bad = [
-        c["cell"]
-        for c in doc["cells"]
-        if not (c["sorted_ok"] and c["conformance"]["ok"]
-                and c.get("compiled", {}).get("matches", True))
-    ]
     print(f"wrote {path}: {len(doc['cells'])} cells, schema v{doc['schema_version']}")
     for cell in doc["cells"]:
-        m = cell["metrics"]
-        line = (
+        m, opt = cell["metrics"], cell["optimize"]
+        print(
             f"  {cell['cell']:<24} rounds={m['total_rounds']:>5}  "
             f"comparisons={m['comparisons']:>7}  spans={m['span_count']:>3}  "
-            f"wall={m['wall_time_s'] * 1e3:.1f}ms  "
-            f"conformance={'ok' if cell['conformance']['ok'] else 'FAILED'}"
+            f"conformance={'ok' if cell['conformance']['ok'] else 'FAILED'}  "
+            f"layers={opt['baseline_layers']}->{opt['layers']}  "
+            f"kernels={'ok' if opt['matches'] else 'WRONG'}"
         )
-        compiled = cell.get("compiled")
-        if compiled is not None:
-            line += (
-                f"  compiled={compiled['speedup']:.1f}x/"
-                f"{compiled['layers']}L(batch {compiled['batch']})"
-            )
-        print(line)
-    for scenario in doc.get("serving", {}).get("scenarios", []):
-        s, c = scenario["scenario"], scenario["counts"]
-        lat = scenario.get("latency_ms") or {}
-        slo = scenario.get("slo") or {}
-        pages = int(slo.get("page_alerts", 0)) if isinstance(slo, dict) else 0
-        slo_note = (
-            f"  slo={slo.get('max_severity_seen', 'ok')}({pages} pages)" if slo else ""
-        )
+    for scenario in doc["serving"]:
+        c = scenario["counts"]
         print(
-            f"  serving {s['key']:<32} completed={c['completed']}/{c['offered']}  "
+            f"  serving {scenario['key']:<32} completed={c['completed']}/{c['offered']}  "
             f"rejected={c['rejected']}  mismatches={c['mismatches']}  "
-            f"p99={lat.get('p99', float('nan')):.2f}ms{slo_note}"
+            f"slo={scenario['max_severity_seen']}({scenario['page_alerts']} pages)"
         )
-        if c["rejected"] or c["mismatches"] or c["errors"] or pages:
-            bad.append(f"serving:{s['key']}")
-    if bad:
-        print(f"CONFORMANCE FAILURES: {', '.join(bad)}", file=sys.stderr)
-        return 1
-    return 0
+    errors = candidate_errors(doc)
+    for err in errors:
+        print(f"ERROR: {err}", file=sys.stderr)
+    return 1 if errors else 0
 
 
 def _cmd_bench_compare(args: argparse.Namespace) -> int:
@@ -382,13 +361,7 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
     if args.candidate:
         candidate = load_document(args.candidate)
     else:
-        candidate = run_matrix(
-            DEFAULT_MATRIX,
-            seed=args.seed,
-            label="candidate",
-            compiled_batch=args.batch if args.compiled else None,
-            serving=args.serving,
-        )
+        candidate = run_matrix(DEFAULT_MATRIX, seed=args.seed, label="candidate")
     baseline_path = args.baseline or find_baseline(".", exclude=args.candidate)
     if baseline_path is None:
         print(
@@ -397,10 +370,7 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
         )
         return 2
     baseline = load_document(baseline_path)
-    thresholds = {}
-    if args.wall_threshold is not None:
-        thresholds["wall_time_s"] = args.wall_threshold
-    result = compare_documents(baseline, candidate, thresholds=thresholds)
+    result = compare_documents(baseline, candidate)
     if args.json:
         print(
             json.dumps(
@@ -898,20 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--label", type=str, default="local", help="snapshot label (file name suffix)")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", type=str, default=None, help="explicit output path (default BENCH_<label>.json in cwd)")
-    b.add_argument(
-        "--compiled",
-        action="store_true",
-        help="also benchmark the compiled batch kernel against the interpreted "
-        "lattice path on every lattice cell",
-    )
-    b.add_argument("--batch", type=int, default=256, help="batch size for --compiled")
-    b.add_argument(
-        "--serving",
-        action="store_true",
-        help="also run the canonical serving load-generation suite under the "
-        "flight recorder (schema v6 'serving' section; structural counts gated "
-        "at zero tolerance, page-severity SLO alerts fail the run)",
-    )
     b.set_defaults(func=_cmd_bench_run)
 
     b = bench_sub.add_parser(
@@ -921,24 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--baseline", type=str, default=None, help="baseline file (default: most recent BENCH_*.json)")
     b.add_argument("--candidate", type=str, default=None, help="candidate file (default: run the matrix now)")
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument(
-        "--wall-threshold",
-        type=float,
-        default=None,
-        help="also gate wall time, at this relative tolerance (e.g. 1.0 = 2x); off by default",
-    )
     b.add_argument("--json", action="store_true", help="machine-readable comparison")
-    b.add_argument(
-        "--compiled",
-        action="store_true",
-        help="when running the candidate matrix, include the compiled-kernel blocks",
-    )
-    b.add_argument("--batch", type=int, default=256, help="batch size for --compiled")
-    b.add_argument(
-        "--serving",
-        action="store_true",
-        help="when running the candidate matrix, include the serving suite",
-    )
     b.set_defaults(func=_cmd_bench_compare)
 
     b = bench_sub.add_parser(

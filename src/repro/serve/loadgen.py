@@ -38,8 +38,9 @@ Two observability layers ride along:
   the drive, an :class:`~repro.observability.slo.SLOEvaluator` with the
   default serving SLOs (windows scaled to the run duration) evaluates on
   every tick, and the final alert snapshot lands in the document's ``slo``
-  section — the part benchreg schema v6 gates (a page-severity alert
-  during a clean run fails the candidate).
+  section, whose worst severity and page-alert count benchreg's serving
+  section gates (a page-severity alert during a clean run fails the
+  candidate).
 
 Drive an in-process service (default) or a live HTTP endpoint via
 ``target=`` / ``repro loadgen --target URL`` (the CI serve-smoke path; with

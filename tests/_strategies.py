@@ -15,7 +15,20 @@ from repro.graphs import (
     star_graph,
 )
 
-__all__ = ["factor_graphs", "small_products", "key_arrays"]
+__all__ = [
+    "factor_graphs",
+    "small_products",
+    "key_arrays",
+    "ORDERED_DTYPES",
+    "UNORDERED_KINDS",
+    "dtype_keys",
+    "unordered_keys",
+]
+
+#: dtypes inside the kernel's key domain, sampled at their extremes
+ORDERED_DTYPES = ("int8", "int64", "uint64", "bool", "float64")
+#: keys outside it: every one must raise ``KeyDomainError``
+UNORDERED_KINDS = ("nan", "datetime64", "complex", "object")
 
 
 @st.composite
@@ -55,3 +68,40 @@ def key_arrays(draw, size: int, low: int = -100, high: int = 100) -> np.ndarray:
         st.lists(st.integers(low, high), min_size=size, max_size=size)
     )
     return np.array(values)
+
+
+def dtype_keys(dtype: str, shape, rng: np.random.Generator) -> np.ndarray:
+    """Random keys of one ordered dtype, heavy on its extremes and duplicates
+    (float64: ±inf, ±0.0, the largest and the smallest subnormal)."""
+    if dtype == "bool":
+        return rng.integers(0, 2, size=shape).astype(bool)
+    if dtype == "float64":
+        pool = np.array([np.inf, -np.inf, -0.0, 0.0, 1e308, -1e308, 5e-324, 1.5, -1.5])
+        return np.where(rng.random(shape) < 0.5, rng.choice(pool, shape), rng.normal(size=shape))
+    info = np.iinfo(dtype)
+    pool = np.array([info.min, info.max, info.min + 1, info.max - 1, 0], dtype=dtype)
+    noise = rng.integers(info.min, info.max, size=shape, dtype=dtype, endpoint=True)
+    return np.where(rng.random(shape) < 0.3, rng.choice(pool, shape), noise)
+
+
+def unordered_keys(kind: str, size: int, rng: np.random.Generator) -> np.ndarray:
+    """A key vector outside the key domain: float with NaN, datetime64 (NaT
+    sometimes), complex, or objects of mixed type."""
+    spot = rng.integers(0, size)
+    if kind == "nan":
+        keys = rng.normal(size=size)
+        keys[spot] = np.nan
+    elif kind == "datetime64":
+        keys = rng.integers(0, 10**9, size).astype("datetime64[s]")
+        if rng.random() < 0.5:
+            keys[spot] = np.datetime64("NaT")
+    elif kind == "complex":
+        keys = rng.normal(size=size) + 1j * rng.normal(size=size)
+        if rng.random() < 0.5:
+            keys[spot] = complex(np.nan, 0.0)
+    elif kind == "object":
+        keys = rng.integers(0, 9, size).astype(object)
+        keys[spot] = rng.choice(["7", None, 1.5])
+    else:
+        raise ValueError(f"unknown unordered key kind {kind!r}")
+    return keys

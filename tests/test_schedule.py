@@ -34,6 +34,7 @@ from repro.schedule import (
 )
 from repro.schedule.compiled import NETWORK_MIN_LANES
 from repro.staticcheck import emit_schedule
+from tests._strategies import ORDERED_DTYPES, dtype_keys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -257,19 +258,6 @@ def _mixed_dag(rounds_ops) -> ComparatorDAG:
 LOWERING_BATCHES = (1, 2, NETWORK_MIN_LANES // 4 - 1, NETWORK_MIN_LANES // 4, 256)
 
 
-def _keys(dtype: str, shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
-    """Random keys of one dtype, heavy on its extremes and duplicates."""
-    if dtype == "bool":
-        return rng.integers(0, 2, size=shape).astype(bool)
-    if dtype == "float64":
-        pool = np.array([np.inf, -np.inf, -0.0, 0.0, 1e308, -1e308, 5e-324, 1.5, -1.5])
-        return np.where(rng.random(shape) < 0.5, rng.choice(pool, shape), rng.normal(size=shape))
-    info = np.iinfo(dtype)
-    pool = np.array([info.min, info.max, info.min + 1, info.max - 1, 0], dtype=dtype)
-    noise = rng.integers(info.min, info.max, size=shape, dtype=dtype, endpoint=True)
-    return np.where(rng.random(shape) < 0.3, rng.choice(pool, shape), noise)
-
-
 class TestLowering:
     """The node-major/row-major lowering of :class:`CompiledSchedule` against
     the reference replay: on layers mixing every kind of operation, and on
@@ -364,14 +352,14 @@ class TestLowering:
     @pytest.mark.parametrize("cell", DEFAULT_MATRIX, ids=CELL_IDS)
     @given(
         batch=st.sampled_from(LOWERING_BATCHES),
-        dtype=st.sampled_from(["int8", "int64", "uint64", "bool", "float64"]),
+        dtype=st.sampled_from(ORDERED_DTYPES),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=12, deadline=None)
     def test_kernel_matches_replay(self, cell, optimize, batch, dtype, seed):
         dag = _emit(cell)
         kernel = compile_schedule(dag, optimize)
-        keys = _keys(dtype, (batch, dag.num_nodes), np.random.default_rng(seed))
+        keys = dtype_keys(dtype, (batch, dag.num_nodes), np.random.default_rng(seed))
         out = kernel.run(keys)
         assert out.dtype == keys.dtype and out.shape == keys.shape
         # == on floats: the sign of a zero is not preserved

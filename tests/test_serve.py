@@ -19,11 +19,14 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.observability.benchreg import DEFAULT_MATRIX
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import Tracer
-from repro.schedule import snake_order_nodes
+from repro.schedule import KeyDomainError, replay, snake_order_nodes
 from repro.serve import (
     ARRIVALS,
     MIXES,
@@ -36,6 +39,13 @@ from repro.serve import (
     default_scenarios,
     make_keys,
     run_loadgen,
+)
+from repro.staticcheck import emit_schedule
+from tests._strategies import (
+    ORDERED_DTYPES,
+    UNORDERED_KINDS,
+    dtype_keys,
+    unordered_keys,
 )
 
 CELL = "path-n3-r3"
@@ -50,6 +60,12 @@ def _expected(row: np.ndarray) -> np.ndarray:
 
 def _run(coro):
     return asyncio.run(coro)
+
+
+def _lattice_dag(cell: str):
+    """The emitted lattice schedule a service cell such as ``path-n3-r3`` runs."""
+    (spec,) = [c for c in DEFAULT_MATRIX if c.key == f"{cell}-lattice"]
+    return emit_schedule(spec.build_factor(), spec.r, backend="lattice")
 
 
 class TestServiceConfig:
@@ -702,6 +718,97 @@ class TestHttpFrontend:
         # service health fetched from the live /queues.json
         assert doc["service"]["path(3)-n3-r3"]["completed"] >= 30
         assert doc["config"] is None
+
+
+def _json_keys(keys: np.ndarray) -> list:
+    """How a client would put ``keys`` into a JSON body: datetimes as
+    strings, complex numbers as ``[re, im]`` pairs, the rest as they are
+    (float NaN and ±inf become the ``NaN``/``Infinity`` tokens)."""
+    if keys.dtype.kind == "M":
+        return [str(k) for k in keys]
+    if keys.dtype.kind == "c":
+        return [[k.real, k.imag] for k in keys.tolist()]
+    return keys.tolist()
+
+
+class TestKeyDomainProperties:
+    """Hypothesis over key dtypes at the service and HTTP boundaries: keys
+    in the domain sort exactly like :func:`~repro.schedule.replay` (floats
+    compared with ``==``: the sign of a zero is not preserved), everything
+    else is a typed :class:`~repro.schedule.KeyDomainError` — over HTTP a
+    400 with ``"reason": "key_domain"``."""
+
+    @given(
+        cell=st.sampled_from(("path-n3-r3", "k2-n2-r4")),
+        optimize=st.booleans(),
+        dtype=st.sampled_from(ORDERED_DTYPES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_submit_sorts_like_replay(self, cell, optimize, dtype, seed):
+        dag = _lattice_dag(cell)
+        keys = dtype_keys(dtype, (dag.num_nodes,), np.random.default_rng(seed))
+
+        async def scenario():
+            async with SortService(ServiceConfig(optimize=optimize)) as service:
+                return await service.submit(cell, keys)
+
+        out = _run(scenario())
+        assert out.dtype == keys.dtype
+        assert np.array_equal(out, replay(dag, keys))
+
+    @given(kind=st.sampled_from(UNORDERED_KINDS), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_submit_refuses_unordered_keys(self, kind, seed):
+        keys = unordered_keys(kind, WIDTH, np.random.default_rng(seed))
+
+        async def scenario():
+            async with SortService() as service:
+                with pytest.raises(KeyDomainError):
+                    await service.submit(CELL, keys)
+                return service.queues_snapshot()
+
+        # refused at submit: the keys never reach a batch
+        (queue,) = _run(scenario()).values()
+        assert (queue["depth"], queue["completed"], queue["errors"]) == (0, 0, 0)
+
+    @given(
+        kind=st.sampled_from(ORDERED_DTYPES + UNORDERED_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_post_sort_sorts_like_replay_or_is_a_typed_400(self, live_server, kind, seed):
+        """The front-end admits JSON integers within int64 only; a body with
+        anything else — bools, floats (even ±inf), uint64 keys above int64,
+        NaN, datetimes, complex pairs, mixed objects — is a typed 400."""
+        rng = np.random.default_rng(seed)
+        if kind in ORDERED_DTYPES:
+            keys = dtype_keys(kind, (WIDTH,), rng)
+        else:
+            keys = unordered_keys(kind, WIDTH, rng)
+        payload = _json_keys(keys)
+        request = urllib.request.Request(
+            live_server["url"] + "/sort",
+            data=json.dumps({"cell": CELL, "keys": payload}).encode(),
+            method="POST",
+        )
+        int64 = np.iinfo(np.int64)
+        if all(type(k) is int and int64.min <= k <= int64.max for k in payload):
+            with urllib.request.urlopen(request, timeout=10.0) as resp:
+                out = np.asarray(json.loads(resp.read())["keys"])
+            assert np.array_equal(
+                out, replay(_lattice_dag(CELL), np.asarray(payload, dtype=np.int64))
+            )
+        else:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=10.0)
+            assert excinfo.value.code == 400
+            doc = json.loads(excinfo.value.read())
+            assert doc["reason"] == "key_domain" and doc["cell"] == CELL
 
 
 class TestServeCli:

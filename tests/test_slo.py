@@ -6,7 +6,7 @@ ok → warning → page → resolved state machine with its tracer point events,
 the JSON-safe ``/alerts.json`` snapshot, :func:`default_serve_slos`, and —
 the acceptance path — a synthetic overload fault driving the availability
 SLO to page through a *real* service under loadgen, with the resulting
-``slo`` section failing a benchreg v6 candidate.
+``slo`` section failing a benchreg candidate.
 """
 
 from __future__ import annotations
@@ -288,7 +288,7 @@ class TestDefaultServeSlos:
 class TestAcceptanceSyntheticFault:
     """The ISSUE's acceptance path: a forced-shed overload drill drives the
     availability SLO ok → page (visible in the slo snapshot and on the
-    tracer bus), and the resulting document fails a benchreg v6 candidate."""
+    tracer bus), and the resulting document fails a benchreg candidate."""
 
     @pytest.fixture(scope="class")
     def fault_doc(self):
@@ -334,28 +334,18 @@ class TestAcceptanceSyntheticFault:
         assert total_events >= 1
 
     def test_benchreg_v6_candidate_fails_on_page_alerts(self, fault_doc):
+        """The page-alert gate (since benchreg v6) reads the projected
+        scenario record."""
         doc, _tracer = fault_doc
-        from repro.observability.benchreg import (
-            SCHEMA_VERSION,
-            ComparisonResult,
-            _compare_serving,
-        )
+        from repro.observability.benchreg import candidate_errors, scenario_record
 
-        # the serving page-alert gate landed in v6 and persists in later schemas
-        assert SCHEMA_VERSION >= 6
-        candidate = {
-            "schema_version": SCHEMA_VERSION,
-            "serving": {"scenarios": [doc]},
-        }
-        result = ComparisonResult(
-            baseline_label="base", candidate_label="cand",
-            deltas=[], errors=[], new_cells=[],
-        )
-        _compare_serving(result, {}, candidate, {})
-        assert any("page-severity" in e for e in result.errors)
+        record = scenario_record(doc)
+        assert record["page_alerts"] >= 1 and record["max_severity_seen"] == "page"
+        errors = candidate_errors({"cells": [], "serving": [record]})
+        assert any("page-severity" in e for e in errors)
 
     def test_clean_run_passes_the_v6_gate(self):
-        from repro.observability.benchreg import ComparisonResult, _compare_serving
+        from repro.observability.benchreg import candidate_errors, scenario_record
         from repro.serve import LoadScenario, ServiceConfig, run_loadgen
 
         doc = run_loadgen(
@@ -364,10 +354,4 @@ class TestAcceptanceSyntheticFault:
             slo=True,
         )
         assert doc["slo"]["page_alerts"] == 0
-        candidate = {"schema_version": 6, "serving": {"scenarios": [doc]}}
-        result = ComparisonResult(
-            baseline_label="base", candidate_label="cand",
-            deltas=[], errors=[], new_cells=[],
-        )
-        _compare_serving(result, {}, candidate, {})
-        assert result.errors == []
+        assert candidate_errors({"cells": [], "serving": [scenario_record(doc)]}) == []
