@@ -441,8 +441,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     ]
     lints = tuple(selected) if selected else LINT_NAMES
     try:
-        run = run_check(lints=lints, only=args.cell, seed=args.seed,
-                        compiled=args.compiled, optimize=args.optimize)
+        run = run_check(lints=lints, only=args.cell, seed=args.seed, compiled=args.compiled)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -453,8 +452,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     else:
         print(render_check(run, verbose=args.verbose))
         print(f"\nstatic check: {'ok' if run.ok else 'FAILED'} "
-              f"({len(run.cells)} cells, lints: {', '.join(lints)}"
-              f"{', optimizer' if args.optimize else ''}"
+              f"({len(run.cells)} cells, lints: {', '.join(lints)}, optimizer"
               f"{', mutant harness' if run.mutants else ''})")
     return run.exit_code
 
@@ -464,8 +462,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     batches = tuple(args.batch) if args.batch else (1, 16, 256)
     try:
-        doc = profile_cell(args.cell, batches=batches, runs=args.runs, seed=args.seed,
-                           optimize=args.optimize)
+        doc = profile_cell(args.cell, batches=batches, runs=args.runs, seed=args.seed)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -524,7 +521,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
             max_queue_depth=args.max_queue_depth,
             deadline_ms=args.deadline_ms,
-            optimize=args.optimize,
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -539,6 +535,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 print(str(exc), file=sys.stderr)
                 return 2
+            await asyncio.sleep(0)  # the prewarmed cells tier up before connections
             store = None
             extra_handlers = None
             if args.slo:
@@ -896,8 +893,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check",
-        help="static schedule verifier: comparator-DAG extraction + lints "
-        "over the benchreg workload matrix",
+        help="static schedule verifier: comparator-DAG extraction + lints + "
+        "certified optimizer (with its fault harness) over the benchreg workload matrix",
     )
     p.add_argument("--zero-one", action="store_true", help="zero-one certification (Lemmas 1-2)")
     p.add_argument("--races", action="store_true", help="synchronous-round race detector")
@@ -914,13 +911,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also require the compiled batch kernel to match the reference replay",
     )
     p.add_argument(
-        "--optimize",
-        action="store_true",
-        help="run the certified optimizer pipeline per cell (per-pass deltas + "
-        "certificates + translation validation) and the seeded optimizer-fault "
-        "harness",
-    )
-    p.add_argument(
         "--cell",
         action="append",
         default=None,
@@ -934,7 +924,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "profile",
-        help="per-layer compiled-kernel profile of one benchreg cell (batch sweep)",
+        help="per-layer certified-kernel profile of one benchreg cell (batch sweep)",
     )
     p.add_argument(
         "--cell",
@@ -951,11 +941,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="batch size to sweep (repeatable; default 1 16 256)",
     )
     p.add_argument("--runs", type=int, default=5, help="profiled runs per batch size")
-    p.add_argument(
-        "--optimize",
-        action="store_true",
-        help="profile the certified optimizer's output instead of the raw schedule",
-    )
     p.add_argument("--json", action="store_true", help="machine-readable profile document")
     p.add_argument(
         "--chrome",
@@ -1012,9 +997,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admission bound per queue; excess load is shed with 503")
     p.add_argument("--deadline-ms", type=float, default=None,
                    help="latency SLO; completions past it count deadline misses")
-    p.add_argument("--optimize", action="store_true",
-                   help="serve with certified-optimizer kernels (falls back to the "
-                   "unoptimized schedule per cell if a certificate fails)")
     p.add_argument("--slo", action="store_true",
                    help="install the flight recorder: background tsdb sampler + "
                    "default serving SLOs with burn-rate alerting, mounting "

@@ -25,9 +25,9 @@ Since the schedule refactor the recursion above is primarily the *traced*
 executor.  The untraced path runs the network's emitted
 :class:`~repro.schedule.ir.ComparatorDAG` instead
 (:meth:`ProductNetworkSorter.schedule` →
-:func:`repro.schedule.compiled.compile_schedule`): the same layer-packed
+:func:`repro.schedule.compiled.compile_schedule`): the same certified
 kernel batch workloads and the sort service use, one cached kernel per
-geometry cell, with the ledger synthesized from the phase list.
+geometry cell, with the ledger synthesized from the emitted phase list.
 
 Because the driver only pays for what it executes, the measured ledger
 reproduces Lemma 3 and Theorem 1 *structurally*: ``(r-1)**2`` two-dimensional

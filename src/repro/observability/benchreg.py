@@ -263,7 +263,7 @@ def _optimize_record(
     truth.
     """
     from ..graphs.product import ProductGraph
-    from ..schedule import compile_schedule, optimize_schedule, snake_order_nodes
+    from ..schedule import CompiledSchedule, compile_schedule, optimize_schedule, snake_order_nodes
 
     dag = sorter.schedule()
     result = optimize_schedule(
@@ -275,8 +275,8 @@ def _optimize_record(
         seed=seed,
     )
     opt = result.optimized
-    baseline_kernel = compile_schedule(dag)
-    optimized_kernel = compile_schedule(dag, optimize=True)
+    baseline_kernel = CompiledSchedule(dag)
+    optimized_kernel = compile_schedule(dag)
     keys = rng.integers(0, 2**31, size=(KERNEL_CHECK_BATCH, dag.num_nodes))
     expected = np.empty_like(keys)
     expected[:, snake_order_nodes(dag.n, dag.r)] = np.sort(keys, axis=1)

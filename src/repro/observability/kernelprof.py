@@ -450,13 +450,12 @@ def profile_cell(
     runs: int = 5,
     seed: int = 0,
     profiler: KernelProfiler | None = None,
-    optimize: bool = False,
 ) -> dict[str, Any]:
-    """Profile one benchreg cell's kernel across a batch-size sweep.
+    """Profile one benchreg cell's served kernel across a batch-size sweep.
 
-    ``optimize=True`` profiles the certified optimizer's output instead of
-    the raw emitted schedule (still verified against the snake ground
-    truth); the document records both hashes so the win is attributable.
+    The kernel is :func:`~repro.schedule.compile_schedule`'s certified
+    kernel; the document records the emitted and the executed schedule
+    hashes, so the optimizer's share is attributable.
 
     The kernel is profiled ``runs`` times per batch size; every profiled
     output is checked against the snake-order ground truth, so reported
@@ -478,7 +477,7 @@ def profile_cell(
     prof = profiler if profiler is not None else KernelProfiler()
     rng = np.random.default_rng(seed)
     snake = snake_order_nodes(dag.n, dag.r)
-    kernel = compile_schedule(dag, optimize=optimize)
+    kernel = compile_schedule(dag)
     doc: dict[str, Any] = {
         "cell": cell.key,
         "factor": dag.factor,
@@ -486,15 +485,13 @@ def profile_cell(
         "r": dag.r,
         "num_nodes": dag.num_nodes,
         "schedule_hash": dag.schedule_hash(),
-        "optimize": optimize,
+        "optimized_schedule_hash": kernel.schedule_hash,
         "seed": seed,
         "runs": runs,
         "layers": kernel.num_layers,
         "ops": sum(layer.op_count for layer in kernel.layers),
         "batches": [],
     }
-    if optimize:
-        doc["optimized_schedule_hash"] = kernel.schedule_hash
     for batch in batches:
         keys = rng.integers(0, 2**31, size=(int(batch), dag.num_nodes))
         kernel.run(keys)  # warm-up: first-touch allocations, caches

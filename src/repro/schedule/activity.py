@@ -32,6 +32,7 @@ row per node and one column per input.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -59,24 +60,24 @@ class ActivityTracker:
     Keys are ``(round_index, op_index)`` pairs into the round's comparator
     and block-sort tuples respectively; a value of ``True`` means the
     operation exchanged/permuted keys on at least one simulated input.
+    Only moves are stored: a refused 0-1 space builds no per-op table.
     """
 
-    __slots__ = ("comparators", "block_sorts")
+    __slots__ = ("_rounds", "comparators", "block_sorts")
 
     def __init__(self, rounds: Iterable[ScheduleRound]) -> None:
-        rounds = list(rounds)
-        self.comparators = {
-            (rd.index, i): False for rd in rounds for i in range(len(rd.comparators))
-        }
-        self.block_sorts = {
-            (rd.index, i): False for rd in rounds for i in range(len(rd.block_sorts))
-        }
+        self._rounds = rounds
+        self.comparators: defaultdict[tuple[int, int], bool] = defaultdict(bool)
+        self.block_sorts: defaultdict[tuple[int, int], bool] = defaultdict(bool)
 
     def dead(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """``(dead_comparators, dead_block_sorts)`` as sorted key lists."""
+        rounds = sorted(self._rounds, key=lambda rd: rd.index)
+        cmp = [(rd.index, i) for rd in rounds for i in range(len(rd.comparators))]
+        blk = [(rd.index, i) for rd in rounds for i in range(len(rd.block_sorts))]
         return (
-            sorted(k for k, live in self.comparators.items() if not live),
-            sorted(k for k, live in self.block_sorts.items() if not live),
+            [key for key in cmp if not self.comparators.get(key)],
+            [key for key in blk if not self.block_sorts.get(key)],
         )
 
 
@@ -233,8 +234,9 @@ def zero_one_space(
     activity in ``tracker``), then seeds one column per combination of
     per-block zero counts for the suffix.  A block whose prefix is a single
     ascending sort of the block in local snake order needs no simulation:
-    it is recorded live and sorted outright, so over-budget lattice cells
-    refuse without allocating any state space.
+    it is recorded live and sorted outright.  The suffix budget and the
+    per-block prefix budget (``2**(N**2)`` states) are both checked against
+    ``max_states`` before any state is allocated.
     """
     n, r, num_nodes = dag.n, dag.r, dag.num_nodes
     if num_nodes <= max_exhaustive_nodes:
@@ -286,6 +288,18 @@ def zero_one_space(
                 )
             per_block_ops[owners.pop()].setdefault(rd.index, (set(), set()))[1].add(i)
 
+    # both budgets before any state is allocated: the suffix space (a power when
+    # too long to print, like the 16-cube's 5^16384) and a simulated prefix block
+    space.prefix_block_states = (1 << bs) * nblocks
+    total = (bs + 1) ** nblocks
+    if total > max_states:
+        return refuse(
+            f"suffix state space (N^2+1)^blocks = "
+            f"{total if total < 10**18 else f'{bs + 1}^{nblocks}'} exceeds the "
+            f"certification budget {max_states}",
+            "unverifiable",
+        )
+
     # verify the prefix sorts each block, exhaustively over the block —
     # unless the prefix is one ascending sort of exactly the block's nodes
     # in local snake order (every lattice cell): that sorts the block and
@@ -303,6 +317,12 @@ def zero_one_space(
                     tracker.block_sorts[(index, i)] = True
                     continue
         if block_states is None:
+            if 1 << bs > max_states:
+                return refuse(
+                    f"prefix state space 2^(N^2) = {1 << bs} per PG_2 block exceeds "
+                    f"the certification budget {max_states}",
+                    "unverifiable",
+                )
             block_states = exhaustive_zero_one_states(bs)
         states = block_states.copy()
         for rd in prefix:
@@ -316,16 +336,8 @@ def zero_one_space(
                 f"{_bits(int(np.argmax(~sorted_cols)), bs)}"
             )
             break
-    space.prefix_block_states = (1 << bs) * nblocks
 
     # suffix: every combination of per-block zero counts
-    total = (bs + 1) ** nblocks
-    if total > max_states:
-        return refuse(
-            f"suffix state space (N^2+1)^blocks = {total} exceeds the "
-            f"certification budget {max_states}",
-            "unverifiable",
-        )
     space.count_shape = (bs + 1,) * nblocks
     space.block_snake_pos = np.empty(bs, dtype=np.int16)
     space.block_snake_pos[snake2] = np.arange(bs)

@@ -49,10 +49,11 @@ independent reference it is checked against.  Its keys must be totally
 ordered (:func:`check_keys`): a network's ``minimum``/``maximum`` would
 duplicate an unordered key where ``sort`` moves it last.
 
-Kernels are cached by ``(hash, optimize)``, where ``hash`` is the canonical
-SHA-256 schedule hash of the DAG handed in (see
-:meth:`ComparatorDAG.schedule_hash`): two cells with byte-identical
-schedules — however they were emitted — share one compiled artifact.
+:func:`compile_schedule` lowers the certified optimizer's output (the DAG
+handed in when a certificate fails) and caches it by the canonical SHA-256
+hash of that DAG alone (see :meth:`ComparatorDAG.schedule_hash`): two cells
+with byte-identical schedules share one compiled artifact.
+``CompiledSchedule(dag)`` is the raw kernel, uncached.
 """
 
 from __future__ import annotations
@@ -238,20 +239,13 @@ class CompiledSchedule:
     node order.
     """
 
-    def __init__(
-        self,
-        dag: ComparatorDAG,
-        schedule_hash: str | None = None,
-        source_hash: str | None = None,
-    ) -> None:
+    def __init__(self, dag: ComparatorDAG, source: ComparatorDAG | None = None) -> None:
         self.num_nodes = dag.num_nodes
-        # the canonical SHA-256 is expensive enough to compute exactly once:
-        # compile_schedule passes the hash it already derived the cache key from
-        self.schedule_hash = schedule_hash if schedule_hash is not None else dag.schedule_hash()
-        #: hash of the schedule this kernel was derived *from* — differs from
-        #: ``schedule_hash`` only for optimizer-produced kernels, where it
-        #: names the original emitted schedule
-        self.source_hash = source_hash if source_hash is not None else self.schedule_hash
+        #: the schedule this kernel executes
+        self.dag = dag
+        #: the emitted schedule a certified kernel was optimized from; ``None``
+        #: for a raw kernel, which executes the DAG it was built from
+        self.source = source
         #: benchreg-style label for profiler metrics (family-n-r, no backend:
         #: the kernel is backend-agnostic once emitted)
         self.cell = f"{dag.factor}-n{dag.n}-r{dag.r}"
@@ -344,6 +338,20 @@ class CompiledSchedule:
     def num_layers(self) -> int:
         return len(self.layers)
 
+    @property
+    def certified(self) -> bool:
+        return self.source is not None
+
+    @property
+    def schedule_hash(self) -> str:
+        """The executed schedule's hash, derived on first use."""
+        return self.dag.schedule_hash()
+
+    @property
+    def source_hash(self) -> str:
+        """The hash of the DAG the kernel was compiled from (the cache key)."""
+        return (self.source or self.dag).schedule_hash()
+
     def rows(self, state: Any) -> tuple[np.ndarray, bool]:
         """Validate ``state`` as a ``(batch, num_nodes)`` view (no copy).
 
@@ -402,7 +410,7 @@ class CompiledSchedule:
 
 
 _KERNEL_LOCK = threading.Lock()
-_KERNELS: dict[tuple[str, bool], CompiledSchedule] = {}
+_KERNELS: dict[str, CompiledSchedule] = {}
 
 #: hit/miss/compile-time accounting for the kernel cache (see
 #: :mod:`repro.observability.cachestats`)
@@ -431,37 +439,34 @@ def get_profiler() -> "KernelProfiler | None":
     return _PROFILER
 
 
-def compile_schedule(dag: ComparatorDAG, optimize: bool = False) -> CompiledSchedule:
-    """Compile (or fetch from the hash-keyed cache) a DAG's batch kernel.
+def compile_schedule(dag: ComparatorDAG, *, optimize: bool = True) -> CompiledSchedule:
+    """Compile (or fetch from the hash-keyed cache) a DAG's certified kernel.
 
-    ``optimize=True`` first runs the certified optimizer pipeline
+    Runs the certified optimizer pipeline
     (:func:`repro.schedule.optimize.optimize_schedule`, itself memoised by
-    the original hash) and compiles the validated optimized schedule; the
-    kernel then carries both hashes — ``source_hash`` names the original
-    emitted schedule (also the cache key), ``schedule_hash`` the optimized
-    one actually executed.  A failed certificate or validation falls back
-    to compiling the unoptimized schedule.
+    the source hash) and compiles the validated optimized schedule.  A
+    failed certificate or validation falls back to the raw kernel of
+    ``dag``.  ``optimize`` accepts only ``True``, for callers written when
+    it was a choice.
     """
-    schedule_hash = dag.schedule_hash()
-    key = (schedule_hash, optimize)
+    if optimize is not True:
+        raise TypeError(f"optimize={optimize!r}: the raw kernel is CompiledSchedule(dag)")
+    source_hash = dag.schedule_hash()
     with _KERNEL_LOCK:
-        kernel = _KERNELS.get(key)
+        kernel = _KERNELS.get(source_hash)
     if kernel is not None:
         KERNEL_CACHE_STATS.record_hit()
         return kernel
     # build outside the lock (compilation is pure); a racing thread may
     # build the same kernel, in which case setdefault keeps the first one
     t0 = perf_counter()
-    target, target_hash = dag, schedule_hash
-    if optimize:
-        from .optimize import optimize_schedule
+    from .optimize import optimize_schedule
 
-        result = optimize_schedule(dag)
-        target, target_hash = result.optimized, result.optimized_hash
-    built = CompiledSchedule(target, schedule_hash=target_hash, source_hash=schedule_hash)
+    result = optimize_schedule(dag)
+    built = CompiledSchedule(result.optimized, source=None if result.fell_back else dag)
     KERNEL_CACHE_STATS.record_miss(perf_counter() - t0)
     with _KERNEL_LOCK:
-        return _KERNELS.setdefault(key, built)
+        return _KERNELS.setdefault(source_hash, built)
 
 
 def clear_kernel_cache() -> None:

@@ -220,9 +220,12 @@ class ComparatorDAG:
 
         Emitting the schedule and recording a live run of the same configured
         sort must produce the same hash regardless of the key values.
+        Memoised per instance: the DAG is immutable.
         """
-        blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        if "_schedule_hash" not in self.__dict__:
+            blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
+            object.__setattr__(self, "_schedule_hash", hashlib.sha256(blob.encode()).hexdigest())
+        return self.__dict__["_schedule_hash"]
 
     def describe(self) -> str:
         return (

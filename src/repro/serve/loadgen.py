@@ -377,8 +377,8 @@ def run_loadgen(
     """Run one scenario to completion and return its result document.
 
     Without ``target`` an in-process :class:`SortService` is created (with
-    ``config`` / ``registry`` / ``tracer`` passed through) and drained before
-    the document is built; the ``server_latency_ms`` section always compares
+    ``config`` / ``registry`` / ``tracer`` passed through), prewarmed and
+    drained before the document is built; the ``server_latency_ms`` section always compares
     the service's own latency histograms against the client view.  With
     ``target`` (an ``http://host:port`` base URL) requests POST to a live
     ``/sort`` endpoint instead, and the ``service`` section comes from its
@@ -460,6 +460,9 @@ def run_loadgen(
         async with SortService(
             service_config, registry=metrics_registry, tracer=tracer
         ) as service:
+            # the tier-up runs before the first arrival, not inside a request
+            service.prewarm(scenario.cell)
+            await asyncio.sleep(0)
             result = await _drive(service.submit, scenario, keys, expected, offsets)
             await service.drain()
             return result, service.queues_snapshot()

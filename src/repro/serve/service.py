@@ -25,6 +25,10 @@ Mechanics, per cell queue:
   outstanding requests; excess load is shed with an explicit
   :class:`Rejected` (the HTTP front-end maps it to ``503``), never silently
   dropped, and every shed request is counted;
+* **tiered kernels** — a new cell answers at once from the raw kernel of
+  its emitted schedule; one loop callback then swaps in the certified
+  kernel (:func:`~repro.schedule.compiled.compile_schedule`) between
+  flushes, unless its certificate fails;
 * **kernel execution stays on the event loop** — one compiled pass over the
   canonical cells is tens of microseconds, far below the cost of a thread
   handoff, and it keeps the ``kind="serve"`` span discipline trivially
@@ -59,26 +63,30 @@ metric                                      type       meaning
 
 With a :class:`~repro.observability.tracer.Tracer` attached, every flush
 publishes a ``serve-flush`` span (batch size, occupancy, oldest wait)
-wrapping a ``serve-kernel`` span around the compiled pass, and every arrival
-/ rejection is a point event — so a Chrome export shows the request
-lifecycle next to the compiled layers.  See ``docs/serving.md``.
+wrapping a ``serve-kernel`` span around the compiled pass, every tier-up a
+``serve-tier-up`` span, and every arrival / rejection is a point event — so
+a Chrome export shows the request lifecycle next to the compiled layers.
+See ``docs/serving.md``.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from contextvars import Context
+from dataclasses import asdict, dataclass, field
 from math import isnan
+from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from ..observability.metrics import MetricsRegistry
-from ..schedule.compiled import check_keys
+from ..observability.tracer import NULL_TRACER
+from ..schedule.compiled import CompiledSchedule, check_keys
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..observability.tracer import Tracer
-    from ..schedule.compiled import CompiledSchedule
+    from ..schedule.ir import ComparatorDAG
 
 __all__ = [
     "OCCUPANCY_BUCKETS",
@@ -143,10 +151,6 @@ class ServiceConfig:
     #: artificial per-flush service time — the overload / backpressure drill
     #: knob used by tests and the load generator, never on by default
     flush_penalty_s: float = 0.0
-    #: run the certified schedule optimizer before compiling each cell's
-    #: kernel (see :mod:`repro.schedule.optimize`); a failed certificate
-    #: falls back to the unoptimized schedule, so serving stays correct
-    optimize: bool = False
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -159,13 +163,7 @@ class ServiceConfig:
             raise ValueError("flush_penalty_s must be >= 0")
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "max_batch": self.max_batch,
-            "max_queue_depth": self.max_queue_depth,
-            "deadline_ms": self.deadline_ms,
-            "flush_penalty_s": self.flush_penalty_s,
-            "optimize": self.optimize,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -182,26 +180,13 @@ class _CellQueue:
     """Per-cell state: the compiled kernel, its queue and its flusher."""
 
     key: str
+    #: raw until the tier-up swaps in the certified kernel
     kernel: "CompiledSchedule"
     queue: "asyncio.Queue[_Request]"
     depth: int = 0
     flusher: "asyncio.Task[None] | None" = field(default=None, repr=False)
-
-
-def _resolve_kernel(cell_key: str, optimize: bool = False) -> "CompiledSchedule":
-    """Emit (cached) and compile (cached) the kernel behind a cell name.
-
-    ``optimize=True`` serves the certified optimized schedule instead (both
-    hashes stay visible on the kernel: ``source_hash`` names the emitted
-    schedule, ``schedule_hash`` the optimized one actually executed).
-    """
-    from ..observability.kernelprof import resolve_profile_cell
-    from ..schedule import compile_schedule
-    from ..staticcheck import emit_schedule
-
-    cell = resolve_profile_cell(cell_key)
-    dag = emit_schedule(cell.build_factor(), cell.r, backend=cell.backend)
-    return compile_schedule(dag, optimize=optimize)
+    #: the scheduled tier-up, until it runs or is cancelled
+    tier_up: "asyncio.Handle | None" = field(default=None, repr=False)
 
 
 class SortService:
@@ -269,14 +254,21 @@ class SortService:
     # -- queue management ------------------------------------------------
 
     def prewarm(self, cell_key: str) -> str:
-        """Build the cell's queue and kernel up front; returns the canonical
-        cell label.  Must run on the service's event loop."""
+        """Build the cell's queue and raw kernel up front (the certified one
+        replaces it when the loop next turns); returns the canonical cell
+        label.  Must run on the service's event loop."""
         return self._get_queue(cell_key).key
 
     def _get_queue(self, cell_key: str) -> _CellQueue:
+        """The cell's queue; created on first use with the raw kernel and a tier-up."""
         queue = self._queues.get(cell_key)
         if queue is None:
-            kernel = _resolve_kernel(cell_key, optimize=self.config.optimize)
+            from ..observability.kernelprof import resolve_profile_cell
+            from ..staticcheck import emit_schedule
+
+            cell = resolve_profile_cell(cell_key)
+            dag = emit_schedule(cell.build_factor(), cell.r, backend=cell.backend)
+            kernel = CompiledSchedule(dag)
             # canonical label (family-nN-rR); alias both spellings so a
             # second resolve of either name finds the same queue
             queue = self._queues.get(kernel.cell)
@@ -284,8 +276,31 @@ class SortService:
                 queue = _CellQueue(key=kernel.cell, kernel=kernel, queue=asyncio.Queue())
                 self._queues[kernel.cell] = queue
                 self._queue_depth.set(0, cell=queue.key)
+                # a fresh context: the tier-up is no caller's span or request
+                queue.tier_up = asyncio.get_running_loop().call_soon(
+                    self._tier_up, queue, dag, context=Context()
+                )
             self._queues.setdefault(cell_key, queue)
         return queue
+
+    def _tier_up(self, queue: _CellQueue, dag: "ComparatorDAG") -> None:
+        """Loop callback: swap in the certified kernel between two flushes, unless
+        it fell back to the raw one or the service has closed."""
+        from ..schedule import compile_schedule
+
+        queue.tier_up = None
+        if self._closed:
+            return
+        tracer = self.tracer if self.tracer is not None else NULL_TRACER
+        with tracer.span("serve-tier-up", kind="serve", cell=queue.key) as span:
+            t0 = perf_counter()
+            dag.schedule_hash()  # the emitted schedule's one hash, timed apart
+            hash_s = perf_counter() - t0
+            kernel = compile_schedule(dag)
+            if kernel.certified:
+                queue.kernel = kernel
+            span.set(seconds=perf_counter() - t0, hash_s=hash_s, fell_back=not kernel.certified,
+                     schedule_hash=queue.kernel.schedule_hash)
 
     def _ensure_flusher(self, queue: _CellQueue) -> None:
         if queue.flusher is None or queue.flusher.done():
@@ -429,8 +444,12 @@ class SortService:
             await asyncio.sleep(0.001)
 
     async def aclose(self) -> None:
-        """Graceful shutdown: stop admitting, flush the backlog, stop flushers."""
+        """Graceful shutdown: stop admitting, cancel pending tier-ups, flush
+        the backlog, stop flushers."""
         self._closed = True
+        for queue in self._queues.values():
+            if queue.tier_up is not None:
+                queue.tier_up.cancel()
         await self.drain()
         tasks = {q.flusher for q in self._queues.values() if q.flusher is not None}
         for task in tasks:
@@ -467,13 +486,14 @@ class SortService:
         return True, "ok"
 
     def queues_snapshot(self) -> dict[str, Any]:
-        """JSON-safe per-queue health: depths, outcomes, latency quantiles.
+        """JSON-safe per-queue health: kernel, depths, outcomes, latency quantiles.
 
         The document behind ``GET /queues.json`` and the ``repro report``
         serving table; quantiles with no observations come back as ``None``
         (never NaN, which strict JSON parsers refuse).  Both the end-to-end
         request latency and the queue-wait component get p50/p99 — the
-        spread between them is the flush (kernel) time.
+        spread between them is the flush (kernel) time.  ``schedule_hash``
+        names the executed schedule, ``certified`` whether it is the tier-up's.
         """
 
         def _q(hist: Any, q: float, cell: str) -> float | None:
@@ -483,9 +503,12 @@ class SortService:
         out: dict[str, Any] = {}
         for key in self.cells:
             occupancy = self._occupancy.snapshot_series(cell=key)
+            queue = self._queues[key]
             out[key] = {
                 "cell": key,
-                "depth": int(self._queues[key].depth),
+                "schedule_hash": queue.kernel.schedule_hash,
+                "certified": queue.kernel.certified,
+                "depth": int(queue.depth),
                 "peak_depth": int(self._queue_peak.value(cell=key)),
                 "batches": int(self._batches.value(cell=key)),
                 "completed": int(self._requests.value(cell=key, outcome="completed")),

@@ -3,8 +3,9 @@
 :func:`run_check` is what ``repro check`` executes: for every matrix cell it
 emits the schedule once and cross-checks the real backend against it under
 adversarial key assignments (obliviousness certificate), then runs the
-requested lints over the certified DAG; ``compiled=True`` additionally
-requires the compiled batch kernel to agree with the reference replay.  Lattice
+requested lints and the certified optimizer over the certified DAG;
+``compiled=True`` additionally requires the served batch kernel to agree
+with the reference replay.  Lattice
 cells additionally pin the depth lint to the analytic per-call round models,
 so conformance is checked against the exact published ``S_r(N)`` — the same
 convention the dynamic critical-path conformance uses.
@@ -25,7 +26,7 @@ import numpy as np
 
 from ..observability.benchreg import DEFAULT_MATRIX, WorkloadCell
 from ..graphs.product import ProductGraph
-from ..schedule import compile_schedule, replay
+from ..schedule import CompiledSchedule, compile_schedule, replay
 from ..schedule.optimize import OptimizationResult, optimize_schedule
 from .extract import ObliviousnessCertificate, adversarial_key_sets, certify_oblivious
 from .lints import LINT_NAMES, VerificationReport, verify_dag
@@ -78,27 +79,21 @@ class CellCheck:
     cell: WorkloadCell
     certificate: ObliviousnessCertificate
     report: VerificationReport | None
+    #: the certified optimizer pipeline's outcome
+    optimize: OptimizationResult
     #: compiled-kernel equivalence verdict (None when not requested)
     compiled_ok: bool | None = None
-    #: the certified optimizer pipeline's outcome (None when not requested)
-    optimize: OptimizationResult | None = None
 
     @property
     def ok(self) -> bool:
-        if not self.certificate.ok:
-            return False
-        if self.compiled_ok is False:
-            return False
-        if self.optimize is not None and not self.optimize.ok:
-            return False
-        return self.report is None or self.report.ok
+        return not self.failed
 
     @property
     def failed(self) -> list[str]:
         out = [] if self.certificate.ok else ["oblivious"]
         if self.compiled_ok is False:
             out.append("compiled")
-        if self.optimize is not None and not self.optimize.ok:
+        if not self.optimize.ok:
             out.append("optimize")
         if self.report is not None:
             out.extend(self.report.failed_lints)
@@ -124,8 +119,7 @@ class CellCheck:
         }
         if self.compiled_ok is not None:
             payload["compiled"] = {"ok": self.compiled_ok}
-        if self.optimize is not None:
-            payload["optimize"] = self.optimize.to_json()
+        payload["optimize"] = self.optimize.to_json()
         if self.report is not None:
             payload["lints"] = {
                 name: {
@@ -212,11 +206,12 @@ def _select_cells(
 
 
 def _check_compiled(certificate: ObliviousnessCertificate, seed: int) -> bool:
-    """The compiled batch kernel must agree with the reference replay.
+    """The served batch kernel must agree with the reference replay.
 
     Runs the whole adversarial key battery as one ``(batch, N^r)`` array
-    through the packed kernel and compares it row for row against
-    :func:`~repro.schedule.replay` of the same DAG.
+    through the certified kernel (:func:`~repro.schedule.compile_schedule`)
+    and compares it row for row against :func:`~repro.schedule.replay` of
+    the emitted DAG.
     """
     dag = certificate.dag
     batch = np.stack(list(adversarial_key_sets(dag.num_nodes, seed).values()))
@@ -229,15 +224,14 @@ def run_check(
     only: Iterable[str] | None = None,
     seed: int = 0,
     compiled: bool = False,
-    optimize: bool = False,
 ) -> CheckRun:
-    """Certify obliviousness and run the requested lints on each cell.
+    """Certify obliviousness, run the requested lints and optimize each cell.
 
-    ``optimize=True`` additionally runs the certified optimizer pipeline on
-    every cell (per-pass certificates + translation validation, see
-    :mod:`repro.schedule.optimize`) and the seeded optimizer-fault harness
-    over the canonical mutant cells — every fault must be rejected by the
-    translation validator for the run to pass.
+    The certified optimizer pipeline runs on every cell (per-pass
+    certificates + translation validation, see :mod:`repro.schedule.optimize`)
+    and the seeded optimizer-fault harness over the canonical mutant cells —
+    every fault must be rejected by the translation validator for the run to
+    pass.
     """
     run = CheckRun()
     for cell in _select_cells(cells, only):
@@ -253,23 +247,19 @@ def run_check(
                 s2_model_rounds=s2_model,
                 routing_model_rounds=routing_model,
             )
-        compiled_ok = _check_compiled(certificate, seed) if compiled else None
-        optimization = None
-        if optimize:
-            optimization = optimize_schedule(
-                certificate.dag,
-                validate=True,
-                network=ProductGraph(factor, cell.r),
-                s2_model_rounds=s2_model,
-                routing_model_rounds=routing_model,
-                seed=seed,
-            )
-        run.cells.append(
-            CellCheck(cell=cell, certificate=certificate, report=report,
-                      compiled_ok=compiled_ok, optimize=optimization)
+        optimization = optimize_schedule(
+            certificate.dag,
+            validate=True,
+            network=ProductGraph(factor, cell.r),
+            s2_model_rounds=s2_model,
+            routing_model_rounds=routing_model,
+            seed=seed,
         )
-    if optimize:
-        run.optimizer_faults = run_optimizer_faults(seed=seed)
+        run.cells.append(
+            CellCheck(cell=cell, certificate=certificate, report=report, optimize=optimization,
+                      compiled_ok=_check_compiled(certificate, seed) if compiled else None)
+        )
+    run.optimizer_faults = run_optimizer_faults(seed=seed)
     return run
 
 
@@ -343,9 +333,7 @@ def render_check(run: CheckRun, verbose: bool = False) -> str:
         if check.compiled_ok is False:
             lines.append(f"[FAIL] {check.cell.key} compiled: batch kernel output "
                          f"differs from reference replay")
-    if any(c.optimize is not None for c in run.cells):
-        lines.append("")
-        lines.append(render_optimizer(run))
+    lines += ["", render_optimizer(run)]
     if run.mutants:
         lines.append("")
         lines.append(render_mutants(run.mutants))
@@ -366,10 +354,8 @@ def render_optimizer(run: CheckRun) -> str:
     lines.append("-" * len(header))
     for check in run.cells:
         opt = check.optimize
-        if opt is None:
-            continue
-        kernel_before = compile_schedule(opt.original)
-        kernel_after = compile_schedule(opt.original, optimize=True)
+        kernel_before = CompiledSchedule(opt.original)
+        kernel_after = compile_schedule(opt.original)
         certs = f"{sum(c.ok for c in opt.certificates)}/{len(opt.certificates)}"
         validated = (
             "-" if opt.validation is None else ("ok" if opt.validation.ok else "FAIL")

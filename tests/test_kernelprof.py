@@ -39,6 +39,7 @@ from repro.observability.kernelprof import (
 )
 from repro.observability.metrics import Histogram, MetricsRegistry, quantile_from_buckets
 from repro.schedule import (
+    CompiledSchedule,
     cache_stats,
     clear_caches,
     compile_schedule,
@@ -48,10 +49,11 @@ from repro.schedule import (
 from repro.staticcheck import emit_schedule
 
 
-def _kernel(key: str = "path-n3-r3", optimize: bool = False):
+def _kernel(key: str = "path-n3-r3", certified: bool = False):
+    """The cell's raw kernel (built, uncached) or its served certified one."""
     cell = resolve_profile_cell(key)
     dag = emit_schedule(cell.build_factor(), cell.r, backend=cell.backend)
-    return compile_schedule(dag, optimize=optimize), dag
+    return (compile_schedule(dag) if certified else CompiledSchedule(dag)), dag
 
 
 class TestKernelProfiler:
@@ -89,9 +91,9 @@ class TestKernelProfiler:
         assert profile.wall_ns >= sum(layer.wall_ns for layer in profile.layers)
         assert 0 < profile.keys_per_s < float("inf")
 
-    @pytest.mark.parametrize("optimize", [True, False])
-    def test_permute_compute_split_fits_inside_each_layer(self, rng, optimize):
-        kernel, dag = _kernel(optimize=optimize)
+    @pytest.mark.parametrize("certified", [True, False])
+    def test_permute_compute_split_fits_inside_each_layer(self, rng, certified):
+        kernel, dag = _kernel(certified=certified)
         keys = rng.integers(0, 2**31, size=(16, dag.num_nodes))
         _, profile = KernelProfiler().run(kernel, keys)
         assert len(profile.layers) == kernel.num_layers
@@ -223,16 +225,17 @@ class TestHistogramQuantiles:
 
 class TestCacheStats:
     def test_hit_miss_accounting_across_compiles(self, schedule_caches):
-        _, dag = _kernel()  # compiles the unoptimized kernel once: 1 miss
+        _, dag = _kernel()  # the raw kernel is built, never cached
         before = cache_stats()["compiled-kernels"]
+        assert before["lookups"] == 0
         k1 = compile_schedule(dag)
         k2 = compile_schedule(dag)
         k3 = compile_schedule(dag, optimize=True)
-        assert k1 is k2 and k1 is not k3
+        assert k1 is k2 is k3 and k1.certified
         after = cache_stats()["compiled-kernels"]
-        assert after["misses"] == before["misses"] + 1  # the optimized kernel
+        assert after["misses"] == before["misses"] + 1  # the certified kernel
         assert after["hits"] == before["hits"] + 2
-        assert after["size"] == 2
+        assert after["size"] == 1
         assert after["build_seconds"] > 0
         assert 0 < after["hit_rate"] < 1
 
@@ -252,7 +255,7 @@ class TestCacheStats:
             assert snap["build_seconds"] == 0.0
 
     def test_publish_cache_metrics_is_idempotent(self, schedule_caches):
-        _, dag = _kernel()  # 1 miss
+        _, dag = _kernel(certified=True)  # 1 miss
         compile_schedule(dag)
         compile_schedule(dag)  # 2 hits
         registry = MetricsRegistry()
@@ -297,7 +300,7 @@ class TestProfileCell:
     def test_every_layer_reports_its_form(self):
         """k2-n2-r4's width-4 slabs sort at batch 1 and run as networks at
         256; path-n4-r3's width-16 slabs stay row-major sorts."""
-        doc = profile_cell("k2-n2-r4", batches=(1, 256), runs=1, seed=0, optimize=True)
+        doc = profile_cell("k2-n2-r4", batches=(1, 256), runs=1, seed=0)
         for point, form in zip(doc["batches"], ("sort", "network")):
             for layer in point["per_layer"]:
                 assert layer["layout"] == "node-major"
@@ -384,7 +387,7 @@ class TestMetricsEndpoint:
         server = build_metrics_server(cell="path-n3-r3", batch=4, runs=1)
         with server:
             first = urllib.request.urlopen(server.url("/metrics"), timeout=10).read().decode()
-            _kernel("k2-n2-r4")  # new compile between scrapes
+            _kernel("k2-n2-r4", certified=True)  # new compile between scrapes
             second = urllib.request.urlopen(server.url("/metrics"), timeout=10).read().decode()
 
         def misses(text: str) -> float:

@@ -5,10 +5,13 @@ canonical benchreg cell, replaying the *optimized* schedule equals the
 snake-order ground truth — and the original's replay — on random,
 duplicate-heavy and adversarial batches.  The rest pins the certificate
 contents, the fault harness, the fallback semantics and the
-``compile_schedule(optimize=True)`` integration.
+:func:`compile_schedule` integration.
 """
 
 from __future__ import annotations
+
+import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ from repro.graphs import path_graph
 from repro.observability.benchreg import DEFAULT_MATRIX
 from repro.schedule import (
     PASS_NAMES,
+    ComparatorDAG,
+    CompiledSchedule,
     analyze_zero_one_activity,
     compile_schedule,
     eliminate_dead_ops,
@@ -107,8 +112,8 @@ class TestCertificates:
         result = optimize_schedule(dag)
         assert result.comparators_removed > 0
         assert len(result.optimized.rounds) < len(result.original.rounds)
-        before = compile_schedule(dag)
-        after = compile_schedule(dag, optimize=True)
+        before = CompiledSchedule(dag)
+        after = compile_schedule(dag)
         assert after.num_layers < before.num_layers
         # paper-accounted depth (charged rounds) is deliberately preserved
         assert result.optimized.depth == result.original.depth
@@ -145,6 +150,41 @@ class TestTranslationValidator:
         assert validation.ok and validation.exit_code == 0
         assert validation.original_hash == validation.optimized_hash
 
+    def test_the_battery_replays_once_per_dag(self, monkeypatch):
+        """Two replay calls per validation, and each key set's verdict is what
+        replaying that set alone gives — on the sound rewrite and on two
+        truncations of it that sort only some key sets."""
+        import repro.staticcheck.validate as validate
+
+        dag = emit_schedule(path_graph(3), 3, backend="machine")
+        optimized = optimize_schedule(dag).optimized
+        snake = snake_order_nodes(dag.n, dag.r)
+        real = validate.replay
+        calls = []
+
+        def counting(schedule, keys):
+            calls.append(schedule)
+            return real(schedule, keys)
+
+        monkeypatch.setattr(validate, "replay", counting)
+        verdicts = []
+        truncated = (optimized.rounds[:-1], ())
+        for candidate in [optimized] + [
+            dataclasses.replace(optimized, rounds=rounds) for rounds in truncated
+        ]:
+            calls.clear()
+            validation = validate_translation(dag, candidate)
+            assert len(calls) == 2 and calls[0] is candidate and calls[1] is dag
+            for name, keys in validate._replay_battery(dag.num_nodes, 0).items():
+                keys = keys.astype(np.int64)
+                expected = np.empty_like(keys)
+                expected[snake] = np.sort(keys)
+                out = real(candidate, keys)
+                alone = np.array_equal(out, expected) and np.array_equal(out, real(dag, keys))
+                assert validation.replay_matches[name] is alone, name
+            verdicts.append(set(validation.replay_matches.values()))
+        assert verdicts[0] == {True} and {True, False} in verdicts
+
     def test_failed_validation_falls_back(self, schedule_caches, monkeypatch):
         dag = emit_schedule(path_graph(2), 2, backend="machine")
 
@@ -165,25 +205,53 @@ class TestTranslationValidator:
         assert result.optimized is result.original
         assert result.validation is not None and result.validation.exit_code == 1
         # the compiled path serves the (correct) unoptimized kernel
-        kernel = compile_schedule(dag, optimize=True)
+        kernel = compile_schedule(dag)
+        assert not kernel.certified and kernel.dag is dag
         assert kernel.schedule_hash == kernel.source_hash == dag.schedule_hash()
 
 
 class TestCompiledIntegration:
     def test_optimized_kernel_carries_both_hashes(self, schedule_caches):
         dag = emit_schedule(path_graph(2), 3, backend="machine")
-        kernel = compile_schedule(dag, optimize=True)
+        kernel = compile_schedule(dag)
+        assert kernel.certified and kernel.source is dag
         assert kernel.source_hash == dag.schedule_hash()
         assert kernel.schedule_hash == optimize_schedule(dag).optimized_hash
         assert kernel.schedule_hash != kernel.source_hash
 
-    def test_kernel_cache_keys_on_optimize_flag(self, schedule_caches):
+    def test_kernel_cache_keys_on_the_source_hash(self, schedule_caches):
         dag = emit_schedule(path_graph(3), 2, backend="lattice")
-        plain = compile_schedule(dag)
-        optimized = compile_schedule(dag, optimize=True)
-        assert plain is not optimized
-        assert compile_schedule(dag, optimize=True) is optimized
-        assert compile_schedule(dag) is plain
+        kernel = compile_schedule(dag)
+        # a byte-identical schedule, however it was built, shares the kernel
+        twin = dataclasses.replace(dag, meta={})
+        assert twin is not dag and compile_schedule(twin) is kernel
+        assert CompiledSchedule(dag) is not kernel
+
+    def test_each_dag_is_hashed_once(self, schedule_caches, monkeypatch):
+        """compile_schedule -> optimize -> validate builds the canonical form
+        of the emitted and of the optimized DAG once each, and the memoised
+        hashes are the canonical ones."""
+        counts: Counter[int] = Counter()
+        canonical = ComparatorDAG.canonical
+
+        def spy(self):
+            counts[id(self)] += 1
+            return canonical(self)
+
+        monkeypatch.setattr(ComparatorDAG, "canonical", spy)
+        dag = emit_schedule(path_graph(3), 3, backend="machine")
+        kernel = compile_schedule(dag)
+        assert kernel.certified and kernel.dag is not dag
+        assert counts[id(dag)] == 1 and counts[id(kernel.dag)] == 1
+        assert set(counts.values()) == {1}
+        result = optimize_schedule(dag)
+        assert result.validation is not None
+        assert result.validation.original_hash == kernel.source_hash
+        assert result.validation.optimized_hash == kernel.schedule_hash
+        monkeypatch.undo()
+        for memoised in (dag, kernel.dag):
+            fresh = dataclasses.replace(memoised)
+            assert memoised.schedule_hash() == fresh.schedule_hash()
 
     def test_optimizer_results_are_memoised(self, schedule_caches):
         dag = emit_schedule(path_graph(3), 2, backend="lattice")

@@ -27,6 +27,7 @@ from repro.core.machine_sort import MachineSorter
 from repro.observability.benchreg import DEFAULT_MATRIX
 from repro.schedule import (
     ComparatorDAG,
+    CompiledSchedule,
     cache_stats,
     compile_schedule,
     replay,
@@ -43,6 +44,11 @@ CELL_IDS = [c.key for c in DEFAULT_MATRIX]
 
 def _emit(cell) -> ComparatorDAG:
     return emit_schedule(cell.build_factor(), cell.r, backend=cell.backend)
+
+
+def _kernel(dag: ComparatorDAG, certified: bool) -> CompiledSchedule:
+    """The served (certified) kernel of ``dag``, or its raw kernel."""
+    return compile_schedule(dag) if certified else CompiledSchedule(dag)
 
 
 def _snake_sorted(dag: ComparatorDAG, keys: np.ndarray) -> np.ndarray:
@@ -124,7 +130,7 @@ class TestCompiledBatch:
 
     def test_packing_never_worse_and_semantics_identical(self, rng):
         dag = _emit(next(c for c in DEFAULT_MATRIX if c.key == "k2-n2-r4-lattice"))
-        packed = compile_schedule(dag)
+        packed = CompiledSchedule(dag)
         # ASAP packing may only fold rounds into layers, never split them
         assert packed.num_layers <= len(dag.rounds)
         batch = rng.integers(0, 100, size=(64, dag.num_nodes))
@@ -148,15 +154,26 @@ class TestCompiledBatch:
         )
         dag = ComparatorDAG(backend="lattice", factor="synthetic", n=2, r=2,
                             num_nodes=4, phases=phases, rounds=rounds)
-        assert compile_schedule(dag).num_layers == 1
-        out = compile_schedule(dag).run(np.array([3, 1, 9, 4]))
+        assert CompiledSchedule(dag).num_layers == 1
+        out = CompiledSchedule(dag).run(np.array([3, 1, 9, 4]))
         assert np.array_equal(out, [1, 3, 4, 9])
 
     def test_kernel_cache_is_keyed_by_schedule_hash(self):
         dag = _emit(DEFAULT_MATRIX[0])
         assert compile_schedule(dag) is compile_schedule(dag)
-        assert compile_schedule(dag).schedule_hash == dag.schedule_hash()
-        assert compile_schedule(dag) is not compile_schedule(dag, optimize=True)
+        assert compile_schedule(dag).source_hash == dag.schedule_hash()
+        # the raw kernel is built, never cached
+        assert CompiledSchedule(dag) is not CompiledSchedule(dag)
+        assert CompiledSchedule(dag) is not compile_schedule(dag)
+
+    def test_compile_schedule_only_optimizes(self):
+        dag = _emit(DEFAULT_MATRIX[0])
+        assert compile_schedule(dag, optimize=True) is compile_schedule(dag)
+        for value in (False, None, 1):
+            with pytest.raises(TypeError, match=r"CompiledSchedule\(dag\)"):
+                compile_schedule(dag, optimize=value)
+        with pytest.raises(TypeError):
+            compile_schedule(dag, True)  # keyword-only
 
     def test_untraced_lattice_sort_shares_the_batch_kernel(self, schedule_caches, rng):
         """A single-lattice sort compiles the same cached kernel that batch
@@ -172,14 +189,14 @@ class TestCompiledBatch:
         with pytest.raises(ValueError, match="keys per row"):
             compile_schedule(dag).run(np.zeros(dag.num_nodes + 1))
 
-    @pytest.mark.parametrize("optimize", [False, True], ids=["emitted", "optimized"])
-    def test_nan_keys_raise_and_signed_specials_sort_like_replay(self, optimize, rng):
+    @pytest.mark.parametrize("certified", [False, True], ids=["emitted", "optimized"])
+    def test_nan_keys_raise_and_signed_specials_sort_like_replay(self, certified, rng):
         """NaN is unordered: min/max would spread it and drop a real key, so
         the kernel refuses it; ±inf and -0.0 are ordered and sort as replay."""
         from repro.observability.kernelprof import KernelProfiler
 
         dag = _emit(next(c for c in DEFAULT_MATRIX if c.key == "path-n3-r3-lattice"))
-        kernel = compile_schedule(dag, optimize=optimize)
+        kernel = _kernel(dag, certified)
         row = rng.random(dag.num_nodes)
         row[4] = np.nan
         batch = rng.random((8, dag.num_nodes))
@@ -286,19 +303,19 @@ class TestLowering:
         return _mixed_dag([first, second])
 
     def test_one_layer_mixes_every_operation(self):
-        kernel = compile_schedule(self._dag())
+        kernel = CompiledSchedule(self._dag())
         assert kernel.num_layers == 2
         first = kernel.layers[0]
         assert first.lo.size == 2
         assert sorted(mat.shape[1] for mat, _ in first.block_groups) == [2, 4]
         assert len(kernel.steps) == kernel.num_layers
 
-    @pytest.mark.parametrize("optimize", [False, True])
-    def test_every_permutation_is_a_bijection(self, optimize):
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_every_permutation_is_a_bijection(self, certified):
         """Every gather and the final restore permute the nodes: on the mixed
         layers above and on an emitted cell, raw or optimized."""
         cell = next(c for c in DEFAULT_MATRIX if c.key == "path-n3-r3-machine")
-        for kernel in (compile_schedule(self._dag()), compile_schedule(_emit(cell), optimize)):
+        for kernel in (CompiledSchedule(self._dag()), _kernel(_emit(cell), certified)):
             for perm in [step.perm for step in kernel.steps] + [kernel.final_perm]:
                 assert np.array_equal(np.sort(perm), np.arange(kernel.num_nodes))
 
@@ -316,7 +333,7 @@ class TestLowering:
         """Three rows sort every slab; 256 rows run the width-2 and width-4
         slabs as networks (see ``test_mixed_layers_take_both_forms``)."""
         dag = self._dag()
-        kernel = compile_schedule(dag)
+        kernel = CompiledSchedule(dag)
         batch = np.stack([keys, keys[::-1], keys[rng.permutation(16)]])
         wide = np.stack([keys[rng.permutation(16)] for _ in range(256)])
         for state in (keys, batch, wide):
@@ -328,7 +345,7 @@ class TestLowering:
             assert out.flags.c_contiguous and not np.shares_memory(out, state)
 
     def test_mixed_layers_take_both_forms(self):
-        kernel = compile_schedule(self._dag())
+        kernel = CompiledSchedule(self._dag())
         assert [step.layout for step in kernel.steps] == ["node-major", "node-major"]
         assert [step.forms(3) for step in kernel.steps] == [("sort", "sort"), ("sort",)]
         assert [step.forms(256) for step in kernel.steps] == [
@@ -337,18 +354,18 @@ class TestLowering:
         ]
 
     def test_empty_batch(self):
-        kernel = compile_schedule(self._dag())
+        kernel = CompiledSchedule(self._dag())
         out = kernel.run(np.empty((0, 16), dtype=np.int64))
         assert out.shape == (0, 16) and out.dtype == np.int64
 
     def test_zero_layer_kernel_returns_a_copy(self):
-        kernel = compile_schedule(_mixed_dag([((), ())]))
+        kernel = CompiledSchedule(_mixed_dag([((), ())]))
         assert kernel.num_layers == 0
         keys = np.arange(16)
         out = kernel.run(keys)
         assert np.array_equal(out, keys) and not np.shares_memory(out, keys)
 
-    @pytest.mark.parametrize("optimize", [False, True], ids=["raw", "optimized"])
+    @pytest.mark.parametrize("certified", [False, True], ids=["raw", "optimized"])
     @pytest.mark.parametrize("cell", DEFAULT_MATRIX, ids=CELL_IDS)
     @given(
         batch=st.sampled_from(LOWERING_BATCHES),
@@ -356,9 +373,9 @@ class TestLowering:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=12, deadline=None)
-    def test_kernel_matches_replay(self, cell, optimize, batch, dtype, seed):
+    def test_kernel_matches_replay(self, cell, certified, batch, dtype, seed):
         dag = _emit(cell)
-        kernel = compile_schedule(dag, optimize)
+        kernel = _kernel(dag, certified)
         keys = dtype_keys(dtype, (batch, dag.num_nodes), np.random.default_rng(seed))
         out = kernel.run(keys)
         assert out.dtype == keys.dtype and out.shape == keys.shape
@@ -390,7 +407,7 @@ class TestLowering:
         import repro.schedule.compiled as compiled
 
         dag = _emit(next(c for c in DEFAULT_MATRIX if c.key == key))
-        kernel = compile_schedule(dag, optimize=True)
+        kernel = compile_schedule(dag)
         assert [step.layout for step in kernel.steps] == layouts
         assert [step.forms(1) for step in kernel.steps] == forms_1
         assert [step.forms(256) for step in kernel.steps] == forms_256
@@ -440,14 +457,14 @@ class TestKeyDomain:
         }
 
     @pytest.mark.parametrize("batch", [1, 256])
-    @pytest.mark.parametrize("optimize", [False, True], ids=["raw", "optimized"])
+    @pytest.mark.parametrize("certified", [False, True], ids=["raw", "optimized"])
     @pytest.mark.parametrize("key", ["path-n3-r3-lattice", "k2-n2-r4-lattice"])
-    def test_unordered_keys_raise_a_typed_error(self, key, optimize, batch, rng):
+    def test_unordered_keys_raise_a_typed_error(self, key, certified, batch, rng):
         from repro.observability.kernelprof import KernelProfiler
         from repro.schedule import KeyDomainError
 
         dag = _emit(next(c for c in DEFAULT_MATRIX if c.key == key))
-        kernel = compile_schedule(dag, optimize)
+        kernel = _kernel(dag, certified)
         for name, (keys, words) in self._unordered(dag.num_nodes, batch, rng).items():
             for state in (keys, keys[-1]):
                 with pytest.raises(KeyDomainError, match=words) as excinfo:

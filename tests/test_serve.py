@@ -26,7 +26,13 @@ from repro.cli import main
 from repro.observability.benchreg import DEFAULT_MATRIX
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import Tracer
-from repro.schedule import KeyDomainError, replay, snake_order_nodes
+from repro.schedule import (
+    CompiledSchedule,
+    KeyDomainError,
+    compile_schedule,
+    replay,
+    snake_order_nodes,
+)
 from repro.serve import (
     ARRIVALS,
     MIXES,
@@ -68,6 +74,13 @@ def _lattice_dag(cell: str):
     return emit_schedule(spec.build_factor(), spec.r, backend="lattice")
 
 
+async def _served_kernel(service: SortService, cell: str = CELL):
+    """Prewarm ``cell`` and let its tier-up run: the kernel its flushes call."""
+    service.prewarm(cell)
+    await asyncio.sleep(0)
+    return service._get_queue(cell).kernel
+
+
 class TestServiceConfig:
     def test_defaults_are_valid(self):
         config = ServiceConfig()
@@ -99,12 +112,12 @@ class TestSortService:
         _run(scenario())
 
     def test_optimized_service_serves_the_same_snake_order(self, rng):
-        # opt-in certified-optimizer kernels: fewer layers, same answers
+        # the tier-up swaps in the certified kernel: fewer layers, same answers
         async def scenario():
-            config = ServiceConfig(optimize=True)
-            assert config.to_json()["optimize"] is True
-            async with SortService(config) as service:
-                service.prewarm(CELL)
+            async with SortService(ServiceConfig()) as service:
+                kernel = await _served_kernel(service)
+                assert kernel.certified
+                assert kernel.num_layers < CompiledSchedule(_lattice_dag(CELL)).num_layers
                 keys = rng.integers(0, 1000, WIDTH)
                 out = await service.submit(CELL, keys)
                 assert np.array_equal(out, _expected(keys))
@@ -161,7 +174,7 @@ class TestSortService:
 
         async def scenario():
             async with SortService(ServiceConfig(max_batch=8)) as service:
-                kernel = service._get_queue(CELL).kernel
+                kernel = await _served_kernel(service)
                 run = kernel.run
 
                 def counting_run(keys):
@@ -185,7 +198,7 @@ class TestSortService:
 
         async def scenario():
             async with SortService(ServiceConfig(max_batch=64)) as service:
-                kernel = service._get_queue(CELL).kernel
+                kernel = await _served_kernel(service)
                 run = kernel.run
 
                 def run_and_submit(keys):
@@ -268,7 +281,7 @@ class TestSortService:
 
         async def scenario():
             async with SortService(ServiceConfig(max_batch=3)) as service:
-                kernel = service._get_queue(CELL).kernel
+                kernel = await _served_kernel(service)
                 run = kernel.run
 
                 def run_ints_only(keys):
@@ -465,6 +478,116 @@ class TestSortService:
         (queue,) = snapshot.values()
         assert queue["p50_ms"] is None and queue["p99_ms"] is None
         json.dumps(snapshot)  # no NaN leaks
+
+
+class TestTierUp:
+    """Tier 0 answers at once from the raw kernel; one loop callback swaps
+    in the certified kernel between flushes."""
+
+    def test_prewarm_serves_raw_then_the_certified_kernel(self, schedule_caches):
+        dag = _lattice_dag(CELL)
+
+        async def scenario():
+            async with SortService() as service:
+                service.prewarm(CELL)
+                queue = service._get_queue(CELL)
+                raw = queue.kernel
+                assert not raw.certified and raw.dag is dag
+                assert service.queues_snapshot()[queue.key]["certified"] is False
+                await asyncio.sleep(0)
+                assert queue.kernel is compile_schedule(dag) and queue.kernel.certified
+                assert queue.tier_up is None
+                return service.queues_snapshot()[queue.key], raw
+
+        snapshot, raw = _run(scenario())
+        assert snapshot["certified"] is True
+        assert snapshot["schedule_hash"] == compile_schedule(dag).schedule_hash
+        assert snapshot["schedule_hash"] != raw.schedule_hash
+
+    def test_responses_before_and_after_the_swap_equal_replay(self, rng):
+        dag = _lattice_dag(CELL)
+        rows = rng.integers(-(2**40), 2**40, size=(12, WIDTH))
+
+        async def scenario():
+            async with SortService(ServiceConfig(max_batch=4)) as service:
+                service.prewarm(CELL)
+                queue = service._get_queue(CELL)
+                queue.tier_up.cancel()  # hold tier 0 while the first half is served
+                before = await asyncio.gather(*(service.submit(CELL, r) for r in rows[:6]))
+                assert not queue.kernel.certified
+                service._tier_up(queue, dag)
+                assert queue.kernel.certified
+                after = await asyncio.gather(*(service.submit(CELL, r) for r in rows[6:]))
+                return before + after
+
+        outs = _run(scenario())
+        assert np.array_equal(np.stack(outs), replay(dag, rows))
+
+    def test_aclose_cancels_a_pending_tier_up(self, monkeypatch):
+        import repro.schedule
+
+        def never(dag):
+            raise AssertionError("a closed service must not tier up")
+
+        monkeypatch.setattr(repro.schedule, "compile_schedule", never)
+
+        async def scenario():
+            service = SortService()
+            service.prewarm(CELL)
+            queue = service._get_queue(CELL)
+            handle = queue.tier_up
+            await service.aclose()
+            assert handle.cancelled()
+            await asyncio.sleep(0)
+            service._tier_up(queue, _lattice_dag(CELL))  # a late callback does nothing
+            return queue.kernel
+
+        assert not _run(scenario()).certified
+
+    def test_failed_validation_keeps_the_raw_kernel(self, schedule_caches, monkeypatch, rng):
+        from repro.staticcheck.validate import TranslationValidation
+
+        def broken_validator(original, optimized, **kwargs):
+            return TranslationValidation(
+                original_hash=original.schedule_hash(),
+                optimized_hash=optimized.schedule_hash(),
+                checks={"zero-one": False},
+                report=None,
+                replay_matches={},
+            )
+
+        monkeypatch.setattr("repro.staticcheck.validate.validate_translation", broken_validator)
+        tracer = Tracer()
+        keys = rng.integers(0, 1000, WIDTH)
+
+        async def scenario():
+            async with SortService(tracer=tracer) as service:
+                service.prewarm(CELL)
+                raw = service._get_queue(CELL).kernel
+                out = await service.submit(CELL, keys)
+                return raw, service._get_queue(CELL).kernel, out, service.queues_snapshot()
+
+        raw, served, out, snapshot = _run(scenario())
+        assert served is raw and not served.certified
+        assert np.array_equal(out, _expected(keys))
+        (queue,) = snapshot.values()
+        assert (queue["completed"], queue["errors"], queue["certified"]) == (1, 0, False)
+        (span,) = tracer.find("serve-tier-up")
+        assert span.attrs["fell_back"] is True
+        assert span.attrs["schedule_hash"] == raw.schedule_hash
+
+    def test_tier_up_span_reports_the_swap(self, schedule_caches):
+        tracer = Tracer()
+
+        async def scenario():
+            async with SortService(tracer=tracer) as service:
+                return await _served_kernel(service)
+
+        kernel = _run(scenario())
+        (span,) = tracer.find("serve-tier-up", kind="serve", cell="path(3)-n3-r3")
+        assert span.attrs["fell_back"] is False
+        assert span.attrs["schedule_hash"] == kernel.schedule_hash
+        assert 0 < span.attrs["hash_s"] <= span.attrs["seconds"] <= span.duration
 
 
 class TestLoadgenPrimitives:
@@ -740,18 +863,26 @@ class TestKeyDomainProperties:
 
     @given(
         cell=st.sampled_from(("path-n3-r3", "k2-n2-r4")),
-        optimize=st.booleans(),
+        tiered=st.booleans(),
         dtype=st.sampled_from(ORDERED_DTYPES),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=25, deadline=None)
-    def test_submit_sorts_like_replay(self, cell, optimize, dtype, seed):
+    def test_submit_sorts_like_replay(self, cell, tiered, dtype, seed):
+        """Through the certified kernel, or the raw one when the tier-up
+        does not run."""
         dag = _lattice_dag(cell)
         keys = dtype_keys(dtype, (dag.num_nodes,), np.random.default_rng(seed))
 
         async def scenario():
-            async with SortService(ServiceConfig(optimize=optimize)) as service:
-                return await service.submit(cell, keys)
+            async with SortService() as service:
+                service.prewarm(cell)
+                queue = service._get_queue(cell)
+                if not tiered:
+                    queue.tier_up.cancel()
+                out = await service.submit(cell, keys)
+                assert queue.kernel.certified is tiered
+                return out
 
         out = _run(scenario())
         assert out.dtype == keys.dtype

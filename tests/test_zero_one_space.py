@@ -229,6 +229,55 @@ class TestZeroOneSpace:
         result = optimize_schedule(dag)
         assert result.fell_back and result.optimized is dag
 
+    def test_both_budgets_refuse_before_any_state_is_allocated(self, monkeypatch):
+        """A path-n5-r3 machine DAG has 25-node comparator-network prefix
+        blocks: simulating one would allocate 2**25 states per copy.  The
+        suffix budget refuses it first; a budget that admits the suffix
+        still refuses the prefix — neither allocates a state."""
+        import repro.schedule.activity as activity
+
+        def refuse(num_nodes):
+            raise AssertionError(f"allocated the 2**{num_nodes} block space")
+
+        monkeypatch.setattr(activity, "exhaustive_zero_one_states", refuse)
+        dag = emit_schedule(path_graph(5), 3, backend="machine")
+        suffix = analyze_zero_one_activity(dag)
+        assert suffix.reason == (
+            "suffix state space (N^2+1)^blocks = 11881376 exceeds the certification "
+            "budget 700000"
+        )
+        prefix = analyze_zero_one_activity(dag, max_states=26**5)
+        assert prefix.reason == (
+            "prefix state space 2^(N^2) = 33554432 per PG_2 block exceeds the "
+            f"certification budget {26**5}"
+        )
+        lint = lint_zero_one(dag, max_states=26**5)
+        assert [f.message for f in lint.findings] == [f"{prefix.reason} — unverifiable"]
+        assert lint.stats["prefix_block_states"] == 5 * 2**25
+
+    def test_an_over_budget_machine_cell_refuses_fast_and_small(self):
+        """The same refusal through the real allocator and the optimizer:
+        under 0.1 s and a few MB, where it once allocated about 0.84 GB per
+        copy of the prefix space."""
+        import time
+        import tracemalloc
+
+        dag = emit_schedule(path_graph(5), 3, backend="machine")
+        dag.schedule_hash()
+        t0 = time.perf_counter()
+        activity_result = analyze_zero_one_activity(dag)
+        elapsed = time.perf_counter() - t0
+        assert not activity_result.certified and elapsed < 0.1
+        tracemalloc.start()
+        try:
+            analyze_zero_one_activity(dag)
+            result = optimize_schedule(dag, validate=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.fell_back and result.optimized is dag
+        assert peak < 8 * 2**20
+
 
 _INPUT = re.compile(r"0-1 input (\[[01, ]*\])")
 
