@@ -26,8 +26,9 @@ Two state spaces are supported, mirroring the zero-one lint exactly:
   runs over all ``(N**2+1)**blocks`` reachable states.
 
 :func:`zero_one_space` builds either space for both this analysis and the
-zero-one lint, **node-major**: ``(num_nodes, S)`` int8 with one contiguous
-row per node and one column per input.
+zero-one lint, **node-major and packed**: ``(num_nodes, ceil(S/64))`` uint64,
+one row per node, column ``j`` in bit ``j % 8`` of byte ``j // 8`` and padding
+bits 0, so one AND/OR applies a comparator to 64 inputs.
 """
 
 from __future__ import annotations
@@ -38,20 +39,28 @@ from typing import Iterable
 
 import numpy as np
 
+from ..baselines.batcher import odd_even_merge_sort_network
 from .ir import ComparatorDAG, ScheduleRound, snake_order_nodes
 
 __all__ = [
+    "MAX_EXHAUSTIVE_NODES",
+    "MAX_STATES",
     "ActivityTracker",
     "ZeroOneActivity",
     "ZeroOneSpace",
     "analyze_zero_one_activity",
     "apply_zero_one_round",
     "compare_exchange",
-    "count_dtype",
     "exhaustive_zero_one_states",
-    "sorted_columns",
+    "pack",
+    "unpack",
+    "unsorted_columns",
     "zero_one_space",
 ]
+
+#: the 0-1 certification budgets: exhaustive up to this many nodes, at most this many states
+MAX_EXHAUSTIVE_NODES = 16
+MAX_STATES = 700_000
 
 
 class ActivityTracker:
@@ -81,15 +90,46 @@ class ActivityTracker:
         )
 
 
+def pack(bits: np.ndarray) -> np.ndarray:
+    """Pack ``(rows, S)`` 0-1 values into ``(rows, ceil(S/64))`` uint64 rows."""
+    octets = np.packbits(bits, axis=-1, bitorder="little")
+    return np.pad(octets, ((0, 0), (0, -octets.shape[-1] % 8))).view(np.uint64)
+
+
+def unpack(states: np.ndarray, columns: int | None = None) -> np.ndarray:
+    """The first ``columns`` (default all) 0-1 values, uint8, of each packed row."""
+    return np.unpackbits(states.view(np.uint8), axis=-1, count=columns, bitorder="little")
+
+
 def compare_exchange(states: np.ndarray, lo: int, hi: int) -> bool:
-    """Min/max two node rows in place; True if some ``lo`` value exceeded ``hi``."""
+    """Min/max (AND/OR) two packed node rows in place; True if some ``lo`` bit exceeded ``hi``."""
     a, b = states[lo], states[hi]
-    if not (a > b).any():
+    moved = a & ~b
+    if not moved.any():
         return False
-    low = np.minimum(a, b)
-    np.maximum(a, b, out=b)
-    a[...] = low
+    a ^= moved
+    b |= moved
     return True
+
+
+def _sort_blocks(states: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Sort node-disjoint same-width blocks at once; ``positions[k]`` lists
+    block ``k``'s nodes in ascending output order.  Returns which blocks
+    changed, that is, were unsorted."""
+    changed = unsorted_columns(states, positions.T).any(axis=-1)
+    if changed.any():
+        # Batcher's odd-even merge sort of AND/OR, minus the comparators that
+        # reach a padding wire (it holds the maximum); each freed lo row buffers the next min
+        rows = list(states[positions.T])
+        spare = np.empty_like(rows[0])
+        for stage in odd_even_merge_sort_network(1 << (len(rows) - 1).bit_length()):
+            for lo, hi in (pair for pair in stage if pair[1] < len(rows)):
+                np.bitwise_and(rows[lo], rows[hi], out=spare)
+                np.bitwise_or(rows[lo], rows[hi], out=rows[hi])
+                rows[lo], spare = spare, rows[lo]
+        for position, row in zip(positions.T, rows):
+            states[position] = row
+    return changed
 
 
 def apply_zero_one_round(
@@ -100,11 +140,11 @@ def apply_zero_one_round(
     cmp_filter: set[int] | None = None,
     blk_filter: set[int] | None = None,
 ) -> None:
-    """Apply one round to node-major 0-1 states, recording op activity.
+    """Apply one round to packed node-major 0-1 states, recording op activity.
 
-    A block sort is an ``N**2``-sorter: on 0-1 keys its output depends only
-    on the block's count of ones, so each output row is one compare of its
-    position against that count.
+    A block sort is Batcher's odd-even merge network of AND/OR.  The round's
+    same-width blocks are sorted together when no two of its block sorts
+    share a node; otherwise each is applied alone, in op order.
 
     ``offset`` plus the filters support block-local simulation: node indices
     are shifted by ``-offset`` and only the comparator/block-sort positions in
@@ -115,46 +155,43 @@ def apply_zero_one_round(
             continue
         if compare_exchange(states, op.lo - offset, op.hi - offset) and activity is not None:
             activity.comparators[(rd.index, i)] = True
-    for i, blk in enumerate(rd.block_sorts):
-        if blk_filter is not None and i not in blk_filter:
-            continue
-        nodes = np.asarray(blk.nodes, dtype=np.intp) - offset
-        block = states[nodes]
-        dtype = count_dtype(len(nodes))
-        ones = block.sum(axis=0, dtype=dtype)
-        # position p of the sorted block holds a one iff p is past the
-        # zeros (ascending) or among the leading ones (descending)
-        rank = np.arange(len(nodes), dtype=dtype)
-        if not blk.descending:
-            rank = rank[::-1]
-        target = (ones > rank[:, None]).view(np.int8)
-        if activity is not None and (block != target).any():
-            activity.block_sorts[(rd.index, i)] = True
-        states[nodes] = target
+    picked = [i for i in range(len(rd.block_sorts)) if blk_filter is None or i in blk_filter]
+    order = [rd.block_sorts[i].nodes[:: -1 if rd.block_sorts[i].descending else 1] for i in picked]
+    race = sum(map(len, order)) != len({x for nodes in order for x in nodes})
+    groups: dict[int, list[int]] = {}
+    for k, nodes in enumerate(order):  # by width; a race keeps the op order
+        groups.setdefault(k if race else len(nodes), []).append(k)
+    for batch in groups.values():
+        positions = np.array([order[k] for k in batch], dtype=np.intp) - offset
+        for k in np.flatnonzero(_sort_blocks(states, positions)):
+            if activity is not None:
+                activity.block_sorts[(rd.index, picked[batch[k]])] = True
 
 
-def sorted_columns(states: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Which columns of node-major 0-1 ``states`` are sorted along the node
-    ``order``, compared row by row: a reordered copy of the whole space
-    would double the peak memory."""
-    ok = np.ones(states.shape[1], dtype=bool)
-    for a, b in zip(order[:-1], order[1:]):
-        ok &= states[a] <= states[b]
-    return ok
+def unsorted_columns(states: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Packed row of the columns of ``states`` not sorted along the node
+    ``order`` (a one directly before a zero); a position-major ``order``
+    matrix of blocks gives one row per block."""
+    pairs = states[order[1:]]
+    np.invert(pairs, out=pairs)
+    pairs &= states[order[:-1]]
+    return np.bitwise_or.reduce(pairs, axis=0)
 
 
 def exhaustive_zero_one_states(num_nodes: int) -> np.ndarray:
-    """All ``2**num_nodes`` 0-1 assignments, node-major ``(num_nodes, S)``
-    int8: row ``k`` holds bit ``k`` of each column index."""
-    states = np.zeros((num_nodes, 1 << num_nodes), dtype=np.int8)
+    """All ``2**num_nodes`` 0-1 assignments, packed: row ``k`` holds bit ``k``
+    of each column index.  Built from byte patterns, so the layout does not
+    depend on the host's byte order."""
+    columns = 1 << num_nodes
+    octets = np.zeros((num_nodes, -(-columns // 64) * 8), dtype=np.uint8)
+    used = octets[:, : max(columns // 8, 1)]
     for k in range(num_nodes):
-        states[k].reshape(-1, 2, 1 << k)[:, 1] = 1
-    return states
-
-
-def count_dtype(limit: int) -> type[np.signedinteger]:
-    """Signed dtype for counts up to ``limit``: int8 when it fits (fastest sums)."""
-    return np.int8 if limit < 128 else np.int64
+        if k < 3:
+            used[k] = (0xAA, 0xCC, 0xF0)[k]
+        else:
+            used[k].reshape(-1, 2, 1 << (k - 3))[:, 1] = 0xFF
+    used &= (1 << min(columns, 8)) - 1  # padding bits of a sub-byte space
+    return octets.view(np.uint64)
 
 
 @dataclass
@@ -187,7 +224,7 @@ class ZeroOneActivity:
 
 @dataclass
 class ZeroOneSpace:
-    """A node-major 0-1 state space and the rounds left to simulate on it.
+    """A packed node-major 0-1 state space and the rounds left to simulate.
 
     ``refusal`` says why no space could be built (the zero-one lint appends
     ``refusal_note``); ``prefix_failure`` names a factored prefix that leaves
@@ -198,6 +235,8 @@ class ZeroOneSpace:
     num_nodes: int
     rounds: list[ScheduleRound] = field(default_factory=list)
     states: np.ndarray | None = None
+    #: ``S``, the number of simulated inputs (the packed rows hold padding)
+    columns: int = 0
     #: factored: column ``j`` starts from the per-block zero counts
     #: ``np.unravel_index(j, count_shape)``, laid out along each block's snake
     count_shape: tuple[int, ...] = ()
@@ -224,8 +263,8 @@ def _bits(col: int, width: int) -> list[int]:
 def zero_one_space(
     dag: ComparatorDAG,
     tracker: ActivityTracker,
-    max_exhaustive_nodes: int = 16,
-    max_states: int = 700_000,
+    max_exhaustive_nodes: int = MAX_EXHAUSTIVE_NODES,
+    max_states: int = MAX_STATES,
 ) -> ZeroOneSpace:
     """Build the exhaustive or factored 0-1 state space of ``dag``.
 
@@ -240,9 +279,8 @@ def zero_one_space(
     """
     n, r, num_nodes = dag.n, dag.r, dag.num_nodes
     if num_nodes <= max_exhaustive_nodes:
-        return ZeroOneSpace(
-            "exhaustive", num_nodes, list(dag.rounds), exhaustive_zero_one_states(num_nodes)
-        )
+        states = exhaustive_zero_one_states(num_nodes)
+        return ZeroOneSpace("exhaustive", num_nodes, list(dag.rounds), states, 1 << num_nodes)
     space = ZeroOneSpace("factored", num_nodes)
 
     def refuse(reason: str, note: str, round_index: int | None = None) -> ZeroOneSpace:
@@ -329,11 +367,11 @@ def zero_one_space(
             if rd.index in per_block_ops[b]:
                 cmp_set, blk_set = per_block_ops[b][rd.index]
                 apply_zero_one_round(states, rd, tracker, b * bs, cmp_set, blk_set)
-        sorted_cols = sorted_columns(states, snake2)
-        if not sorted_cols.all():
+        unsorted = unpack(unsorted_columns(states, snake2), 1 << bs)
+        if unsorted.any():
             space.prefix_failure = (
                 f"prefix leaves PG_2 block {b} unsorted for 0-1 input "
-                f"{_bits(int(np.argmax(~sorted_cols)), bs)}"
+                f"{_bits(int(np.argmax(unsorted)), bs)}"
             )
             break
 
@@ -341,18 +379,19 @@ def zero_one_space(
     space.count_shape = (bs + 1,) * nblocks
     space.block_snake_pos = np.empty(bs, dtype=np.int16)
     space.block_snake_pos[snake2] = np.arange(bs)
-    counts = np.indices(space.count_shape, dtype=np.int16).reshape(nblocks, -1)
-    space.states = np.empty((num_nodes, total), dtype=np.int8)
+    counts = np.indices(space.count_shape, dtype=np.min_scalar_type(bs)).reshape(nblocks, -1)
+    space.states = np.empty((num_nodes, -(-total // 64)), dtype=np.uint64)
     for b in range(nblocks):
-        space.states[b * bs : (b + 1) * bs] = space.block_snake_pos[:, None] >= counts[b]
+        space.states[b * bs : (b + 1) * bs] = pack(space.block_snake_pos[:, None] >= counts[b])
+    space.columns = total
     space.rounds = suffix
     return space
 
 
 def analyze_zero_one_activity(
     dag: ComparatorDAG,
-    max_exhaustive_nodes: int = 16,
-    max_states: int = 700_000,
+    max_exhaustive_nodes: int = MAX_EXHAUSTIVE_NODES,
+    max_states: int = MAX_STATES,
 ) -> ZeroOneActivity:
     """Simulate the full 0-1 space, certify sortedness, record op activity."""
     tracker = ActivityTracker(dag.rounds)
@@ -366,12 +405,12 @@ def analyze_zero_one_activity(
     if ok:
         for rd in space.rounds:
             apply_zero_one_round(space.states, rd, tracker)
-        ok = bool(sorted_columns(space.states, snake_order_nodes(dag.n, dag.r)).all())
+        ok = not unsorted_columns(space.states, snake_order_nodes(dag.n, dag.r)).any()
     factored = space.mode == "factored"
     unsorted = "a reachable 0-1 state" if factored else "a 0-1 input"
     return ZeroOneActivity(
         mode=space.mode,
-        states=int(space.states.shape[1]),
+        states=space.columns,
         certified=ok,
         reason=None if ok else f"{unsorted} leaves the snake sequence unsorted",
         tracker=tracker,

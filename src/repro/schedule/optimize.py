@@ -51,7 +51,8 @@ import numpy as np
 
 from ..observability.cachestats import CacheStats
 from ..orders.gray import gray_sequence
-from .activity import analyze_zero_one_activity, compare_exchange, exhaustive_zero_one_states
+from .activity import MAX_EXHAUSTIVE_NODES, MAX_STATES, analyze_zero_one_activity
+from .activity import compare_exchange, exhaustive_zero_one_states, unsorted_columns
 from .ir import BlockSortOp, ComparatorDAG, ComparatorOp, ScheduleRound
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -157,8 +158,8 @@ def _round_spec(
 
 def eliminate_dead_ops(
     dag: ComparatorDAG,
-    max_exhaustive_nodes: int = 16,
-    max_states: int = 700_000,
+    max_exhaustive_nodes: int = MAX_EXHAUSTIVE_NODES,
+    max_states: int = MAX_STATES,
 ) -> tuple[ComparatorDAG, OptimizationCertificate]:
     """Delete every operation the 0-1 activity analysis proves inert."""
     analysis = analyze_zero_one_activity(
@@ -233,7 +234,7 @@ def _chain_sorts(
     states = exhaustive_zero_one_states(len(order))
     for _, _, op in members:
         compare_exchange(states, pos[op.lo], pos[op.hi])
-    return bool(np.all(states[:-1] <= states[1:]))
+    return not unsorted_columns(states, np.arange(len(order))).any()
 
 
 def agglomerate_chains(dag: ComparatorDAG) -> tuple[ComparatorDAG, OptimizationCertificate]:
@@ -535,11 +536,15 @@ def optimize_schedule(
 
     ``network`` (optional) enables the validator's links lint; without it
     the validator still proves equivalence (0-1 certification + replay) and
-    race/depth legality.  Results are cached by the original schedule hash.
+    race/depth legality.  Results are cached by the original schedule hash;
+    a lookup without a network reuses a sound result built with one.
     """
     key = (dag.schedule_hash(), bool(validate), network is not None)
     with _RESULTS_LOCK:
         cached = _RESULTS.get(key)
+        if cached is None and network is None:
+            wider = _RESULTS.get((key[0], key[1], True))
+            cached = wider if wider is not None and wider.ok else None
     if cached is not None:
         OPTIMIZER_CACHE_STATS.record_hit()
         return cached

@@ -28,7 +28,12 @@ from ..observability.benchreg import DEFAULT_MATRIX, WorkloadCell
 from ..graphs.product import ProductGraph
 from ..schedule import CompiledSchedule, compile_schedule, replay
 from ..schedule.optimize import OptimizationResult, optimize_schedule
-from .extract import ObliviousnessCertificate, adversarial_key_sets, certify_oblivious
+from .extract import (
+    ObliviousnessCertificate,
+    adversarial_key_sets,
+    certify_oblivious,
+    emit_schedule,
+)
 from .lints import LINT_NAMES, VerificationReport, verify_dag
 from .mutants import (
     MutantOutcome,
@@ -236,9 +241,19 @@ def run_check(
     run = CheckRun()
     for cell in _select_cells(cells, only):
         factor = cell.build_factor()
+        s2_model, routing_model = _analytic_models(cell)
+        # first, so the lattice backend's kernel (optimized without a network)
+        # reuses this result instead of optimizing the cell a second time
+        optimization = optimize_schedule(
+            emit_schedule(factor, cell.r, backend=cell.backend),
+            validate=True,
+            network=ProductGraph(factor, cell.r),
+            s2_model_rounds=s2_model,
+            routing_model_rounds=routing_model,
+            seed=seed,
+        )
         certificate = certify_oblivious(factor, cell.r, backend=cell.backend, seed=seed)
         report = None
-        s2_model, routing_model = _analytic_models(cell)
         if lints:
             report = verify_dag(
                 certificate.dag,
@@ -247,14 +262,6 @@ def run_check(
                 s2_model_rounds=s2_model,
                 routing_model_rounds=routing_model,
             )
-        optimization = optimize_schedule(
-            certificate.dag,
-            validate=True,
-            network=ProductGraph(factor, cell.r),
-            s2_model_rounds=s2_model,
-            routing_model_rounds=routing_model,
-            seed=seed,
-        )
         run.cells.append(
             CellCheck(cell=cell, certificate=certificate, report=report, optimize=optimization,
                       compiled_ok=_check_compiled(certificate, seed) if compiled else None)

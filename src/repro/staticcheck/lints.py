@@ -51,10 +51,12 @@ from ..analysis.complexity import (
 from ..graphs.product import ProductGraph
 from ..orders.gray import gray_sequence, rank_lattice
 from ..schedule.activity import (
+    MAX_EXHAUSTIVE_NODES,
+    MAX_STATES,
     ActivityTracker,
     apply_zero_one_round,
-    count_dtype,
-    sorted_columns,
+    unpack,
+    unsorted_columns,
     zero_one_space,
 )
 from .dag import ComparatorDAG, ScheduleRound, snake_order_nodes
@@ -347,36 +349,47 @@ def _round_max_move(rd: ScheduleRound, sranks: np.ndarray) -> int:
     return move
 
 
-def _snake_boundaries(
-    states: np.ndarray, snake: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per column of node-major 0-1 states: the zero count and the first
-    one's and last zero's snake positions (exact where a column holds both).
-    Running or/and over the rows, taken in snake order, counts leading zeros
-    and trailing ones; an ``argmax`` down the columns is strided and ~30x
-    slower, and a snake-ordered copy would double the peak memory.
+def _checkpoint(states: np.ndarray, snake: np.ndarray, budget: int) -> tuple[int, int, int]:
+    """Lemma-1 checkpoint over packed ``states``: ``(dirty, doomed, need)``.
+
+    ``dirty`` is the widest snake window from a column's first one to its
+    last zero (0 if all are sorted), bisected on the packed rows.  A column
+    needs ``max(a, b)`` positions of movement: ``a`` zeros after its first
+    one, ``b`` ones before its last zero, ``a + b`` its window.  So only
+    ``dirty > budget`` unpacks ``a`` and ``b``, a chunk at a time, to find
+    the first column that needs more (``doomed``; -1 if none).
     """
-    num, cols = len(snake), states.shape[1]
-    dtype = count_dtype(num)
-    seen, run = np.zeros(cols, dtype=np.int8), np.ones(cols, dtype=np.int8)
-    seen_rows, trailing_ones = np.zeros(cols, dtype=dtype), np.zeros(cols, dtype=dtype)
-    for head, tail in zip(snake, snake[::-1]):
-        seen |= states[head]
-        seen_rows += seen
-        run &= states[tail]
-        trailing_ones += run
-    zeros = num - states.sum(axis=0, dtype=dtype).astype(np.int64)
-    return zeros, num - seen_rows.astype(np.int64), num - 1 - trailing_ones.astype(np.int64)
+    rows = states[snake]
+    ones = np.bitwise_or.accumulate(rows)  # a one at or before the position
+    zeros = np.bitwise_or.accumulate(~rows[::-1])[::-1]  # a zero at or after it
+    dirty, lo, hi = 0, 2, len(snake)
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if (ones[: len(snake) - mid + 1] & zeros[mid - 1 :]).any():
+            dirty, lo = mid, mid + 1
+        else:
+            hi = mid - 1
+    if dirty <= budget:
+        return dirty, -1, 0
+    for word in range(0, states.shape[1], 1024):  # 65,536 columns; padding needs 0
+        chunk = slice(word, word + 1024)
+        a = unpack(ones[:, chunk] & ~rows[:, chunk]).sum(axis=0, dtype=np.int64)
+        b = unpack(rows[:, chunk] & zeros[:, chunk]).sum(axis=0, dtype=np.int64)
+        need = np.maximum(a, b)
+        hits = np.flatnonzero(need > budget)
+        if hits.size:
+            return dirty, 64 * word + int(hits[0]), int(need[hits[0]])
+    return dirty, -1, 0
 
 
 def lint_zero_one(
     dag: ComparatorDAG,
-    max_exhaustive_nodes: int = 16,
-    max_states: int = 700_000,
+    max_exhaustive_nodes: int = MAX_EXHAUSTIVE_NODES,
+    max_states: int = MAX_STATES,
 ) -> LintResult:
     """Certify the schedule sorts every 0-1 input (Lemma 2 ⇒ every input)."""
     result = LintResult("zero-one", ok=True)
-    n, r, num_nodes = dag.n, dag.r, dag.num_nodes
+    n, r = dag.n, dag.r
     sranks = np.asarray(rank_lattice(n, r)).ravel()
     snake = snake_order_nodes(n, r)
     activity = ActivityTracker(list(dag.rounds))
@@ -410,36 +423,31 @@ def lint_zero_one(
     else:
         assert space.states is not None
         states = space.states
-        result.stats["states"] = int(states.shape[1])
+        result.stats["states"] = space.columns
         for rd in space.rounds:
             if rd.index in checkpoint_rounds:
-                z, first1, last0 = _snake_boundaries(states, snake)
-                unsorted = (z > 0) & (z < num_nodes) & (first1 < z)
-                if unsorted.any():
-                    dirty = int((last0[unsorted] - first1[unsorted] + 1).max())
-                    if checkpoint_rounds[rd.index]:
-                        lemma1_max = max(lemma1_max, dirty)
-                    required = np.maximum(z - first1, last0 - z + 1)
-                    doomed = unsorted & (required > budget_after[rd.index])
-                    if doomed.any():
-                        col = int(np.argmax(doomed))
-                        _fail(
-                            result,
-                            f"0-1 input {space.input_of(col)} is unsortable at round "
-                            f"{rd.index}: dirty window needs {int(required[col])} snake "
-                            f"positions of movement, remaining schedule can move at most "
-                            f"{int(budget_after[rd.index])} (Lemma 1 bound N^2 = "
-                            f"{lemma1_bound}; measured dirty area {dirty})",
-                            round_index=rd.index,
-                        )
-                        early_exit = True
-                        break
+                budget = int(budget_after[rd.index])
+                dirty, col, required = _checkpoint(states, snake, budget)
+                if checkpoint_rounds[rd.index]:
+                    lemma1_max = max(lemma1_max, dirty)
+                if col >= 0:
+                    _fail(
+                        result,
+                        f"0-1 input {space.input_of(col)} is unsortable at round "
+                        f"{rd.index}: dirty window needs {required} snake "
+                        f"positions of movement, remaining schedule can move at most "
+                        f"{budget} (Lemma 1 bound N^2 = "
+                        f"{lemma1_bound}; measured dirty area {dirty})",
+                        round_index=rd.index,
+                    )
+                    early_exit = True
+                    break
             apply_zero_one_round(states, rd, activity)
         else:
-            sorted_cols = sorted_columns(states, snake)
-            if not sorted_cols.all():
-                col = int(np.argmax(~sorted_cols))
-                out = states[snake, col]
+            unsorted = unpack(unsorted_columns(states, snake), space.columns)
+            if unsorted.any():
+                col = int(np.argmax(unsorted))
+                out = unpack(states[snake, col // 64 : col // 64 + 1], 64)[:, col % 64]
                 pos = int(np.argmax(out[:-1] > out[1:]))
                 _fail(
                     result,
@@ -538,8 +546,8 @@ def verify_dag(
     lints: tuple[str, ...] = LINT_NAMES,
     s2_model_rounds: int | None = None,
     routing_model_rounds: int | None = None,
-    max_exhaustive_nodes: int = 16,
-    max_states: int = 700_000,
+    max_exhaustive_nodes: int = MAX_EXHAUSTIVE_NODES,
+    max_states: int = MAX_STATES,
 ) -> VerificationReport:
     """Run the requested lints over one DAG and bundle the outcome."""
     results: dict[str, LintResult] = {}

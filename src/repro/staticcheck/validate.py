@@ -35,6 +35,7 @@ from typing import Any
 import numpy as np
 
 from ..graphs.product import ProductGraph
+from ..schedule.activity import MAX_EXHAUSTIVE_NODES, MAX_STATES
 from ..schedule.ir import ComparatorDAG, replay, snake_order_nodes
 from .extract import adversarial_key_sets
 from .lints import VerificationReport, verify_dag
@@ -104,8 +105,8 @@ def validate_translation(
     s2_model_rounds: int | None = None,
     routing_model_rounds: int | None = None,
     seed: int = 0,
-    max_exhaustive_nodes: int = 16,
-    max_states: int = 700_000,
+    max_exhaustive_nodes: int = MAX_EXHAUSTIVE_NODES,
+    max_states: int = MAX_STATES,
 ) -> TranslationValidation:
     """Prove ``optimized == original`` and that the rewrite stayed legal."""
     checks: dict[str, bool] = {}

@@ -1,42 +1,60 @@
-"""Node-major 0-1 simulation: the applier, the shared space builder, and
-the optimizer output that rests on them.
+"""Packed node-major 0-1 simulation: the applier, the shared space builder,
+and the optimizer output that rests on them.
 
 ``apply_zero_one_round`` is checked round by round against the reference
-``replay`` semantics on random node-major 0-1 states (comparators,
-ascending and descending block sorts, and the block-local ``offset`` plus
-filter path), with every activity flag checked against its definition:
-an op is live iff it changed some state.  The zero-one lint's reported
-counterexamples are replayed to confirm they really leave the snake
-unsorted, and the optimizer's per-cell certificates and hashes are pinned.
+``replay`` semantics on random packed 0-1 states (comparators, ascending
+and descending block sorts, rounds with a race, and the block-local
+``offset`` plus filter path), with every activity flag checked against its
+definition: an op is live iff it changed some state.  The block-sort
+network is checked exhaustively at every width it can meet, padding bits
+are checked to stay 0, the zero-one lint's reported counterexamples are
+replayed to confirm they really leave the snake unsorted, and the
+optimizer's per-cell certificates and hashes are pinned.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import path_graph
+from repro.graphs import k2, path_graph
+from repro.graphs.product import ProductGraph
 from repro.observability.benchreg import DEFAULT_MATRIX
 from repro.schedule import (
     ActivityTracker,
     ScheduleRound,
     analyze_zero_one_activity,
     apply_zero_one_round,
+    cache_stats,
+    clear_caches,
+    eliminate_dead_ops,
     exhaustive_zero_one_states,
     optimize_schedule,
     replay,
     snake_order_nodes,
 )
-from repro.schedule.activity import zero_one_space
-from repro.staticcheck import apply_mutant, emit_schedule
-from repro.staticcheck.lints import lint_zero_one
+from repro.schedule.activity import (
+    MAX_EXHAUSTIVE_NODES,
+    MAX_STATES,
+    _sort_blocks,
+    pack,
+    unpack,
+    unsorted_columns,
+    zero_one_space,
+)
+from repro.staticcheck import apply_mutant, emit_schedule, verify_dag
+from repro.staticcheck.checker import run_check
+from repro.staticcheck.lints import _checkpoint, lint_zero_one
 from repro.staticcheck.mutants import OPTIMIZER_FAULTS
+from repro.staticcheck.validate import validate_translation
 
 CELL_IDS = [c.key for c in DEFAULT_MATRIX]
 
@@ -59,8 +77,28 @@ def _dags():
 DAGS = _dags()
 
 
+def _race(dag, rd: ScheduleRound) -> ScheduleRound:
+    """The round with its first block sort booked twice (a race)."""
+    return dataclasses.replace(rd, block_sorts=rd.block_sorts + rd.block_sorts[:1])
+
+
+#: DAGs whose rounds book a node twice: ``double_book`` duplicates a
+#: comparator; a duplicated block sort overlaps its own nodes
+RACY = [
+    (f"{name}/double_book", apply_mutant(dag, "double_book"))
+    for name, dag in DAGS
+    if any(rd.comparators for rd in dag.rounds)
+] + [
+    (f"{name}/double_block", dataclasses.replace(
+        dag, rounds=tuple(_race(dag, rd) if rd.block_sorts else rd for rd in dag.rounds)
+    ))
+    for name, dag in DAGS
+    if any(rd.block_sorts for rd in dag.rounds)
+]
+
+
 def _replay_round(dag, rd: ScheduleRound, states: np.ndarray) -> np.ndarray:
-    """Reference semantics for one round over node-major states."""
+    """Reference semantics for one round over node-major 0-1 states."""
     one_round = dataclasses.replace(dag, rounds=(rd,))
     return replay(one_round, states.T).T
 
@@ -70,6 +108,21 @@ def _changed(before: np.ndarray, after: np.ndarray, nodes) -> bool:
     return bool((before[idx] != after[idx]).any())
 
 
+def _op_by_op(dag, rd: ScheduleRound, states: np.ndarray) -> tuple[list[bool], list[bool]]:
+    """Reference activity: each op replayed alone, in op order, is live iff
+    it changed the state it met."""
+    live: tuple[list[bool], list[bool]] = ([], [])
+    for kind, ops in ((0, rd.comparators), (1, rd.block_sorts)):
+        for op in ops:
+            single = dataclasses.replace(
+                rd, comparators=(op,) if kind == 0 else (), block_sorts=(op,) if kind else ()
+            )
+            after = _replay_round(dag, single, states)
+            live[kind].append(bool((after != states).any()))
+            states = after
+    return live
+
+
 class TestApplyZeroOneRound:
     def test_the_cells_cover_both_block_sort_directions(self):
         blocks = [blk for _, dag in DAGS for rd in dag.rounds for blk in rd.block_sorts]
@@ -77,28 +130,33 @@ class TestApplyZeroOneRound:
         assert any(not blk.descending for blk in blocks)
         assert any(rd.comparators for _, dag in DAGS for rd in dag.rounds)
 
+    def test_the_racy_dags_race(self):
+        for name, dag in RACY:
+            assert any(
+                sum(1 for _ in rd.touched_nodes()) > len(set(rd.touched_nodes()))
+                for rd in dag.rounds
+            ), name
+
     @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_matches_replay_round_by_round(self, data):
-        _, dag = data.draw(st.sampled_from(DAGS))
+        _, dag = data.draw(st.sampled_from(DAGS + RACY))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        width = data.draw(st.integers(1, 64))
-        states = rng.integers(0, 2, size=(dag.num_nodes, width), dtype=np.int8)
+        columns = data.draw(st.integers(1, 200))
+        bits = rng.integers(0, 2, size=(dag.num_nodes, columns), dtype=np.uint8)
+        states = pack(bits)
         tracker = ActivityTracker(dag.rounds)
         for rd in dag.rounds:
-            before = states.copy()
-            expected = _replay_round(dag, rd, before)
+            live_cmp, live_blk = _op_by_op(dag, rd, bits)
+            bits = _replay_round(dag, rd, bits)
             apply_zero_one_round(states, rd, tracker)
-            assert states.dtype == np.int8
-            assert np.array_equal(states, expected)
-            # ops of one round are node-disjoint, so each op's own effect is
-            # the change on its nodes
-            for i, op in enumerate(rd.comparators):
-                assert tracker.comparators[(rd.index, i)] == _changed(
-                    before, states, (op.lo, op.hi)
-                )
-            for i, blk in enumerate(rd.block_sorts):
-                assert tracker.block_sorts[(rd.index, i)] == _changed(before, states, blk.nodes)
+            assert states.dtype == np.uint64
+            assert np.array_equal(unpack(states, columns), bits)
+            assert not unpack(states)[:, columns:].any()  # padding stays 0
+            for i, live in enumerate(live_cmp):
+                assert tracker.comparators[(rd.index, i)] == live
+            for i, live in enumerate(live_blk):
+                assert tracker.block_sorts[(rd.index, i)] == live
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
@@ -113,8 +171,8 @@ class TestApplyZeroOneRound:
         cmp_filter = {i for i in sorted(cmp_all) if data.draw(st.booleans())}
         blk_filter = {i for i in sorted(blk_all) if data.draw(st.booleans())}
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        full = rng.integers(0, 2, size=(dag.num_nodes, 16), dtype=np.int8)
-        states = full[block * bs : (block + 1) * bs].copy()
+        full = rng.integers(0, 2, size=(dag.num_nodes, 16), dtype=np.uint8)
+        states = pack(full[block * bs : (block + 1) * bs])
 
         sub_round = dataclasses.replace(
             rd,
@@ -126,7 +184,7 @@ class TestApplyZeroOneRound:
         apply_zero_one_round(
             states, rd, tracker, offset=block * bs, cmp_filter=cmp_filter, blk_filter=blk_filter
         )
-        assert np.array_equal(states, after[block * bs : (block + 1) * bs]), name
+        assert np.array_equal(unpack(states, 16), after[block * bs : (block + 1) * bs]), name
         for i, op in enumerate(rd.comparators):
             live = i in cmp_filter and _changed(full, after, (op.lo, op.hi))
             assert tracker.comparators[(rd.index, i)] == live
@@ -135,10 +193,89 @@ class TestApplyZeroOneRound:
             assert tracker.block_sorts[(rd.index, i)] == live
 
     def test_exhaustive_states_are_node_major_bits(self):
-        states = exhaustive_zero_one_states(5)
-        assert states.shape == (5, 32) and states.dtype == np.int8
-        for col in range(32):
-            assert states[:, col].tolist() == [(col >> k) & 1 for k in range(5)]
+        five_nodes = dataclasses.replace(DAGS[0][1], num_nodes=5, rounds=())
+        space = zero_one_space(five_nodes, ActivityTracker(()))
+        assert space.mode == "exhaustive" and space.columns == 32
+        states = space.states
+        assert states.shape == (5, 1) and states.dtype == np.uint64
+        bits = unpack(states)
+        assert bits.shape == (5, 64) and not bits[:, space.columns :].any()
+        for col in range(space.columns):
+            assert bits[:, col].tolist() == [(col >> k) & 1 for k in range(5)]
+
+    @pytest.mark.parametrize("num_nodes", range(0, 11))
+    def test_exhaustive_states_of_every_size(self, num_nodes):
+        columns = 1 << num_nodes
+        bits = unpack(exhaustive_zero_one_states(num_nodes))
+        assert bits.shape == (num_nodes, max(64, columns)) and not bits[:, columns:].any()
+        index = np.arange(columns)
+        for k in range(num_nodes):
+            assert np.array_equal(bits[k, :columns], (index >> k) & 1)
+
+
+class TestPackedEngine:
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_pack_unpack_round_trips(self, data):
+        rows = data.draw(st.integers(0, 5))
+        columns = data.draw(st.integers(0, 300))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        bits = rng.integers(0, 2, size=(rows, columns), dtype=np.uint8)
+        states = pack(bits)
+        assert states.dtype == np.uint64 and states.shape == (rows, -(-columns // 64))
+        assert np.array_equal(unpack(states, columns), bits)
+        assert not unpack(states)[:, columns:].any()
+        assert np.array_equal(pack(unpack(states)), states)
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_the_block_network_sorts_every_0_1_input(self, width):
+        """All ``2**width`` inputs of a block of each width 1-16 (the nine
+        canonical cells sort blocks of 4, 9 and 16), in both directions and
+        stacked with a second block."""
+        states = exhaustive_zero_one_states(width)
+        before = unpack(states, 1 << width)
+        ones = before.sum(axis=0)
+        expected = (np.arange(width)[::-1, None] < ones).astype(np.uint8)
+        changed = _sort_blocks(states, np.arange(width)[None, :])
+        assert changed.tolist() == [width > 1]
+        assert np.array_equal(unpack(states, 1 << width), expected)
+        assert not unpack(states)[:, 1 << width :].any()
+        # descending (the reversed order) next to a second, ascending copy
+        stacked = np.concatenate([exhaustive_zero_one_states(width)] * 2)
+        positions = np.stack([np.arange(width)[::-1], width + np.arange(width)])
+        assert _sort_blocks(stacked, positions).tolist() == [width > 1] * 2
+        assert np.array_equal(unpack(stacked[:width], 1 << width), expected[::-1])
+        assert np.array_equal(unpack(stacked[width:], 1 << width), expected)
+        assert not _sort_blocks(stacked, positions).any()
+
+    @pytest.mark.parametrize(
+        "cell, columns", [("path-n3-r3-lattice", 1000), ("k2-n2-r2-machine", 16)]
+    )
+    def test_padding_columns_are_never_reported(self, cell, columns):
+        """``S`` is not a multiple of 64: the padding bits stay 0 through
+        every op, and no padding column is live, unsorted or a
+        counterexample."""
+        (spec,) = [c for c in DEFAULT_MATRIX if c.key == cell]
+        dag = _emit(spec)
+        space = zero_one_space(dag, ActivityTracker(dag.rounds))
+        assert space.columns == columns and space.columns % 64
+        snake = snake_order_nodes(dag.n, dag.r)
+        states = space.states
+        assert not unpack(states)[:, columns:].any()
+        for rd in space.rounds:
+            apply_zero_one_round(states, rd, None)
+            assert not unpack(states)[:, columns:].any()
+            dirty, doomed, _ = _checkpoint(states, snake, 0)
+            assert doomed < columns and (doomed >= 0) == (dirty > 0)
+        assert not unpack(unsorted_columns(states, snake))[columns:].any()
+        # a space whose real columns are all sorted reports nothing at all
+        tracker = ActivityTracker(dag.rounds)
+        sorted_space = np.zeros_like(states)
+        for rd in dag.rounds:
+            apply_zero_one_round(sorted_space, rd, tracker)
+        assert not tracker.comparators and not tracker.block_sorts
+        assert _checkpoint(sorted_space, snake, 0) == (0, -1, 0)
+        assert not unsorted_columns(sorted_space, snake).any()
 
 
 class TestZeroOneSpace:
@@ -155,11 +292,13 @@ class TestZeroOneSpace:
         dag = emit_schedule(path_graph(3), 3, backend="lattice")
         space = zero_one_space(dag, ActivityTracker(dag.rounds))
         assert space.mode == "factored" and space.states is not None
-        assert space.states.shape == (27, 10**3)
+        assert space.columns == 10**3 and space.states.shape == (27, 16)
+        bits = unpack(space.states)
+        assert not bits[:, space.columns :].any()
         snake2 = snake_order_nodes(3, 2)
         for col in (0, 1, 357, 999):
             state = np.asarray(space.input_of(col))
-            assert np.array_equal(state, space.states[:, col])
+            assert np.array_equal(state, bits[:, col])
             zeros = np.unravel_index(col, space.count_shape)
             for b, z in enumerate(zeros):
                 block = state[b * 9 : (b + 1) * 9][snake2]
@@ -277,6 +416,78 @@ class TestZeroOneSpace:
             tracemalloc.stop()
         assert result.fell_back and result.optimized is dag
         assert peak < 8 * 2**20
+
+
+class TestBudgetsAndReach:
+    def test_the_budgets_are_defined_once(self):
+        for fn in (
+            zero_one_space,
+            analyze_zero_one_activity,
+            lint_zero_one,
+            verify_dag,
+            validate_translation,
+            eliminate_dead_ops,
+        ):
+            params = inspect.signature(fn).parameters
+            assert params["max_exhaustive_nodes"].default is MAX_EXHAUSTIVE_NODES, fn
+            assert params["max_states"].default is MAX_STATES, fn
+        assert (MAX_EXHAUSTIVE_NODES, MAX_STATES) == (16, 700_000)
+
+    def test_k2_r5_certifies_in_a_few_megabytes(self):
+        """The 5-cube: 390,625 factored states, packed 64 to a word."""
+        dag = emit_schedule(k2(), 5, backend="lattice")
+        dag.schedule_hash()
+        tracemalloc.start()
+        try:
+            activity = analyze_zero_one_activity(dag)
+            _, analysis_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            lint = lint_zero_one(dag)
+            _, lint_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (activity.mode, activity.states, activity.certified) == ("factored", 390_625, True)
+        assert (len(activity.dead_comparators), len(activity.dead_block_sorts)) == (124, 48)
+        assert lint.ok and lint.stats["states"] == 390_625
+        assert lint.stats["dead_comparators"] == 124
+        assert lint.stats["redundant_block_sorts"] == 48
+        assert lint.stats["lemma1_max_dirty"] == 3
+        assert analysis_peak <= 10 * 2**20 and lint_peak <= 20 * 2**20
+
+
+
+class TestOptimizerReuse:
+    def test_check_optimizes_each_cell_once(self, schedule_caches):
+        """``run_check`` optimizes with the network first; the lattice
+        backend's and the compiled check's kernels reuse that result."""
+        first = run_check(compiled=True)
+        assert cache_stats()["optimized-schedules"]["misses"] == len(DEFAULT_MATRIX) == 9
+        clear_caches()
+        optimize_schedule(_emit(DEFAULT_MATRIX[0]))  # a networkless result is not reused
+        second = run_check(compiled=True)
+        assert cache_stats()["optimized-schedules"]["misses"] == 10
+        assert json.dumps(first.to_json()) == json.dumps(second.to_json())
+
+    def test_an_unsound_result_with_a_network_is_not_reused(
+        self, schedule_caches, monkeypatch
+    ):
+        import repro.staticcheck.validate as validate
+
+        real = validate.validate_translation
+
+        def links_fail(original, optimized, network=None, **kwargs):
+            result = real(original, optimized, network=network, **kwargs)
+            if network is not None:
+                result.checks["links"] = False
+            return result
+
+        monkeypatch.setattr(validate, "validate_translation", links_fail)
+        cell = DEFAULT_MATRIX[0]
+        dag = _emit(cell)
+        wide = optimize_schedule(dag, network=ProductGraph(cell.build_factor(), cell.r))
+        assert wide.fell_back
+        narrow = optimize_schedule(dag)
+        assert narrow is not wide and narrow.ok
 
 
 _INPUT = re.compile(r"0-1 input (\[[01, ]*\])")
