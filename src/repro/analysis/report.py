@@ -449,7 +449,7 @@ def _section_serving(seed: int) -> str:
         "Every response matched the snake-order ground truth bit for bit, "
         "with zero requests shed — the suite runs below the compiled "
         "kernels' capacity, so any rejection would mean a service regression. "
-        "The flight recorder agreed: no SLO burned error budget at page rate, "
+        "The SLO evaluator agreed: no SLO burned error budget at page rate, "
         "and the service's own latency histograms stayed at or below the "
         "client view (bucketed into the same boundaries)."
         if all_ok
@@ -463,9 +463,9 @@ def _section_serving(seed: int) -> str:
         "coalesces them into compiled-kernel batches under a 1 ms latency "
         "budget, and admission control bounds every queue.  The health "
         "columns come from the service's own `/queues.json` telemetry; the "
-        "`server p99` and `slo` columns come from the flight recorder "
-        "(`docs/slo.md`) sampling the run — `slo` is worst severity seen "
-        "over the default serving SLOs plus pages fired.\n\n"
+        "`server p99` and `slo` columns come from the service's histograms "
+        "and the SLO evaluator (`docs/slo.md`) sampling the run — `slo` is "
+        "worst severity seen over the default serving SLOs plus pages fired.\n\n"
         + table
         + f"\n\n{verdict}\n"
     )

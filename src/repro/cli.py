@@ -23,16 +23,13 @@ Reproduces the paper's evaluation from the shell:
   ``/healthz``, ``/snapshot.json``) warmed with profiled kernel runs;
 * ``serve`` — the micro-batched sort service: ``POST /sort`` +
   ``GET /queues.json`` + live ``/metrics`` (plus ``/readyz`` readiness) on
-  one port, graceful shutdown on SIGINT/SIGTERM; ``--slo`` adds the flight
-  recorder (tsdb sampler, burn-rate alerts, ``/dashboard`` +
-  ``/alerts.json`` + ``/tsdb.json``);
+  one port, graceful shutdown on SIGINT/SIGTERM; ``--slo`` adds a tsdb
+  sampler and burn-rate alerts, served as ``/alerts.json``;
 * ``loadgen`` — open-loop load generation (Poisson/burst arrivals, four
   key mixes) against an in-process service or a live ``--target`` URL,
   every response verified against snake-order ground truth; ``--slo``
-  evaluates burn-rate alerts over the run;
-* ``dash`` — the flight-recorder dashboard (terminal sparklines + SLO
-  badges + queue health), from a live ``--target`` or a self-contained
-  demo run, with ``--html`` for the standalone page;
+  evaluates burn-rate alerts over the run (with ``--flush-penalty`` and
+  a small ``--max-queue-depth``, the overload drill that pages);
 * ``worked-example`` — the Figs. 12-15 walkthrough (delegates to the
   example script's logic);
 * ``gray`` — print Gray/snake orders for small products (Figs. 3-5).
@@ -537,9 +534,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 return 2
             await asyncio.sleep(0)  # the prewarmed cells tier up before connections
             store = None
-            extra_handlers = None
+            evaluator = None
             if args.slo:
-                from .observability.dashboard import flight_recorder_routes
                 from .observability.slo import SLOEvaluator, default_serve_slos
                 from .observability.tsdb import TimeSeriesStore
 
@@ -547,14 +543,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 evaluator = SLOEvaluator(
                     store, list(default_serve_slos(window_scale=args.slo_scale))
                 )
-                store.on_tick.append(lambda now: evaluator.evaluate(now))
-                extra_handlers = flight_recorder_routes(
-                    store, evaluator, queues_fn=service.queues_snapshot
-                )
+                store.on_tick.append(evaluator.evaluate)
             try:
                 server = build_sort_server(
-                    service, loop, host=args.host, port=args.port,
-                    extra_handlers=extra_handlers,
+                    service, loop, host=args.host, port=args.port, evaluator=evaluator
                 )
             except OSError as exc:
                 print(f"cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
@@ -562,13 +554,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             server.start()
             if store is not None:
                 store.start()
-            flight = (
-                f", dashboard {server.url('/dashboard')}" if args.slo else ""
-            )
+            alerts = f", alerts {server.url('/alerts.json')}" if args.slo else ""
             print(
                 f"sort service on {server.url('/sort')} (POST) — queues "
                 f"{', '.join(service.cells)}; health {server.url('/queues.json')}, "
-                f"metrics {server.url('/metrics')}{flight} — Ctrl-C to stop",
+                f"metrics {server.url('/metrics')}{alerts} — Ctrl-C to stop",
                 file=sys.stderr,
             )
             stop = asyncio.Event()
@@ -690,76 +680,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    return 0
-
-
-def _cmd_dash(args: argparse.Namespace) -> int:
-    from .observability.dashboard import (
-        dashboard_html,
-        fetch_dashboard_inputs,
-        render_dashboard,
-    )
-
-    def emit(store, alerts, queues) -> None:  # noqa: ANN001 - shapes documented in dashboard.py
-        print(render_dashboard(store, alerts=alerts, queues=queues, window_s=args.window))
-        if args.html:
-            page = dashboard_html(
-                store, alerts=alerts, queues=queues,
-                refresh_s=None, window_s=args.window,
-            )
-            with open(args.html, "w") as fh:
-                fh.write(page)
-            print(f"wrote {args.html}", file=sys.stderr)
-
-    if args.target:
-        import time
-
-        while True:
-            try:
-                store, alerts, queues = fetch_dashboard_inputs(args.target)
-            except (OSError, ValueError) as exc:
-                print(f"cannot fetch {args.target}: {exc}", file=sys.stderr)
-                return 1
-            emit(store, alerts, queues)
-            if args.watch is None:
-                return 0
-            try:
-                time.sleep(args.watch)
-            except KeyboardInterrupt:  # pragma: no cover - interactive exit
-                return 0
-
-    # demo mode: drive one in-process scenario with the flight recorder
-    # attached, then render what it captured (--flush-penalty turns it into
-    # the overload drill that pages the availability SLO)
-    from .observability import MetricsRegistry
-    from .observability.slo import SLOEvaluator, default_serve_slos
-    from .observability.tsdb import TimeSeriesStore
-    from .serve import LoadScenario, ServiceConfig, run_loadgen
-
-    try:
-        scenario = LoadScenario(
-            cell=args.cell, arrivals=args.arrivals,
-            rate=args.rate, requests=args.requests, seed=args.seed,
-        )
-        config = ServiceConfig(
-            max_queue_depth=args.max_queue_depth, flush_penalty_s=args.flush_penalty
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    est = args.requests / args.rate + 0.5
-    interval = max(min(0.02, est / 40.0), 0.005)
-    capacity = max(int(est / interval) + 128, 256)
-    registry = MetricsRegistry()
-    store = TimeSeriesStore(registry, interval_s=interval, capacity=capacity)
-    evaluator = SLOEvaluator(
-        store, list(default_serve_slos(window_scale=est / 60.0))
-    )
-    doc = run_loadgen(
-        scenario, config=config, registry=registry,
-        slo=True, tsdb=store, evaluator=evaluator,
-    )
-    emit(store, doc.get("slo"), doc.get("service"))
     return 0
 
 
@@ -998,14 +918,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deadline-ms", type=float, default=None,
                    help="latency SLO; completions past it count deadline misses")
     p.add_argument("--slo", action="store_true",
-                   help="install the flight recorder: background tsdb sampler + "
-                   "default serving SLOs with burn-rate alerting, mounting "
-                   "/dashboard, /alerts.json and /tsdb.json on the same port")
+                   help="background tsdb sampler + default serving SLOs with "
+                   "burn-rate alerting, mounting /alerts.json on the same port")
     p.add_argument("--slo-scale", type=float, default=1.0, metavar="FACTOR",
                    help="scale the burn-rate alert windows (1.0 = the SRE-book "
                    "5m/1h defaults; smaller reacts faster, for drills)")
     p.add_argument("--sample-interval", type=float, default=0.25, metavar="SECONDS",
-                   help="flight-recorder sampling interval")
+                   help="tsdb sampling interval")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
@@ -1044,34 +963,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None, help="write to a file instead of stdout")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_loadgen)
-
-    p = sub.add_parser(
-        "dash",
-        help="flight-recorder dashboard: sparkline panels, SLO alert badges and "
-        "per-queue health (live --target, or a self-contained demo run)",
-    )
-    p.add_argument("--target", type=str, default=None, metavar="URL",
-                   help="render a live server's /tsdb.json + /alerts.json + "
-                   "/queues.json (a 'repro serve --slo' endpoint)")
-    p.add_argument("--watch", type=float, default=None, metavar="SECONDS",
-                   help="with --target: re-fetch and re-render every SECONDS "
-                   "(Ctrl-C to stop)")
-    p.add_argument("--html", type=str, default=None, metavar="FILE",
-                   help="also write the standalone HTML dashboard")
-    p.add_argument("--window", type=float, default=None, metavar="SECONDS",
-                   help="trailing window for the panels (default: everything recorded)")
-    p.add_argument("--cell", type=str, default="path-n3-r3", help="demo mode: cell to load")
-    p.add_argument("--arrivals", choices=("poisson", "burst"), default="burst",
-                   help="demo mode: arrival schedule")
-    p.add_argument("--rate", type=float, default=2000.0, help="demo mode: offered rate")
-    p.add_argument("--requests", type=int, default=400, help="demo mode: total requests")
-    p.add_argument("--max-queue-depth", type=int, default=512,
-                   help="demo mode: admission bound")
-    p.add_argument("--flush-penalty", type=float, default=0.0, metavar="SECONDS",
-                   help="demo mode: per-flush service-time penalty — raise it to "
-                   "watch the availability SLO page and resolve")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_dash)
 
     p = sub.add_parser("gray", help="print Gray/snake orders (Figs. 3-5)")
     p.add_argument("--n", type=int, default=3)

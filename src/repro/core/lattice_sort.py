@@ -250,7 +250,6 @@ class ProductNetworkSorter:
         return (
             cls._merge is ProductNetworkSorter._merge
             and cls._step4 is ProductNetworkSorter._step4
-            and cls._step4_vectorised is ProductNetworkSorter._step4_vectorised
             and cls._sort2_data is ProductNetworkSorter._sort2_data
         )
 
@@ -331,77 +330,14 @@ class ProductNetworkSorter:
         """Clean-up: alternating block sorts, two block transpositions,
         alternating block sorts (2 S_2 + 2 R).
 
-        Dispatches to a vectorised implementation (all blocks sorted in one
-        batched ``np.sort``; profiling showed per-block Python calls
-        dominating large runs); the readable per-block loop below is kept
-        for state-observed runs, whose subscribers want in-place state after
-        every sub-step.
+        Batched: one ``np.sort`` call per block-sort phase and one
+        elementwise min/max per transposition, over a contiguous copy of the
+        dimension-{1,2} blocks in prefix-lex order (``a`` may be a recursion
+        view, so the result is written back at the end).  ``emit`` receives
+        the lattice after every sub-step.
         """
-        if emit is None:
-            self._step4_vectorised(a, ledger, charge, tracer)
-            return
         k = a.ndim
         n = self.n
-        # dimension-{1,2} blocks in prefix-lex order.  NOTE: ``a`` may be a
-        # non-contiguous view (Step 2 recursion slices the last axis), where
-        # ``reshape`` would silently copy and in-place writes would be lost —
-        # so blocks are collected as basic-slicing views instead.
-        blocks = [a[idx] for idx in np.ndindex(a.shape[:-2])]
-        nblocks = len(blocks)
-        if k > 2:
-            granks = np.asarray(rank_lattice(n, k - 2)).ravel()
-        else:  # pragma: no cover - _merge handles k == 2 before calling here
-            granks = np.zeros(1, dtype=np.int64)
-        order = np.argsort(granks)  # order[z] = lex index of the block of group rank z
-        parities = granks % 2
-
-        def sort_blocks(detail: str, span_name: str) -> None:
-            with tracer.span(span_name, kind="s2", dim=k) as sp:
-                for g in range(nblocks):
-                    self._sort2_data(blocks[g], descending=bool(parities[g]))
-                if not tracer.disabled:
-                    sp.set(rounds=self.sorter2d.rounds(n), blocks=nblocks)
-            if charge:
-                ledger.charge_s2(self.sorter2d.rounds(n), detail=detail)
-
-        assert nblocks == granks.size
-
-        with tracer.span("cleanup", dim=k):
-            # 4a: alternating-direction block sorts (even rank ascending)
-            sort_blocks(f"step4 block sorts (k={k})", "block-sorts")
-            emit(f"merge{k}_step4_sorted", a.copy())
-
-            # 4b: two odd-even transposition steps between snake-consecutive
-            # blocks; minima migrate to the predecessor (lower-rank) block.
-            for parity in (0, 1):
-                with tracer.span("transposition", kind="routing", dim=k, parity=parity) as sp:
-                    for z in range(parity, nblocks - 1, 2):
-                        lo = blocks[order[z]]
-                        hi = blocks[order[z + 1]]
-                        mn = np.minimum(lo, hi)
-                        hi[...] = np.maximum(lo, hi)
-                        lo[...] = mn
-                    if not tracer.disabled:
-                        sp.set(rounds=self.routing.rounds(n))
-                if charge:
-                    ledger.charge_routing(
-                        self.routing.rounds(n),
-                        detail=f"step4 transposition parity {parity} (k={k})",
-                    )
-                emit(f"merge{k}_step4_transposition{parity}", a.copy())
-
-            # 4c: final alternating block sorts
-            sort_blocks(f"step4 final block sorts (k={k})", "final-block-sorts")
-            emit(f"merge{k}_step4_final", a.copy())
-
-    def _step4_vectorised(
-        self, a: np.ndarray, ledger: CostLedger, charge: bool, tracer: Tracer = NULL_TRACER
-    ) -> None:
-        """Batched Step 4: identical data movement, one ``np.sort`` call per
-        block-sort phase instead of one per block."""
-        k = a.ndim
-        n = self.n
-        # work on a contiguous buffer (a may be a recursion view); write back
         buf = np.ascontiguousarray(a)
         nblocks = buf.size // (n * n)
         flat = buf.reshape(nblocks, n * n)
@@ -409,7 +345,7 @@ class ProductNetworkSorter:
             granks = np.asarray(rank_lattice(n, k - 2)).ravel()
         else:  # pragma: no cover - _merge handles k == 2 before calling here
             granks = np.zeros(1, dtype=np.int64)
-        order = np.argsort(granks)
+        order = np.argsort(granks)  # order[z] = lex index of the block of group rank z
         descending = (granks % 2).astype(bool)
         rank2_flat = np.asarray(self._rank2).ravel()
 
@@ -424,7 +360,13 @@ class ProductNetworkSorter:
                 ledger.charge_s2(self.sorter2d.rounds(n), detail=detail)
 
         with tracer.span("cleanup", dim=k):
+            # 4a: alternating-direction block sorts (even rank ascending)
             sort_blocks(f"step4 block sorts (k={k})", "block-sorts")
+            if emit is not None:
+                emit(f"merge{k}_step4_sorted", buf.reshape(a.shape).copy())
+
+            # 4b: two odd-even transposition steps between snake-consecutive
+            # blocks; minima migrate to the predecessor (lower-rank) block.
             for parity in (0, 1):
                 with tracer.span("transposition", kind="routing", dim=k, parity=parity) as sp:
                     zs = np.arange(parity, nblocks - 1, 2)
@@ -440,7 +382,13 @@ class ProductNetworkSorter:
                         self.routing.rounds(n),
                         detail=f"step4 transposition parity {parity} (k={k})",
                     )
+                if emit is not None:
+                    emit(f"merge{k}_step4_transposition{parity}", buf.reshape(a.shape).copy())
+
+            # 4c: final alternating block sorts
             sort_blocks(f"step4 final block sorts (k={k})", "final-block-sorts")
+            if emit is not None:
+                emit(f"merge{k}_step4_final", buf.reshape(a.shape).copy())
 
         if buf is not a:
             a[...] = buf.reshape(a.shape)

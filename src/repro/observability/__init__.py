@@ -24,21 +24,15 @@ Passing ``tracer=None`` (the default everywhere) routes through the shared
 :data:`~repro.observability.tracer.NULL_TRACER`, whose spans are one
 preallocated no-op object — untraced runs pay essentially nothing.
 
-On top of the metrics layer sits the *flight recorder* (``docs/slo.md``):
+On top of the metrics layer sit the SLO alerts (``docs/slo.md``):
 :class:`~repro.observability.tsdb.TimeSeriesStore` samples every registry
-series into ring buffers, :class:`~repro.observability.slo.SLOEvaluator`
-turns the samples into multi-window burn-rate alerts, and
-:mod:`~repro.observability.dashboard` renders both as a terminal or HTML
-dashboard (``repro dash`` / ``repro serve --slo``).
+series into ring buffers, and :class:`~repro.observability.slo.SLOEvaluator`
+turns the samples into multi-window burn-rate alerts, served as
+``/alerts.json`` by ``repro serve --slo`` and reported by
+``repro loadgen --slo``.
 """
 
 from .cachestats import CacheStats, all_cache_stats, publish_cache_metrics
-from .dashboard import (
-    dashboard_html,
-    fetch_dashboard_inputs,
-    flight_recorder_routes,
-    render_dashboard,
-)
 from .critical_path import (
     ConformanceReport,
     MergeLevelCheck,
@@ -139,10 +133,6 @@ __all__ = [
     "BurnPolicy",
     "SEVERITIES",
     "default_serve_slos",
-    "render_dashboard",
-    "dashboard_html",
-    "flight_recorder_routes",
-    "fetch_dashboard_inputs",
     "ConformanceReport",
     "MergeLevelCheck",
     "PhaseBreakdown",

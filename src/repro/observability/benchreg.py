@@ -314,7 +314,7 @@ def _serving_record(seed: int = 0) -> list[dict[str, Any]]:
 
     Every scenario drives an in-process :class:`~repro.serve.SortService`
     with open-loop arrivals well below the compiled kernels' capacity, under
-    the flight recorder, so a healthy build completes every request with
+    the SLO evaluator, so a healthy build completes every request with
     zero rejections, zero ground-truth mismatches and no page-severity
     alert — which is exactly what :func:`candidate_errors` checks.
     """

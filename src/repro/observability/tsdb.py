@@ -1,27 +1,23 @@
-"""In-process time-series store: the flight recorder behind the dashboard.
+"""In-process time-series store: the sampled history behind the SLO alerts.
 
 Every instrument in a :class:`~repro.observability.metrics.MetricsRegistry`
 is point-in-time — a scrape shows cumulative totals with no history.  The
 :class:`TimeSeriesStore` closes that gap without any external dependency: it
 *samples* every registry series into per-series ring buffers at a fixed
 interval (a background daemon thread in production, a deterministic
-:meth:`TimeSeriesStore.tick` in tests) and answers the PromQL-shaped
-questions the SLO layer (:mod:`repro.observability.slo`) and the dashboards
-(:mod:`repro.observability.dashboard`) need:
+:meth:`TimeSeriesStore.tick` in tests) and answers the two PromQL-shaped
+questions the SLO layer (:mod:`repro.observability.slo`) asks:
 
-* :meth:`~TimeSeriesStore.increase` / :meth:`~TimeSeriesStore.rate` —
-  counter growth over a trailing window, with counter-*reset* detection
-  (a sampled value below its predecessor is treated as a restart, and the
-  post-reset value counts in full, exactly like PromQL ``increase``);
-* :meth:`~TimeSeriesStore.window_quantile` — windowed latency quantiles
-  recovered from histogram *bucket deltas* (last sample minus the sample
-  just before the window) via the existing
-  :func:`~repro.observability.metrics.quantile_from_buckets`, so a "p99
-  over the last 30s" matches what a Prometheus server would chart;
-* :meth:`~TimeSeriesStore.points` / :meth:`~TimeSeriesStore.rate_points` /
-  :meth:`~TimeSeriesStore.quantile_points` — aligned series for sparklines.
+* :meth:`~TimeSeriesStore.increase` — counter growth over a trailing
+  window, with counter-*reset* detection (a sampled value below its
+  predecessor is treated as a restart, and the post-reset value counts in
+  full, exactly like PromQL ``increase``);
+* :meth:`~TimeSeriesStore.histogram_increase` — the histogram's count, sum
+  and per-bucket *deltas* across the window (last sample minus the sample
+  just before the window), from which a "fraction slower than X over the
+  last 30s" SLI follows.
 
-Label filtering is subset-match (``store.rate("repro_serve_requests_total",
+Label filtering is subset-match (``store.increase("repro_serve_requests_total",
 5.0, cell="path(3)-n3-r3")`` sums every series whose labels contain that
 pair), mirroring a PromQL selector plus ``sum``.
 
@@ -30,12 +26,6 @@ Histogram samples are taken with
 ``(count, sum, bucket_counts)`` under the instrument lock — each sampled
 tuple satisfies ``sum(bucket_counts) == count``, the no-torn-read contract
 ``tests/test_metrics.py`` pins under concurrent load.
-
-The store is JSON-round-trippable: :meth:`~TimeSeriesStore.to_json` is the
-``/tsdb.json`` document, and :meth:`TimeSeriesStore.from_json` rebuilds a
-*detached* store (no registry, no sampler) on which every query works — the
-path ``repro dash --target URL`` uses to render a remote server's recorder
-locally.
 """
 
 from __future__ import annotations
@@ -45,14 +35,13 @@ import time
 from collections import deque
 from typing import Any, Callable
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, quantile_from_buckets
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 __all__ = ["TimeSeriesStore"]
 
 Labels = tuple[tuple[str, str], ...]
 
-#: scalar sample: (time, value); histogram sample: (time, count, sum, buckets)
-ScalarPoint = tuple[float, float]
+#: histogram sample: (time, count, sum, buckets); scalar samples are (time, value)
 HistogramPoint = tuple[float, int, float, tuple[int, ...]]
 
 
@@ -124,7 +113,7 @@ class TimeSeriesStore:
 
     def __init__(
         self,
-        registry: MetricsRegistry | None,
+        registry: MetricsRegistry,
         interval_s: float = 0.25,
         capacity: int = 1440,
         clock: Callable[[], float] = time.monotonic,
@@ -165,8 +154,6 @@ class TimeSeriesStore:
         appended under the store lock.  ``now`` defaults to the injected
         clock — tests pass explicit timestamps for full determinism.
         """
-        if self.registry is None:
-            raise RuntimeError("detached store (from_json) cannot tick")
         stamp = self._clock() if now is None else float(now)
         scalars: list[tuple[str, Labels, str, float]] = []
         hists: list[tuple[str, Labels, tuple[float, ...], HistogramPoint]] = []
@@ -227,10 +214,6 @@ class TimeSeriesStore:
                 return self.last_tick
         return self._clock()
 
-    def series_names(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(sorted({s.name for s in self._series.values()}))
-
     def match(self, name: str, **labels: Any) -> list[_Series]:
         """Every sampled series for ``name`` whose labels contain ``labels``."""
         with self._lock:
@@ -241,37 +224,6 @@ class TimeSeriesStore:
             ]
 
     # -- scalar queries --------------------------------------------------
-
-    def latest(self, name: str, **labels: Any) -> float | None:
-        """Sum of the most recent sample across matching scalar series."""
-        with self._lock:
-            values = [
-                s.points[-1][1]
-                for s in self.match(name, **labels)
-                if s.kind != "histogram" and s.points
-            ]
-        return sum(values) if values else None
-
-    def points(
-        self, name: str, window_s: float | None = None, now: float | None = None, **labels: Any
-    ) -> list[ScalarPoint]:
-        """Scalar samples summed across matching series, aligned by tick.
-
-        Samples taken in the same tick share a timestamp, so cross-series
-        alignment is exact; a series born mid-window simply contributes
-        nothing before its first sample.
-        """
-        with self._lock:
-            now = self.now() if now is None else now
-            start = now - window_s if window_s is not None else float("-inf")
-            sums: dict[float, float] = {}
-            for s in self.match(name, **labels):
-                if s.kind == "histogram":
-                    continue
-                for t, v in s.points:
-                    if start < t <= now:
-                        sums[t] = sums.get(t, 0.0) + v
-        return sorted(sums.items())
 
     def increase(
         self, name: str, window_s: float, now: float | None = None, **labels: Any
@@ -297,29 +249,19 @@ class TimeSeriesStore:
                     total += _monotone_increase(values)
         return total
 
-    def rate(self, name: str, window_s: float, now: float | None = None, **labels: Any) -> float:
-        """Per-second counter rate over the trailing window."""
-        return self.increase(name, window_s, now=now, **labels) / window_s
-
-    def rate_points(
-        self, name: str, window_s: float | None = None, now: float | None = None, **labels: Any
-    ) -> list[ScalarPoint]:
-        """Instantaneous per-gap rates (for sparklines), reset-aware."""
-        pts = self.points(name, window_s=window_s, now=now, **labels)
-        out: list[ScalarPoint] = []
-        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-            if t1 <= t0:
-                continue
-            delta = v1 if v1 < v0 else v1 - v0
-            out.append((t1, delta / (t1 - t0)))
-        return out
-
     # -- histogram queries -----------------------------------------------
 
-    def _histogram_window(
-        self, name: str, window_s: float, now: float | None, labels: dict[str, Any]
+    def histogram_increase(
+        self, name: str, window_s: float, now: float | None = None, **labels: Any
     ) -> tuple[tuple[float, ...], int, float, list[int]] | None:
-        """Summed (bounds, count Δ, sum Δ, bucket Δs) over the window."""
+        """Windowed histogram delta: ``(bounds, count, sum, bucket_counts)``.
+
+        Summed over matching series.  ``bucket_counts`` are non-cumulative
+        per-bound deltas (``+Inf`` last), clamped at zero per series so a
+        restart never goes negative; a series born inside the window counts
+        from zero.  ``None`` when no matching histogram series has been
+        sampled; ``ValueError`` when matching series disagree on bounds.
+        """
         with self._lock:
             now = self.now() if now is None else now
             start = now - window_s
@@ -351,131 +293,3 @@ class TimeSeriesStore:
             if bounds is None or bucket_deltas is None:
                 return None
         return bounds, count_delta, sum_delta, bucket_deltas
-
-    def histogram_increase(
-        self, name: str, window_s: float, now: float | None = None, **labels: Any
-    ) -> tuple[tuple[float, ...], int, float, list[int]] | None:
-        """Windowed histogram delta: ``(bounds, count, sum, bucket_counts)``.
-
-        ``bucket_counts`` are non-cumulative per-bound deltas (``+Inf``
-        last), clamped at zero per series so a restart never goes negative.
-        ``None`` when no matching histogram series has been sampled.
-        """
-        return self._histogram_window(name, window_s, now, labels)
-
-    def window_quantile(
-        self, name: str, q: float, window_s: float, now: float | None = None, **labels: Any
-    ) -> float:
-        """The ``q``-quantile of observations made *inside* the window.
-
-        Bucket deltas across the window, summed over matching series, fed to
-        :func:`quantile_from_buckets` — NaN when nothing was observed.
-        """
-        win = self._histogram_window(name, window_s, now, labels)
-        if win is None:
-            return float("nan")
-        bounds, _count, _sum, bucket_deltas = win
-        return quantile_from_buckets(bounds, bucket_deltas, q)
-
-    def quantile_points(
-        self,
-        name: str,
-        q: float,
-        window_s: float | None = None,
-        now: float | None = None,
-        **labels: Any,
-    ) -> list[ScalarPoint]:
-        """Per-gap quantiles (for sparklines): each consecutive sample pair's
-        bucket delta, summed across matching series; gaps with no
-        observations are skipped."""
-        with self._lock:
-            now = self.now() if now is None else now
-            start = now - window_s if window_s is not None else float("-inf")
-            merged: dict[float, tuple[list[int], tuple[float, ...]]] = {}
-            for s in self.match(name, **labels):
-                if s.kind != "histogram" or s.bounds is None:
-                    continue
-                for point in s.points:
-                    if not start - self.interval_s * 2 < point[0] <= now:
-                        continue
-                    entry = merged.get(point[0])
-                    if entry is None:
-                        merged[point[0]] = (list(point[3]), s.bounds)
-                    else:
-                        for i, c in enumerate(point[3]):
-                            entry[0][i] += c
-        out: list[ScalarPoint] = []
-        ordered = sorted(merged.items())
-        for (t0, (c0, _)), (t1, (c1, bounds)) in zip(ordered, ordered[1:]):
-            if t1 <= start:
-                continue
-            deltas = [max(b - a, 0) for a, b in zip(c0, c1)]
-            if sum(deltas) == 0:
-                continue
-            out.append((t1, quantile_from_buckets(bounds, deltas, q)))
-        return out
-
-    # -- serialisation ---------------------------------------------------
-
-    def to_json(
-        self, window_s: float | None = None, max_points: int | None = None
-    ) -> dict[str, Any]:
-        """The ``/tsdb.json`` document; lossless modulo the two limits.
-
-        ``window_s`` keeps only the trailing window; ``max_points`` strides
-        each series down to at most that many samples (newest kept exactly).
-        """
-        with self._lock:
-            now = self.now()
-            start = now - window_s if window_s is not None else float("-inf")
-            series_docs: list[dict[str, Any]] = []
-            for s in self._series.values():
-                pts = [p for p in s.points if start < p[0] <= now]
-                if max_points is not None and len(pts) > max_points:
-                    stride = -(-len(pts) // max_points)
-                    pts = pts[::-1][::stride][::-1]
-                doc: dict[str, Any] = {
-                    "name": s.name,
-                    "labels": dict(s.labels),
-                    "kind": s.kind,
-                }
-                if s.kind == "histogram":
-                    doc["bounds"] = list(s.bounds or ())
-                    doc["points"] = [[t, c, tot, list(b)] for t, c, tot, b in pts]
-                else:
-                    doc["points"] = [[t, v] for t, v in pts]
-                series_docs.append(doc)
-            return {
-                "interval_s": self.interval_s,
-                "capacity": self.capacity,
-                "ticks": self.ticks,
-                "last_tick": self.last_tick,
-                "series": series_docs,
-            }
-
-    @classmethod
-    def from_json(cls, doc: dict[str, Any]) -> "TimeSeriesStore":
-        """Rebuild a detached, query-only store from a ``/tsdb.json`` doc."""
-        store = cls(
-            registry=None,
-            interval_s=float(doc.get("interval_s", 0.25)),
-            capacity=max(int(doc.get("capacity", 1440)), 2),
-        )
-        store.ticks = int(doc.get("ticks", 0))
-        last = doc.get("last_tick")
-        store.last_tick = float(last) if last is not None else None
-        for sdoc in doc.get("series", ()):
-            labels: Labels = tuple(sorted((str(k), str(v)) for k, v in sdoc["labels"].items()))
-            kind = str(sdoc["kind"])
-            bounds = tuple(float(b) for b in sdoc.get("bounds", ())) or None
-            series = store._get_series(str(sdoc["name"]), labels, kind, bounds)
-            for point in sdoc["points"]:
-                if kind == "histogram":
-                    t, count, total, buckets = point
-                    series.points.append(
-                        (float(t), int(count), float(total), tuple(int(b) for b in buckets))
-                    )
-                else:
-                    t, v = point
-                    series.points.append((float(t), float(v)))
-        return store

@@ -19,13 +19,12 @@ both the service API and its telemetry:
     readiness (distinct from ``/healthz`` liveness): ``503`` while the
     service drains or any queue sits at the admission bound
     (:meth:`SortService.readiness`);
+``GET /alerts.json``
+    only with an ``evaluator`` (the ``repro serve --slo`` path): the
+    SLOs re-evaluated at the request's arrival, as
+    :meth:`~repro.observability.slo.SLOEvaluator.snapshot`;
 ``GET /metrics`` / ``GET /snapshot.json`` / ``GET /healthz``
     the usual exposition, now including the ``repro_serve_*`` instruments.
-
-With ``extra_handlers`` the flight recorder mounts ``/dashboard``,
-``/alerts.json`` and ``/tsdb.json`` on the same port (see
-:func:`repro.observability.dashboard.flight_recorder_routes`; the
-``repro serve --slo`` path).
 
 HTTP requests arrive on server threads while the service lives on an
 asyncio loop; the bridge is ``asyncio.run_coroutine_threadsafe`` onto the
@@ -36,13 +35,16 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from ..observability.httpexpo import MetricsServer
 from ..schedule.compiled import KeyDomainError, check_keys
 from .service import Rejected, SortService
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..observability.slo import SLOEvaluator
 
 __all__ = ["build_sort_server"]
 
@@ -80,14 +82,15 @@ def build_sort_server(
     host: str = "127.0.0.1",
     port: int = 0,
     request_timeout: float = 30.0,
-    extra_handlers: dict[tuple[str, str], Any] | None = None,
+    evaluator: "SLOEvaluator | None" = None,
 ) -> MetricsServer:
     """A not-yet-started :class:`MetricsServer` wired to ``service``.
 
     ``loop`` must be the event loop the service runs on; handler threads
     submit through it and block (up to ``request_timeout``) for the batched
     result.  The server scrapes the service's own registry and refreshes
-    schedule-cache counters on every scrape.
+    schedule-cache counters on every scrape.  With ``evaluator`` the
+    server also mounts ``GET /alerts.json``.
     """
     from ..observability.cachestats import publish_cache_metrics
 
@@ -121,8 +124,13 @@ def build_sort_server(
         ("POST", "/sort"): sort_handler,
         ("GET", "/queues.json"): queues_handler,
     }
-    if extra_handlers:
-        handlers.update(extra_handlers)
+    if evaluator is not None:
+
+        def alerts_handler(_payload: bytes) -> tuple[int, str, bytes]:
+            evaluator.evaluate()
+            return _json_body(200, evaluator.snapshot())
+
+        handlers[("GET", "/alerts.json")] = alerts_handler
     return MetricsServer(
         service.registry,
         host=host,

@@ -40,7 +40,9 @@ Two observability layers ride along:
   every tick, and the final alert snapshot lands in the document's ``slo``
   section, whose worst severity and page-alert count benchreg's serving
   section gates (a page-severity alert during a clean run fails the
-  candidate).
+  candidate).  A per-flush penalty (``--flush-penalty``) with a small
+  ``--max-queue-depth`` is the overload drill that pages instead
+  (``docs/slo.md``).
 
 Drive an in-process service (default) or a live HTTP endpoint via
 ``target=`` / ``repro loadgen --target URL`` (the CI serve-smoke path; with
@@ -370,8 +372,6 @@ def run_loadgen(
     http_timeout: float = 30.0,
     slo: bool = False,
     slo_specs: "tuple[Any, ...] | None" = None,
-    tsdb: "TimeSeriesStore | None" = None,
-    evaluator: "SLOEvaluator | None" = None,
     sample_interval_s: float = 0.02,
 ) -> dict[str, Any]:
     """Run one scenario to completion and return its result document.
@@ -386,12 +386,11 @@ def run_loadgen(
     snake-order ground truth and counted under zero-tolerance ``counts``.
 
     ``slo=True`` evaluates SLO burn rates during and after the run and adds
-    the alert snapshot as the ``slo`` section.  In-process the machinery is
-    built automatically (``slo_specs`` overrides the defaults; windows scale
-    to the run duration) unless an existing ``tsdb`` / ``evaluator`` pair is
-    handed in (``repro dash`` demo mode keeps them to render afterwards).
-    Against a ``target`` the server evaluates its own SLOs; its
-    ``/alerts.json`` is fetched best-effort.
+    the alert snapshot as the ``slo`` section.  In-process a tsdb sampler
+    and an evaluator are built for the run (``slo_specs`` overrides the
+    defaults; windows scale to the run duration).  Against a ``target``
+    the server evaluates its own SLOs; its ``/alerts.json`` is fetched
+    best-effort.
     """
     rng = np.random.default_rng(scenario.seed)
     offsets = arrival_offsets(scenario, rng)
@@ -431,9 +430,8 @@ def run_loadgen(
 
     metrics_registry = registry if registry is not None else MetricsRegistry()
 
-    store: "TimeSeriesStore | None" = tsdb
-    slo_evaluator: "SLOEvaluator | None" = evaluator
-    on_tick: Any = None
+    store: "TimeSeriesStore | None" = None
+    slo_evaluator: "SLOEvaluator | None" = None
     if slo:
         from ..observability.slo import SLOEvaluator as _Evaluator
         from ..observability.slo import default_serve_slos
@@ -444,17 +442,14 @@ def run_loadgen(
         # of it, so a 2-second burst exercises the same alert math as an
         # hour of production traffic
         est_duration = float(offsets[-1]) + 0.5
-        if store is None:
-            interval = max(min(sample_interval_s, est_duration / 40.0), 0.005)
-            capacity = max(int(est_duration / interval) + 128, 256)
-            store = _Store(metrics_registry, interval_s=interval, capacity=capacity)
-        if slo_evaluator is None:
-            specs = slo_specs if slo_specs is not None else default_serve_slos(
-                window_scale=est_duration / 60.0
-            )
-            slo_evaluator = _Evaluator(store, list(specs), tracer=tracer)
-        on_tick = lambda now: slo_evaluator.evaluate(now)  # noqa: E731
-        store.on_tick.append(on_tick)
+        interval = max(min(sample_interval_s, est_duration / 40.0), 0.005)
+        capacity = max(int(est_duration / interval) + 128, 256)
+        store = _Store(metrics_registry, interval_s=interval, capacity=capacity)
+        specs = slo_specs if slo_specs is not None else default_serve_slos(
+            window_scale=est_duration / 60.0
+        )
+        slo_evaluator = _Evaluator(store, list(specs), tracer=tracer)
+        store.on_tick.append(slo_evaluator.evaluate)
 
     async def amain() -> tuple[dict[str, Any], dict[str, Any]]:
         async with SortService(
@@ -476,10 +471,7 @@ def run_loadgen(
         if store is not None:
             store.stop()
     if store is not None and slo_evaluator is not None:
-        final = store.tick()  # end-of-run sample + evaluation
-        slo_evaluator.evaluate(final)
-        if on_tick is not None:
-            store.on_tick.remove(on_tick)
+        final = store.tick()  # end-of-run sample, evaluated by on_tick
         doc["slo"] = slo_evaluator.snapshot(final)
     doc.update(result)
     latencies = doc.pop("_latencies_s", [])

@@ -35,44 +35,10 @@ __all__ = [
     "render_factor_graph",
     "heat_shade",
     "render_heatmap",
-    "render_sparkline",
 ]
 
 #: shading ramp for terminal heatmaps, coolest to hottest
 HEAT_SHADES = " ·░▒▓█"
-
-#: block ramp for terminal sparklines, lowest to highest
-SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
-
-
-def render_sparkline(
-    values: Sequence[float], width: int = 40, peak: float | None = None
-) -> str:
-    """A one-line block-character sparkline of ``values``.
-
-    The last ``width`` values are drawn left-to-right on a shared scale from
-    0 to ``peak`` (default: the drawn maximum); non-finite values render as
-    spaces.  An empty input returns ``width`` spaces so dashboard columns
-    stay aligned.
-    """
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    window = [float(v) for v in list(values)[-width:]]
-    drawable = [v for v in window if v == v and abs(v) != float("inf")]
-    if not drawable:
-        return " " * width
-    top = peak if peak is not None and peak > 0 else max(max(drawable), 0.0)
-    chars = []
-    for v in window:
-        if v != v or abs(v) == float("inf"):
-            chars.append(" ")
-        elif top <= 0:
-            chars.append(SPARK_BLOCKS[0])
-        else:
-            idx = int(min(max(v, 0.0) / top, 1.0) * (len(SPARK_BLOCKS) - 1))
-            chars.append(SPARK_BLOCKS[idx])
-    return "".join(chars).rjust(width)
-
 
 def heat_shade(value: float, peak: float) -> str:
     """The ramp character for ``value`` on a scale topping out at ``peak``."""

@@ -538,7 +538,7 @@ class TestServingComparison:
             assert any(message in err for err in result.errors), message
 
     def test_page_severity_slo_alert_fails_the_candidate(self):
-        """The flight recorder's verdict is a candidate invariant — pages
+        """The SLO evaluator's verdict is a candidate invariant — pages
         during the clean suite fail even without a baseline."""
         baseline = _doc_with_serving([])
         candidate = _doc_with_serving([_serving_scenario(page_alerts=2)])

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.observability.benchreg import DEFAULT_MATRIX
 from repro.observability.metrics import MetricsRegistry
+from repro.observability.slo import default_serve_slos
 from repro.observability.tracer import Tracer
 from repro.schedule import (
     CompiledSchedule,
@@ -677,16 +678,14 @@ class TestRunLoadgen:
         assert "repro_serve_batches_total" in registry.expose_text()
 
 
-@pytest.fixture()
-def live_server(rng):
-    """A running SortService + HTTP front-end on an ephemeral port.
+def _serve_in_thread(registry: MetricsRegistry, evaluator=None):
+    """Start a SortService + HTTP front-end on an ephemeral port.
 
     Serves from a dedicated event-loop thread (like ``repro serve``) so the
-    test body can speak plain blocking HTTP.
+    test body can speak plain blocking HTTP.  Returns ``(box, close)``.
     """
     import threading
 
-    registry = MetricsRegistry()
     service_box: dict = {}
     started = threading.Event()
     stop: asyncio.Event | None = None
@@ -699,7 +698,7 @@ def live_server(rng):
         ) as service:
             loop = asyncio.get_running_loop()
             service.prewarm(CELL)
-            server = build_sort_server(service, loop)
+            server = build_sort_server(service, loop, evaluator=evaluator)
             server.start()
             service_box["service"] = service
             service_box["url"] = server.url("")
@@ -711,9 +710,76 @@ def live_server(rng):
     thread = threading.Thread(target=lambda: asyncio.run(amain()), daemon=True)
     thread.start()
     assert started.wait(timeout=30.0), "server failed to start"
-    yield service_box
-    service_box["loop"].call_soon_threadsafe(stop.set)
-    thread.join(timeout=10.0)
+
+    def close() -> None:
+        service_box["loop"].call_soon_threadsafe(stop.set)
+        thread.join(timeout=10.0)
+
+    return service_box, close
+
+
+@pytest.fixture()
+def live_server(rng):
+    """A running SortService + HTTP front-end without SLOs."""
+    box, close = _serve_in_thread(MetricsRegistry())
+    yield box
+    close()
+
+
+def _get(url: str) -> tuple[int, bytes]:
+    try:
+        with urllib.request.urlopen(url, timeout=5.0) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as err:
+        return err.code, err.read()
+
+
+class TestAlertsRoute:
+    """``GET /alerts.json`` is mounted only with an SLO evaluator."""
+
+    @pytest.fixture()
+    def slo_server(self):
+        from repro.observability.slo import SLOEvaluator, default_serve_slos
+        from repro.observability.tsdb import TimeSeriesStore
+
+        registry = MetricsRegistry()
+        store = TimeSeriesStore(registry, interval_s=1.0, clock=lambda: 0.0)
+        evaluator = SLOEvaluator(store, list(default_serve_slos(window_scale=0.05)))
+        box, close = _serve_in_thread(registry, evaluator=evaluator)
+        box["registry"], box["store"] = registry, store
+        yield box
+        close()
+
+    def test_alerts_json_reevaluates_per_request(self, slo_server):
+        status, body = _get(slo_server["url"] + "/alerts.json")
+        assert status == 200
+        doc = json.loads(body)
+        assert [a["spec"]["name"] for a in doc["alerts"]] == [
+            s.name for s in default_serve_slos()
+        ]
+        assert doc["current_severity"] == "ok" and doc["page_alerts"] == 0
+        # every request sheds between two samples; nobody calls evaluate()
+        # but the route itself, so the page proves it re-evaluates
+        registry, store = slo_server["registry"], slo_server["store"]
+        requests = registry.counter("repro_serve_requests_total")
+        sheds = registry.counter("repro_serve_rejections_total")
+        requests.inc(0, cell="c")
+        sheds.inc(0, cell="c", reason="queue_full")
+        store.tick(now=0.0)
+        requests.inc(100, cell="c")
+        sheds.inc(100, cell="c", reason="queue_full")
+        store.tick(now=1.0)
+        doc = json.loads(_get(slo_server["url"] + "/alerts.json")[1])
+        avail = doc["alerts"][0]
+        assert avail["spec"]["name"] == "serve-availability"
+        assert avail["severity"] == "page" and doc["page_alerts"] == 1
+
+    def test_alerts_404_without_an_evaluator(self, live_server):
+        assert _get(live_server["url"] + "/alerts.json")[0] == 404
+
+    @pytest.mark.parametrize("path", ["/dashboard", "/tsdb.json"])
+    def test_retired_flight_recorder_routes_are_404(self, slo_server, path):
+        assert _get(slo_server["url"] + path)[0] == 404
 
 
 class TestHttpFrontend:
@@ -1080,7 +1146,7 @@ class TestServerSideLatency:
 
 
 class TestServeSloCli:
-    """CLI wiring for the flight recorder (`--slo` on serve and loadgen)."""
+    """CLI wiring for the SLO evaluator (`--slo` on serve and loadgen)."""
 
     def test_loadgen_slo_flag_prints_the_slo_line(self, capsys):
         assert main(["loadgen", "--requests", "20", "--rate", "4000", "--slo"]) == 0
@@ -1106,7 +1172,19 @@ class TestServeSloCli:
         args = build_parser().parse_args(["serve", "--slo", "--slo-scale", "0.5"])
         assert args.slo is True and args.slo_scale == 0.5
         assert build_parser().parse_args(["serve"]).slo is False
-        args = build_parser().parse_args(
-            ["dash", "--target", "http://x/", "--watch", "1.5"]
+        args = build_parser().parse_args(["loadgen", "--slo", "--flush-penalty", "0.05"])
+        assert args.slo is True and args.flush_penalty == 0.05
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["dash"])
+
+    def test_overload_drill_pages(self, capsys):
+        """The documented overload drill (README, docs/slo.md), verbatim."""
+        drill = (
+            "loadgen --slo --arrivals burst --rate 4000 --requests 400 "
+            "--flush-penalty 0.05 --max-queue-depth 4"
         )
-        assert args.target == "http://x/" and args.watch == 1.5
+        assert main(drill.split()) == 0
+        out = capsys.readouterr().out
+        pages = int(out.split("pages_fired=")[1].split()[0])
+        assert pages >= 1, out
+        assert "    serve-availability: " in out, out  # it transitioned

@@ -295,6 +295,8 @@ class TestAcceptanceSyntheticFault:
         from repro.serve import LoadScenario, ServiceConfig, run_loadgen
 
         tracer = Tracer()
+        collector = _PointCollector()  # subscribed before the drill: the bus is live
+        tracer.bus.subscribe(collector)
         doc = run_loadgen(
             LoadScenario(requests=200, rate=4000.0, arrivals="burst", seed=3),
             config=ServiceConfig(
@@ -304,10 +306,10 @@ class TestAcceptanceSyntheticFault:
             tracer=tracer,
             slo=True,
         )
-        return doc, tracer
+        return doc, collector
 
     def test_overload_pages_the_availability_slo(self, fault_doc):
-        doc, _tracer = fault_doc
+        doc, _collector = fault_doc
         assert doc["counts"]["rejected"] > 0, "the drill must shed"
         slo = doc["slo"]
         assert slo["page_alerts"] >= 1
@@ -322,21 +324,16 @@ class TestAcceptanceSyntheticFault:
         json.dumps(doc)
 
     def test_transitions_reached_the_tracer_bus(self, fault_doc):
-        _doc, tracer = fault_doc
-        # point events live on the bus; exported JSONL carries them too
-        from repro.observability.export import spans_to_jsonl
-
-        del spans_to_jsonl  # spans only; events were collected live below
-        # the evaluator emitted at least one firing under a serve span tree
-        # (collected via the bus during the run — reconstruct from doc)
-        slo = _doc["slo"]
-        total_events = sum(len(a["events"]) for a in slo["alerts"])
-        assert total_events >= 1
+        _doc, collector = fault_doc
+        firing = [e for e in collector.events if e.name == "slo-firing"]
+        assert any(e.attrs["slo"] == "serve-availability" for e in firing), [
+            (e.name, dict(e.attrs)) for e in collector.events if e.name.startswith("slo-")
+        ]
 
     def test_benchreg_v6_candidate_fails_on_page_alerts(self, fault_doc):
         """The page-alert gate (since benchreg v6) reads the projected
         scenario record."""
-        doc, _tracer = fault_doc
+        doc, _collector = fault_doc
         from repro.observability.benchreg import candidate_errors, scenario_record
 
         record = scenario_record(doc)

@@ -1,18 +1,14 @@
-"""Tests for the flight recorder's time-series store.
+"""Tests for the time-series store behind the SLO evaluator.
 
-Pins the PromQL-shaped semantics the SLO layer and the dashboards rely on:
-deterministic ticks with an injected clock, counter-reset-aware ``increase``
-/ ``rate``, windowed quantiles recovered from histogram bucket deltas
-(checked against hand computation), label subset-matching with cross-series
-summing, ring-buffer eviction, the ``to_json``/``from_json`` round trip
-(including the detached-store contract), and the background sampler thread
-with ``on_tick`` callbacks.
+Pins the PromQL-shaped semantics the SLO layer relies on: deterministic
+ticks with an injected clock, counter-reset-aware ``increase``, windowed
+histogram bucket deltas (checked against hand computation), label
+subset-matching with cross-series summing, ring-buffer eviction, and the
+background sampler thread with ``on_tick`` callbacks.
 """
 
 from __future__ import annotations
 
-import json
-import math
 import time
 
 import pytest
@@ -38,9 +34,11 @@ class TestTicking:
         hist.observe(0.05, cell="a")
         store.tick(now=1.0)
         assert store.ticks == 1 and store.last_tick == 1.0
-        assert set(store.series_names()) == {"t_total", "t_depth", "t_seconds"}
-        assert store.latest("t_total") == 3.0
-        assert store.latest("t_depth") == 7.0
+        assert {s.name for s in store._series.values()} == {"t_total", "t_depth", "t_seconds"}
+        (total,) = store.match("t_total")
+        (depth,) = store.match("t_depth")
+        assert list(total.points) == [(1.0, 3.0)]
+        assert list(depth.points) == [(1.0, 7.0)]
 
     def test_now_prefers_last_tick_then_clock(self):
         _, store = _fixture()
@@ -62,9 +60,8 @@ class TestTicking:
         for t in range(10):
             gauge.set(float(t))
             store.tick(now=float(t))
-        pts = store.points("t_depth")
-        assert len(pts) == 4
-        assert pts == [(6.0, 6.0), (7.0, 7.0), (8.0, 8.0), (9.0, 9.0)]
+        (depth,) = store.match("t_depth")
+        assert list(depth.points) == [(6.0, 6.0), (7.0, 7.0), (8.0, 8.0), (9.0, 9.0)]
 
     def test_on_tick_callbacks_see_the_stamp(self):
         registry, store = _fixture()
@@ -85,7 +82,6 @@ class TestCounterQueries:
             store.tick(now=float(t))
         # window (2, 4]: baseline is the t=2 sample (25) -> growth 75
         assert store.increase("t_total", window_s=2.0, now=4.0) == 75.0
-        assert store.rate("t_total", window_s=2.0, now=4.0) == pytest.approx(37.5)
 
     def test_counter_reset_counts_post_restart_value_in_full(self):
         registry, store = _fixture()
@@ -121,13 +117,17 @@ class TestCounterQueries:
         assert store.increase("t_total", window_s=10.0, now=0.0) == 0.0
 
     def test_rate_points_are_per_gap_and_reset_aware(self):
+        """A one-gap window sees only that gap's growth, a reset included."""
         registry, store = _fixture()
         counter = registry.counter("t_total")
         for t, value in enumerate([0.0, 10.0, 10.0, 2.0]):
             with counter._lock:
                 counter._series[counter.labels()] = value
             store.tick(now=float(t * 2))
-        pts = store.rate_points("t_total")
+        pts = [
+            (end, store.increase("t_total", window_s=2.0, now=end) / 2.0)
+            for end in (2.0, 4.0, 6.0)
+        ]
         assert pts == [(2.0, 5.0), (4.0, 0.0), (6.0, 1.0)]
 
 
@@ -151,12 +151,10 @@ class TestHistogramQueries:
         assert bounds == (0.1, 0.5, 1.0)
         assert count == 10 and deltas == [8, 2, 0, 0]
         assert total == pytest.approx(8 * 0.05 + 2 * 0.4)
-        # the pre-window 100 observations must not leak into the quantile
-        expected = quantile_from_buckets(bounds, [8, 2, 0, 0], 0.9)
-        assert store.window_quantile("t_seconds", 0.9, window_s=1.0, now=1.0) == expected
-        # p50 sits inside the first bucket; p100-ish inside the second
-        assert store.window_quantile("t_seconds", 0.5, window_s=1.0, now=1.0) <= 0.1
-        assert 0.1 < store.window_quantile("t_seconds", 0.95, window_s=1.0, now=1.0) <= 0.5
+        # the pre-window 100 observations must not leak into the quantile:
+        # p50 sits inside the first bucket, p95 inside the second
+        assert quantile_from_buckets(bounds, deltas, 0.5) <= 0.1
+        assert 0.1 < quantile_from_buckets(bounds, deltas, 0.95) <= 0.5
 
     def test_series_born_mid_window_uses_zero_baseline(self):
         registry, store = _fixture()
@@ -171,7 +169,8 @@ class TestHistogramQueries:
         registry, store = _fixture()
         registry.histogram("t_seconds", buckets=(0.1, 1.0))
         store.tick(now=0.0)
-        assert math.isnan(store.window_quantile("t_seconds", 0.99, window_s=5.0, now=0.0))
+        # a histogram with no observed series is "no data", not a zero delta
+        assert store.histogram_increase("t_seconds", window_s=5.0, now=0.0) is None
         assert store.histogram_increase("missing", window_s=5.0, now=0.0) is None
 
     def test_mismatched_bucket_bounds_raise(self):
@@ -188,6 +187,7 @@ class TestHistogramQueries:
             store2.histogram_increase("t_a_seconds", window_s=5.0, now=0.0)
 
     def test_quantile_points_skip_empty_gaps(self):
+        """A gap with no new observations has a zero-count delta, not stale data."""
         registry, store = _fixture()
         hist = registry.histogram("t_seconds", buckets=(0.1, 0.5, 1.0))
         hist.observe(0.05)
@@ -195,55 +195,18 @@ class TestHistogramQueries:
         store.tick(now=1.0)  # no new observations in this gap
         hist.observe(0.4)
         store.tick(now=2.0)
-        pts = store.quantile_points("t_seconds", 0.99)
+        gaps = {
+            end: store.histogram_increase("t_seconds", window_s=1.0, now=end)
+            for end in (1.0, 2.0)
+        }
+        assert gaps[1.0] is not None and gaps[1.0][1] == 0
+        pts = [
+            (end, quantile_from_buckets(win[0], win[3], 0.99))
+            for end, win in gaps.items()
+            if win is not None and win[1] > 0
+        ]
         assert [t for t, _ in pts] == [2.0]
         assert 0.1 < pts[0][1] <= 0.5
-
-
-class TestSerialisation:
-    def _populated(self) -> TimeSeriesStore:
-        registry, store = _fixture()
-        counter = registry.counter("t_total")
-        hist = registry.histogram("t_seconds", buckets=(0.1, 1.0))
-        for t in range(5):
-            counter.inc(10, cell="a")
-            hist.observe(0.05 * (t + 1), cell="a")
-            store.tick(now=float(t))
-        return store
-
-    def test_round_trip_preserves_every_query(self):
-        store = self._populated()
-        doc = store.to_json()
-        json.dumps(doc)  # JSON-safe
-        clone = TimeSeriesStore.from_json(doc)
-        assert clone.ticks == store.ticks and clone.last_tick == store.last_tick
-        assert clone.series_names() == store.series_names()
-        assert clone.points("t_total") == store.points("t_total")
-        for window in (1.0, 2.5, 10.0):
-            assert clone.increase("t_total", window) == store.increase("t_total", window)
-            a = clone.window_quantile("t_seconds", 0.9, window)
-            b = store.window_quantile("t_seconds", 0.9, window)
-            assert a == b or (math.isnan(a) and math.isnan(b))
-
-    def test_detached_store_cannot_tick(self):
-        clone = TimeSeriesStore.from_json(self._populated().to_json())
-        assert clone.registry is None
-        with pytest.raises(RuntimeError, match="detached"):
-            clone.tick()
-
-    def test_max_points_downsamples_keeping_newest(self):
-        store = self._populated()
-        doc = store.to_json(max_points=2)
-        for sdoc in doc["series"]:
-            assert len(sdoc["points"]) <= 2
-            # the newest sample survives the stride exactly
-            assert sdoc["points"][-1][0] == 4.0
-
-    def test_window_limits_the_export(self):
-        store = self._populated()
-        doc = store.to_json(window_s=1.5)
-        for sdoc in doc["series"]:
-            assert all(point[0] > 2.5 for point in sdoc["points"])
 
 
 class TestSamplerThread:
@@ -260,7 +223,8 @@ class TestSamplerThread:
         ticks_after_stop = store.ticks
         time.sleep(0.05)
         assert store.ticks == ticks_after_stop  # sampler actually stopped
-        assert store.latest("t_total") == 5.0
+        (total,) = store.match("t_total")
+        assert total.points[-1][1] == 5.0
 
     def test_start_is_idempotent(self):
         registry = MetricsRegistry()
