@@ -30,65 +30,74 @@ series into ring buffers, and :class:`~repro.observability.slo.SLOEvaluator`
 turns the samples into multi-window burn-rate alerts, served as
 ``/alerts.json`` by ``repro serve --slo`` and reported by
 ``repro loadgen --slo``.
+
+The package surface is lazy: each public name is imported from its
+submodule on first use, so importing one submodule — as the compiled kernel
+does with :mod:`~repro.observability.cachestats` — loads neither the
+exporters, the SLO stack nor the HTTP server.
 """
 
-from .cachestats import CacheStats, all_cache_stats, publish_cache_metrics
-from .critical_path import (
-    ConformanceReport,
-    MergeLevelCheck,
-    PhaseBreakdown,
-    conformance_report,
-)
-from .events import (
-    CallbackSubscriber,
-    EventBus,
-    LedgerSubscriber,
-    TraceEvent,
-    TrafficSubscriber,
-    phase_key,
-    point_event,
-)
-from .heatmap import (
-    render_imbalance_table,
-    render_topology_heatmap,
-    topology_html,
-    topology_json,
-    topology_svg,
-)
-from .export import (
-    chrome_trace_json,
-    phase_summary,
-    spans_to_jsonl,
-    timeline_to_jsonl,
-    to_chrome_trace,
-)
-from .httpexpo import MetricsServer, build_metrics_server
-from .kernelprof import (
-    KernelProfiler,
-    LayerProfile,
-    RunProfile,
-    profile_cell,
-    render_profile,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsSubscriber,
-    quantile_from_buckets,
-)
-from .slo import (
-    SEVERITIES,
-    BurnPolicy,
-    SLOEvaluator,
-    SLOSpec,
-    default_serve_slos,
-)
-from .timeline import MachineStep, MachineTimeline
-from .tsdb import TimeSeriesStore
-from .topology import CongestionIndex, LinkObservatory
-from .tracer import NULL_TRACER, NullTracer, Span, Tracer, coerce_tracer, point_emitter
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from .cachestats import CacheStats, all_cache_stats, publish_cache_metrics
+    from .critical_path import (
+        ConformanceReport,
+        MergeLevelCheck,
+        PhaseBreakdown,
+        conformance_report,
+    )
+    from .events import (
+        CallbackSubscriber,
+        EventBus,
+        LedgerSubscriber,
+        TraceEvent,
+        TrafficSubscriber,
+        phase_key,
+        point_event,
+    )
+    from .heatmap import (
+        render_imbalance_table,
+        render_topology_heatmap,
+        topology_html,
+        topology_json,
+        topology_svg,
+    )
+    from .export import (
+        chrome_trace_json,
+        phase_summary,
+        spans_to_jsonl,
+        timeline_to_jsonl,
+        to_chrome_trace,
+    )
+    from .httpexpo import MetricsServer, build_metrics_server
+    from .kernelprof import (
+        KernelProfiler,
+        LayerProfile,
+        RunProfile,
+        profile_cell,
+        render_profile,
+    )
+    from .metrics import (
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+        MetricsSubscriber,
+        quantile_from_buckets,
+    )
+    from .slo import (
+        SEVERITIES,
+        BurnPolicy,
+        SLOEvaluator,
+        SLOSpec,
+        default_serve_slos,
+    )
+    from .timeline import MachineStep, MachineTimeline
+    from .tsdb import TimeSeriesStore
+    from .topology import CongestionIndex, LinkObservatory
+    from .tracer import NULL_TRACER, NullTracer, Span, Tracer, coerce_tracer, point_emitter
 
 __all__ = [
     "TraceEvent",
@@ -145,3 +154,75 @@ __all__ = [
     "topology_svg",
     "topology_html",
 ]
+
+# public name -> the submodule that defines it; a new export is one entry here,
+# plus its line in __all__ and its import under TYPE_CHECKING
+_EXPORTS: dict[str, str] = {
+    "TraceEvent": "events",
+    "EventBus": "events",
+    "CallbackSubscriber": "events",
+    "LedgerSubscriber": "events",
+    "TrafficSubscriber": "events",
+    "point_event": "events",
+    "phase_key": "events",
+    "Span": "tracer",
+    "Tracer": "tracer",
+    "NullTracer": "tracer",
+    "NULL_TRACER": "tracer",
+    "coerce_tracer": "tracer",
+    "point_emitter": "tracer",
+    "MachineStep": "timeline",
+    "MachineTimeline": "timeline",
+    "spans_to_jsonl": "export",
+    "timeline_to_jsonl": "export",
+    "to_chrome_trace": "export",
+    "chrome_trace_json": "export",
+    "phase_summary": "export",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "MetricsSubscriber": "metrics",
+    "quantile_from_buckets": "metrics",
+    "CacheStats": "cachestats",
+    "all_cache_stats": "cachestats",
+    "publish_cache_metrics": "cachestats",
+    "KernelProfiler": "kernelprof",
+    "LayerProfile": "kernelprof",
+    "RunProfile": "kernelprof",
+    "profile_cell": "kernelprof",
+    "render_profile": "kernelprof",
+    "MetricsServer": "httpexpo",
+    "build_metrics_server": "httpexpo",
+    "TimeSeriesStore": "tsdb",
+    "SLOSpec": "slo",
+    "SLOEvaluator": "slo",
+    "BurnPolicy": "slo",
+    "SEVERITIES": "slo",
+    "default_serve_slos": "slo",
+    "ConformanceReport": "critical_path",
+    "MergeLevelCheck": "critical_path",
+    "PhaseBreakdown": "critical_path",
+    "conformance_report": "critical_path",
+    "CongestionIndex": "topology",
+    "LinkObservatory": "topology",
+    "render_topology_heatmap": "heatmap",
+    "render_imbalance_table": "heatmap",
+    "topology_json": "heatmap",
+    "topology_svg": "heatmap",
+    "topology_html": "heatmap",
+}
+
+if not TYPE_CHECKING:
+
+    def __getattr__(name: str) -> Any:
+        module = _EXPORTS.get(name)
+        if module is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(import_module(f".{module}", __name__), name)
+        globals()[name] = value  # later lookups bypass this hook
+        return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

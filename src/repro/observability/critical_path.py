@@ -39,16 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..analysis import complexity
 from .tracer import Span, Tracer
-
-
-def _cx():
-    """The closed-form module, imported lazily: ``repro.analysis`` imports
-    the sorting drivers which import ``repro.observability``, so a
-    module-level import here would be circular."""
-    from ..analysis import complexity
-
-    return complexity
 
 __all__ = [
     "PhaseBreakdown",
@@ -95,8 +87,8 @@ class MergeLevelCheck:
     def calls_ok(self) -> bool:
         """Call structure matches Lemma 3: ``2(k-2)+1`` S₂, ``2(k-2)`` R."""
         return (
-            self.s2_spans == _cx().merge_s2_calls(self.dim)
-            and self.routing_spans == _cx().merge_routing_calls(self.dim)
+            self.s2_spans == complexity.merge_s2_calls(self.dim)
+            and self.routing_spans == complexity.merge_routing_calls(self.dim)
         )
 
     @property
@@ -151,8 +143,8 @@ class ConformanceReport:
     def theorem1_calls_ok(self) -> bool:
         """``(r-1)**2`` S₂ spans and ``(r-1)(r-2)`` routing spans."""
         return (
-            self.s2_spans == _cx().sort_s2_calls(self.r)
-            and self.routing_spans == _cx().sort_routing_calls(self.r)
+            self.s2_spans == complexity.sort_s2_calls(self.r)
+            and self.routing_spans == complexity.sort_routing_calls(self.r)
         )
 
     @property
@@ -296,14 +288,15 @@ def conformance_report(
     routing_unit = routing_units[0] if routing_units else 0
 
     # -- Theorem 1: call structure --------------------------------------
-    if report.s2_spans != _cx().sort_s2_calls(r):
+    if report.s2_spans != complexity.sort_s2_calls(r):
         report.deviations.append(
-            f"Theorem 1 violated: {report.s2_spans} S2 spans, expected (r-1)^2 = {_cx().sort_s2_calls(r)}"
+            f"Theorem 1 violated: {report.s2_spans} S2 spans, "
+            f"expected (r-1)^2 = {complexity.sort_s2_calls(r)}"
         )
-    if report.routing_spans != _cx().sort_routing_calls(r):
+    if report.routing_spans != complexity.sort_routing_calls(r):
         report.deviations.append(
             f"Theorem 1 violated: {report.routing_spans} routing spans, "
-            f"expected (r-1)(r-2) = {_cx().sort_routing_calls(r)}"
+            f"expected (r-1)(r-2) = {complexity.sort_routing_calls(r)}"
         )
 
     # -- Theorem 1: closed form at measured units ------------------------
@@ -320,7 +313,10 @@ def conformance_report(
     # -- model cross-check ----------------------------------------------
     if s2_model_rounds is not None and routing_model_rounds is not None:
         report.model_total_rounds = _closed_form(
-            _cx().sort_s2_calls(r), s2_model_rounds, _cx().sort_routing_calls(r), routing_model_rounds
+            complexity.sort_s2_calls(r),
+            s2_model_rounds,
+            complexity.sort_routing_calls(r),
+            routing_model_rounds,
         )
         if backend == "lattice":
             if s2_units and s2_units != (s2_model_rounds,):
@@ -359,7 +355,7 @@ def conformance_report(
             report.deviations.append(
                 f"Lemma 3 violated at dim {dim}: {check.s2_spans} S2 / "
                 f"{check.routing_spans} routing spans, expected "
-                f"{_cx().merge_s2_calls(dim)} / {_cx().merge_routing_calls(dim)}"
+                f"{complexity.merge_s2_calls(dim)} / {complexity.merge_routing_calls(dim)}"
             )
         if not check.rounds_ok:
             report.deviations.append(

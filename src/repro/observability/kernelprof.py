@@ -32,11 +32,6 @@ instruments the interpreted backends.  This module closes that gap:
   and a per-layer table (occupancy in its ``occ%`` column), and
   :func:`profile_chrome_trace` exports the layer spans as Chrome
   trace-event JSON.
-
-This module must not import :mod:`repro.schedule` at module level — the
-schedule modules import :mod:`repro.observability.cachestats`, which
-triggers this package's ``__init__``; all schedule imports are deferred
-into function bodies.
 """
 
 from __future__ import annotations
@@ -49,10 +44,17 @@ from typing import TYPE_CHECKING, Any, ContextManager
 
 import numpy as np
 
+from ..schedule.compiled import (
+    NETWORKS,
+    CompiledSchedule,
+    compile_schedule,
+    get_profiler,
+    set_profiler,
+)
+from ..schedule.ir import snake_order_nodes
 from .metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..schedule.compiled import CompiledSchedule
     from .tracer import Tracer
 
 __all__ = [
@@ -103,8 +105,6 @@ def layer_moves(step: Any, batch: int) -> int:
     and writes each of its keys once; a network slab pays one
     compare-exchange per comparator of its network on every block.
     """
-    from ..schedule.compiled import NETWORKS
-
     num_nodes = int(step.perm.size)
     moves = (4 if step.source_node_major and not step.node_major else 2) * num_nodes
     start, mid, stop = step.comparators
@@ -402,15 +402,11 @@ class KernelProfiler:
 
     def install(self) -> "KernelProfiler":
         """Route every ``CompiledSchedule.run`` through this profiler."""
-        from ..schedule.compiled import set_profiler
-
         self._previous = set_profiler(self)
         return self
 
     def uninstall(self) -> None:
         """Remove this profiler, restoring whatever was installed before."""
-        from ..schedule.compiled import get_profiler, set_profiler
-
         if get_profiler() is self:
             set_profiler(self._previous)
         self._previous = None
@@ -467,11 +463,12 @@ def profile_cell(
     scheduler noise); ``keys_per_s`` uses the median.  ``mean_occupancy``
     and ``max_occupancy`` summarise the last batch's layers.
     """
-    from ..schedule import compile_schedule, snake_order_nodes
     from ..staticcheck import emit_schedule
 
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if not batches or min(batches) < 1:
+        raise ValueError(f"batches must be one or more sizes >= 1, got {list(batches)}")
     cell = resolve_profile_cell(key)
     dag = emit_schedule(cell.build_factor(), cell.r, backend=cell.backend)
     prof = profiler if profiler is not None else KernelProfiler()

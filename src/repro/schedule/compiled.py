@@ -58,6 +58,7 @@ with byte-identical schedules share one compiled artifact.
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import defaultdict
 from dataclasses import dataclass
@@ -80,6 +81,7 @@ __all__ = [
     "NETWORK_MIN_LANES",
     "ScheduleLayer",
     "check_keys",
+    "check_unmasked",
     "clear_kernel_cache",
     "compile_schedule",
     "get_profiler",
@@ -119,6 +121,19 @@ def check_keys(keys: np.ndarray, cell: str) -> None:
         )
     if np.isnan(keys).any():
         raise KeyDomainError(cell, f"cell {cell} cannot sort NaN keys: they are unordered")
+
+
+def check_unmasked(keys: Any, cell: str) -> None:
+    """Raise :class:`KeyDomainError` if ``keys`` is a masked array with a masked entry.
+
+    ``np.asarray`` drops the mask, so the hidden keys would be sorted into
+    the answer.  ``numpy.ma`` is read only once something has imported it
+    (no masked array exists before that), so other callers do not pay its
+    import.
+    """
+    ma = sys.modules.get("numpy.ma")
+    if ma is not None and isinstance(keys, ma.MaskedArray) and ma.is_masked(keys):
+        raise KeyDomainError(cell, f"cell {cell} cannot sort masked keys: the mask would be lost")
 
 
 #: fewest lanes (``blocks * batch``) at which a narrow slab runs as a network
@@ -357,8 +372,9 @@ class CompiledSchedule:
 
         Returns the view and whether ``state`` was a single 1-D key vector.
         Keys outside the key domain raise :class:`KeyDomainError` (see
-        :func:`check_keys`).
+        :func:`check_keys` and :func:`check_unmasked`).
         """
+        check_unmasked(state, self.cell)
         arr = np.asarray(state)
         squeeze = arr.ndim == 1
         x = arr[np.newaxis, :] if squeeze else arr

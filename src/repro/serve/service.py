@@ -82,7 +82,7 @@ import numpy as np
 
 from ..observability.metrics import MetricsRegistry
 from ..observability.tracer import NULL_TRACER
-from ..schedule.compiled import CompiledSchedule, check_keys
+from ..schedule.compiled import CompiledSchedule, check_keys, check_unmasked
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..observability.tracer import Tracer
@@ -332,10 +332,11 @@ class SortService:
         subclass :class:`~repro.schedule.compiled.KeyDomainError` on keys
         outside the kernel's key domain (see
         :func:`~repro.schedule.compiled.check_keys`): they have no place in a
-        total order.
+        total order.  Masked keys raise it too, since the mask cannot be kept.
         """
         loop = asyncio.get_running_loop()
         queue = self._get_queue(cell_key)
+        check_unmasked(keys, queue.key)
         arr = np.asarray(keys)
         if arr.ndim != 1 or arr.shape[0] != queue.kernel.num_nodes:
             raise ValueError(

@@ -343,6 +343,17 @@ class TestProfileCell:
         assert main(["profile", "--cell", "moebius-n9-r9", "--json"]) == 2
         assert "unknown profile cell" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("batches", [(), (0,), (-4,), (8, 0)])
+    def test_empty_or_non_positive_batch_sweep_is_refused(self, batches, capsys):
+        with pytest.raises(ValueError, match="batches must be one or more sizes >= 1"):
+            profile_cell("path-n3-r3", batches=batches, runs=1)
+        if batches:
+            argv = ["profile", "--cell", "path-n3-r3", "--runs", "1"]
+            for batch in batches:
+                argv += ["--batch", str(batch)]
+            assert main(argv) == 2
+            assert "batches must be one or more sizes >= 1" in capsys.readouterr().err
+
 
 class TestMetricsEndpoint:
     def test_metrics_healthz_snapshot_and_404(self, schedule_caches):

@@ -433,8 +433,8 @@ class TestLowering:
 
 class TestKeyDomain:
     """Only totally ordered keys reach the kernel: NaN, NaT, complex,
-    object and string keys raise :class:`KeyDomainError` on every kernel,
-    in both slab forms."""
+    object, string and masked keys raise :class:`KeyDomainError` on every
+    kernel, in both slab forms."""
 
     @staticmethod
     def _unordered(num_nodes: int, batch: int, rng: np.random.Generator):
@@ -447,6 +447,8 @@ class TestKeyDomain:
         floats[-1, 2] = np.nan
         objects = rng.integers(0, 9, size=(batch, num_nodes)).astype(object)
         strings = rng.integers(0, 9, size=(batch, num_nodes)).astype(str)
+        ints = rng.integers(0, 9, size=(batch, num_nodes))
+        masked = np.ma.masked_array(ints, mask=np.arange(ints.size).reshape(ints.shape) % 5 == 1)
         return {
             "NaT": (times, "datetime64"),
             "timedelta": (spans, "timedelta64"),
@@ -454,6 +456,7 @@ class TestKeyDomain:
             "NaN": (floats, "NaN"),
             "object": (objects, "object"),
             "str": (strings, "<U"),
+            "masked": (masked, "masked"),
         }
 
     @pytest.mark.parametrize("batch", [1, 256])
@@ -472,6 +475,13 @@ class TestKeyDomain:
                 assert excinfo.value.cell == kernel.cell, name
                 with pytest.raises(KeyDomainError, match=words):
                     KernelProfiler().run(kernel, state)
+
+    def test_a_masked_array_without_masked_keys_sorts_like_its_data(self, rng):
+        dag = _emit(next(c for c in DEFAULT_MATRIX if c.key == "path-n3-r3-lattice"))
+        kernel = _kernel(dag, True)
+        keys = rng.integers(0, 9, size=(4, dag.num_nodes))
+        out = kernel.run(np.ma.masked_array(keys, mask=False))
+        assert type(out) is np.ndarray and np.array_equal(out, _snake_sorted(dag, keys))
 
     def test_the_allowlist(self):
         from repro.schedule import KeyDomainError, check_keys

@@ -322,7 +322,7 @@ class TestSortService:
         assert queue["depth"] == 0 and queue["completed"] == 0
 
     def test_keys_outside_the_key_domain_raise_a_typed_error(self, rng):
-        """NaT, complex NaN, object and string keys never reach a batch."""
+        """NaT, complex NaN, object, string and masked keys never reach a batch."""
         from repro.schedule import KeyDomainError
 
         times = rng.integers(0, 10**9, WIDTH).astype("datetime64[s]")
@@ -342,6 +342,10 @@ class TestSortService:
                     with pytest.raises(KeyDomainError, match="only bool, integer") as excinfo:
                         await service.submit(CELL, keys)
                     assert excinfo.value.cell == "path(3)-n3-r3"
+                masked = np.ma.masked_array(np.arange(WIDTH), mask=np.arange(WIDTH) % 5 == 1)
+                with pytest.raises(KeyDomainError, match="masked") as excinfo:
+                    await service.submit(CELL, masked)
+                assert excinfo.value.cell == "path(3)-n3-r3"
                 out = await service.submit(CELL, rng.integers(0, 9, WIDTH).astype(bool))
                 assert out.dtype == bool
                 return service.queues_snapshot()
