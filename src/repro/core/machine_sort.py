@@ -157,8 +157,8 @@ class MachineSorter:
                 measured = 0
                 if instr.phase is not None:
                     for rd in rounds_of.get(instr.phase, ()):
-                        pairs = [(labels[op.lo], labels[op.hi]) for op in rd.comparators]
-                        cost = machine.compare_exchange(pairs)
+                        lows, highs = ([labels[i] for i in a.tolist()] for a in (rd.lo, rd.hi))
+                        cost = machine.compare_exchange(list(zip(lows, highs)))
                         assert cost == rd.charge, (
                             f"interpreted round cost {cost} != planned charge {rd.charge}"
                         )

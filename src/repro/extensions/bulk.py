@@ -17,10 +17,9 @@ multiway-merge sorter to that regime the way practical systems do:
 Since the schedule refactor the lifting is literal: the bulk sorter
 **interprets the same emitted** :class:`~repro.schedule.ir.ComparatorDAG`
 as the one-key backends, per geometry cell from the same cache, with each
-:class:`~repro.schedule.ir.ComparatorOp` executed as a merge-split and each
-:class:`~repro.schedule.ir.BlockSortOp` as a bulk block sort dealing runs
-back along the block's local snake order (reversed when descending — the
-run-level image of an anti-snake block sort).
+comparator executed as a merge-split and each block sort as a bulk block
+sort dealing runs back along the block's local snake order (reversed when
+descending — the run-level image of an anti-snake block sort).
 
 Correctness is Knuth's classic lifting: an *oblivious* compare-exchange
 schedule stays a sorting algorithm when compare-exchange is replaced by
@@ -50,6 +49,7 @@ from typing import Any
 from ..analysis.complexity import sort_rounds
 from ..core.sorting import required_order
 from ..schedule import ComparatorDAG, emit_lattice_schedule, snake_order_nodes
+from ..schedule.ir import output_order
 
 __all__ = ["BulkSortStats", "bulk_multiway_merge_sort"]
 
@@ -102,15 +102,15 @@ def _interpret_bulk(dag: ComparatorDAG, runs: list[list[Any]], c: int) -> int:
     """
     splits = 0
     for rd in dag.rounds:
-        for op in rd.comparators:
-            merged = sorted(runs[op.lo] + runs[op.hi])
-            runs[op.lo], runs[op.hi] = merged[:c], merged[c:]
+        for lo, hi in zip(rd.lo.tolist(), rd.hi.tolist()):
+            merged = sorted(runs[lo] + runs[hi])
+            runs[lo], runs[hi] = merged[:c], merged[c:]
             splits += 1
-        for blk in rd.block_sorts:
-            merged = sorted(key for node in blk.nodes for key in runs[node])
-            nodes = blk.nodes[::-1] if blk.descending else blk.nodes
-            for j, node in enumerate(nodes):
-                runs[node] = merged[j * c : (j + 1) * c]
+        for nodes, descending in rd.blocks:
+            for block in output_order(nodes, descending).tolist():
+                merged = sorted(key for node in block for key in runs[node])
+                for j, node in enumerate(block):
+                    runs[node] = merged[j * c : (j + 1) * c]
     return splits
 
 

@@ -3,8 +3,8 @@
 ``repro.schedule`` owns the static schedule of the paper's algorithm:
 
 * :mod:`repro.schedule.ir` — the :class:`ComparatorDAG` datatype (phases →
-  rounds → ops), its canonical SHA-256 hash and the reference
-  :func:`replay` semantics;
+  rounds of index arrays), its canonical SHA-256 hash, the reference
+  :func:`replay` semantics and the ASAP layering :func:`pack_rounds`;
 * :mod:`repro.schedule.emit` — keyless emitters producing the IR from the
   §3.1/§3.3 recursion for both backends;
 * :mod:`repro.schedule.compiled` — the layer-packed compiled batch kernel
@@ -44,9 +44,7 @@ from .emit import (
     span_path_entry,
 )
 from .ir import (
-    BlockSortOp,
     ComparatorDAG,
-    ComparatorOp,
     SchedulePhase,
     ScheduleRound,
     phase_detail,
@@ -66,9 +64,7 @@ from .optimize import (
 
 __all__ = [
     "ActivityTracker",
-    "BlockSortOp",
     "ComparatorDAG",
-    "ComparatorOp",
     "CompiledSchedule",
     "EmittedMachineSchedule",
     "KeyDomainError",

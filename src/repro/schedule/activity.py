@@ -40,7 +40,7 @@ from typing import Iterable
 import numpy as np
 
 from ..baselines.batcher import odd_even_merge_sort_network
-from .ir import ComparatorDAG, ScheduleRound, snake_order_nodes
+from .ir import ComparatorDAG, ScheduleRound, output_order, snake_order_nodes
 
 __all__ = [
     "MAX_EXHAUSTIVE_NODES",
@@ -66,8 +66,9 @@ MAX_STATES = 700_000
 class ActivityTracker:
     """Tracks which operations ever moved a key during 0-1 simulation.
 
-    Keys are ``(round_index, op_index)`` pairs into the round's comparator
-    and block-sort tuples respectively; a value of ``True`` means the
+    Keys are ``(round_index, op_index)`` pairs, numbering the round's
+    comparators and block sorts respectively (see
+    :mod:`repro.schedule.ir`); a value of ``True`` means the
     operation exchanged/permuted keys on at least one simulated input.
     Only moves are stored: a refused 0-1 space builds no per-op table.
     """
@@ -82,8 +83,8 @@ class ActivityTracker:
     def dead(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """``(dead_comparators, dead_block_sorts)`` as sorted key lists."""
         rounds = sorted(self._rounds, key=lambda rd: rd.index)
-        cmp = [(rd.index, i) for rd in rounds for i in range(len(rd.comparators))]
-        blk = [(rd.index, i) for rd in rounds for i in range(len(rd.block_sorts))]
+        cmp = [(rd.index, i) for rd in rounds for i in range(rd.comparator_count)]
+        blk = [(rd.index, i) for rd in rounds for i in range(rd.block_sort_count)]
         return (
             [key for key in cmp if not self.comparators.get(key)],
             [key for key in blk if not self.block_sorts.get(key)],
@@ -142,30 +143,44 @@ def apply_zero_one_round(
 ) -> None:
     """Apply one round to packed node-major 0-1 states, recording op activity.
 
-    A block sort is Batcher's odd-even merge network of AND/OR.  The round's
-    same-width blocks are sorted together when no two of its block sorts
-    share a node; otherwise each is applied alone, in op order.
+    A comparator is an AND/OR of two node rows; a block sort is Batcher's
+    odd-even merge network of AND/OR.  When no two of the round's ops share
+    a node, all comparators run at once and same-width blocks are sorted
+    together; otherwise each op is applied alone, in op order.
 
     ``offset`` plus the filters support block-local simulation: node indices
     are shifted by ``-offset`` and only the comparator/block-sort positions in
     the respective filter (when given) are applied.
     """
-    for i, op in enumerate(rd.comparators):
-        if cmp_filter is not None and i not in cmp_filter:
-            continue
-        if compare_exchange(states, op.lo - offset, op.hi - offset) and activity is not None:
+    picked = np.array(
+        sorted(range(rd.comparator_count) if cmp_filter is None else cmp_filter), dtype=np.intp
+    )
+    if picked.size:
+        # intp indices: an int32 index costs a conversion on every fancy index
+        lo = rd.lo.astype(np.intp)[picked] - offset
+        hi = rd.hi.astype(np.intp)[picked] - offset
+        if rd.disjoint:
+            a, b = states[lo], states[hi]
+            states[lo], states[hi] = a & b, a | b
+            moved = (a & ~b).any(axis=1)
+        else:
+            moved = np.array([compare_exchange(states, x, y) for x, y in zip(lo, hi)], dtype=bool)
+        for i in picked[moved].tolist() if activity is not None else ():
             activity.comparators[(rd.index, i)] = True
-    picked = [i for i in range(len(rd.block_sorts)) if blk_filter is None or i in blk_filter]
-    order = [rd.block_sorts[i].nodes[:: -1 if rd.block_sorts[i].descending else 1] for i in picked]
-    race = sum(map(len, order)) != len({x for nodes in order for x in nodes})
-    groups: dict[int, list[int]] = {}
-    for k, nodes in enumerate(order):  # by width; a race keeps the op order
-        groups.setdefault(k if race else len(nodes), []).append(k)
-    for batch in groups.values():
-        positions = np.array([order[k] for k in batch], dtype=np.intp) - offset
-        for k in np.flatnonzero(_sort_blocks(states, positions)):
-            if activity is not None:
-                activity.block_sorts[(rd.index, picked[batch[k]])] = True
+    first = 0  # the group's first block-sort number
+    for nodes, descending in rd.blocks:
+        rows = np.array(sorted(
+            range(len(nodes)) if blk_filter is None
+            else (i - first for i in blk_filter if 0 <= i - first < len(nodes))
+        ), dtype=np.intp)
+        order = output_order(nodes, descending).astype(np.intp)[rows] - offset
+        # the group's blocks at once, or each alone in op order (a race)
+        parts = [slice(None)] if rd.disjoint else [slice(k, k + 1) for k in range(len(rows))]
+        for part in parts if len(rows) else ():
+            changed = _sort_blocks(states, order[part])
+            for i in (rows[part][changed] + first).tolist() if activity is not None else ():
+                activity.block_sorts[(rd.index, i)] = True
+        first += len(nodes)
 
 
 def unsorted_columns(states: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -307,24 +322,26 @@ def zero_one_space(
     nblocks = num_nodes // bs
     per_block_ops: list[dict[int, tuple[set[int], set[int]]]] = [{} for _ in range(nblocks)]
     for rd in prefix:
-        for i, op in enumerate(rd.comparators):
-            if op.lo // bs != op.hi // bs:
-                return refuse(
-                    f"prefix round {rd.index}: comparator crosses PG_2 blocks "
-                    f"({op.lo}, {op.hi})",
-                    "cannot factor",
-                    rd.index,
-                )
-            per_block_ops[op.lo // bs].setdefault(rd.index, (set(), set()))[0].add(i)
-        for i, blk in enumerate(rd.block_sorts):
-            owners = {node // bs for node in blk.nodes}
-            if len(owners) != 1:
-                return refuse(
-                    f"prefix round {rd.index}: block sort crosses PG_2 blocks",
-                    "cannot factor",
-                    rd.index,
-                )
-            per_block_ops[owners.pop()].setdefault(rd.index, (set(), set()))[1].add(i)
+        crossing = np.flatnonzero(rd.lo // bs != rd.hi // bs)
+        if crossing.size:
+            k = crossing[0]
+            return refuse(
+                f"prefix round {rd.index}: comparator crosses PG_2 blocks "
+                f"({rd.lo[k]}, {rd.hi[k]})",
+                "cannot factor",
+                rd.index,
+            )
+        owners = [(nodes // bs).tolist() for nodes, _ in rd.blocks]
+        if any(len(set(row)) != 1 for rows in owners for row in rows):
+            return refuse(
+                f"prefix round {rd.index}: block sort crosses PG_2 blocks",
+                "cannot factor",
+                rd.index,
+            )
+        owned = ((rd.lo // bs).tolist(), [row[0] for rows in owners for row in rows])
+        for kind, blocks in enumerate(owned):  # comparators, then block sorts
+            for i, b in enumerate(blocks):
+                per_block_ops[b].setdefault(rd.index, (set(), set()))[kind].add(i)
 
     # both budgets before any state is allocated: the suffix space (a power when
     # too long to print, like the 16-cube's 5^16384) and a simulated prefix block
@@ -350,8 +367,8 @@ def zero_one_space(
             ((index, (cmp_set, blk_set)),) = per_block_ops[b].items()
             if not cmp_set and len(blk_set) == 1:
                 (i,) = blk_set
-                blk = rounds_by_index[index].block_sorts[i]
-                if not blk.descending and blk.nodes == tuple((b * bs + snake2).tolist()):
+                nodes, descending = rounds_by_index[index].block_sort(i)
+                if not descending and np.array_equal(nodes, b * bs + snake2):
                     tracker.block_sorts[(index, i)] = True
                     continue
         if block_states is None:

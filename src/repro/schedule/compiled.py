@@ -4,11 +4,12 @@ The emitted :class:`~repro.schedule.ir.ComparatorDAG` orders operations by
 *charged phase*; within a phase the operations are simultaneous, and across
 phases an operation only truly depends on earlier operations touching the
 same nodes.  :func:`compile_schedule` exploits this: an ASAP (as soon as
-possible) scan assigns every comparator and block sort the earliest layer
-after its last same-node predecessor, packing independent operations — even
-from different phases — into maximal parallel layers (:class:`ScheduleLayer`,
-the IR-level description of a layer).  Every operation lands one layer past
-the deepest of its own nodes, so no two operations of a layer share a node.
+possible) scan (:func:`~repro.schedule.ir.pack_rounds`) assigns every
+comparator and block sort the earliest layer after its last same-node
+predecessor, packing independent operations — even from different phases —
+into maximal parallel layers (:class:`ScheduleLayer`, the IR-level
+description of a layer).  Every operation lands one layer past the deepest
+of its own nodes, so no two operations of a layer share a node.
 
 The same pass lowers every layer to a :class:`LoweredLayer`: one gather
 into the layer's *layout*, then in-place compute on contiguous spans.  A
@@ -60,7 +61,6 @@ from __future__ import annotations
 
 import sys
 import threading
-from collections import defaultdict
 from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
@@ -68,7 +68,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..observability.cachestats import CacheStats
-from .ir import ComparatorDAG
+from .ir import ComparatorDAG, output_order, pack_rounds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..observability.kernelprof import KernelProfiler
@@ -264,73 +264,35 @@ class CompiledSchedule:
         #: benchreg-style label for profiler metrics (family-n-r, no backend:
         #: the kernel is backend-agnostic once emitted)
         self.cell = f"{dag.factor}-n{dag.n}-r{dag.r}"
-        depth = [0] * dag.num_nodes
-        # layer index -> its comparators' lo nodes, their hi nodes, and its
-        # block sorts by width: {width: [(row in local snake order, descending)]}
-        lows: defaultdict[int, list[int]] = defaultdict(list)
-        highs: defaultdict[int, list[int]] = defaultdict(list)
-        blocks: defaultdict[int, defaultdict[int, list[tuple[tuple[int, ...], bool]]]]
-        blocks = defaultdict(lambda: defaultdict(list))
-        for rd in dag.rounds:
-            for op in rd.comparators:
-                lo, hi = op.lo, op.hi
-                layer = max(depth[lo], depth[hi]) + 1
-                depth[lo] = depth[hi] = layer
-                lows[layer].append(lo)
-                highs[layer].append(hi)
-            for blk in rd.block_sorts:
-                nodes = blk.nodes
-                layer = max(map(depth.__getitem__, nodes)) + 1
-                for i in nodes:
-                    depth[i] = layer
-                blocks[layer][len(nodes)].append((nodes, blk.descending))
-
-        layers: list[ScheduleLayer] = []
         steps: list[LoweredLayer] = []
         columns = np.arange(dag.num_nodes, dtype=np.intp)
         # where every node sits in the previous layout (the input: node order)
         position = columns
         node_major = False  # the input is a row-major batch
-        for layer in sorted(set(lows) | set(blocks)):
-            widths = blocks.get(layer, {})
+        layers: list[ScheduleLayer] = []
+        for lo, hi, blocks in pack_rounds(dag.rounds, dag.num_nodes):
+            layers.append(
+                ScheduleLayer(lo, hi, tuple((nodes, desc.nonzero()[0]) for nodes, desc in blocks))
+            )
             source_node_major = node_major
-            node_major = widths.keys() <= NETWORKS.keys()
-            groups = []
+            node_major = all(nodes.shape[1] in NETWORKS for nodes, _ in blocks)
             slabs = []
-            touched: list[int] = []  # nodes in this layer's layout order
-            for width, entries in widths.items():
-                start = len(touched)
-                rows = []
-                desc_rows = []
-                stored = []
-                for i, (row, descending) in enumerate(entries):
-                    rows.append(row)
-                    if descending:
-                        desc_rows.append(i)
-                        row = row[::-1]
-                    stored.append(row)
+            runs = []  # this layer's layout, in pieces
+            start = 0
+            for nodes, descending in blocks:
+                stored = output_order(nodes, descending)
                 # node-major slabs are position-major: position p of every
                 # block, then position p + 1
-                for run in zip(*stored) if node_major else stored:
-                    touched.extend(run)
-                slabs.append((start, len(touched), width))
-                groups.append(
-                    (np.asarray(rows, dtype=np.intp), np.asarray(desc_rows, dtype=np.intp))
-                )
-            mid = len(touched)
-            touched += lows.get(layer, ())
-            split = len(touched)
-            touched += highs.get(layer, ())
-            stop = len(touched)
+                runs.append(stored.ravel("F") if node_major else stored.ravel())
+                slabs.append((start, start + nodes.size, nodes.shape[1]))
+                start += nodes.size
+            mid, split = start, start + lo.size
+            stop = split + hi.size
+            layout = np.concatenate((*runs, lo, hi), dtype=np.intp)  # the node each key holds
             if stop < dag.num_nodes:
-                engaged = set(touched)
-                touched += [node for node in range(dag.num_nodes) if node not in engaged]
-            layout = np.asarray(touched, dtype=np.intp)  # the node each key holds
-            layers.append(
-                ScheduleLayer(
-                    lo=layout[mid:split], hi=layout[split:stop], block_groups=tuple(groups)
-                )
-            )
+                untouched = np.ones(dag.num_nodes, dtype=bool)
+                untouched[layout] = False
+                layout = np.concatenate((layout, untouched.nonzero()[0]))
             steps.append(
                 LoweredLayer(
                     perm=position[layout],
@@ -340,8 +302,9 @@ class CompiledSchedule:
                     source_node_major=source_node_major,
                 )
             )
-            position = np.empty_like(columns)
+            position = np.empty(dag.num_nodes, dtype=np.intp)
             position[layout] = columns
+        #: the packed layers, described
         self.layers: tuple[ScheduleLayer, ...] = tuple(layers)
         self.steps: tuple[LoweredLayer, ...] = tuple(steps)
         #: the last gather, back to row-major node order, reads this layout
@@ -351,7 +314,7 @@ class CompiledSchedule:
 
     @property
     def num_layers(self) -> int:
-        return len(self.layers)
+        return len(self.steps)
 
     @property
     def certified(self) -> bool:

@@ -9,9 +9,11 @@ that artifact.  Two emitters cover the two op vocabularies:
   *node-id lattice* (``np.arange(N**r)`` reshaped to the network shape).
   Because an id-lattice view's elements literally are flat node indices, the
   recursion that used to shuffle keys now writes down which nodes each block
-  sort and transposition engages.  Phases are keyed by span path and sibling
-  subgraphs of a level share phases, mirroring the charge-once-per-level
-  accounting; one lattice phase = one :class:`ScheduleRound`.
+  sort and transposition engages, as index arrays.  Phases are keyed by span
+  path and sibling subgraphs of a level share phases, mirroring the
+  charge-once-per-level accounting, so the recursion stacks the siblings on
+  a leading axis and writes each phase once; one lattice phase = one
+  :class:`ScheduleRound`.
 * :func:`emit_machine_schedule` — the machine vocabulary expands block sorts
   into individual compare-exchange super-steps and measures routed costs, so
   emission drives the fine-grained recursion once against a *planning
@@ -24,13 +26,15 @@ that artifact.  Two emitters cover the two op vocabularies:
 
 Both emitters memoise per geometry cell: the lattice cache keys on
 ``(factor, n, r, S2 rounds, R rounds)`` (charges depend on the cost models),
-the machine cache on ``(factor, n, r, sorter)``.  Downstream, compiled batch
+the machine cache on ``(factor graph, r, sorter)``, the factor graph by
+value (size, edge set and name).  Downstream, compiled batch
 kernels are additionally cached by the DAG's canonical SHA-256 hash — see
 :mod:`repro.schedule.compiled`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from dataclasses import dataclass
 from time import perf_counter
@@ -40,7 +44,7 @@ import numpy as np
 
 from ..observability.cachestats import CacheStats
 from ..orders.gray import rank_lattice
-from .ir import BlockSortOp, ComparatorDAG, ComparatorOp, SchedulePhase, ScheduleRound
+from .ir import BlockGroups, ComparatorDAG, SchedulePhase, ScheduleRound, snake_order_nodes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..core.machine_sort import MachineSorter
@@ -77,20 +81,6 @@ def span_path_entry(name: str, attrs: dict[str, Any]) -> str:
     return f"{name}[d{dim},p{parity}]"
 
 
-class _PhaseRec:
-    """Mutable phase record used while emitting."""
-
-    __slots__ = ("path", "kind", "dim", "charged_rounds", "comparators", "block_sorts")
-
-    def __init__(self, path: tuple[str, ...], kind: str, dim: int | None, rounds: int) -> None:
-        self.path = path
-        self.kind = kind
-        self.dim = dim
-        self.charged_rounds = rounds
-        self.comparators: list[ComparatorOp] = []
-        self.block_sorts: list[BlockSortOp] = []
-
-
 # ----------------------------------------------------------------------
 # lattice emitter: keyless structural recursion over the id lattice
 # ----------------------------------------------------------------------
@@ -108,6 +98,10 @@ def emit_lattice_schedule(
     ``s2_rounds`` / ``routing_rounds`` are the configured cost models'
     per-call charges (``S_2(N)`` and ``R(N)``); they parameterise the phases'
     ``charged_rounds`` but not the operation structure.
+
+    The recursion is batched: all subgraphs one level deep are stacked on a
+    leading axis, so each phase is written once, for every sibling at once,
+    in the order the one-subgraph-at-a-time recursion visits them.
     """
     if r < 2:
         raise ValueError("the algorithm needs r >= 2 (§3.3)")
@@ -120,99 +114,65 @@ def emit_lattice_schedule(
         return cached
     t_build = perf_counter()
 
-    ids = np.arange(n**r, dtype=np.intp).reshape((n,) * r)
-    snake2 = np.argsort(np.asarray(rank_lattice(n, 2)).ravel())
-    groups: dict[tuple[str, ...], _PhaseRec] = {}
-    order: list[_PhaseRec] = []
-    path: list[str] = ["sort"]
+    snake2 = snake_order_nodes(n, 2)
+    phases: list[SchedulePhase] = []
+    rounds: list[ScheduleRound] = []
 
-    def group(path_key: tuple[str, ...], kind: str, dim: int, rounds: int) -> _PhaseRec:
-        grp = groups.get(path_key)
-        if grp is None:
-            grp = _PhaseRec(path_key, kind, dim, rounds)
-            groups[path_key] = grp
-            order.append(grp)
-        return grp
+    def add(path: tuple[str, ...], kind: str, dim: int, charge: int, **ops: Any) -> None:
+        """One phase and its one round."""
+        index = len(phases)
+        phases.append(SchedulePhase(index, path, kind, dim, charge))
+        rounds.append(ScheduleRound(index, index, charge, **ops))
 
-    def record_block_sort(grp: _PhaseRec, block: np.ndarray, descending: bool) -> None:
-        nodes = block.ravel()[snake2]
-        grp.block_sorts.append(BlockSortOp(tuple(int(x) for x in nodes), descending))
+    def snake_blocks(a: np.ndarray, descending: np.ndarray | bool) -> BlockGroups:
+        """Every ``PG_2`` block of ``a`` (its last two axes), in local snake order."""
+        return ((a.reshape(-1, n * n)[:, snake2], descending),)
 
-    def step4(a: np.ndarray, k: int) -> None:
-        blocks = [a[idx] for idx in np.ndindex(a.shape[:-2])]
+    def step4(a: np.ndarray, k: int, path: tuple[str, ...]) -> None:
+        """Clean-up of every stacked ``PG_k`` in ``a``: ``(B, Z, N**2)`` blocks."""
+        blocks = a.reshape(len(a), -1, n * n)
         granks = np.asarray(rank_lattice(n, k - 2)).ravel()
         rank_order = np.argsort(granks)
-        parities = granks % 2
-        base_path = (*path, f"cleanup[d{k}]")
-
-        def sort_blocks(leaf: str) -> None:
-            grp = group((*base_path, leaf), "s2", k, s2_rounds)
-            for z, block in enumerate(blocks):
-                record_block_sort(grp, block, bool(parities[z]))
-
-        sort_blocks(f"block-sorts[d{k}]")
+        descending = np.tile(granks % 2 == 1, len(a))
+        add((*path, f"block-sorts[d{k}]"), "s2", k, s2_rounds, blocks=snake_blocks(a, descending))
         for parity in (0, 1):
-            grp = group(
-                (*base_path, f"transposition[d{k},p{parity}]"), "routing", k, routing_rounds
+            z = np.arange(parity, len(granks) - 1, 2)
+            add(
+                (*path, f"transposition[d{k},p{parity}]"), "routing", k, routing_rounds,
+                lo=blocks[:, rank_order[z]].ravel(), hi=blocks[:, rank_order[z + 1]].ravel(),
             )
-            for z in range(parity, len(blocks) - 1, 2):
-                lo_ids = blocks[rank_order[z]].ravel()
-                hi_ids = blocks[rank_order[z + 1]].ravel()
-                grp.comparators.extend(
-                    ComparatorOp(int(a_id), int(b_id)) for a_id, b_id in zip(lo_ids, hi_ids)
-                )
-        sort_blocks(f"final-block-sorts[d{k}]")
+        add((*path, f"final-block-sorts[d{k}]"), "s2", k, s2_rounds,
+            blocks=snake_blocks(a, descending))
 
-    def merge(a: np.ndarray) -> None:
-        pushed = 0
+    def merge(a: np.ndarray, path: tuple[str, ...]) -> None:
+        """Merge every stacked ``PG_k`` in ``a`` (shape ``(B,) + (N,) * k``)."""
+        k = a.ndim - 1
         parent = path[-1]
         if parent.startswith("merge[d"):
-            path.append(f"column-merges[d{parent[len('merge[d'):-1]}]")
-            pushed += 1
-        k = a.ndim
+            path = (*path, f"column-merges[d{parent[len('merge[d'):-1]}]")
         if k == 2:
-            path.append("merge-base[d2]")
-            grp = group(tuple(path), "s2", 2, s2_rounds)
-            record_block_sort(grp, a, descending=False)
-            path.pop()
-        else:
-            path.append(f"merge[d{k}]")
-            for v in range(n):
-                merge(a[..., v])
-            step4(a, k)
-            path.pop()
-        for _ in range(pushed):
-            path.pop()
+            add((*path, "merge-base[d2]"), "s2", 2, s2_rounds, blocks=snake_blocks(a, False))
+            return
+        path = (*path, f"merge[d{k}]")
+        # column v of every subgraph, stacked: the recursion's visiting order
+        merge(np.moveaxis(a, -1, 1).reshape((-1,) + (n,) * (k - 1)), path)
+        step4(a, k, (*path, f"cleanup[d{k}]"))
 
+    ids = np.arange(n**r, dtype=np.int32)
     # initial round: every dimension-{1,2} PG_2 block, ascending; one phase.
-    initial = group(("sort", "initial-block-sorts[d2]"), "s2", 2, s2_rounds)
-    for block in ids.reshape(-1, n, n):
-        record_block_sort(initial, block, descending=False)
-
+    add(("sort", "initial-block-sorts[d2]"), "s2", 2, s2_rounds, blocks=snake_blocks(ids, False))
     # merge rounds j = 3..r: sibling subgraphs share the level's phases.
     for j in range(3, r + 1):
-        sub = ids.reshape((-1,) + (n,) * j)
-        for s in range(sub.shape[0]):
-            merge(sub[s])
+        merge(ids.reshape((-1,) + (n,) * j), ("sort",))
 
-    phases = tuple(
-        SchedulePhase(index=i, path=g.path, kind=g.kind, dim=g.dim,
-                      charged_rounds=g.charged_rounds)
-        for i, g in enumerate(order)
-    )
-    rounds = tuple(
-        ScheduleRound(index=i, phase=i, charge=g.charged_rounds,
-                      comparators=tuple(g.comparators), block_sorts=tuple(g.block_sorts))
-        for i, g in enumerate(order)
-    )
     dag = ComparatorDAG(
         backend="lattice",
         factor=factor.name,
         n=n,
         r=r,
         num_nodes=n**r,
-        phases=phases,
-        rounds=rounds,
+        phases=tuple(phases),
+        rounds=tuple(rounds),
         meta={"emitted": True, "s2_rounds": int(s2_rounds),
               "routing_rounds": int(routing_rounds)},
     )
@@ -262,20 +222,12 @@ class _MachineEmitRecorder:
 
     def __init__(self, network: "ProductGraph") -> None:
         self.network = network
-        self.phases: list[_PhaseRec] = []
+        self.phases: list[SchedulePhase] = []
         self.program: list[SpanInstr] = []
-        self._rounds: list[tuple[int, int, tuple[ComparatorOp, ...]]] = []
+        self.rounds: list[ScheduleRound] = []
         self._path: list[str] = []
         self._charged: list[int] = []
         self._span_phase: dict[int | None, int] = {}
-        self._flat_cache: dict[tuple[int, ...], int] = {}
-
-    def _flat(self, label: tuple[int, ...]) -> int:
-        idx = self._flat_cache.get(label)
-        if idx is None:
-            idx = self.network.flat_index(label)
-            self._flat_cache[label] = idx
-        return idx
 
     def on_event(self, event: "TraceEvent") -> None:
         if event.kind == "span_start":
@@ -284,16 +236,19 @@ class _MachineEmitRecorder:
             phase: int | None = None
             kind = attrs.get("kind")
             if kind in ("s2", "routing"):
-                rec = _PhaseRec(tuple(self._path), str(kind), attrs.get("dim"), 0)
-                self.phases.append(rec)
-                phase = len(self.phases) - 1
+                phase = len(self.phases)
+                self.phases.append(
+                    SchedulePhase(phase, tuple(self._path), str(kind), attrs.get("dim"), 0)
+                )
                 self._charged.append(phase)
                 self._span_phase[event.span_id] = phase
             self.program.append(SpanInstr("open", event.name, attrs, phase))
         elif event.kind == "span_end":
             idx = self._span_phase.pop(event.span_id, None)
             if idx is not None:
-                self.phases[idx].charged_rounds = int(event.attrs.get("rounds", 0))
+                self.phases[idx] = dataclasses.replace(
+                    self.phases[idx], charged_rounds=int(event.attrs.get("rounds", 0))
+                )
                 self._charged.pop()
             if self._path:
                 self._path.pop()
@@ -301,35 +256,29 @@ class _MachineEmitRecorder:
         elif event.kind == "machine_step":
             if not self._charged:
                 raise RuntimeError("machine step observed outside any charged phase span")
-            comparators = tuple(
-                ComparatorOp(self._flat(lo), self._flat(hi)) for lo, hi in event.attrs["pairs"]
+            labels = np.asarray(event.attrs["pairs"], dtype=np.int64).reshape(-1, self.network.r)
+            flat = np.ravel_multi_index(tuple(labels.T), self.network.shape).reshape(-1, 2)
+            charge = int(event.attrs["rounds"])
+            index = len(self.rounds)
+            self.rounds.append(
+                ScheduleRound(index, self._charged[-1], charge, flat[:, 0], flat[:, 1])
             )
-            self._rounds.append((self._charged[-1], int(event.attrs["rounds"]), comparators))
 
     def emitted(self) -> EmittedMachineSchedule:
-        phases = tuple(
-            SchedulePhase(index=i, path=p.path, kind=p.kind, dim=p.dim,
-                          charged_rounds=p.charged_rounds)
-            for i, p in enumerate(self.phases)
-        )
-        rounds = tuple(
-            ScheduleRound(index=i, phase=phase, charge=charge, comparators=comparators)
-            for i, (phase, charge, comparators) in enumerate(self._rounds)
-        )
         dag = ComparatorDAG(
             backend="machine",
             factor=self.network.factor.name,
             n=self.network.factor.n,
             r=self.network.r,
             num_nodes=self.network.num_nodes,
-            phases=phases,
-            rounds=rounds,
+            phases=tuple(self.phases),
+            rounds=tuple(self.rounds),
             meta={"emitted": True},
         )
         return EmittedMachineSchedule(dag=dag, program=tuple(self.program))
 
 
-_MACHINE_CACHE: dict[tuple[str, int, int, str], EmittedMachineSchedule] = {}
+_MACHINE_CACHE: dict[tuple["FactorGraph", int, str], EmittedMachineSchedule] = {}
 
 MACHINE_CACHE_STATS = CacheStats("machine-emission", size_fn=lambda: len(_MACHINE_CACHE))
 
@@ -345,7 +294,9 @@ def emit_machine_schedule(sorter: "MachineSorter") -> EmittedMachineSchedule:
     from ..observability import EventBus, MachineTimeline, Tracer
 
     network = sorter.network
-    key = (network.factor.name, network.factor.n, network.r, sorter.sorter.name)
+    # the factor graph itself (size, edge set and name): two labellings of
+    # one topology share a name but route differently
+    key = (network.factor, network.r, sorter.sorter.name)
     with _EMIT_LOCK:
         cached = _MACHINE_CACHE.get(key)
     if cached is not None:

@@ -12,7 +12,7 @@ provably equivalent schedule.  Three passes run in order:
    whole state space.
 2. **agglomeration** (:func:`agglomerate_chains`) — comparator chains that
    span one complete ``PG_2`` block inside a single phase are collapsed into
-   one :class:`BlockSortOp` super-op (Schiller's agglomeration law): the
+   one block-sort super-op (Schiller's agglomeration law): the
    compiled kernel executes the super-op as one vectorised ``np.sort`` slab
    instead of a round-by-round transposition network.  The replacement's
    orientation is the unique topological order of the chain's ``lo -> hi``
@@ -42,6 +42,7 @@ Results are memoised by the original schedule hash (see
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from dataclasses import dataclass, field
@@ -53,7 +54,7 @@ from ..observability.cachestats import CacheStats
 from ..orders.gray import gray_sequence
 from .activity import MAX_EXHAUSTIVE_NODES, MAX_STATES, analyze_zero_one_activity
 from .activity import compare_exchange, exhaustive_zero_one_states, unsorted_columns
-from .ir import BlockSortOp, ComparatorDAG, ComparatorOp, ScheduleRound
+from .ir import ComparatorDAG, ScheduleRound, pack_rounds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..graphs.product import ProductGraph
@@ -110,23 +111,9 @@ class OptimizationCertificate:
         )
 
 
-def _rebuild(
-    dag: ComparatorDAG,
-    spec: list[tuple[int, int, list[ComparatorOp], list[BlockSortOp]]],
-    pass_name: str,
-) -> ComparatorDAG:
-    """New DAG with the same phases and the given ``(phase, charge, cmp,
-    blk)`` round spec, stamping the pass into the metadata."""
-    rounds = tuple(
-        ScheduleRound(
-            index=i,
-            phase=phase,
-            charge=charge,
-            comparators=tuple(comparators),
-            block_sorts=tuple(block_sorts),
-        )
-        for i, (phase, charge, comparators, block_sorts) in enumerate(spec)
-    )
+def _rebuild(dag: ComparatorDAG, rounds: list[ScheduleRound], pass_name: str) -> ComparatorDAG:
+    """New DAG with the same phases and the given rounds, renumbered, stamping
+    the pass into the metadata."""
     meta = dict(dag.meta)
     passes = list(meta.get("optimizer_passes", ()))
     passes.append(pass_name)
@@ -138,18 +125,12 @@ def _rebuild(
         r=dag.r,
         num_nodes=dag.num_nodes,
         phases=dag.phases,
-        rounds=rounds,
+        rounds=tuple(
+            rd if rd.index == i else dataclasses.replace(rd, index=i)
+            for i, rd in enumerate(rounds)
+        ),
         meta=meta,
     )
-
-
-def _round_spec(
-    dag: ComparatorDAG,
-) -> list[tuple[int, int, list[ComparatorOp], list[BlockSortOp]]]:
-    return [
-        (rd.phase, rd.charge, list(rd.comparators), list(rd.block_sorts))
-        for rd in dag.rounds
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -173,18 +154,13 @@ def eliminate_dead_ops(
             f"{analysis.reason}",
             stats={"mode": analysis.mode},
         )
-    dead_cmp = set(analysis.dead_comparators)
-    dead_blk = set(analysis.dead_block_sorts)
-    spec = []
-    for rd in dag.rounds:
-        comparators = [
-            op for i, op in enumerate(rd.comparators) if (rd.index, i) not in dead_cmp
-        ]
-        block_sorts = [
-            op for i, op in enumerate(rd.block_sorts) if (rd.index, i) not in dead_blk
-        ]
-        spec.append((rd.phase, rd.charge, comparators, block_sorts))
-    out = _rebuild(dag, spec, "dead-op-elimination") if (dead_cmp or dead_blk) else dag
+    dead_cmp, dead_blk = analysis.dead_comparators, analysis.dead_block_sorts
+    dead: dict[int, tuple[list[int], list[int]]] = {}
+    for kind, keys in enumerate((dead_cmp, dead_blk)):
+        for rd_index, i in keys:
+            dead.setdefault(rd_index, ([], []))[kind].append(i)
+    rounds = [rd.without(*dead[rd.index]) if rd.index in dead else rd for rd in dag.rounds]
+    out = _rebuild(dag, rounds, "dead-op-elimination") if dead else dag
     return out, OptimizationCertificate(
         pass_name="dead-op-elimination",
         ok=True,
@@ -201,17 +177,19 @@ def eliminate_dead_ops(
 # pass 2: agglomeration into n-sorter super-ops
 # ----------------------------------------------------------------------
 
-def _chain_orientation(
-    nodes: list[int], members: list[tuple[int, int, ComparatorOp]]
-) -> list[int] | None:
+#: one chain comparator: ``(round index, op index, lo, hi)``
+_Member = tuple[int, int, int, int]
+
+
+def _chain_orientation(nodes: list[int], members: list[_Member]) -> list[int] | None:
     """Unique topological order of the chain's ``lo -> hi`` constraints,
     or ``None`` when the constraints don't induce a total order."""
     succ: dict[int, set[int]] = {x: set() for x in nodes}
     indeg: dict[int, int] = {x: 0 for x in nodes}
-    for _, _, op in members:
-        if op.hi not in succ[op.lo]:
-            succ[op.lo].add(op.hi)
-            indeg[op.hi] += 1
+    for _, _, lo, hi in members:
+        if hi not in succ[lo]:
+            succ[lo].add(hi)
+            indeg[hi] += 1
     order: list[int] = []
     avail = [x for x in nodes if indeg[x] == 0]
     while avail:
@@ -226,14 +204,12 @@ def _chain_orientation(
     return order if len(order) == len(nodes) else None
 
 
-def _chain_sorts(
-    order: list[int], members: list[tuple[int, int, ComparatorOp]]
-) -> bool:
+def _chain_sorts(order: list[int], members: list[_Member]) -> bool:
     """Does the chain, alone, sort every 0-1 input into ``order``?"""
     pos = {x: i for i, x in enumerate(order)}
     states = exhaustive_zero_one_states(len(order))
-    for _, _, op in members:
-        compare_exchange(states, pos[op.lo], pos[op.hi])
+    for _, _, lo, hi in members:
+        compare_exchange(states, pos[lo], pos[hi])
     return not unsorted_columns(states, np.arange(len(order))).any()
 
 
@@ -254,15 +230,15 @@ def agglomerate_chains(dag: ComparatorDAG) -> tuple[ComparatorDAG, OptimizationC
     n, r = dag.n, dag.r
     labels = np.array(np.unravel_index(np.arange(dag.num_nodes), (n,) * r)).T
     expected_snake2 = gray_sequence(n, 2)
-    spec = _round_spec(dag)
-    dropped: set[tuple[int, int]] = set()
+    dropped: dict[int, list[int]] = {}
+    added: dict[int, list[tuple[list[int], bool]]] = {}
     removed_cmp = 0
     super_ops = 0
     proved = deferred = 0
     components: list[dict[str, Any]] = []
     for p in dag.phases:
-        phase_rounds = [rd for rd in dag.rounds if rd.phase == p.index]
-        if len(phase_rounds) < 2 or any(rd.block_sorts for rd in phase_rounds):
+        phase_rounds = dag.phase_rounds(p.index)
+        if len(phase_rounds) < 2 or any(rd.blocks for rd in phase_rounds):
             continue
         # union-find over the nodes the phase's comparators touch
         parent: dict[int, int] = {}
@@ -273,19 +249,21 @@ def agglomerate_chains(dag: ComparatorDAG) -> tuple[ComparatorDAG, OptimizationC
                 x = parent[x]
             return x
 
-        members_all: list[tuple[int, int, ComparatorOp]] = []
-        for rd in phase_rounds:
-            for i, op in enumerate(rd.comparators):
-                members_all.append((rd.index, i, op))
-                ra, rb = find(op.lo), find(op.hi)
-                if ra != rb:
-                    parent[ra] = rb
-        chains: dict[int, list[tuple[int, int, ComparatorOp]]] = {}
-        for rd_index, i, op in members_all:
-            chains.setdefault(find(op.lo), []).append((rd_index, i, op))
+        members_all: list[_Member] = [
+            (rd.index, i, lo, hi)
+            for rd in phase_rounds
+            for i, (lo, hi) in enumerate(zip(rd.lo.tolist(), rd.hi.tolist()))
+        ]
+        for _, _, lo, hi in members_all:
+            ra, rb = find(lo), find(hi)
+            if ra != rb:
+                parent[ra] = rb
+        chains: dict[int, list[_Member]] = {}
+        for member in members_all:
+            chains.setdefault(find(member[2]), []).append(member)
         for members in chains.values():
-            nodes = sorted({x for _, _, op in members for x in (op.lo, op.hi)})
-            spanned = {rd_index for rd_index, _, _ in members}
+            nodes = sorted({x for _, _, lo, hi in members for x in (lo, hi)})
+            spanned = {rd_index for rd_index, _, _, _ in members}
             if len(nodes) != n * n or len(spanned) < 2:
                 continue
             labs = labels[nodes]
@@ -297,16 +275,17 @@ def agglomerate_chains(dag: ComparatorDAG) -> tuple[ComparatorDAG, OptimizationC
                 continue
             reduced = [tuple(int(s) for s in labels[x][varying]) for x in order]
             if reduced == expected_snake2:
-                blk = BlockSortOp(nodes=tuple(order), descending=False)
+                block, descending = order, False
             elif reduced == expected_snake2[::-1]:
-                blk = BlockSortOp(nodes=tuple(order[::-1]), descending=True)
+                block, descending = order[::-1], True
             else:
                 continue
             locally_proved = _chain_sorts(order, members)
             proved += locally_proved
             deferred += not locally_proved
-            dropped.update((rd_index, i) for rd_index, i, _ in members)
-            spec[min(spanned)][3].append(blk)
+            for rd_index, i, _, _ in members:
+                dropped.setdefault(rd_index, []).append(i)
+            added.setdefault(min(spanned), []).append((block, descending))
             removed_cmp += len(members)
             super_ops += 1
             components.append(
@@ -315,25 +294,20 @@ def agglomerate_chains(dag: ComparatorDAG) -> tuple[ComparatorDAG, OptimizationC
                     "nodes": len(nodes),
                     "comparators": len(members),
                     "rounds": len(spanned),
-                    "descending": blk.descending,
+                    "descending": descending,
                     "locally_proved": locally_proved,
                 }
             )
-    if super_ops:
-        spec = [
-            (
-                phase,
-                charge,
-                [
-                    op
-                    for i, op in enumerate(dag.rounds[rd_index].comparators)
-                    if (rd_index, i) not in dropped
-                ],
-                block_sorts,
-            )
-            for rd_index, (phase, charge, _, block_sorts) in enumerate(spec)
-        ]
-    out = _rebuild(dag, spec, "agglomeration") if super_ops else dag
+    rounds = [
+        dataclasses.replace(
+            rd.without(dropped[rd.index]),
+            blocks=rd.blocks + tuple(([block], [d]) for block, d in added.get(rd.index, ())),
+        )
+        if rd.index in dropped
+        else rd
+        for rd in dag.rounds
+    ]
+    out = _rebuild(dag, rounds, "agglomeration") if super_ops else dag
     return out, OptimizationCertificate(
         pass_name="agglomeration",
         ok=True,
@@ -356,12 +330,13 @@ def _node_sequences(dag: ComparatorDAG) -> dict[int, list[tuple[Any, ...]]]:
     function (every op's operands arrive from the same producers)."""
     seq: dict[int, list[tuple[Any, ...]]] = {}
     for rd in dag.rounds:
-        for op in rd.comparators:
-            for x in (op.lo, op.hi):
-                seq.setdefault(x, []).append(("cmp", op.lo, op.hi))
-        for blk in rd.block_sorts:
-            for x in blk.nodes:
-                seq.setdefault(x, []).append(("blk", blk.nodes, blk.descending))
+        for lo, hi in zip(rd.lo.tolist(), rd.hi.tolist()):
+            for x in (lo, hi):
+                seq.setdefault(x, []).append(("cmp", lo, hi))
+        for nodes, descending in rd.blocks:
+            for row, d in zip(nodes.tolist(), descending.tolist()):
+                for x in row:
+                    seq.setdefault(x, []).append(("blk", row, d))
     return seq
 
 
@@ -369,48 +344,30 @@ def repack_rounds(dag: ComparatorDAG) -> tuple[ComparatorDAG, OptimizationCertif
     """ASAP layer scheduling within each phase.
 
     Each operation moves to the earliest round of its phase that is after
-    every earlier operation sharing a node with it (the interference check),
-    so conflicting operations keep their relative order and node-disjoint
-    ones merge into one synchronous round.  Rounds emptied by earlier passes
-    disappear.  The per-phase charge sum is conserved — the last packed
-    round absorbs the freed charge — so the paper's depth accounting
-    (phase ``charged_rounds``, ``S_r(N)``) is unchanged.
+    every earlier operation sharing a node with it (the interference check,
+    :func:`~repro.schedule.ir.pack_rounds`), so conflicting operations keep
+    their relative order and node-disjoint ones merge into one synchronous
+    round.  Rounds emptied by earlier passes disappear.  The per-phase
+    charge sum is conserved — the last packed round absorbs the freed
+    charge — so the paper's depth accounting (phase ``charged_rounds``,
+    ``S_r(N)``) is unchanged.
     """
     before = _node_sequences(dag)
-    spec: list[tuple[int, int, list[ComparatorOp], list[BlockSortOp]]] = []
+    rounds: list[ScheduleRound] = []
     removed = 0
     for p in dag.phases:
-        phase_rounds = [rd for rd in dag.rounds if rd.phase == p.index]
+        phase_rounds = dag.phase_rounds(p.index)
         if not phase_rounds:
             continue
         charged = sum(rd.charge for rd in phase_rounds)
-        layers: list[tuple[list[ComparatorOp], list[BlockSortOp]]] = []
-        last_layer_of: dict[int, int] = {}
-        for rd in phase_rounds:
-            ops: list[ComparatorOp | BlockSortOp] = list(rd.comparators)
-            ops.extend(rd.block_sorts)
-            for op in ops:
-                nodes = (
-                    (op.lo, op.hi) if isinstance(op, ComparatorOp) else tuple(op.nodes)
-                )
-                layer = max((last_layer_of.get(x, -1) for x in nodes), default=-1) + 1
-                while len(layers) <= layer:
-                    layers.append(([], []))
-                if isinstance(op, ComparatorOp):
-                    layers[layer][0].append(op)
-                else:
-                    layers[layer][1].append(op)
-                for x in nodes:
-                    last_layer_of[x] = layer
-        if not layers:
-            # every op of the phase was optimized away (or it emitted none):
-            # keep one empty round so the phase retains its charge
-            layers = [([], [])]
+        # a phase whose every op was optimized away (or that emitted none)
+        # keeps one empty round, so it retains its charge
+        layers = pack_rounds(phase_rounds, dag.num_nodes) or [((), (), ())]
         removed += len(phase_rounds) - len(layers)
-        for li, (comparators, block_sorts) in enumerate(layers):
+        for li, (lo, hi, blocks) in enumerate(layers):
             charge = 1 if li < len(layers) - 1 else charged - (len(layers) - 1)
-            spec.append((p.index, charge, comparators, block_sorts))
-    out = _rebuild(dag, spec, "depth-repacking")
+            rounds.append(ScheduleRound(len(rounds), p.index, charge, lo, hi, blocks))
+    out = _rebuild(dag, rounds, "depth-repacking")
 
     # self-certification: identical per-node op sequences and conserved
     # per-phase charges prove the re-packing is a pure re-layering
@@ -420,10 +377,7 @@ def repack_rounds(dag: ComparatorDAG) -> tuple[ComparatorDAG, OptimizationCertif
         for p in out.phases
         if dag.phase_rounds(p.index)
     )
-    races_ok = all(
-        len(set(rd.touched_nodes())) == sum(1 for _ in rd.touched_nodes())
-        for rd in out.rounds
-    )
+    races_ok = all(rd.disjoint for rd in out.rounds)
     if not (ok and charges_ok and races_ok):  # pragma: no cover - defensive
         return dag, OptimizationCertificate(
             pass_name="depth-repacking",

@@ -13,15 +13,6 @@ A seeded mutant harness proves each lint has teeth.  The ``repro check``
 CLI drives everything over the canonical benchreg workload matrix.
 """
 
-from .dag import (
-    BlockSortOp,
-    ComparatorDAG,
-    ComparatorOp,
-    SchedulePhase,
-    ScheduleRound,
-    replay,
-    snake_order_nodes,
-)
 from .extract import (
     ExtractionResult,
     ObliviousnessCertificate,
@@ -70,13 +61,6 @@ from .checker import (
 )
 
 __all__ = [
-    "BlockSortOp",
-    "ComparatorDAG",
-    "ComparatorOp",
-    "SchedulePhase",
-    "ScheduleRound",
-    "replay",
-    "snake_order_nodes",
     "ExtractionResult",
     "ObliviousnessCertificate",
     "adversarial_key_sets",

@@ -1,4 +1,4 @@
-"""Static lints over a :class:`~repro.staticcheck.dag.ComparatorDAG`.
+"""Static lints over a :class:`~repro.schedule.ir.ComparatorDAG`.
 
 Every lint verifies the *schedule*, not a run of the sorter:
 
@@ -59,7 +59,7 @@ from ..schedule.activity import (
     unsorted_columns,
     zero_one_space,
 )
-from .dag import ComparatorDAG, ScheduleRound, snake_order_nodes
+from ..schedule.ir import ComparatorDAG, ScheduleRound, snake_order_nodes
 
 __all__ = [
     "LintFinding",
@@ -119,12 +119,10 @@ def lint_races(dag: ComparatorDAG) -> LintResult:
     result = LintResult("races", ok=True)
     worst = 0
     for rd in dag.rounds:
-        counts: dict[int, int] = {}
-        for node in rd.touched_nodes():
-            counts[node] = counts.get(node, 0) + 1
-        clashes = {node: c for node, c in counts.items() if c > 1}
-        worst = max(worst, max(clashes.values(), default=1))
-        for node, c in sorted(clashes.items()):
+        nodes, counts = np.unique(rd.touched_nodes(), return_counts=True)
+        clashes = counts > 1
+        worst = max(worst, int(counts[clashes].max(initial=1)))
+        for node, c in zip(nodes[clashes].tolist(), counts[clashes].tolist()):
             _fail(
                 result,
                 f"round {rd.index}: node {node} engaged by {c} operations "
@@ -153,58 +151,60 @@ def lint_links(dag: ComparatorDAG, network: ProductGraph) -> LintResult:
     n, r = dag.n, dag.r
     labels = np.array([network.label_of(i) for i in range(dag.num_nodes)], dtype=np.int64)
     expected_snake2 = gray_sequence(n, 2)
+    edge = np.zeros((n, n), dtype=bool)
+    for a, b in network.factor.edges:
+        edge[a, b] = edge[b, a] = True
     adjacent = routed = 0
-    dims_seen: dict[int, int] = {}
+    dims = [np.zeros(0, dtype=np.int64)]
     for rd in dag.rounds:
-        for op in rd.comparators:
-            if op.lo == op.hi:
-                _fail(result, f"round {rd.index}: degenerate self-pair at node {op.lo}",
-                      round_index=rd.index, phase=rd.phase)
-                continue
-            la, lb = labels[op.lo], labels[op.hi]
-            diff = np.nonzero(la != lb)[0]
-            if diff.size != 1:
+        la, lb = labels[rd.lo], labels[rd.hi]
+        differs = la != lb
+        legal = np.flatnonzero(differs.sum(axis=1) == 1)
+        for k in np.flatnonzero(differs.sum(axis=1) != 1).tolist():
+            _fail(
+                result,
+                f"round {rd.index}: degenerate self-pair at node {rd.lo[k]}"
+                if rd.lo[k] == rd.hi[k]
+                else f"round {rd.index}: pair ({tuple(la[k])}, {tuple(lb[k])}) differs in "
+                f"{differs[k].sum()} positions — not within a single G subgraph",
+                round_index=rd.index,
+                phase=rd.phase,
+            )
+        position = differs[legal].argmax(axis=1)
+        dims.append(r - position)
+        on_edge = edge[la[legal, position], lb[legal, position]]
+        adjacent += int(on_edge.sum())
+        routed += int(on_edge.size - on_edge.sum())
+        first = 0  # the group's first block-sort number
+        for nodes, _ in rd.blocks:
+            labs = labels[nodes]  # (blocks, width, r)
+            varying = labs.max(axis=1) != labs.min(axis=1)
+            spans = varying.sum(axis=1)
+            whole = (spans == 2) & (nodes.shape[1] == n * n)
+            snake = np.zeros(len(nodes), dtype=bool)
+            if whole.any():
+                axes = np.nonzero(varying[whole])[1].reshape(-1, 1, 2)
+                walk = np.take_along_axis(labs[whole], axes, axis=2)
+                snake[whole] = (walk == np.asarray(expected_snake2)).all(axis=(1, 2))
+            for bi in np.flatnonzero(~snake).tolist():
                 _fail(
                     result,
-                    f"round {rd.index}: pair ({tuple(la)}, {tuple(lb)}) differs in "
-                    f"{diff.size} positions — not within a single G subgraph",
+                    f"round {rd.index}: block sort {first + bi} does not traverse its PG_2 "
+                    f"block in canonical snake order"
+                    if whole[bi]
+                    else f"round {rd.index}: block sort {first + bi} spans {spans[bi]} varying "
+                    f"dimensions over {nodes.shape[1]} nodes — not one PG_2 block",
                     round_index=rd.index,
                     phase=rd.phase,
                 )
-                continue
-            dim = r - int(diff[0])
-            dims_seen[dim] = dims_seen.get(dim, 0) + 1
-            if network.factor.has_edge(int(la[diff[0]]), int(lb[diff[0]])):
-                adjacent += 1
-            else:
-                routed += 1
-        for bi, blk in enumerate(rd.block_sorts):
-            labs = labels[list(blk.nodes)]
-            varying = np.nonzero(labs.max(axis=0) != labs.min(axis=0))[0]
-            if len(blk.nodes) != n * n or varying.size != 2:
-                _fail(
-                    result,
-                    f"round {rd.index}: block sort {bi} spans {varying.size} varying "
-                    f"dimensions over {len(blk.nodes)} nodes — not one PG_2 block",
-                    round_index=rd.index,
-                    phase=rd.phase,
-                )
-                continue
-            reduced = [tuple(int(s) for s in row) for row in labs[:, varying]]
-            if reduced != expected_snake2:
-                _fail(
-                    result,
-                    f"round {rd.index}: block sort {bi} does not traverse its PG_2 "
-                    f"block in canonical snake order",
-                    round_index=rd.index,
-                    phase=rd.phase,
-                )
+            first += len(nodes)
+    seen, counts = np.unique(np.concatenate(dims), return_counts=True)
     result.stats = {
         "comparators": dag.comparator_count,
         "block_sorts": dag.block_sort_count,
         "adjacent_pairs": adjacent,
         "routed_pairs": routed,
-        "dimension_pairs": dict(sorted(dims_seen.items())),
+        "dimension_pairs": dict(zip(seen.tolist(), counts.tolist())),
     }
     return result
 
@@ -220,9 +220,7 @@ def _is_vacuous(dag: ComparatorDAG, phase_index: int) -> bool:
     phase = dag.phases[phase_index]
     if phase.charged_rounds != 0:
         return False
-    return all(
-        not rd.comparators and not rd.block_sorts for rd in dag.phase_rounds(phase_index)
-    )
+    return all(rd.op_count == 0 for rd in dag.phase_rounds(phase_index))
 
 
 def lint_depth(
@@ -340,13 +338,11 @@ def lint_depth(
 
 def _round_max_move(rd: ScheduleRound, sranks: np.ndarray) -> int:
     """Furthest snake distance any single key can travel in this round."""
-    move = 0
-    for op in rd.comparators:
-        move = max(move, abs(int(sranks[op.lo]) - int(sranks[op.hi])))
-    for blk in rd.block_sorts:
-        rs = sranks[np.asarray(blk.nodes, dtype=np.intp)]
-        move = max(move, int(rs.max()) - int(rs.min()))
-    return move
+    moves = [np.abs(sranks[rd.lo] - sranks[rd.hi])]
+    for nodes, _ in rd.blocks:
+        ranks = sranks[nodes]
+        moves.append(ranks.max(axis=1) - ranks.min(axis=1))
+    return int(np.concatenate(moves).max(initial=0))
 
 
 def _checkpoint(states: np.ndarray, snake: np.ndarray, budget: int) -> tuple[int, int, int]:
@@ -459,11 +455,11 @@ def lint_zero_one(
     max_listed = 8
     if not early_exit and result.ok:
         for rd_index, op_index in dead_cmp[:max_listed]:
-            op = dag.rounds[rd_index].comparators[op_index]
+            rd = dag.rounds[rd_index]
             result.findings.append(LintFinding(
                 "zero-one",
                 f"dead comparator: round {rd_index} op {op_index} "
-                f"({op.lo}, {op.hi}) never exchanges on any certified input",
+                f"({rd.lo[op_index]}, {rd.hi[op_index]}) never exchanges on any certified input",
                 advisory=True,
                 round_index=rd_index,
             ))
@@ -474,11 +470,11 @@ def lint_zero_one(
                 advisory=True,
             ))
         for rd_index, op_index in dead_blk[:max_listed]:
-            blk = dag.rounds[rd_index].block_sorts[op_index]
+            nodes, _ = dag.rounds[rd_index].block_sort(op_index)
             result.findings.append(LintFinding(
                 "zero-one",
                 f"redundant block sort: round {rd_index} op {op_index} "
-                f"(nodes {blk.nodes[0]}..{blk.nodes[-1]}, width {len(blk.nodes)}) "
+                f"(nodes {nodes[0]}..{nodes[-1]}, width {len(nodes)}) "
                 f"finds its block already in order on every certified input",
                 advisory=True,
                 round_index=rd_index,

@@ -1,7 +1,7 @@
 """Seeded fault injection: prove the lints have teeth.
 
 Each :class:`Mutant` applies one deliberate fault class to an extracted
-:class:`~repro.staticcheck.dag.ComparatorDAG` and declares which lint must
+:class:`~repro.schedule.ir.ComparatorDAG` and declares which lint must
 catch it:
 
 ``drop_cleanup_sort``
@@ -33,12 +33,14 @@ harness demonstrably needs all of its lints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
+
+import numpy as np
 
 from ..graphs.base import FactorGraph
 from ..graphs.product import ProductGraph
-from .dag import ComparatorDAG, ComparatorOp, SchedulePhase, ScheduleRound
+from ..schedule.ir import ComparatorDAG, SchedulePhase, ScheduleRound
 from .extract import emit_schedule
 from .lints import LINT_NAMES, VerificationReport, verify_dag
 
@@ -87,14 +89,7 @@ def _rebuild(
         for i, p in enumerate(phases)
     )
     new_rounds = tuple(
-        ScheduleRound(
-            index=i,
-            phase=phase_map[rd.phase],
-            charge=rd.charge,
-            comparators=rd.comparators,
-            block_sorts=rd.block_sorts,
-        )
-        for i, rd in enumerate(rounds)
+        replace(rd, index=i, phase=phase_map[rd.phase]) for i, rd in enumerate(rounds)
     )
     meta = dict(dag.meta)
     meta["mutant"] = mutant
@@ -115,7 +110,7 @@ def _live_routing_phases(dag: ComparatorDAG) -> list[SchedulePhase]:
         p
         for p in dag.phases
         if p.kind == "routing"
-        and any(rd.comparators for rd in dag.phase_rounds(p.index))
+        and any(rd.comparator_count for rd in dag.phase_rounds(p.index))
     ]
 
 
@@ -146,16 +141,10 @@ def _mutate_swap_direction(dag: ComparatorDAG) -> ComparatorDAG:
     target = live[0].index
     rounds = list(dag.rounds)
     for i, rd in enumerate(rounds):
-        if rd.phase == target and rd.comparators:
-            op = rd.comparators[0]
-            flipped = (ComparatorOp(lo=op.hi, hi=op.lo),) + rd.comparators[1:]
-            rounds[i] = ScheduleRound(
-                index=rd.index,
-                phase=rd.phase,
-                charge=rd.charge,
-                comparators=flipped,
-                block_sorts=rd.block_sorts,
-            )
+        if rd.phase == target and rd.comparator_count:
+            lo, hi = rd.lo.copy(), rd.hi.copy()
+            lo[0], hi[0] = rd.hi[0], rd.lo[0]
+            rounds[i] = replace(rd, lo=lo, hi=hi)
             break
     return _rebuild(dag, list(dag.phases), rounds, "swap_direction")
 
@@ -163,14 +152,8 @@ def _mutate_swap_direction(dag: ComparatorDAG) -> ComparatorDAG:
 def _mutate_double_book(dag: ComparatorDAG) -> ComparatorDAG:
     rounds = list(dag.rounds)
     for i, rd in enumerate(rounds):
-        if rd.comparators:
-            rounds[i] = ScheduleRound(
-                index=rd.index,
-                phase=rd.phase,
-                charge=rd.charge,
-                comparators=rd.comparators + (rd.comparators[0],),
-                block_sorts=rd.block_sorts,
-            )
+        if rd.comparator_count:
+            rounds[i] = replace(rd, lo=np.append(rd.lo, rd.lo[0]), hi=np.append(rd.hi, rd.hi[0]))
             return _rebuild(dag, list(dag.phases), rounds, "double_book")
     raise ValueError("schedule has no comparator round to double-book")
 
@@ -303,16 +286,11 @@ def _fault_delete_live_comparator(dag: ComparatorDAG) -> ComparatorDAG:
     rounds = list(dag.rounds)
     for i in range(len(rounds) - 1, -1, -1):
         rd = rounds[i]
-        if rd.comparators:
-            rounds[i] = ScheduleRound(
-                index=rd.index, phase=rd.phase, charge=rd.charge,
-                comparators=rd.comparators[:-1], block_sorts=rd.block_sorts,
-            )
-            return _rebuild(dag, list(dag.phases), rounds, "delete_live_comparator")
-        if rd.block_sorts:
-            rounds[i] = ScheduleRound(
-                index=rd.index, phase=rd.phase, charge=rd.charge,
-                comparators=rd.comparators, block_sorts=rd.block_sorts[:-1],
+        if rd.op_count:
+            rounds[i] = (
+                rd.without(comparators=[rd.comparator_count - 1])
+                if rd.comparator_count
+                else rd.without(block_sorts=[rd.block_sort_count - 1])
             )
             return _rebuild(dag, list(dag.phases), rounds, "delete_live_comparator")
     raise ValueError("optimized schedule has no operation to delete")
@@ -328,11 +306,10 @@ def _fault_overpack_rounds(dag: ComparatorDAG) -> ComparatorDAG:
     rounds = list(dag.rounds)
     for i in range(len(rounds) - 1):
         a, b = rounds[i], rounds[i + 1]
-        if set(a.touched_nodes()) & set(b.touched_nodes()):
+        if np.intersect1d(a.touched_nodes(), b.touched_nodes()).size:
             rounds[i] = ScheduleRound(
-                index=a.index, phase=a.phase, charge=a.charge + b.charge,
-                comparators=a.comparators + b.comparators,
-                block_sorts=a.block_sorts + b.block_sorts,
+                a.index, a.phase, a.charge + b.charge,
+                np.concatenate([a.lo, b.lo]), np.concatenate([a.hi, b.hi]), a.blocks + b.blocks,
             )
             del rounds[i + 1]
             return _rebuild(dag, list(dag.phases), rounds, "overpack_rounds")

@@ -139,7 +139,7 @@ class TestCompiledBatch:
     def test_asap_packing_folds_independent_rounds(self):
         """Comparators from different rounds touching disjoint nodes land in
         one packed layer."""
-        from repro.schedule import ComparatorOp, SchedulePhase, ScheduleRound
+        from repro.schedule import SchedulePhase, ScheduleRound
 
         phases = tuple(
             SchedulePhase(index=i, path=("sort", f"p{i}"), kind="routing",
@@ -147,10 +147,8 @@ class TestCompiledBatch:
             for i in range(2)
         )
         rounds = (
-            ScheduleRound(index=0, phase=0, charge=1,
-                          comparators=(ComparatorOp(0, 1),)),
-            ScheduleRound(index=1, phase=1, charge=1,
-                          comparators=(ComparatorOp(2, 3),)),
+            ScheduleRound(index=0, phase=0, charge=1, lo=[0], hi=[1]),
+            ScheduleRound(index=1, phase=1, charge=1, lo=[2], hi=[3]),
         )
         dag = ComparatorDAG(backend="lattice", factor="synthetic", n=2, r=2,
                             num_nodes=4, phases=phases, rounds=rounds)
@@ -227,6 +225,26 @@ class TestEmission:
         assert sorter.emitted_schedule() is sorter.emitted_schedule()
         assert sorter.schedule().meta.get("emitted") is True
 
+    def test_two_labellings_of_one_factor_keep_their_own_machine_schedules(self, rng):
+        """Relabelled copies share a name but route differently: the machine
+        emission cache keys on the factor graph itself, not on its name."""
+        from repro.graphs import path_graph
+        from repro.orders import lattice_to_sequence
+
+        first = path_graph(4).relabel([2, 0, 3, 1])
+        second = path_graph(4).relabel([0, 1, 2, 3])
+        assert first.name == second.name
+        keys = rng.integers(0, 1000, size=64)
+        for factor in (first, second):
+            sorter = MachineSorter.for_factor(factor, 3)
+            machine, ledger = sorter.sort(keys)
+            assert np.array_equal(lattice_to_sequence(machine.lattice()), np.sort(keys))
+            assert ledger.total_rounds == sorter.schedule().depth
+        assert (
+            MachineSorter.for_factor(first, 3).schedule().schedule_hash()
+            != MachineSorter.for_factor(second, 3).schedule().schedule_hash()
+        )
+
     def test_emitted_hashes_reproduce_the_blessed_seed(self):
         """The byte-identity acceptance criterion: fresh emissions equal the
         hashes pinned in BENCH_seed.json on every canonical cell."""
@@ -234,6 +252,25 @@ class TestEmission:
             pinned = {c["cell"]: c["schedule_hash"] for c in json.load(fh)["cells"]}
         for cell in DEFAULT_MATRIX:
             assert _emit(cell).schedule_hash() == pinned[cell.key], cell.key
+
+    @pytest.mark.parametrize(
+        "family,n,r,backend,pinned",
+        [
+            ("k2", 2, 12, "lattice",
+             "0b49ccf9dc14b9ed895ea0b4d951c4f7bc1e96032b5aa46d57d9e56c4e96dd85"),
+            ("path", 3, 4, "lattice",
+             "3bd5fe48c871497c2a60aad5059759158a058112bea009dc900181edb594e822"),
+            ("path", 3, 4, "machine",
+             "2a15e77a5f1d9f7d49390382b9a2a76e93e918274a3f1486d4dfbe5bafdb1865"),
+        ],
+        ids=["k2-n2-r12-lattice", "path-n3-r4-lattice", "path-n3-r4-machine"],
+    )
+    def test_emitted_hashes_beyond_the_matrix(self, family, n, r, backend, pinned):
+        """Cells outside the seed matrix keep their hashes too (the
+        16-cube's is pinned in ``test_integration_large``)."""
+        from repro.observability.benchreg import WorkloadCell
+
+        assert _emit(WorkloadCell(family, n, r, backend)).schedule_hash() == pinned
 
     def test_subclass_overriding_movement_skips_the_schedule_path(self, rng):
         """Sabotage-style subclasses must run the real recursion, not the
@@ -254,6 +291,52 @@ class TestEmission:
         )
 
 
+class TestRoundFormat:
+    """A round is index arrays: int32, read-only, one block group per width."""
+
+    @staticmethod
+    def _round():
+        from repro.schedule import ScheduleRound
+
+        # width-4, width-2 and width-4 groups: the two width-4 groups merge
+        blocks = (([[4, 5, 7, 6]], [False]), ([[8, 9]], True), ([[10, 11, 13, 12]], [True]))
+        return ScheduleRound(0, 0, 1, lo=[0, 2], hi=[1, 3], blocks=blocks)
+
+    def test_arrays_are_int32_read_only_and_grouped_by_width(self):
+        rd = self._round()
+        assert rd.lo.dtype == rd.hi.dtype == np.int32 and not rd.lo.flags.writeable
+        assert [(nodes.shape, desc.tolist()) for nodes, desc in rd.blocks] == [
+            ((2, 4), [False, True]),
+            ((1, 2), [True]),
+        ]
+        # block sorts are numbered across the groups in order
+        assert [rd.block_sort(i)[0].tolist() for i in range(3)] == [
+            [4, 5, 7, 6], [10, 11, 13, 12], [8, 9]
+        ]
+        assert rd.disjoint and rd.op_count == 5
+
+    def test_without_drops_the_numbered_ops(self):
+        rd = self._round().without(comparators=[0], block_sorts=[1])
+        assert rd.lo.tolist() == [2] and rd.hi.tolist() == [3]
+        assert [nodes.tolist() for nodes, _ in rd.blocks] == [[[4, 5, 7, 6]], [[8, 9]]]
+
+    def test_malformed_rounds_are_refused_and_races_are_seen(self):
+        import dataclasses
+
+        from repro.schedule import ScheduleRound
+
+        with pytest.raises(ValueError):
+            ScheduleRound(0, 0, 1, lo=[0], hi=[])
+        with pytest.raises(ValueError):
+            ScheduleRound(0, 0, 1, blocks=(([[0, 1]], [True, False]),))
+        raced = ScheduleRound(0, 0, 1, lo=[0, 1], hi=[1, 2], blocks=(([[4, 5, 7, 6]], [False]),))
+        assert not raced.disjoint
+        # a renumbered or thinned round derives ``disjoint`` from its arrays
+        assert not dataclasses.replace(raced, index=3).disjoint
+        assert not raced.without(block_sorts=[0]).disjoint
+        assert raced.without(comparators=[1]).disjoint
+
+
 def _mixed_dag(rounds_ops) -> ComparatorDAG:
     """A hand-built 16-node DAG, one round (and phase) per entry."""
     from repro.schedule import SchedulePhase, ScheduleRound
@@ -263,7 +346,10 @@ def _mixed_dag(rounds_ops) -> ComparatorDAG:
         for i in range(len(rounds_ops))
     )
     rounds = tuple(
-        ScheduleRound(index=i, phase=i, charge=1, comparators=comps, block_sorts=blocks)
+        ScheduleRound(
+            i, i, 1, [lo for lo, _ in comps], [hi for _, hi in comps],
+            tuple(([nodes], [descending]) for nodes, descending in blocks),
+        )
         for i, (comps, blocks) in enumerate(rounds_ops)
     )
     return ComparatorDAG(backend="lattice", factor="synthetic", n=4, r=2,
@@ -282,24 +368,15 @@ class TestLowering:
 
     @staticmethod
     def _dag() -> ComparatorDAG:
-        from repro.schedule import BlockSortOp, ComparatorOp
-
         first = (
             # comparators, one with lo > hi
-            (ComparatorOp(10, 11), ComparatorOp(13, 12)),
+            ((10, 11), (13, 12)),
             # width-4 rows (one descending) and a width-2 descending row;
             # nodes 14 and 15 stay untouched
-            (
-                BlockSortOp(nodes=(3, 0, 2, 1), descending=False),
-                BlockSortOp(nodes=(7, 5, 4, 6), descending=True),
-                BlockSortOp(nodes=(9, 8), descending=True),
-            ),
+            (((3, 0, 2, 1), False), ((7, 5, 4, 6), True), ((9, 8), True)),
         )
         # a second layer reads the first layer's layout
-        second = (
-            (ComparatorOp(14, 3),),
-            (BlockSortOp(nodes=(15, 0, 8, 12), descending=True),),
-        )
+        second = (((14, 3),), (((15, 0, 8, 12), True),))
         return _mixed_dag([first, second])
 
     def test_one_layer_mixes_every_operation(self):

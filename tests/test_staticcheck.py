@@ -20,12 +20,15 @@ from repro.cli import main
 from repro.graphs import cycle_graph, k2, path_graph
 from repro.graphs.product import ProductGraph
 from repro.observability.benchreg import DEFAULT_MATRIX
-from repro.staticcheck import (
-    LINT_NAMES,
+from repro.schedule import (
     ComparatorDAG,
-    ComparatorOp,
     SchedulePhase,
     ScheduleRound,
+    replay,
+    snake_order_nodes,
+)
+from repro.staticcheck import (
+    LINT_NAMES,
     adversarial_key_sets,
     certify_oblivious,
     extract_schedule,
@@ -33,9 +36,7 @@ from repro.staticcheck import (
     lint_links,
     lint_races,
     lint_zero_one,
-    replay,
     run_check,
-    snake_order_nodes,
     verify_dag,
 )
 from repro.analysis.complexity import sort_routing_calls, sort_s2_calls
@@ -238,44 +239,27 @@ def _tiny_dag(rounds, phases=None, n=2, r=2):
 
 
 def test_race_lint_flags_double_booked_node():
-    dag = _tiny_dag([
-        ScheduleRound(
-            index=0, phase=0, charge=1,
-            comparators=(ComparatorOp(0, 1), ComparatorOp(1, 3)),
-        )
-    ])
+    dag = _tiny_dag([ScheduleRound(0, 0, 1, lo=[0, 1], hi=[1, 3])])
     res = lint_races(dag)
     assert not res.ok
     assert "node 1" in res.findings[0].message
 
 
 def test_race_lint_accepts_disjoint_round():
-    dag = _tiny_dag([
-        ScheduleRound(
-            index=0, phase=0, charge=1,
-            comparators=(ComparatorOp(0, 1), ComparatorOp(2, 3)),
-        )
-    ])
+    dag = _tiny_dag([ScheduleRound(0, 0, 1, lo=[0, 2], hi=[1, 3])])
     assert lint_races(dag).ok
 
 
 def test_link_lint_flags_multi_dimension_pair():
     # nodes 0=(0,0) and 3=(1,1) differ in two positions
-    dag = _tiny_dag([
-        ScheduleRound(index=0, phase=0, charge=1, comparators=(ComparatorOp(0, 3),))
-    ])
+    dag = _tiny_dag([ScheduleRound(0, 0, 1, lo=[0], hi=[3])])
     res = lint_links(dag, ProductGraph(k2(), 2))
     assert not res.ok
     assert "not within a single G subgraph" in res.findings[0].message
 
 
 def test_link_lint_flags_self_pair_and_counts_adjacency():
-    dag = _tiny_dag([
-        ScheduleRound(
-            index=0, phase=0, charge=1,
-            comparators=(ComparatorOp(2, 2), ComparatorOp(0, 1)),
-        )
-    ])
+    dag = _tiny_dag([ScheduleRound(0, 0, 1, lo=[2, 0], hi=[2, 1])])
     res = lint_links(dag, ProductGraph(k2(), 2))
     assert not res.ok
     assert "degenerate" in res.findings[0].message
@@ -283,15 +267,10 @@ def test_link_lint_flags_self_pair_and_counts_adjacency():
 
 
 def test_link_lint_checks_block_snake_order():
-    from repro.staticcheck import BlockSortOp
-
     # a real 2x2 block but with the node list not in snake order
     good = extract_schedule(k2(), 2, backend="lattice").dag
-    blk = good.rounds[0].block_sorts[0]
-    scrambled = BlockSortOp(nodes=tuple(reversed(blk.nodes)), descending=blk.descending)
-    bad = _tiny_dag([
-        ScheduleRound(index=0, phase=0, charge=1, block_sorts=(scrambled,))
-    ])
+    nodes, descending = good.rounds[0].block_sort(0)
+    bad = _tiny_dag([ScheduleRound(0, 0, 1, blocks=(([nodes[::-1]], [descending]),))])
     res = lint_links(bad, ProductGraph(k2(), 2))
     assert not res.ok
     assert "snake order" in res.findings[0].message
@@ -300,12 +279,7 @@ def test_link_lint_checks_block_snake_order():
 
 def test_zero_one_lint_flags_wrong_direction():
     # a single descending comparator on a 1-dimensional pair never sorts
-    dag = _tiny_dag([
-        ScheduleRound(
-            index=0, phase=0, charge=1,
-            comparators=(ComparatorOp(1, 0), ComparatorOp(2, 3)),
-        )
-    ])
+    dag = _tiny_dag([ScheduleRound(0, 0, 1, lo=[1, 2], hi=[0, 3])])
     res = lint_zero_one(dag)
     assert not res.ok
     assert "unsorted" in res.findings[0].message or "unsortable" in res.findings[0].message

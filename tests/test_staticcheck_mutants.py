@@ -91,12 +91,12 @@ def test_drop_cleanup_sort_removes_final_block_sorts():
 def test_swap_direction_flips_exactly_one_comparator():
     base = extract_schedule(path_graph(3), 3, backend="lattice").dag
     mutated = apply_mutant(base, "swap_direction")
-    base_ops = [op for rd in base.rounds for op in rd.comparators]
-    mut_ops = [op for rd in mutated.rounds for op in rd.comparators]
+    base_ops = [op for rd in base.rounds for op in zip(rd.lo.tolist(), rd.hi.tolist())]
+    mut_ops = [op for rd in mutated.rounds for op in zip(rd.lo.tolist(), rd.hi.tolist())]
     flipped = [(a, b) for a, b in zip(base_ops, mut_ops) if a != b]
     assert len(flipped) == 1
     (orig, swap), = flipped
-    assert (orig.lo, orig.hi) == (swap.hi, swap.lo)
+    assert orig == swap[::-1]
 
 
 def test_run_mutants_default_cells():

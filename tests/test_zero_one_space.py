@@ -79,7 +79,8 @@ DAGS = _dags()
 
 def _race(dag, rd: ScheduleRound) -> ScheduleRound:
     """The round with its first block sort booked twice (a race)."""
-    return dataclasses.replace(rd, block_sorts=rd.block_sorts + rd.block_sorts[:1])
+    nodes, descending = rd.blocks[0]
+    return dataclasses.replace(rd, blocks=rd.blocks + ((nodes[:1], descending[:1]),))
 
 
 #: DAGs whose rounds book a node twice: ``double_book`` duplicates a
@@ -87,13 +88,13 @@ def _race(dag, rd: ScheduleRound) -> ScheduleRound:
 RACY = [
     (f"{name}/double_book", apply_mutant(dag, "double_book"))
     for name, dag in DAGS
-    if any(rd.comparators for rd in dag.rounds)
+    if any(rd.comparator_count for rd in dag.rounds)
 ] + [
     (f"{name}/double_block", dataclasses.replace(
-        dag, rounds=tuple(_race(dag, rd) if rd.block_sorts else rd for rd in dag.rounds)
+        dag, rounds=tuple(_race(dag, rd) if rd.blocks else rd for rd in dag.rounds)
     ))
     for name, dag in DAGS
-    if any(rd.block_sorts for rd in dag.rounds)
+    if any(rd.blocks for rd in dag.rounds)
 ]
 
 
@@ -108,32 +109,40 @@ def _changed(before: np.ndarray, after: np.ndarray, nodes) -> bool:
     return bool((before[idx] != after[idx]).any())
 
 
+def _pairs(rd: ScheduleRound) -> list[tuple[int, int]]:
+    return list(zip(rd.lo.tolist(), rd.hi.tolist()))
+
+
+def _block_rows(rd: ScheduleRound) -> list[tuple[np.ndarray, bool]]:
+    return [rd.block_sort(i) for i in range(rd.block_sort_count)]
+
+
 def _op_by_op(dag, rd: ScheduleRound, states: np.ndarray) -> tuple[list[bool], list[bool]]:
     """Reference activity: each op replayed alone, in op order, is live iff
     it changed the state it met."""
     live: tuple[list[bool], list[bool]] = ([], [])
-    for kind, ops in ((0, rd.comparators), (1, rd.block_sorts)):
-        for op in ops:
-            single = dataclasses.replace(
-                rd, comparators=(op,) if kind == 0 else (), block_sorts=(op,) if kind else ()
-            )
-            after = _replay_round(dag, single, states)
-            live[kind].append(bool((after != states).any()))
-            states = after
+    singles = [(0, ScheduleRound(rd.index, rd.phase, rd.charge, [lo], [hi]))
+               for lo, hi in _pairs(rd)]
+    singles += [(1, ScheduleRound(rd.index, rd.phase, rd.charge, blocks=(([nodes], [d]),)))
+                for nodes, d in _block_rows(rd)]
+    for kind, single in singles:
+        after = _replay_round(dag, single, states)
+        live[kind].append(bool((after != states).any()))
+        states = after
     return live
 
 
 class TestApplyZeroOneRound:
     def test_the_cells_cover_both_block_sort_directions(self):
-        blocks = [blk for _, dag in DAGS for rd in dag.rounds for blk in rd.block_sorts]
-        assert any(blk.descending for blk in blocks)
-        assert any(not blk.descending for blk in blocks)
-        assert any(rd.comparators for _, dag in DAGS for rd in dag.rounds)
+        blocks = [blk for _, dag in DAGS for rd in dag.rounds for blk in _block_rows(rd)]
+        assert any(descending for _, descending in blocks)
+        assert any(not descending for _, descending in blocks)
+        assert any(rd.comparator_count for _, dag in DAGS for rd in dag.rounds)
 
     def test_the_racy_dags_race(self):
         for name, dag in RACY:
             assert any(
-                sum(1 for _ in rd.touched_nodes()) > len(set(rd.touched_nodes()))
+                rd.touched_nodes().size > len(set(rd.touched_nodes().tolist()))
                 for rd in dag.rounds
             ), name
 
@@ -166,18 +175,19 @@ class TestApplyZeroOneRound:
         rd = data.draw(st.sampled_from(dag.rounds))
         block = data.draw(st.integers(0, dag.num_nodes // bs - 1))
         local = range(block * bs, (block + 1) * bs)
-        cmp_all = {i for i, op in enumerate(rd.comparators) if op.lo in local and op.hi in local}
-        blk_all = {i for i, b in enumerate(rd.block_sorts) if set(b.nodes) <= set(local)}
+        cmp_all = {i for i, (lo, hi) in enumerate(_pairs(rd)) if lo in local and hi in local}
+        blk_all = {
+            i for i, (nodes, _) in enumerate(_block_rows(rd)) if set(nodes.tolist()) <= set(local)
+        }
         cmp_filter = {i for i in sorted(cmp_all) if data.draw(st.booleans())}
         blk_filter = {i for i in sorted(blk_all) if data.draw(st.booleans())}
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         full = rng.integers(0, 2, size=(dag.num_nodes, 16), dtype=np.uint8)
         states = pack(full[block * bs : (block + 1) * bs])
 
-        sub_round = dataclasses.replace(
-            rd,
-            comparators=tuple(op for i, op in enumerate(rd.comparators) if i in cmp_filter),
-            block_sorts=tuple(b for i, b in enumerate(rd.block_sorts) if i in blk_filter),
+        sub_round = rd.without(
+            comparators=[i for i in range(rd.comparator_count) if i not in cmp_filter],
+            block_sorts=[i for i in range(rd.block_sort_count) if i not in blk_filter],
         )
         after = _replay_round(dag, sub_round, full)
         tracker = ActivityTracker(dag.rounds)
@@ -185,11 +195,11 @@ class TestApplyZeroOneRound:
             states, rd, tracker, offset=block * bs, cmp_filter=cmp_filter, blk_filter=blk_filter
         )
         assert np.array_equal(unpack(states, 16), after[block * bs : (block + 1) * bs]), name
-        for i, op in enumerate(rd.comparators):
-            live = i in cmp_filter and _changed(full, after, (op.lo, op.hi))
+        for i, pair in enumerate(_pairs(rd)):
+            live = i in cmp_filter and _changed(full, after, pair)
             assert tracker.comparators[(rd.index, i)] == live
-        for i, b in enumerate(rd.block_sorts):
-            live = i in blk_filter and _changed(full, after, b.nodes)
+        for i, (nodes, _) in enumerate(_block_rows(rd)):
+            live = i in blk_filter and _changed(full, after, nodes)
             assert tracker.block_sorts[(rd.index, i)] == live
 
     def test_exhaustive_states_are_node_major_bits(self):
@@ -341,7 +351,7 @@ class TestZeroOneSpace:
             (rd.index, i)
             for rd in dag.rounds
             if dag.phases[rd.phase].leaf == "initial-block-sorts"
-            for i in range(len(rd.block_sorts))
+            for i in range(rd.block_sort_count)
         ]
         assert all(tracker.block_sorts[key] for key in prefix)
         assert (bs in widths) == (cell.backend != "lattice")
