@@ -455,17 +455,27 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from .observability.kernelprof import profile_cell, profile_chrome_trace, render_profile
+    from .observability.kernelprof import KernelProfiler, profile_cell, render_profile
+    from .observability.tracer import Tracer
 
     batches = tuple(args.batch) if args.batch else (1, 16, 256)
+    tracer = Tracer() if args.chrome else None
     try:
-        doc = profile_cell(args.cell, batches=batches, runs=args.runs, seed=args.seed)
+        doc = profile_cell(
+            args.cell,
+            batches=batches,
+            runs=args.runs,
+            seed=args.seed,
+            profiler=KernelProfiler(tracer=tracer),
+        )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.chrome:
+    if tracer is not None:
+        from .observability.export import chrome_trace_json
+
         with open(args.chrome, "w") as fh:
-            fh.write(profile_chrome_trace(args.cell, batch=batches[-1], seed=args.seed))
+            fh.write(chrome_trace_json(tracer))
         print(f"wrote {args.chrome}", file=sys.stderr)
     text = json.dumps(doc, indent=2) if args.json else render_profile(doc)
     if args.out:
@@ -860,14 +870,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SIZE",
         help="batch size to sweep (repeatable; default 1 16 256)",
     )
-    p.add_argument("--runs", type=int, default=5, help="profiled runs per batch size")
+    p.add_argument("--runs", type=int, default=11, help="profiled runs per batch size")
     p.add_argument("--json", action="store_true", help="machine-readable profile document")
     p.add_argument(
         "--chrome",
         type=str,
         default=None,
         metavar="FILE",
-        help="also export kernel-layer spans as Chrome trace-event JSON",
+        help="also export the reported runs' kernel-layer spans as Chrome trace-event JSON",
     )
     p.add_argument("--out", type=str, default=None, help="write to a file instead of stdout")
     p.add_argument("--seed", type=int, default=0)

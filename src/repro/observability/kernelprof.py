@@ -4,53 +4,46 @@
 40–147× faster than the interpreted path, but the tracing stack only
 instruments the interpreted backends.  This module closes that gap:
 
-* :class:`KernelProfiler` executes a kernel's own lowered steps layer by
-  layer, timing each layer with ``time.perf_counter_ns`` — split into the
-  step's gather (``permute_ns``) and its in-place slab sorts, networks and
-  comparators (``compute_ns``) — and recording each layer's **form** (its
-  node-major or row-major layout and, per slab, whether it ran as a
-  min/max network or a sort), per-layer op counts, **occupancy**
-  (comparator-slot utilisation: key-endpoints-touched ÷ 2 ÷ ⌊N/2⌋ —
-  exactly 1.0 when a layer engages every disjoint pair the network offers,
-  the comparator-agglomeration ideal) and estimated bytes moved by the
-  passes that form makes (see :func:`layer_moves`).  Results land in a
-  :class:`RunProfile`, in a :class:`~repro.observability.metrics.MetricsRegistry`
-  (``repro_compiled_run_seconds{cell}`` /
-  ``repro_compiled_layer_seconds{cell}`` histograms with p50/p99 derivable
-  from the buckets, ``repro_compiled_keys_total{cell}`` /
-  ``repro_compiled_runs_total{cell}`` counters) and — when a tracer is
-  attached — as ``compiled-run`` / ``kernel-layer`` spans on the event
-  bus, so the Chrome-trace export renders compiled layers alongside
-  interpreted phase spans.
-* Installed process-wide (:meth:`KernelProfiler.install` or the context
-  manager), the profiler intercepts every ``CompiledSchedule.run``; when no
-  profiler is installed the kernel pays a single ``None`` check.
+* :meth:`KernelProfiler.run` executes a kernel's own steps — ``rows``
+  (which runs ``check_keys``), each layer's gather (``permute``) and its
+  in-place slab sorts, networks and comparators (``compute``), then
+  ``finish`` — with one ``time.perf_counter_ns`` stamp before and after
+  each call and nothing else in between.  Everything else is built after
+  the run, from the stamps: per-layer :class:`LayerProfile` facts (op
+  counts, **occupancy** — key-endpoints-touched ÷ 2 ÷ ⌊N/2⌋, exactly 1.0
+  when a layer engages every disjoint pair the network offers, the
+  comparator-agglomeration ideal — the layer's node-major or row-major
+  layout, each slab's form, and the bytes its passes move, see
+  :func:`layer_moves`), the ``repro_compiled_run_seconds{cell}`` /
+  ``repro_compiled_layer_seconds{cell}`` histograms and the
+  ``repro_compiled_keys_total{cell}`` counter of a
+  :class:`~repro.observability.metrics.MetricsRegistry`, and — when a
+  tracer is attached — ``compiled-run`` / ``kernel-layer`` spans at the
+  stamped times, so the Chrome-trace export renders compiled layers
+  alongside interpreted phase spans.  The stages of a
+  :class:`RunProfile` sum to its wall time: ``rows_ns``, every layer's
+  ``permute_ns + compute_ns``, ``restore_ns`` and the ``residual_ns``
+  the loop spends between the stamped calls.
 * :func:`profile_cell` sweeps a benchreg cell's kernel across batch sizes,
-  verifying every profiled output against the snake-order ground truth and
-  timing the *floor* (``np.sort`` plus the snake scatter) on the same keys;
-  :func:`render_profile` prints the permute/compute split next to the floor
-  and a per-layer table (occupancy in its ``occ%`` column), and
-  :func:`profile_chrome_trace` exports the layer spans as Chrome
-  trace-event JSON.
+  checking every profiled output against the snake-order ground truth,
+  timing the *floor* (``np.sort`` plus the snake scatter) on the same keys
+  and an untimed ``kernel.run`` interleaved with each profiled run, and
+  judges the profile ``consistent`` when its residual is small and the
+  profiled run costs about what the untimed one does;
+  :func:`render_profile` prints the permute/compute split next to the
+  floor, the residual and the verdict, and a per-layer table (occupancy
+  in its ``occ%`` column).
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, ContextManager
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ..schedule.compiled import (
-    NETWORKS,
-    CompiledSchedule,
-    compile_schedule,
-    get_profiler,
-    set_profiler,
-)
+from ..schedule.compiled import NETWORKS, CompiledSchedule, compile_schedule
 from ..schedule.ir import snake_order_nodes
 from .metrics import MetricsRegistry
 
@@ -64,7 +57,6 @@ __all__ = [
     "RunProfile",
     "layer_moves",
     "profile_cell",
-    "profile_chrome_trace",
     "render_profile",
     "resolve_profile_cell",
 ]
@@ -130,9 +122,7 @@ class LayerProfile:
     block_rows: int
     #: keys engaged by the layer (comparator endpoints + block-sort members)
     nodes_touched: int
-    #: layer wall time, nanoseconds (``perf_counter_ns``)
-    wall_ns: int
-    #: the layer's gather into its layout, nanoseconds
+    #: the layer's gather into its layout, nanoseconds (``perf_counter_ns``)
     permute_ns: int
     #: the layer's in-place slab sorts, networks and comparators, nanoseconds
     compute_ns: int
@@ -149,6 +139,11 @@ class LayerProfile:
     @property
     def op_count(self) -> int:
         return self.comparators + self.block_rows
+
+    @property
+    def wall_ns(self) -> int:
+        """The layer's wall time: its gather plus its compute, nanoseconds."""
+        return self.permute_ns + self.compute_ns
 
     @property
     def form(self) -> str:
@@ -185,10 +180,23 @@ class RunProfile:
     schedule_hash: str
     batch: int
     num_nodes: int
+    #: first stamp to last stamp, nanoseconds
     wall_ns: int
+    #: ``kernel.rows``: the input's shape check and ``check_keys``
+    rows_ns: int
     layers: tuple[LayerProfile, ...]
     #: the final gather from the last layout back to row-major node order
     restore_ns: int
+
+    @property
+    def residual_ns(self) -> int:
+        """Wall time outside every stamped stage: the loop between the calls."""
+        return (
+            self.wall_ns
+            - self.rows_ns
+            - sum(layer.wall_ns for layer in self.layers)
+            - self.restore_ns
+        )
 
     @property
     def keys(self) -> int:
@@ -225,7 +233,9 @@ class RunProfile:
             "num_nodes": self.num_nodes,
             "keys": self.keys,
             "wall_ns": self.wall_ns,
+            "rows_ns": self.rows_ns,
             "restore_ns": self.restore_ns,
+            "residual_ns": self.residual_ns,
             "wall_s": self.wall_s,
             "keys_per_s": self.keys_per_s,
             "ops": self.op_count,
@@ -236,36 +246,25 @@ class RunProfile:
 
 
 class KernelProfiler:
-    """Times compiled-kernel runs layer by layer and feeds the telemetry.
+    """Times compiled-kernel runs stage by stage and feeds the telemetry.
 
-    ``registry`` (default: a private one) receives the histogram/counter
-    instruments listed in the module docstring; ``tracer`` (optional) gets a
-    ``compiled-run`` span wrapping one ``kernel-layer`` span per layer, all
-    with ``kind="kernel"``.  ``enabled=False`` makes an installed profiler
-    invisible — ``CompiledSchedule.run`` checks it before dispatching to
-    :meth:`profiled_run` — the knob the near-zero-overhead contract and its
-    test lean on.
+    ``registry`` (default: a private one) receives the instruments listed in
+    the module docstring; ``tracer`` (optional) gets a ``compiled-run`` span
+    wrapping one ``kernel-layer`` span per layer, all with
+    ``kind="kernel"``.  ``last_profile`` is the most recent
+    :class:`RunProfile`::
 
-    Use directly (``out, profile = profiler.run(kernel, keys)``) or install
-    process-wide so every ``CompiledSchedule.run`` is captured::
-
-        with KernelProfiler(registry=registry) as profiler:
-            sorter.sort_sequence(keys)          # compiled path now profiled
-        print(profiler.last_profile.keys_per_s)
+        out, profile = KernelProfiler(registry=registry).run(kernel, keys)
+        print(profile.keys_per_s, profile.residual_ns)
     """
 
     def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        tracer: "Tracer | None" = None,
-        enabled: bool = True,
-        history: int = 256,
+        self, registry: MetricsRegistry | None = None, tracer: "Tracer | None" = None
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer
-        self.enabled = enabled
-        self.history: deque[RunProfile] = deque(maxlen=history)
-        self._previous: "KernelProfiler | None" = None
+        #: the most recent profile, ``None`` until a run is profiled
+        self.last_profile: RunProfile | None = None
         r = self.registry
         self._run_seconds = r.histogram(
             "repro_compiled_run_seconds",
@@ -280,142 +279,95 @@ class KernelProfiler:
         self._keys_total = r.counter(
             "repro_compiled_keys_total", "keys sorted by the compiled kernel, by cell"
         )
-        self._runs_total = r.counter(
-            "repro_compiled_runs_total", "profiled compiled-kernel runs, by cell"
-        )
-
-    @property
-    def last_profile(self) -> RunProfile | None:
-        """The most recent :class:`RunProfile`, if any run was profiled."""
-        return self.history[-1] if self.history else None
-
-    # -- capture --------------------------------------------------------
 
     def run(self, kernel: "CompiledSchedule", state: np.ndarray) -> tuple[np.ndarray, RunProfile]:
         """Execute ``kernel`` over ``state``, returning (output, profile).
 
-        Drives the kernel's own steps — the executor :meth:`CompiledSchedule.run`
-        uses — with a clock around each step's ``permute`` and ``compute``.
+        Makes the calls :meth:`CompiledSchedule.run` makes, each between two
+        ``perf_counter_ns`` stamps; the profile, the metrics and the spans
+        are derived from the stamps once the output exists.
         """
+        clock = time.perf_counter_ns
+        stamps: list[int] = []
+        mark = stamps.append
+        mark(clock())
         x, squeeze = kernel.rows(state)
-        batch = x.shape[0]
-        itemsize = int(x.itemsize)
+        mark(clock())
+        for step in kernel.steps:
+            mark(clock())
+            x = step.permute(x)
+            mark(clock())
+            step.compute(x)
+            mark(clock())
+        mark(clock())
+        out = kernel.finish(x, squeeze)
+        mark(clock())
+
+        batch = 1 if squeeze else out.shape[0]
+        itemsize = int(out.itemsize)
         slots = max(kernel.num_nodes // 2, 1)
-        tracer = self.tracer
-        layers: list[LayerProfile] = []
-        run_span: ContextManager[Any] = (
-            tracer.span(
-                "compiled-run",
-                kind="kernel",
-                cell=kernel.cell,
-                batch=batch,
-                layers=kernel.num_layers,
+        layers = []
+        for index, (layer, step) in enumerate(zip(kernel.layers, kernel.steps)):
+            t0, t1, t2 = stamps[2 + 3 * index : 5 + 3 * index]
+            comparators = int(layer.lo.size)
+            touched = 2 * comparators + sum(int(mat.size) for mat, _ in layer.block_groups)
+            layers.append(
+                LayerProfile(
+                    index=index,
+                    comparators=comparators,
+                    block_rows=sum(int(mat.shape[0]) for mat, _ in layer.block_groups),
+                    nodes_touched=touched,
+                    permute_ns=t1 - t0,
+                    compute_ns=t2 - t1,
+                    occupancy=touched / 2 / slots,
+                    bytes_touched=layer_moves(step, batch) * itemsize,
+                    layout=step.layout,
+                    slabs=tuple(
+                        (width, (stop - start) // width, form)
+                        for (start, stop, width), form in zip(step.slabs, step.forms(batch))
+                    ),
+                )
             )
-            if tracer is not None
-            else nullcontext()
-        )
-        t_run = time.perf_counter_ns()
-        with run_span:
-            for index, (layer, step) in enumerate(zip(kernel.layers, kernel.steps)):
-                comparators = int(layer.lo.size)
-                block_rows = sum(int(mat.shape[0]) for mat, _ in layer.block_groups)
-                touched = 2 * comparators + sum(int(mat.size) for mat, _ in layer.block_groups)
-                layer_span: ContextManager[Any] = (
-                    tracer.span(
-                        "kernel-layer",
-                        kind="kernel",
-                        cell=kernel.cell,
-                        layer=index,
-                        ops=comparators + block_rows,
-                    )
-                    if tracer is not None
-                    else nullcontext()
-                )
-                with layer_span:
-                    # Histogram.time() both feeds the per-layer histogram and
-                    # hands back the raw nanoseconds for the LayerProfile —
-                    # no hand-rolled perf_counter_ns delta at this site
-                    with self._layer_seconds.time(cell=kernel.cell) as timer:
-                        t0 = time.perf_counter_ns()
-                        x = step.permute(x)
-                        t1 = time.perf_counter_ns()
-                        step.compute(x)
-                        t2 = time.perf_counter_ns()
-                    wall = timer.elapsed_ns
-                layers.append(
-                    LayerProfile(
-                        index=index,
-                        comparators=comparators,
-                        block_rows=block_rows,
-                        nodes_touched=touched,
-                        wall_ns=wall,
-                        permute_ns=t1 - t0,
-                        compute_ns=t2 - t1,
-                        occupancy=touched / 2 / slots,
-                        bytes_touched=layer_moves(step, batch) * itemsize,
-                        layout=step.layout,
-                        slabs=tuple(
-                            (width, (stop - start) // width, form)
-                            for (start, stop, width), form in zip(step.slabs, step.forms(batch))
-                        ),
-                    )
-                )
-            t_restore = time.perf_counter_ns()
-            out = kernel.finish(x, squeeze)
-            restore_ns = time.perf_counter_ns() - t_restore
-        wall_ns = time.perf_counter_ns() - t_run
         profile = RunProfile(
             cell=kernel.cell,
             schedule_hash=kernel.schedule_hash,
             batch=batch,
             num_nodes=kernel.num_nodes,
-            wall_ns=wall_ns,
+            wall_ns=stamps[-1] - stamps[0],
+            rows_ns=stamps[1] - stamps[0],
             layers=tuple(layers),
-            restore_ns=restore_ns,
+            restore_ns=stamps[-1] - stamps[-2],
         )
-        self._record(profile)
+        self._record(profile, stamps)
         return out, profile
 
-    def profiled_run(self, kernel: "CompiledSchedule", state: np.ndarray) -> np.ndarray:
-        """The hook ``CompiledSchedule.run`` dispatches to when installed."""
-        out, _ = self.run(kernel, state)
-        return out
-
-    def _record(self, profile: RunProfile) -> None:
-        # per-layer seconds were already observed live by Histogram.time()
-        self._run_seconds.observe(profile.wall_s, cell=profile.cell)
-        self._keys_total.inc(profile.keys, cell=profile.cell)
-        self._runs_total.inc(cell=profile.cell)
-        self.history.append(profile)
-
-    # -- derived statistics ---------------------------------------------
-
-    def run_quantile(self, q: float, cell: str) -> float:
-        """Bucket-interpolated run-latency quantile for one cell."""
-        return self._run_seconds.quantile(q, cell=cell)
-
-    def percentiles(self, cell: str) -> dict[str, float]:
-        """p50/p99 run latency, derived from the histogram buckets."""
-        return {"p50": self.run_quantile(0.50, cell), "p99": self.run_quantile(0.99, cell)}
-
-    # -- process-wide installation --------------------------------------
-
-    def install(self) -> "KernelProfiler":
-        """Route every ``CompiledSchedule.run`` through this profiler."""
-        self._previous = set_profiler(self)
-        return self
-
-    def uninstall(self) -> None:
-        """Remove this profiler, restoring whatever was installed before."""
-        if get_profiler() is self:
-            set_profiler(self._previous)
-        self._previous = None
-
-    def __enter__(self) -> "KernelProfiler":
-        return self.install()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.uninstall()
+    def _record(self, profile: RunProfile, stamps: list[int]) -> None:
+        cell = profile.cell
+        self._run_seconds.observe(profile.wall_s, cell=cell)
+        for layer in profile.layers:
+            self._layer_seconds.observe(layer.wall_ns / 1e9, cell=cell)
+        self._keys_total.inc(profile.keys, cell=cell)
+        tracer = self.tracer
+        if tracer is not None:
+            # perf_counter_ns and the tracer's perf_counter share one clock
+            with tracer.span(
+                "compiled-run",
+                kind="kernel",
+                cell=cell,
+                batch=profile.batch,
+                layers=len(profile.layers),
+            ).at(stamps[0] / 1e9, stamps[-1] / 1e9):
+                for layer in profile.layers:
+                    start = stamps[2 + 3 * layer.index]
+                    with tracer.span(
+                        "kernel-layer",
+                        kind="kernel",
+                        cell=cell,
+                        layer=layer.index,
+                        ops=layer.op_count,
+                    ).at(start / 1e9, (start + layer.wall_ns) / 1e9):
+                        pass
+        self.last_profile = profile
 
 
 # ----------------------------------------------------------------------
@@ -440,10 +392,18 @@ def resolve_profile_cell(key: str) -> Any:
     raise ValueError(f"unknown profile cell {key!r}; known cells: {names}")
 
 
+#: the self-check's bounds: a profile is ``consistent`` when the fastest
+#: run's residual is at most this share of its wall time ...
+RESIDUAL_SHARE_MAX = 0.10
+#: ... and the median profiled run at most this multiple of the median
+#: untimed ``kernel.run`` interleaved with it
+OVERHEAD_MAX = 1.15
+
+
 def profile_cell(
     key: str,
     batches: tuple[int, ...] = (1, 16, 256),
-    runs: int = 5,
+    runs: int = 11,
     seed: int = 0,
     profiler: KernelProfiler | None = None,
 ) -> dict[str, Any]:
@@ -456,12 +416,19 @@ def profile_cell(
     The kernel is profiled ``runs`` times per batch size; every profiled
     output is checked against the snake-order ground truth, so reported
     numbers only ever describe correct executions.  Each profiled run is
-    followed by one run of the floor — ``np.sort`` plus the snake scatter,
-    the ground truth itself — on the same keys; ``floor_ratio`` divides the
-    median profiled wall time by the median floor.  Per-layer detail and the
-    permute/compute split come from each batch's fastest run (least
-    scheduler noise); ``keys_per_s`` uses the median.  ``mean_occupancy``
-    and ``max_occupancy`` summarise the last batch's layers.
+    followed by one untimed ``kernel.run`` (``bare_s``), timed from outside,
+    and one run of the floor — ``np.sort`` plus the snake scatter, the
+    ground truth itself — on the same keys; ``floor_ratio`` divides the
+    median profiled wall time by the median floor and ``overhead`` by the
+    median untimed run.  Per-layer detail, the permute/compute split and
+    the residual come from each batch's fastest run (least scheduler
+    noise); ``keys_per_s`` uses the median.  A point is ``consistent`` when
+    that run's residual is at most :data:`RESIDUAL_SHARE_MAX` of its wall
+    time and ``overhead`` at most :data:`OVERHEAD_MAX`; the default of 11
+    pairs keeps one slow sample from moving either median far, which five
+    did not at batch 1.
+    ``mean_occupancy`` and ``max_occupancy`` summarise the last batch's
+    layers.
     """
     from ..staticcheck import emit_schedule
 
@@ -475,6 +442,7 @@ def profile_cell(
     rng = np.random.default_rng(seed)
     snake = snake_order_nodes(dag.n, dag.r)
     kernel = compile_schedule(dag)
+    clock = time.perf_counter_ns
     doc: dict[str, Any] = {
         "cell": cell.key,
         "factor": dag.factor,
@@ -493,37 +461,49 @@ def profile_cell(
         keys = rng.integers(0, 2**31, size=(int(batch), dag.num_nodes))
         kernel.run(keys)  # warm-up: first-touch allocations, caches
         profiles: list[RunProfile] = []
+        bare_ns: list[int] = []
         floor_ns: list[int] = []
-        out: np.ndarray | None = None
-        expected: np.ndarray | None = None
         for _ in range(runs):
             out, profile = prof.run(kernel, keys)
             profiles.append(profile)
-            t0 = time.perf_counter_ns()
+            t0 = clock()
+            kernel.run(keys)
+            t1 = clock()
             expected = np.empty_like(keys)
             expected[:, snake] = np.sort(keys, axis=1)
-            floor_ns.append(time.perf_counter_ns() - t0)
-        if not np.array_equal(out, expected):
-            raise AssertionError(
-                f"profiled kernel output diverged from snake ground truth on {cell.key}"
-            )
+            floor_ns.append(clock() - t1)
+            bare_ns.append(t1 - t0)
+            if not np.array_equal(out, expected):
+                raise AssertionError(
+                    f"profiled kernel output diverged from snake ground truth on {cell.key}"
+                )
         walls = np.array([p.wall_s for p in profiles])
+        bares = np.array(bare_ns) / 1e9
         floors = np.array(floor_ns) / 1e9
         best = profiles[int(np.argmin(walls))]
+        overhead = float(np.median(walls) / max(np.median(bares), 1e-9))
         doc["batches"].append(
             {
                 "batch": int(batch),
                 "keys": best.keys,
                 "wall_s": {
                     "min": float(walls.min()),
-                    "p50": float(np.percentile(walls, 50)),
+                    "p50": float(np.median(walls)),
                     "max": float(walls.max()),
                 },
+                "bare_s": {"min": float(bares.min()), "p50": float(np.median(bares))},
                 "floor_s": {"min": float(floors.min()), "p50": float(np.median(floors))},
                 "floor_ratio": float(np.median(walls) / max(np.median(floors), 1e-9)),
+                "overhead": overhead,
+                "wall_ns": best.wall_ns,
+                "rows_ns": best.rows_ns,
                 "permute_ns": best.restore_ns + sum(lay.permute_ns for lay in best.layers),
                 "compute_ns": sum(lay.compute_ns for lay in best.layers),
-                "keys_per_s": float(best.keys / np.percentile(walls, 50)),
+                "restore_ns": best.restore_ns,
+                "residual_ns": best.residual_ns,
+                "consistent": best.residual_ns <= RESIDUAL_SHARE_MAX * best.wall_ns
+                and overhead <= OVERHEAD_MAX,
+                "keys_per_s": float(best.keys / np.median(walls)),
                 "per_layer": [layer.to_json() for layer in best.layers],
             }
         )
@@ -556,31 +536,27 @@ def render_profile(doc: dict[str, Any]) -> str:
         f"schedule {doc['schedule_hash'][:12]}, {doc['runs']} runs/point)",
         f"{doc['layers']} layers, {doc['ops']} ops, "
         f"mean occupancy {doc['mean_occupancy'] * 100:.1f}%",
-        f"  {'batch':>7} {'keys':>9} {'p50 µs':>9} {'min µs':>9} {'permute µs':>10} "
-        f"{'compute µs':>10} {'floor µs':>9} {'×floor':>7} {'keys/s':>13}",
+        f"  {'batch':>7} {'keys':>9} {'p50 µs':>9} {'min µs':>9} {'rows µs':>8} "
+        f"{'permute µs':>10} {'compute µs':>10} {'resid%':>6} {'×bare':>6} {'floor µs':>9} "
+        f"{'×floor':>7} {'keys/s':>13}  check",
     ]
     for point in doc["batches"]:
         wall = point["wall_s"]
         lines.append(
             f"  {point['batch']:>7} {point['keys']:>9} {wall['p50'] * 1e6:>9.1f} "
-            f"{wall['min'] * 1e6:>9.1f} {point['permute_ns'] / 1e3:>10.1f} "
-            f"{point['compute_ns'] / 1e3:>10.1f} {point['floor_s']['p50'] * 1e6:>9.1f} "
-            f"{point['floor_ratio']:>7.1f} {point['keys_per_s']:>13,.0f}"
+            f"{wall['min'] * 1e6:>9.1f} {point['rows_ns'] / 1e3:>8.1f} "
+            f"{point['permute_ns'] / 1e3:>10.1f} "
+            f"{point['compute_ns'] / 1e3:>10.1f} "
+            f"{point['residual_ns'] / max(point['wall_ns'], 1) * 100:>6.1f} "
+            f"{point['overhead']:>6.2f} {point['floor_s']['p50'] * 1e6:>9.1f} "
+            f"{point['floor_ratio']:>7.1f} {point['keys_per_s']:>13,.0f}  "
+            f"{'consistent' if point['consistent'] else 'INCONSISTENT'}"
         )
+    lines.append(
+        f"min = rows + permute + compute + residual (the fastest run); consistent: "
+        f"resid% <= {RESIDUAL_SHARE_MAX:.0%} and p50 <= {OVERHEAD_MAX}× an untimed "
+        f"run (×bare)"
+    )
     lines.append(f"per-layer detail (batch {doc['batches'][-1]['batch']}):")
     lines.extend(_layer_table(doc["batches"][-1]["per_layer"]))
     return "\n".join(lines)
-
-
-def profile_chrome_trace(
-    key: str, batch: int = 256, seed: int = 0, runs: int = 1
-) -> str:
-    """Chrome trace-event JSON of profiled runs of one cell's kernel."""
-    from .export import chrome_trace_json
-    from .tracer import Tracer
-
-    tracer = Tracer()
-    profiler = KernelProfiler(tracer=tracer)
-    profile_cell(key, batches=(batch,), runs=runs, seed=seed, profiler=profiler)
-    return chrome_trace_json(tracer)
-

@@ -37,7 +37,6 @@ Attach to a run with::
 from __future__ import annotations
 
 import threading
-import time
 from bisect import bisect_left
 from typing import Any, Iterator
 
@@ -47,7 +46,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "HistogramTimer",
     "MetricsRegistry",
     "MetricsSubscriber",
     "quantile_from_buckets",
@@ -260,20 +258,6 @@ class Histogram(_Instrument):
             index = bisect_left(self.buckets, value) if value <= self.buckets[-1] else -1
             series.bucket_counts[index] += 1
 
-    def time(self, **labels: Any) -> "HistogramTimer":
-        """Context manager observing the block's wall time, in seconds.
-
-        Replaces hand-rolled ``perf_counter_ns`` deltas at instrumentation
-        sites; the timer exposes :attr:`HistogramTimer.elapsed_s` /
-        :attr:`HistogramTimer.elapsed_ns` after exit for callers that also
-        want the raw measurement::
-
-            with latency.time(cell=cell) as timer:
-                x = step.permute(x)
-            wall_ns = timer.elapsed_ns
-        """
-        return HistogramTimer(self, labels)
-
     def quantile(self, q: float, **labels: Any) -> float:
         """Approximate ``q``-quantile of the labelled series.
 
@@ -323,32 +307,6 @@ class Histogram(_Instrument):
                 buckets[str(bound)] = cumulative
             buckets["+Inf"] = cumulative + series.bucket_counts[-1]
             return {"count": series.count, "sum": series.total, "buckets": buckets}
-
-
-class HistogramTimer:
-    """Times a ``with`` block and observes the elapsed seconds on exit."""
-
-    __slots__ = ("_histogram", "_labels", "_start_ns", "elapsed_ns")
-
-    def __init__(self, histogram: Histogram, labels: dict[str, Any]) -> None:
-        self._histogram = histogram
-        self._labels = labels
-        self._start_ns = 0
-        #: elapsed nanoseconds, available after the block exits
-        self.elapsed_ns = 0
-
-    @property
-    def elapsed_s(self) -> float:
-        return self.elapsed_ns / 1e9
-
-    def __enter__(self) -> "HistogramTimer":
-        self._start_ns = time.perf_counter_ns()
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
-        self.elapsed_ns = time.perf_counter_ns() - self._start_ns
-        self._histogram.observe(self.elapsed_ns / 1e9, **self._labels)
-        return False
 
 
 class MetricsRegistry:

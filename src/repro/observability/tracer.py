@@ -83,6 +83,12 @@ class Span:
         self.attrs.update(attrs)
         return self
 
+    def at(self, start: float, end: float) -> "Span":
+        """Pin the interval to :data:`~repro.observability.events.clock`
+        times measured elsewhere; entering and leaving then read no clock."""
+        self.start, self.end = start, end
+        return self
+
     # -- tree queries ---------------------------------------------------
     def walk(self) -> Iterator["Span"]:
         """This span and every descendant, depth-first preorder."""
@@ -144,7 +150,8 @@ class Tracer:
         else:
             self.roots.append(span)
         self._stack.append(span)
-        span.start = clock()
+        if span.end is None:  # not pinned by Span.at
+            span.start = clock()
         if self.bus.active:
             self.bus.publish(
                 TraceEvent(
@@ -161,7 +168,8 @@ class Tracer:
         if not self._stack or self._stack[-1] is not span:
             raise RuntimeError(f"span {span.name!r} closed out of order")
         self._stack.pop()
-        span.end = clock()
+        if span.end is None:
+            span.end = clock()
         if failed:
             span.attrs.setdefault("error", True)
         if self.bus.active:

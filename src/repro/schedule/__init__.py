@@ -32,8 +32,6 @@ from .compiled import (
     check_keys,
     clear_kernel_cache,
     compile_schedule,
-    get_profiler,
-    set_profiler,
 )
 from .emit import (
     EmittedMachineSchedule,
@@ -90,10 +88,8 @@ __all__ = [
     "repack_rounds",
     "emit_lattice_schedule",
     "emit_machine_schedule",
-    "get_profiler",
     "phase_detail",
     "replay",
-    "set_profiler",
     "snake_order_nodes",
     "span_path_entry",
 ]

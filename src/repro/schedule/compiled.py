@@ -63,15 +63,12 @@ import sys
 import threading
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
 from ..observability.cachestats import CacheStats
 from .ir import ComparatorDAG, output_order, pack_rounds
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..observability.kernelprof import KernelProfiler
 
 __all__ = [
     "CompiledSchedule",
@@ -84,8 +81,6 @@ __all__ = [
     "check_unmasked",
     "clear_kernel_cache",
     "compile_schedule",
-    "get_profiler",
-    "set_profiler",
 ]
 
 
@@ -363,15 +358,9 @@ class CompiledSchedule:
         dtype, leaving ``state`` untouched.  Semantically identical to
         :func:`repro.schedule.ir.replay` — the property tests pin that
         equivalence — just fewer, wider passes.
-
-        When a :class:`~repro.observability.kernelprof.KernelProfiler` is
-        installed (see :func:`set_profiler`) and enabled, the run is timed
-        layer by layer over the same steps; otherwise the only overhead is
-        one ``None`` check.
+        :meth:`repro.observability.kernelprof.KernelProfiler.run` makes the
+        same calls with a clock stamp around each.
         """
-        profiler = _PROFILER
-        if profiler is not None and profiler.enabled:
-            return profiler.profiled_run(self, state)
         x, squeeze = self.rows(state)
         for step in self.steps:
             x = step.permute(x)
@@ -394,29 +383,6 @@ _KERNELS: dict[str, CompiledSchedule] = {}
 #: hit/miss/compile-time accounting for the kernel cache (see
 #: :mod:`repro.observability.cachestats`)
 KERNEL_CACHE_STATS = CacheStats("compiled-kernels", size_fn=lambda: len(_KERNELS))
-
-#: process-wide profiler hook; ``None`` (the default) keeps :meth:`run` on
-#: the zero-instrumentation fast path
-_PROFILER: "KernelProfiler | None" = None
-
-
-def set_profiler(profiler: "KernelProfiler | None") -> "KernelProfiler | None":
-    """Install (``None``: remove) the process-wide kernel profiler.
-
-    Returns the previously installed profiler so callers can restore it —
-    :class:`~repro.observability.kernelprof.KernelProfiler` does exactly
-    that when used as a context manager.
-    """
-    global _PROFILER
-    previous = _PROFILER
-    _PROFILER = profiler
-    return previous
-
-
-def get_profiler() -> "KernelProfiler | None":
-    """The currently installed process-wide kernel profiler, if any."""
-    return _PROFILER
-
 
 def compile_schedule(dag: ComparatorDAG, *, optimize: bool = True) -> CompiledSchedule:
     """Compile (or fetch from the hash-keyed cache) a DAG's certified kernel.

@@ -232,26 +232,7 @@ class TestMetricsSubscriber:
 
 
 class TestInstrumentHelpers:
-    """Histogram.time() / Counter.count_exceptions() / Gauge.set_max()."""
-
-    def test_histogram_time_observes_and_exposes_elapsed(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("t_seconds", "test", buckets=(0.5, 1.0))
-        with hist.time(cell="a") as timer:
-            pass
-        assert timer.elapsed_ns > 0
-        assert timer.elapsed_s == pytest.approx(timer.elapsed_ns / 1e9)
-        series = hist.snapshot_series(cell="a")
-        assert series["count"] == 1
-        assert series["sum"] == pytest.approx(timer.elapsed_s)
-
-    def test_histogram_time_observes_even_when_the_body_raises(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("t_seconds", "test", buckets=(0.5,))
-        with pytest.raises(RuntimeError):
-            with hist.time():
-                raise RuntimeError("boom")
-        assert hist.snapshot_series()["count"] == 1
+    """Counter.count_exceptions() / Gauge.set_max()."""
 
     def test_counter_count_exceptions_counts_only_failures(self):
         registry = MetricsRegistry()
