@@ -19,9 +19,12 @@ AND-reduction over a spanning tree; we charge a configurable
 consistent**: all the merges of one level run in parallel, so Step 4 is
 skipped only when *every* subgraph of the level came out clean (a single
 dirty subgraph makes the whole level wait anyway — and the AND-reduction
-naturally computes exactly this global predicate).  To get that semantics
-the adaptive sorter processes each level as a batch, the same breadth-first
-structure the fine-grained machine backend uses.
+naturally computes exactly this global predicate).  The emitted schedule
+already has that structure: sibling subgraphs of a level share each phase.
+So the adaptive sorter runs the same phases as the plain one
+(:meth:`~repro.core.lattice_sort.ProductNetworkSorter.schedule`), and before
+each merge instance's four ``cleanup[dk]`` phases it charges the check and
+skips them when every stacked view reads sorted in snake order.
 
 Worst case: ``check_rounds`` extra per level.  Best case (fully clean
 levels): ``2 S₂ + 2 R - check_rounds`` saved per level.  The ablation
@@ -34,7 +37,8 @@ import numpy as np
 
 from ..machine.metrics import CostLedger
 from ..observability import coerce_tracer, point_emitter
-from ..orders.snake import lattice_to_sequence
+from ..schedule import SchedulePhase, charge_phase, snake_order_nodes, step4_point
+from ..schedule.ir import output_order
 from .lattice_sort import ProductNetworkSorter, SortOutcome
 from .multiway_merge import Emit, TracerLike
 
@@ -69,78 +73,70 @@ class AdaptiveProductNetworkSorter(ProductNetworkSorter):
         # reproduce Theorem 1's counts; tagged with its own backend name
         tracer = coerce_tracer(tracer)
         emit = point_emitter(tracer)
-        a = np.array(lattice, copy=True)
-        if a.shape != self.network.shape:
-            raise ValueError(f"lattice shape {a.shape} != network shape {self.network.shape}")
-        self.steps4_skipped = 0
-        self.steps4_executed = 0
+        a = self._fresh_lattice(lattice)
         ledger = CostLedger(keep_log=self.keep_log)
+        phases = self.schedule().phases
         n, r = self.n, self.r
-
+        self.steps4_skipped = self.steps4_executed = 0
         with tracer.span(
             "sort", backend="lattice-adaptive", factor=self.network.factor.name, n=n, r=r
         ):
             with tracer.span("initial-block-sorts", kind="s2") as sp:
-                blocks = a.reshape(-1, n, n)
-                for g in range(blocks.shape[0]):
-                    self._sort2_data(blocks[g], descending=False)
-                ledger.charge_s2(self.sorter2d.rounds(n), detail="initial PG2 block sorts")
-                if not tracer.disabled:
-                    sp.set(rounds=self.sorter2d.rounds(n))
+                self._run_phases(a, phases[:1], ledger)
+                sp.set(rounds=phases[0].charged_rounds)
             if emit is not None:
                 emit("initial_sorted", a.copy())
-
             for j in range(3, r + 1):
-                sub = a.reshape((-1,) + (n,) * j)
-                with tracer.span("merge-round", dim=j, groups=sub.shape[0]):
-                    self._merge_batch([sub[s] for s in range(sub.shape[0])], ledger, emit)
+                with tracer.span("merge-round", dim=j, groups=n ** (r - j)):
+                    round_j = [p for p in phases if p.path[1] == f"merge[d{j}]"]
+                    self._run_phases(a, round_j, ledger, emit if j == r else None)
                 if emit is not None:
                     emit(f"after_merge_round_{j}", a.copy())
         return SortOutcome(a, ledger)
 
     def merge_sorted_subgraphs(self, lattice: np.ndarray, tracer: TracerLike = None) -> SortOutcome:
-        self.steps4_skipped = 0
-        self.steps4_executed = 0
-        a = np.array(lattice, copy=True)
-        if a.shape != self.network.shape:
-            raise ValueError(f"lattice shape {a.shape} != network shape {self.network.shape}")
-        for u in range(self.n):
-            seq = lattice_to_sequence(np.ascontiguousarray(a[u]))
-            if np.any(seq[:-1] > seq[1:]):
-                raise ValueError(f"input subgraph [{u}]PG_{self.r - 1} is not snake-sorted")
+        a = self._merge_input(lattice)
         ledger = CostLedger(keep_log=self.keep_log)
-        tracer = coerce_tracer(tracer)
-        self._merge_batch([a], ledger, point_emitter(tracer))
+        self.steps4_skipped = self.steps4_executed = 0
+        self._run_phases(a, self._merge_phases(), ledger, point_emitter(coerce_tracer(tracer)))
         return SortOutcome(a, ledger)
 
     # ------------------------------------------------------------------
-    def _merge_batch(self, views: list[np.ndarray], ledger: CostLedger, emit: Emit) -> None:
-        """Merge all same-level views in lockstep with one skip decision."""
-        k = views[0].ndim
-        n = self.n
-        if k == 2:
-            for v in views:
-                self._sort2_data(v, descending=False)
-            ledger.charge_s2(self.sorter2d.rounds(n), detail="merge base (k=2) PG2 sorts")
-            return
+    def _run_phases(
+        self, a: np.ndarray, phases: list[SchedulePhase], ledger: CostLedger, emit: Emit = None
+    ) -> None:
+        """Run ``phases`` on ``a``; each merge instance's four cleanup phases
+        run only if one of its stacked views reads unsorted.  ``emit``
+        publishes the top merge's states (it is passed only when that merge
+        spans the whole lattice)."""
+        skip_until = 0
+        for i, phase in enumerate(phases):
+            k = phase.dim
+            # the top merge's cleanup: ("sort", "merge[dk]", "cleanup[dk]", leaf)
+            top = emit if phase.path[2:3] == (f"cleanup[d{k}]",) else None
+            if phase.leaf == "block-sorts":  # the merge instance's Step 4 begins
+                if top is not None:
+                    top(f"merge{k}_after_step2", a.copy())
+                ledger.charge_routing(self.check_rounds, detail=f"adaptive clean check (k={k})")
+                if self._views_clean(a, phase):
+                    self.steps4_skipped += 1
+                    skip_until = i + 4
+                    if top is not None:
+                        top(f"merge{k}_step4_skipped", a.copy())
+                else:
+                    self.steps4_executed += 1
+            if i >= skip_until:
+                self._run_phase(a, phase)
+                charge_phase(ledger, phase, "lattice-adaptive")
+                if top is not None:
+                    top(step4_point(phase), a.copy())
 
-        # Step 2 (Steps 1/3 free): recurse on every [x]PG^1 of every view
-        self._merge_batch([v[..., x] for v in views for x in range(n)], ledger, emit)
-        if emit is not None and len(views) == 1:
-            emit(f"merge{k}_after_step2", views[0].copy())
-
-        # level-consistent clean check
-        clean = all(
-            bool(np.all(np.diff(lattice_to_sequence(np.ascontiguousarray(v))) >= 0))
-            for v in views
-        )
-        ledger.charge_routing(self.check_rounds, detail=f"adaptive clean check (k={k})")
-        if clean:
-            self.steps4_skipped += 1
-            if emit is not None and len(views) == 1:
-                emit(f"merge{k}_step4_skipped", views[0].copy())
-            return
-        self.steps4_executed += 1
-        for i, v in enumerate(views):
-            # data ops for every view; charge the parallel time once
-            super()._step4(v, ledger, charge=(i == 0), emit=emit if len(views) == 1 else None)
+    def _views_clean(self, a: np.ndarray, block_sorts: SchedulePhase) -> bool:
+        """Whether every ``PG_k`` view a cleanup's block sorts cover reads
+        sorted in snake order: its blocks (listed in lex order) in group-rank
+        order, each along its own snake direction."""
+        ((nodes, descending),) = self.schedule().phase_rounds(block_sorts.index)[0].blocks
+        n, k = self.n, block_sorts.dim
+        by_rank = snake_order_nodes(n, k - 2)  # a view's blocks, by group rank
+        views = output_order(nodes, descending).reshape(-1, n ** (k - 2), n * n)[:, by_rank]
+        return bool(np.all(np.diff(a.reshape(-1)[views.reshape(len(views), -1)], axis=1) >= 0))

@@ -39,7 +39,7 @@ from ..machine.machine import NetworkMachine
 from ..machine.metrics import CostLedger
 from ..observability import NULL_TRACER, MachineTimeline, Tracer, coerce_tracer
 from ..orders.gray import gray_unrank
-from ..schedule import EmittedMachineSchedule, emit_machine_schedule, phase_detail
+from ..schedule import EmittedMachineSchedule, SchedulePhase, emit_machine_schedule, interpret
 from ..sorters2d.base import ExecutableTwoDimSorter
 from ..sorters2d.hypercube2d import HypercubeThreeStepSorter
 from ..sorters2d.shearsort import ShearSorter
@@ -145,42 +145,24 @@ class MachineSorter:
         if self._labels is None:
             self._labels = [self.network.label_of(i) for i in range(self.network.num_nodes)]
         labels = self._labels
-        rounds_of: dict[int, list] = {}
-        for rd in dag.rounds:
-            rounds_of.setdefault(rd.phase, []).append(rd)
 
-        stack: list[tuple] = []
-        for instr in emitted.program:
-            if instr.op == "open":
-                span = tracer.span(instr.name, **instr.attrs)
-                span.__enter__()
-                measured = 0
-                if instr.phase is not None:
-                    for rd in rounds_of.get(instr.phase, ()):
-                        lows, highs = ([labels[i] for i in a.tolist()] for a in (rd.lo, rd.hi))
-                        cost = machine.compare_exchange(list(zip(lows, highs)))
-                        assert cost == rd.charge, (
-                            f"interpreted round cost {cost} != planned charge {rd.charge}"
-                        )
-                        measured += cost
-                stack.append((span, instr.phase, measured))
-            else:
-                span, phase_index, measured = stack.pop()
-                if not tracer.disabled:
-                    # span_end attrs recorded at emission carry the full
-                    # merged dict (static geometry + planned costs); the
-                    # per-round assert above guarantees they match this run
-                    span.set(**instr.attrs)
-                span.__exit__(None, None, None)
-                if phase_index is not None:
-                    phase = dag.phases[phase_index]
-                    assert measured == phase.charged_rounds
-                    detail = phase_detail(phase, "machine")
-                    if phase.kind == "s2":
-                        ledger.charge_s2(measured, detail=detail)
-                    else:
-                        ledger.charge_routing(measured, detail=detail)
+        def run_phase(phase: SchedulePhase) -> int:
+            """Issue the phase's rounds as super-steps, re-measuring their costs."""
+            measured = 0
+            for rd in dag.phase_rounds(phase.index):
+                lows, highs = ([labels[i] for i in a.tolist()] for a in (rd.lo, rd.hi))
+                cost = machine.compare_exchange(list(zip(lows, highs)))
+                assert cost == rd.charge, (
+                    f"interpreted round cost {cost} != planned charge {rd.charge}"
+                )
+                measured += cost
+            assert measured == phase.charged_rounds
+            return measured
 
+        # span_end attrs recorded at emission carry the full merged dict
+        # (static geometry + planned costs); the per-round assert above
+        # guarantees they match this run
+        interpret(emitted.program, dag.phases, tracer, ledger, "machine", run_phase)
         assert machine.rounds == ledger.total_rounds == dag.depth, (
             "every round must be attributed"
         )

@@ -4,26 +4,31 @@
 subnetworks based on recursively updating N ..." — the merge of §3.1 is an
 oblivious compare-exchange procedure, so it *is* a comparator network once
 the free redistribution steps (1 and 3) are compiled away into wire
-bookkeeping.  This module performs that compilation:
+bookkeeping.  That network is already written down once, as the emitted
+lattice schedule (:func:`repro.schedule.emit.emit_lattice_schedule`); this
+module *lowers* it to wires:
 
 * :func:`multiway_merge_network` — a network merging ``n`` sorted sequences
-  of ``n**(k-1)`` keys laid out concatenated on the wires;
+  of ``n**(k-1)`` keys laid out concatenated on the wires (the schedule's
+  top merge, relabelled);
 * :func:`multiway_sort_network` — the full §3.3 sorter for ``n**r`` wires;
 * both return a :class:`WireNetwork`: parallel *layers* of disjoint
-  comparators plus the output order (which wires hold the sorted sequence),
-  with :meth:`WireNetwork.normalized` relabelling wires so the output is in
-  natural order — a standard sorting network comparable, comparator for
-  comparator, with Batcher's constructions in :mod:`repro.baselines.batcher`.
+  comparators plus the output order (which wires hold the sorted sequence:
+  snake order), with :meth:`WireNetwork.normalized` relabelling wires so
+  the output is in natural order — a standard sorting network comparable,
+  comparator for comparator, with Batcher's constructions in
+  :mod:`repro.baselines.batcher`.
 
 Steps 1 and 3 contribute **zero comparators** — the network-construction
 face of the paper's observation that they are free on product networks.
-Step 4's two odd-even block transpositions are single layers each (all the
-pairs are disjoint).  The recursive column merges of Step 2 operate on
-disjoint wire sets, so their layers are zipped together (they run in
-parallel), keeping the depth at the parallel-time value rather than the
-sum.
+Each comparator round of the schedule (Step 4's two odd-even block
+transpositions) is one layer.  Each block-sort round becomes the base
+network along every block's node row, reversed when the block sorts
+descending; the blocks of a round sit on disjoint wires, so their layers
+are zipped together, keeping the depth at the parallel-time value rather
+than the sum.
 
-The base case sorts ``n**2`` wires with a pluggable primitive network:
+Every block sort covers ``n**2`` wires with a pluggable primitive network:
 odd-even transposition (any width; ``L`` layers) or Batcher's odd-even
 merge sort (power-of-two widths; ``lg L (lg L + 1)/2`` layers) — choosing
 the latter recovers, for ``n = 2``, networks with Batcher-like depth, which
@@ -33,7 +38,11 @@ is the §5.3 "Batcher is a special case" statement at the network level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
+
+import numpy as np
+
+from ..schedule import ComparatorDAG, SchedulePhase, emit_lattice_schedule, snake_order_nodes
 
 __all__ = [
     "WireNetwork",
@@ -163,134 +172,75 @@ def _zip_layers(groups: list[list[Layer]]) -> list[Layer]:
     return out
 
 
-def _distribute_wires(seq: Sequence[int], n: int) -> list[list[int]]:
-    """Step 1 on wire ids: the B_v subsequences of a sorted wire sequence."""
-    columns: list[list[int]] = [[] for _ in range(n)]
-    for idx, wire in enumerate(seq):
-        row, col = divmod(idx, n)
-        if row % 2 == 1:
-            col = n - 1 - col
-        columns[col].append(wire)
-    return columns
+def _lower(phases: list[SchedulePhase], dag: ComparatorDAG, base: BaseSorter) -> list[Layer]:
+    """Lower DAG phases to comparator layers on wires named by node id.
+
+    Each comparator round becomes one layer; each block sort becomes
+    ``base`` along its node row (reversed when descending), the block sorts
+    of one round zipped into shared layers."""
+    layers: list[Layer] = []
+    for phase in phases:
+        for rd in dag.phase_rounds(phase.index):
+            if rd.lo.size:
+                layers.append(list(zip(rd.lo.tolist(), rd.hi.tolist())))
+            layers += _zip_layers(
+                [
+                    base(row[::-1] if desc else row)
+                    for nodes, descending in rd.blocks
+                    for row, desc in zip(nodes.tolist(), descending.tolist())
+                ]
+            )
+    return layers
 
 
-def _merge_wire_sequences(
-    sequences: list[list[int]], n: int, base: BaseSorter
-) -> tuple[list[Layer], list[int]]:
-    """Compile the §3.1 merge of ``n`` sorted wire sequences.
+def _network(width: int, layers: list[Layer], order: Iterable[int]) -> WireNetwork:
+    net = WireNetwork(
+        width=width,
+        layers=tuple(tuple(layer) for layer in layers),
+        order=tuple(int(w) for w in order),
+    )
+    net.validate_layers()
+    return net
 
-    Returns ``(layers, order)``: after the layers run, reading the wires in
-    ``order`` yields the merged sorted sequence.
-    """
-    m = len(sequences[0])
-    # Step 1 (free): distribute each sequence into its B_{u,v} columns.
-    b = [_distribute_wires(seq, n) for seq in sequences]
 
-    # Step 2: merge column v's subsequences (recursively / base sort).
-    col_layer_groups: list[list[Layer]] = []
-    col_orders: list[list[int]] = []
-    for v in range(n):
-        col_inputs = [b[u][v] for u in range(n)]
-        if m == n * n:
-            wires = [w for s in col_inputs for w in s]
-            # the base sorter sorts *into the listed wire order*
-            col_layer_groups.append(base(wires))
-            col_orders.append(wires)
-        else:
-            layers_v, order_v = _merge_wire_sequences(col_inputs, n, base)
-            col_layer_groups.append(layers_v)
-            col_orders.append(order_v)
-    layers = _zip_layers(col_layer_groups)  # columns run in parallel
+def _schedule(n: int, r: int) -> ComparatorDAG:
+    """The emitted lattice schedule of ``PG_r`` over ``n``-node factors
+    (the comparators do not depend on the factor's edges)."""
+    from ..graphs.library import path_graph
 
-    # Step 3 (free): interleave the column orders into D.
-    d: list[int] = [0] * (m * n)
-    for v, order_v in enumerate(col_orders):
-        d[v::n] = order_v
-
-    # Step 4: clean the dirty area.
-    block = n * n
-    nblocks = len(d) // block
-    blocks = [d[z * block : (z + 1) * block] for z in range(nblocks)]
-
-    def block_sorts() -> list[Layer]:
-        groups = []
-        for z, wires in enumerate(blocks):
-            target = wires if z % 2 == 0 else list(reversed(wires))
-            groups.append(base(target))
-        return _zip_layers(groups)
-
-    layers += block_sorts()
-    for parity in (0, 1):
-        layer: Layer = []
-        for z in range(parity, nblocks - 1, 2):
-            for t in range(block):
-                layer.append((blocks[z][t], blocks[z + 1][t]))
-        if layer:
-            layers.append(layer)
-    layers += block_sorts()
-
-    # final order: blocks ascending; odd blocks were sorted descending along
-    # their wire list, so read them reversed.
-    order: list[int] = []
-    for z, wires in enumerate(blocks):
-        order.extend(wires if z % 2 == 0 else list(reversed(wires)))
-    return layers, order
+    return emit_lattice_schedule(path_graph(n), r, 1, 1)
 
 
 def multiway_merge_network(n: int, k: int, base: BaseSorter = auto_base) -> WireNetwork:
     """Network merging ``n`` sorted runs of ``n**(k-1)`` keys (``k >= 3``).
 
     Input layout: run ``u`` occupies wires ``[u*n**(k-1), (u+1)*n**(k-1))``,
-    each sorted ascending by wire index.
+    each sorted ascending by wire index.  The network is the top merge of
+    the emitted ``PG_k`` schedule, with run ``u``'s wire ``p`` on node
+    ``u*n**(k-1) + snake_order_nodes(n, k-1)[p]``.
     """
     if n < 2 or k < 3:
         raise ValueError("need n >= 2 and k >= 3 (below that, sort directly — §3.2)")
+    dag = _schedule(n, k)
     m = n ** (k - 1)
-    sequences = [list(range(u * m, (u + 1) * m)) for u in range(n)]
-    layers, order = _merge_wire_sequences(sequences, n, base)
-    net = WireNetwork(
-        width=n * m,
-        layers=tuple(tuple(layer) for layer in layers),
-        order=tuple(order),
-    )
-    net.validate_layers()
-    return net
+    wire_of = np.empty(n * m, dtype=np.int64)
+    for u in range(n):
+        wire_of[u * m + snake_order_nodes(n, k - 1)] = np.arange(u * m, (u + 1) * m)
+    top = ("sort", f"merge[d{k}]")
+    layers = _lower([p for p in dag.phases if p.path[:2] == top], dag, base)
+    relabelled = [[(int(wire_of[lo]), int(wire_of[hi])) for lo, hi in layer] for layer in layers]
+    return _network(n * m, relabelled, wire_of[snake_order_nodes(n, k)])
 
 
 def multiway_sort_network(n: int, r: int, base: BaseSorter = auto_base) -> WireNetwork:
     """Full §3.3 sorting network for ``n**r`` wires (``r >= 2``).
 
-    Sorts the initial ``n**2``-wire blocks with the base network, then
-    compiles one merge level per dimension ``3..r`` (merges of one level
-    run on disjoint wires, hence in parallel layers).
+    The lowered emitted ``PG_r`` schedule on wires named by node id: the
+    initial ``n**2``-wire block sorts, then one merge level per dimension
+    ``3..r`` (merges of one level run on disjoint wires, hence in parallel
+    layers).  The output reads in snake order.
     """
     if n < 2 or r < 2:
         raise ValueError("need n >= 2 and r >= 2")
-    total = n**r
-    block = n * n
-
-    # initial block sorts, all in parallel
-    groups = [base(list(range(g * block, (g + 1) * block))) for g in range(total // block)]
-    layers = _zip_layers(groups)
-    orders: list[list[int]] = [
-        list(range(g * block, (g + 1) * block)) for g in range(total // block)
-    ]
-
-    while len(orders) > 1:
-        merged_groups: list[list[Layer]] = []
-        merged_orders: list[list[int]] = []
-        for g in range(0, len(orders), n):
-            group_inputs = orders[g : g + n]
-            layers_g, order_g = _merge_wire_sequences(group_inputs, n, base)
-            merged_groups.append(layers_g)
-            merged_orders.append(order_g)
-        layers += _zip_layers(merged_groups)
-        orders = merged_orders
-
-    net = WireNetwork(
-        width=total,
-        layers=tuple(tuple(layer) for layer in layers),
-        order=tuple(orders[0]),
-    )
-    net.validate_layers()
-    return net
+    dag = _schedule(n, r)
+    return _network(n**r, _lower(list(dag.phases), dag, base), snake_order_nodes(n, r))

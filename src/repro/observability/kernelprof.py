@@ -379,17 +379,20 @@ def resolve_profile_cell(key: str) -> Any:
     """Map a cell name to its benchreg :class:`WorkloadCell`.
 
     Accepts full benchreg keys (``path-n3-r3-lattice``) and bare geometry
-    names (``path-n3-r3``, defaulting to the lattice cell — the kernel is
-    the same artifact either way).
+    names (``path-n3-r3``): a bare name resolves to its lattice cell when
+    there is one, else to its only cell (``k2-n2-r3`` is machine-only).
     """
     from .benchreg import DEFAULT_MATRIX
 
-    wanted = {key, f"{key}-lattice"}
-    for cell in DEFAULT_MATRIX:
-        if cell.key in wanted:
-            return cell
-    names = ", ".join(sorted({c.key.rsplit("-", 1)[0] for c in DEFAULT_MATRIX}))
-    raise ValueError(f"unknown profile cell {key!r}; known cells: {names}")
+    by_key = {cell.key: cell for cell in DEFAULT_MATRIX}
+    bare = [cell for cell in DEFAULT_MATRIX if cell.key.rsplit("-", 1)[0] == key]
+    cell = by_key.get(key) or by_key.get(f"{key}-lattice")
+    if cell is None and len(bare) == 1:
+        cell = bare[0]
+    if cell is None:
+        names = ", ".join(sorted({c.key.rsplit("-", 1)[0] for c in DEFAULT_MATRIX}))
+        raise ValueError(f"unknown profile cell {key!r}; known cells: {names}")
+    return cell
 
 
 #: the self-check's bounds: a profile is ``consistent`` when the fastest

@@ -7,6 +7,8 @@
   :func:`replay` semantics and the ASAP layering :func:`pack_rounds`;
 * :mod:`repro.schedule.emit` — keyless emitters producing the IR from the
   §3.1/§3.3 recursion for both backends;
+* :mod:`repro.schedule.program` — span programs: the one interpreter traced
+  runs of both backends walk the DAG with, phase by phase;
 * :mod:`repro.schedule.compiled` — the layer-packed compiled batch kernel
   that single lattices, batches and the sort service all run, cached by
   schedule hash.
@@ -35,7 +37,6 @@ from .compiled import (
 )
 from .emit import (
     EmittedMachineSchedule,
-    SpanInstr,
     clear_emission_caches,
     emit_lattice_schedule,
     emit_machine_schedule,
@@ -45,6 +46,7 @@ from .ir import (
     ComparatorDAG,
     SchedulePhase,
     ScheduleRound,
+    apply_round,
     phase_detail,
     replay,
     snake_order_nodes,
@@ -59,6 +61,7 @@ from .optimize import (
     optimize_schedule,
     repack_rounds,
 )
+from .program import SpanInstr, charge_phase, interpret, lattice_program, step4_point
 
 __all__ = [
     "ActivityTracker",
@@ -76,14 +79,18 @@ __all__ = [
     "ZeroOneActivity",
     "agglomerate_chains",
     "analyze_zero_one_activity",
+    "apply_round",
     "apply_zero_one_round",
     "cache_stats",
+    "charge_phase",
     "check_keys",
     "clear_caches",
     "clear_optimizer_cache",
     "compile_schedule",
     "eliminate_dead_ops",
     "exhaustive_zero_one_states",
+    "interpret",
+    "lattice_program",
     "optimize_schedule",
     "repack_rounds",
     "emit_lattice_schedule",
@@ -92,6 +99,7 @@ __all__ = [
     "replay",
     "snake_order_nodes",
     "span_path_entry",
+    "step4_point",
 ]
 
 

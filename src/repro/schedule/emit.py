@@ -45,6 +45,7 @@ import numpy as np
 from ..observability.cachestats import CacheStats
 from ..orders.gray import rank_lattice
 from .ir import BlockGroups, ComparatorDAG, SchedulePhase, ScheduleRound, snake_order_nodes
+from .program import SpanInstr
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..core.machine_sort import MachineSorter
@@ -57,7 +58,6 @@ __all__ = [
     "emit_machine_schedule",
     "clear_emission_caches",
     "EmittedMachineSchedule",
-    "SpanInstr",
     "span_path_entry",
 ]
 
@@ -184,24 +184,6 @@ def emit_lattice_schedule(
 # ----------------------------------------------------------------------
 # machine emitter: plan the fine-grained recursion on zero keys
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpanInstr:
-    """One span boundary of the machine driver's recorded span tree.
-
-    ``op`` is ``"open"`` or ``"close"``; ``attrs`` carries the span
-    attributes observed at that boundary during emission (static geometry on
-    open; static plus measured — rounds, comparisons — on close).  ``phase``
-    links charged spans to their :class:`SchedulePhase` index: the
-    interpreter executes that phase's rounds while the span is open, then
-    charges the ledger when it closes.
-    """
-
-    op: str
-    name: str
-    attrs: dict[str, Any]
-    phase: int | None
-
 
 @dataclass(frozen=True)
 class EmittedMachineSchedule:

@@ -40,6 +40,7 @@ from ..orders.gray import rank_lattice
 
 __all__ = [
     "BlockGroups",
+    "apply_round",
     "ScheduleRound",
     "SchedulePhase",
     "ComparatorDAG",
@@ -337,8 +338,9 @@ def phase_detail(phase: SchedulePhase, backend: str) -> str:
     if leaf == "initial-block-sorts":
         return "initial PG2 block sorts"
     if leaf == "merge-base":
-        # historical wording: the machine driver batched all merges of a level
-        return "merge base (k=2) PG2 sorts" if backend == "machine" else "merge base (k=2) PG2 sort"
+        # historical wording: only the one-merge-at-a-time lattice driver
+        # named a single sort; the level-batched drivers named them all
+        return "merge base (k=2) PG2 sort" if backend == "lattice" else "merge base (k=2) PG2 sorts"
     k = phase.dim
     if leaf == "block-sorts":
         return f"step4 block sorts (k={k})"
@@ -457,16 +459,22 @@ def replay(dag: ComparatorDAG, state: np.ndarray) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != dag.num_nodes:
         raise ValueError(f"state must have {dag.num_nodes} keys per row, got {arr.shape}")
     for rd in dag.rounds:
-        if rd.lo.size:
-            lo = arr[:, rd.lo]
-            hi = arr[:, rd.hi]
-            arr[:, rd.lo] = np.minimum(lo, hi)
-            arr[:, rd.hi] = np.maximum(lo, hi)
-        for nodes, descending in rd.blocks:
-            order = output_order(nodes, descending)
-            if rd.disjoint:
-                arr[:, order] = np.sort(arr[:, nodes], axis=-1)
-            else:
-                for row in order:
-                    arr[:, row] = np.sort(arr[:, row], axis=-1)
+        apply_round(arr, rd)
     return arr[0] if squeeze else arr
+
+
+def apply_round(arr: np.ndarray, rd: ScheduleRound) -> None:
+    """Run one round on a ``(S, num_nodes)`` key batch, in place: the step
+    :func:`replay` and the traced interpreters share."""
+    if rd.lo.size:
+        lo = arr[:, rd.lo]
+        hi = arr[:, rd.hi]
+        arr[:, rd.lo] = np.minimum(lo, hi)
+        arr[:, rd.hi] = np.maximum(lo, hi)
+    for nodes, descending in rd.blocks:
+        order = output_order(nodes, descending)
+        if rd.disjoint:
+            arr[:, order] = np.sort(arr[:, nodes], axis=-1)
+        else:
+            for row in order:
+                arr[:, row] = np.sort(arr[:, row], axis=-1)

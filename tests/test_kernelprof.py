@@ -328,6 +328,18 @@ class TestProfileCell:
         with pytest.raises(ValueError, match="unknown profile cell"):
             profile_cell("torus-n9-r9")
 
+    def test_bare_names_resolve_to_their_cell(self):
+        """A bare geometry prefers its lattice cell and otherwise resolves to
+        its one cell; every name the error lists as known resolves."""
+        assert resolve_profile_cell("k2-n2-r2").key == "k2-n2-r2-machine"
+        assert resolve_profile_cell("k2-n2-r3").key == "k2-n2-r3-machine"
+        for key in ("path-n3-r3", "k2-n2-r4", "path-n4-r3"):  # perfbench's cells
+            assert resolve_profile_cell(key).key == f"{key}-lattice"
+        with pytest.raises(ValueError, match="unknown profile cell 'k2-n2-r9'") as err:
+            resolve_profile_cell("k2-n2-r9")
+        known = str(err.value).split("known cells: ")[1].split(", ")
+        assert all(resolve_profile_cell(name) for name in known)
+
     def test_render_profile_has_sweep_and_layer_tables(self):
         doc = profile_cell("path-n3-r3", batches=(4,), runs=2, seed=0)
         text = render_profile(doc)

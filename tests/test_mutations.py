@@ -1,63 +1,53 @@
 """Mutation tests: every piece of Step 4 is necessary.
 
 Lemma 2 proves the clean-up works; these tests show nothing in it is
-redundant by running *sabotaged* variants of the sorter over the exhaustive
-0-1 input space and asserting each mutation breaks sorting on some input.
-This both validates the paper's construction (the two transposition steps,
-the alternating directions and the final sorts all earn their rounds) and
-proves the test suite has teeth (a regression in any step would be caught).
+redundant by editing the emitted path-n3-r3 schedule (dropping phases,
+making directions ascending, swapping comparator ends), replaying each
+sabotaged schedule over a probe set of 0-1 inputs, and asserting each
+mutation breaks sorting on some input.  This both validates the paper's
+construction (the two transposition steps, the alternating directions and
+the final sorts all earn their rounds) and proves the test suite has teeth
+(a regression in any step would be caught).
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core.lattice_sort import ProductNetworkSorter
-from repro.graphs import ProductGraph, path_graph
-from repro.orders import lattice_to_sequence
-from repro.orders.gray import rank_lattice
+from repro.graphs import path_graph
+from repro.schedule import ComparatorDAG, ScheduleRound, emit_lattice_schedule, replay
+from repro.schedule.ir import snake_order_nodes
 
 
-class _Sabotaged(ProductNetworkSorter):
-    """Sorter with switchable faults in Step 4."""
+def _schedule() -> ComparatorDAG:
+    return emit_lattice_schedule(path_graph(3), 3, 1, 1)
 
-    def __init__(self, *args, fault: str, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.fault = fault
 
-    def _step4(self, a, ledger, charge, tracer=None, emit=None):
-        if self.fault == "skip_step4":
-            return
-        k = a.ndim
-        n = self.n
-        blocks = [a[idx] for idx in np.ndindex(a.shape[:-2])]
-        nblocks = len(blocks)
-        granks = np.asarray(rank_lattice(n, k - 2)).ravel() if k > 2 else np.zeros(1, int)
-        order = np.argsort(granks)
-        parities = granks % 2
-
-        def sort_blocks(alternate: bool) -> None:
-            for g in range(nblocks):
-                desc = bool(parities[g]) if alternate else False
-                self._sort2_data(blocks[g], descending=desc)
-
-        sort_blocks(alternate=self.fault != "no_alternation")
-
-        transposition_parities = {
-            "skip_first_transposition": (1,),
-            "skip_second_transposition": (0,),
-        }.get(self.fault, (0, 1))
-        for parity in transposition_parities:
-            for z in range(parity, nblocks - 1, 2):
-                lo = blocks[order[z]]
-                hi = blocks[order[z + 1]]
-                mn = np.minimum(lo, hi)
-                hi[...] = np.maximum(lo, hi)
-                lo[...] = mn
-
-        if self.fault != "skip_final_sorts":
-            sort_blocks(alternate=True)
+def _edit(dag: ComparatorDAG, fault: str) -> ComparatorDAG:
+    """The schedule with one sabotage applied to its Step-4 phases."""
+    leaves = {p.index: p.path[-1] for p in dag.phases}
+    dropped = {
+        "skip_step4": ("block-sorts[d3]", "transposition[d3,p0]", "transposition[d3,p1]",
+                       "final-block-sorts[d3]"),
+        "skip_first_transposition": ("transposition[d3,p0]",),
+        "skip_second_transposition": ("transposition[d3,p1]",),
+        "skip_final_sorts": ("final-block-sorts[d3]",),
+    }.get(fault, ())
+    rounds = []
+    for rd in dag.rounds:
+        leaf = leaves[rd.phase]
+        if leaf in dropped:
+            continue
+        if fault == "no_alternation" and leaf == "block-sorts[d3]":
+            blocks = tuple((nodes, np.zeros(len(nodes), bool)) for nodes, _ in rd.blocks)
+            rd = ScheduleRound(rd.index, rd.phase, rd.charge, rd.lo, rd.hi, blocks)
+        if fault == "inverted_transpositions" and leaf.startswith("transposition"):
+            rd = ScheduleRound(rd.index, rd.phase, rd.charge, rd.hi, rd.lo, rd.blocks)
+        rounds.append(rd)
+    return dataclasses.replace(dag, rounds=tuple(rounds))
 
 
 FAULTS = [
@@ -69,71 +59,39 @@ FAULTS = [
 ]
 
 
-def _zero_one_probes(total: int, samples: int = 3000, seed: int = 0):
-    """A probe set over the 0-1 cube: thresholds, strides and random draws
-    (exhausting 2^27 inputs is infeasible; this set reliably exposes every
-    known sabotage, as the tests assert)."""
+def _zero_one_probes(total: int, samples: int = 3000, seed: int = 0) -> np.ndarray:
+    """A probe set over the 0-1 cube, one input per row: thresholds, strides
+    and random draws (exhausting 2^27 inputs is infeasible; this set
+    reliably exposes every known sabotage, as the tests assert)."""
+    probes = []
     for z in range(total + 1):  # all threshold patterns, both orientations
-        yield np.array([0] * z + [1] * (total - z))
-        yield np.array([1] * (total - z) + [0] * z)
+        probes.append([0] * z + [1] * (total - z))
+        probes.append([1] * (total - z) + [0] * z)
     for stride in (2, 3, 5, 7):
-        yield np.array([1 if i % stride == 0 else 0 for i in range(total)])
+        probes.append([1 if i % stride == 0 else 0 for i in range(total)])
     rng = np.random.default_rng(seed)
     for _ in range(samples):
-        yield (rng.random(total) < rng.random()).astype(int)
+        probes.append((rng.random(total) < rng.random()).astype(int).tolist())
+    return np.array(probes)
 
 
-def _fails_somewhere(fault: str, n: int, r: int) -> bool:
-    sorter = _Sabotaged(ProductGraph(path_graph(n), r), fault=fault, keep_log=False)
-    for bits in _zero_one_probes(n**r):
-        lattice, _ = sorter.sort_sequence(bits)
-        if not np.array_equal(lattice_to_sequence(lattice), np.sort(bits)):
-            return True
-    return False
+def _sorts_every_probe(dag: ComparatorDAG, samples: int = 3000) -> bool:
+    probes = _zero_one_probes(dag.num_nodes, samples)
+    snake = replay(dag, probes)[:, snake_order_nodes(dag.n, dag.r)]
+    return bool(np.array_equal(snake, np.sort(probes, axis=1)))
 
 
 @pytest.mark.parametrize("fault", FAULTS)
 def test_every_fault_breaks_sorting(fault):
     """Each sabotage must fail on some probed 0-1 input of the 3^3 sorter."""
-    assert _fails_somewhere(fault, 3, 3), f"fault {fault!r} went undetected"
+    assert not _sorts_every_probe(_edit(_schedule(), fault)), f"fault {fault!r} went undetected"
 
 
 def test_unsabotaged_control():
-    """The same probe sweep passes for the healthy sorter (control)."""
-    sorter = ProductNetworkSorter.for_factor(path_graph(3), 3, keep_log=False)
-    for bits in _zero_one_probes(27, samples=500):
-        lattice, _ = sorter.sort_sequence(bits)
-        assert np.array_equal(lattice_to_sequence(lattice), np.sort(bits))
+    """The same probe sweep passes for the healthy schedule (control)."""
+    assert _sorts_every_probe(_schedule(), samples=500)
 
 
 def test_transposition_direction_matters():
     """Maxima to the predecessor (inverted min/max) must also fail."""
-
-    class _Inverted(ProductNetworkSorter):
-        def _step4(self, a, ledger, charge, tracer=None, emit=None):
-            k = a.ndim
-            n = self.n
-            blocks = [a[idx] for idx in np.ndindex(a.shape[:-2])]
-            granks = np.asarray(rank_lattice(n, k - 2)).ravel() if k > 2 else np.zeros(1, int)
-            order = np.argsort(granks)
-            parities = granks % 2
-            for g in range(len(blocks)):
-                self._sort2_data(blocks[g], descending=bool(parities[g]))
-            for parity in (0, 1):
-                for z in range(parity, len(blocks) - 1, 2):
-                    lo = blocks[order[z]]
-                    hi = blocks[order[z + 1]]
-                    mx = np.maximum(lo, hi)
-                    hi[...] = np.minimum(lo, hi)  # inverted!
-                    lo[...] = mx
-            for g in range(len(blocks)):
-                self._sort2_data(blocks[g], descending=bool(parities[g]))
-
-    sorter = _Inverted(ProductGraph(path_graph(3), 3), keep_log=False)
-    broken = False
-    for bits in _zero_one_probes(27, samples=500):
-        lattice, _ = sorter.sort_sequence(bits)
-        if not np.array_equal(lattice_to_sequence(lattice), np.sort(bits)):
-            broken = True
-            break
-    assert broken
+    assert not _sorts_every_probe(_edit(_schedule(), "inverted_transpositions"), samples=500)

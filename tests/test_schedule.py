@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.lattice_sort import ProductNetworkSorter
 from repro.core.machine_sort import MachineSorter
+from repro.observability import Tracer
 from repro.observability.benchreg import DEFAULT_MATRIX
 from repro.schedule import (
     ComparatorDAG,
@@ -272,23 +273,15 @@ class TestEmission:
 
         assert _emit(WorkloadCell(family, n, r, backend)).schedule_hash() == pinned
 
-    def test_subclass_overriding_movement_skips_the_schedule_path(self, rng):
-        """Sabotage-style subclasses must run the real recursion, not the
-        emitted schedule of the unmodified algorithm."""
-
-        class _Tweaked(ProductNetworkSorter):
-            def _sort2_data(self, block, descending):
-                super()._sort2_data(block, descending)
-
-        sorter = _Tweaked.for_factor(DEFAULT_MATRIX[0].build_factor(), 2)
-        assert not sorter._uses_stock_schedule()
-        stock = ProductNetworkSorter.for_factor(DEFAULT_MATRIX[0].build_factor(), 2)
-        assert stock._uses_stock_schedule()
-        keys = rng.integers(0, 100, size=stock.network.num_nodes)
-        assert np.array_equal(
-            np.ravel(sorter.sort_sequence(keys).lattice),
-            np.ravel(stock.sort_sequence(keys).lattice),
-        )
+    def test_traced_sort_equals_untraced(self, rng):
+        """The traced interpreter and the compiled kernel give one output
+        and one ledger."""
+        sorter = ProductNetworkSorter.for_factor(DEFAULT_MATRIX[0].build_factor(), 3)
+        keys = rng.integers(0, 100, size=sorter.network.num_nodes)
+        traced = sorter.sort_sequence(keys, tracer=Tracer())
+        untraced = sorter.sort_sequence(keys)
+        assert np.array_equal(traced.lattice, untraced.lattice)
+        assert traced.ledger.records == untraced.ledger.records
 
 
 class TestRoundFormat:
