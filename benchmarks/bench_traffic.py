@@ -20,24 +20,20 @@ import pytest
 from conftest import print_table
 from repro.core.machine_sort import MachineSorter
 from repro.graphs import complete_binary_tree, cycle_graph, path_graph
-from repro.machine.machine import NetworkMachine
-from repro.machine.metrics import CostLedger
 from repro.machine.stats import TrafficRecorder
+from repro.observability import EventBus, MachineTimeline, TrafficSubscriber
 from repro.orders import lattice_to_sequence
 
 
 def _instrumented_sort(factor, r, rng):
     ms = MachineSorter.for_factor(factor, r)
     keys = rng.integers(0, 2**20, size=ms.network.num_nodes)
-    machine = NetworkMachine(ms.network, keys)
-    machine.recorder = TrafficRecorder(ms.network)
-    root = ms.network.subgraph((), ())
-    blocks = ms._pg2_blocks(root)
-    ms.sorter.sort_batch(machine, blocks, [False] * len(blocks))
-    for j in range(3, r + 1):
-        ms._merge_batch(machine, ms._level_views(j), CostLedger())
+    bus = EventBus()
+    recorder = TrafficRecorder(ms.network)
+    bus.subscribe(TrafficSubscriber(recorder))
+    machine, _ = ms.sort(keys, timeline=MachineTimeline(ms.network, bus=bus))
     assert np.all(np.diff(lattice_to_sequence(machine.lattice())) >= 0)
-    return machine, machine.recorder.stats(), keys
+    return machine, recorder.stats(), keys
 
 
 @pytest.mark.parametrize(

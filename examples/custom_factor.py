@@ -20,8 +20,7 @@ import numpy as np
 from repro import FactorGraph, MachineSorter, ProductNetworkSorter, lattice_to_sequence
 from repro.analysis import network_prediction
 from repro.machine.stats import TrafficRecorder
-from repro.machine.machine import NetworkMachine
-from repro.machine.metrics import CostLedger
+from repro.observability import EventBus, MachineTimeline, TrafficSubscriber
 from repro.viz import render_factor_graph
 
 
@@ -59,11 +58,10 @@ def main() -> None:
     # fine-grained run at r = 2 with traffic instrumentation
     ms = MachineSorter.for_factor(canon, 2)
     keys2 = rng.integers(0, 10**6, size=36)
-    machine = NetworkMachine(ms.network, keys2)
-    machine.recorder = TrafficRecorder(ms.network)
-    blocks = ms._pg2_blocks(ms.network.subgraph((), ()))
-    ms.sorter.sort_batch(machine, blocks, [False] * len(blocks))
-    stats = machine.recorder.stats()
+    bus = EventBus()
+    recorder = bus.subscribe(TrafficSubscriber(TrafficRecorder(ms.network))).recorder
+    machine, _ = ms.sort(keys2, timeline=MachineTimeline(ms.network, bus=bus))
+    stats = recorder.stats()
     assert np.array_equal(lattice_to_sequence(machine.lattice()), np.sort(keys2))
     print(
         f"\nfine-grained bowtie^2 sort: {machine.rounds} measured rounds, "

@@ -10,21 +10,19 @@ labellings).  It is the ground truth the fast backend is cross-checked
 against, and the honest answer to "how many rounds does this *actually*
 take on factor G with labelling L and executable sorter S".
 
-Since the schedule refactor the backend is split in two:
-
-* **planning** (:meth:`MachineSorter._plan`) — the §3.3 recursion,
-  breadth-first over every subgraph of a level so disjoint subgraphs overlap
-  in time exactly as on real hardware.  The recursion is key-independent;
-  :func:`repro.schedule.emit.emit_machine_schedule` drives it once per
-  geometry against a zero-key machine and records the resulting
-  :class:`~repro.schedule.ir.ComparatorDAG` plus its span program.
-* **interpretation** (:meth:`MachineSorter.sort`) — replays the emitted
-  program on a machine holding the real keys: spans open with their recorded
-  attributes, each charged phase's IR rounds are issued as
-  ``compare_exchange`` super-steps (re-measuring, and asserting, the planned
-  costs), and the ledger is charged from the phase identity.  Telemetry
-  consumers — tracer, timeline, traffic recorders, the conformance checker —
-  observe a stream indistinguishable from the historical recursive driver.
+The backend runs the machine schedule :func:`repro.schedule.emit.emit_machine_schedule`
+emits: the lattice schedule lowered to compare-exchange rounds, each block
+sort replaced by the executable sorter's round template (recorded once per
+factor graph and sorter on one ``PG_2`` block of zero keys) and each
+transposition charged by the machine's routing cost.  :meth:`MachineSorter.sort`
+interprets it on a machine holding the real keys: the span program derived
+from the phase paths (:func:`repro.schedule.program.machine_program`) opens
+the spans, each charged phase's rounds are issued as ``compare_exchange``
+super-steps (re-measuring, and asserting, the emitted costs), and the ledger
+is charged from the phase identity.  Telemetry consumers — tracer, timeline,
+traffic recorders, the conformance checker — see the §3.3 recursion's span
+tree, with every subgraph of a level batched into the same rounds as on
+real hardware.
 
 Consequently the ledger shows the same ``(r-1)**2`` / ``(r-1)(r-2)`` call
 structure as Theorem 1, with measured (not modelled) round counts — now by
@@ -34,12 +32,17 @@ construction, because both backends execute the same emitted artifact.
 from __future__ import annotations
 
 from ..graphs.base import FactorGraph
-from ..graphs.product import ProductGraph, SubgraphView
+from ..graphs.product import ProductGraph
 from ..machine.machine import NetworkMachine
 from ..machine.metrics import CostLedger
-from ..observability import NULL_TRACER, MachineTimeline, Tracer, coerce_tracer
-from ..orders.gray import gray_unrank
-from ..schedule import EmittedMachineSchedule, SchedulePhase, emit_machine_schedule, interpret
+from ..observability import MachineTimeline, Tracer, coerce_tracer
+from ..schedule import (
+    ComparatorDAG,
+    SchedulePhase,
+    emit_machine_schedule,
+    interpret,
+    machine_program,
+)
 from ..sorters2d.base import ExecutableTwoDimSorter
 from ..sorters2d.hypercube2d import HypercubeThreeStepSorter
 from ..sorters2d.shearsort import ShearSorter
@@ -47,28 +50,6 @@ from ..sorters2d.shearsort import ShearSorter
 __all__ = ["MachineSorter"]
 
 Label = tuple[int, ...]
-
-
-def _kept_positions(view: SubgraphView) -> list[int]:
-    """Original paper-positions (ascending) still free in the view."""
-    erased = set(view.positions)
-    return [p for p in range(1, view.parent.r + 1) if p not in erased]
-
-
-def _fix_reduced_position(view: SubgraphView, reduced_position: int, value: int) -> SubgraphView:
-    """Erase one more dimension: the view's own position ``reduced_position``."""
-    kept = _kept_positions(view)
-    original = kept[reduced_position - 1]
-    return view.parent.subgraph(view.positions + (original,), view.values + (value,))
-
-
-def _fix_reduced_prefix(view: SubgraphView, prefix: tuple[int, ...]) -> SubgraphView:
-    """Fix the view's reduced positions ``k, k-1, ..., 3`` to ``prefix``
-    (``prefix[0]`` is the value at the view's highest position)."""
-    kept = _kept_positions(view)
-    k = view.reduced_order
-    positions = tuple(kept[k - 1 - i] for i in range(len(prefix)))  # positions k, k-1, ...
-    return view.parent.subgraph(view.positions + positions, view.values + tuple(prefix))
 
 
 class MachineSorter:
@@ -109,13 +90,10 @@ class MachineSorter:
     def r(self) -> int:
         return self.network.r
 
-    def emitted_schedule(self) -> EmittedMachineSchedule:
-        """The geometry's emitted IR + span program (cached per cell)."""
+    def schedule(self) -> ComparatorDAG:
+        """The emitted :class:`~repro.schedule.ir.ComparatorDAG` (cached per
+        factor graph, ``r`` and sorter template)."""
         return emit_machine_schedule(self)
-
-    def schedule(self):
-        """The emitted :class:`~repro.schedule.ir.ComparatorDAG`."""
-        return self.emitted_schedule().dag
 
     def sort(
         self,
@@ -135,8 +113,7 @@ class MachineSorter:
         telemetry).  When a ``timeline`` is given it is attached to the
         machine and receives every compare-exchange super-step.
         """
-        emitted = self.emitted_schedule()
-        dag = emitted.dag
+        dag = self.schedule()
         machine = NetworkMachine(self.network, keys)
         if timeline is not None:
             machine.timeline = timeline
@@ -153,33 +130,11 @@ class MachineSorter:
                 lows, highs = ([labels[i] for i in a.tolist()] for a in (rd.lo, rd.hi))
                 cost = machine.compare_exchange(list(zip(lows, highs)))
                 assert cost == rd.charge, (
-                    f"interpreted round cost {cost} != planned charge {rd.charge}"
+                    f"interpreted round cost {cost} != emitted charge {rd.charge}"
                 )
                 measured += cost
             assert measured == phase.charged_rounds
             return measured
-
-        # span_end attrs recorded at emission carry the full merged dict
-        # (static geometry + planned costs); the per-round assert above
-        # guarantees they match this run
-        interpret(emitted.program, dag.phases, tracer, ledger, "machine", run_phase)
-        assert machine.rounds == ledger.total_rounds == dag.depth, (
-            "every round must be attributed"
-        )
-        return machine, ledger
-
-    # ------------------------------------------------------------------
-    # planning: the §3.3 recursion, run once per geometry by the emitter
-    # ------------------------------------------------------------------
-    def _plan(self, machine: NetworkMachine, tracer: Tracer) -> CostLedger:
-        """Drive the recursive algorithm on ``machine`` (the emission run).
-
-        Called by :func:`repro.schedule.emit.emit_machine_schedule` with a
-        zero-key planning machine and a bus-connected tracer; the recorder on
-        that bus assembles the IR from the resulting event stream.
-        """
-        ledger = CostLedger()
-        root = self.network.subgraph((), ())
 
         with tracer.span(
             "sort",
@@ -190,151 +145,11 @@ class MachineSorter:
             r=self.r,
             keys=machine.keys.size,
         ):
-            # initial parallel sort of every dimension-{1,2} PG_2 block
-            blocks = self._pg2_blocks(root)
-            with tracer.span("initial-block-sorts", kind="s2", dim=2) as sp:
-                before = machine.comparisons
-                rounds = self.sorter.sort_batch(machine, blocks, [False] * len(blocks))
-                if not tracer.disabled:
-                    sp.set(
-                        rounds=rounds,
-                        blocks=len(blocks),
-                        comparisons=machine.comparisons - before,
-                    )
-            ledger.charge_s2(rounds, detail="initial PG2 block sorts")
-
-            # merge rounds j = 3..r, all PG_j subgraphs of a round in lockstep
-            for j in range(3, self.r + 1):
-                self._merge_batch(machine, self._level_views(j), ledger, tracer)
-
-        assert machine.rounds == ledger.total_rounds, "every round must be attributed"
-        return ledger
-
-    def _level_views(self, j: int) -> list[SubgraphView]:
-        """All ``PG_j`` subgraphs at dimensions ``1..j`` (positions
-        ``j+1..r`` fixed to every prefix)."""
-        n, r = self.n, self.r
-        if j == r:
-            return [self.network.subgraph((), ())]
-        fixed_positions = tuple(range(r, j, -1))  # r, r-1, ..., j+1
-        views = []
-        from itertools import product as iproduct
-
-        for values in iproduct(range(n), repeat=r - j):
-            views.append(self.network.subgraph(fixed_positions, values))
-        return views
-
-    def _pg2_blocks(self, view: SubgraphView) -> list[SubgraphView]:
-        """The view's dimension-{1,2} ``PG_2`` blocks, ordered by group
-        snake rank (Gray rank of the group label)."""
-        k = view.reduced_order
-        n = self.n
-        if k == 2:
-            return [view]
-        ranked = []
-        for z in range(n ** (k - 2)):
-            prefix = gray_unrank(z, n, k - 2)
-            ranked.append(_fix_reduced_prefix(view, prefix))
-        return ranked
-
-    def _merge_batch(
-        self,
-        machine: NetworkMachine,
-        views: list[SubgraphView],
-        ledger: CostLedger,
-        tracer: Tracer = NULL_TRACER,
-    ) -> None:
-        """Multiway-merge every view in the batch, in parallel lockstep."""
-        k = views[0].reduced_order
-        n = self.n
-        if any(v.reduced_order != k for v in views):
-            raise ValueError("batch must be level-homogeneous")
-        if k == 2:
-            with tracer.span("merge-base", kind="s2", dim=2) as sp:
-                before = machine.comparisons
-                rounds = self.sorter.sort_batch(machine, views, [False] * len(views))
-                if not tracer.disabled:
-                    sp.set(
-                        rounds=rounds,
-                        blocks=len(views),
-                        comparisons=machine.comparisons - before,
-                    )
-            ledger.charge_s2(rounds, detail="merge base (k=2) PG2 sorts")
-            return
-
-        with tracer.span("merge", dim=k, subgraphs=len(views)):
-            # Steps 1 & 3: free.  Step 2: recurse into every [v]PG^1_{k-1} of
-            # every view — one combined batch, so parallel time is counted
-            # once.
-            with tracer.span("distribute", kind="free", dim=k, rounds=0):
-                pass
-            with tracer.span("column-merges", dim=k):
-                subviews = [
-                    _fix_reduced_position(view, 1, v) for view in views for v in range(n)
-                ]
-                self._merge_batch(machine, subviews, ledger, tracer)
-            with tracer.span("interleave", kind="free", dim=k, rounds=0):
-                pass
-
-            # Step 4 on all views simultaneously
-            self._step4_batch(machine, views, ledger, k, tracer)
-
-    def _step4_batch(
-        self,
-        machine: NetworkMachine,
-        views: list[SubgraphView],
-        ledger: CostLedger,
-        k: int,
-        tracer: Tracer = NULL_TRACER,
-    ) -> None:
-        n = self.n
-        per_view_blocks = [self._pg2_blocks(view) for view in views]
-        directions = [bool(z % 2) for z in range(n ** (k - 2))]
-
-        def sort_all(detail: str, span_name: str) -> None:
-            batch: list[SubgraphView] = []
-            desc: list[bool] = []
-            for blocks in per_view_blocks:
-                batch.extend(blocks)
-                desc.extend(directions)
-            with tracer.span(span_name, kind="s2", dim=k) as sp:
-                before = machine.comparisons
-                rounds = self.sorter.sort_batch(machine, batch, desc)
-                if not tracer.disabled:
-                    sp.set(
-                        rounds=rounds,
-                        blocks=len(batch),
-                        comparisons=machine.comparisons - before,
-                    )
-            ledger.charge_s2(rounds, detail=detail)
-
-        with tracer.span("cleanup", dim=k):
-            # 4a: alternating-direction block sorts (even group rank first)
-            sort_all(f"step4 block sorts (k={k})", "block-sorts")
-
-            # 4b: two odd-even block-transposition steps; minima to
-            # predecessor.
-            nblocks = n ** (k - 2)
-            for parity in (0, 1):
-                pairs: list[tuple[Label, Label]] = []
-                for blocks in per_view_blocks:
-                    for z in range(parity, nblocks - 1, 2):
-                        lo_view, hi_view = blocks[z], blocks[z + 1]
-                        for y2 in range(n):
-                            for y1 in range(n):
-                                pairs.append(
-                                    (lo_view.full_label((y2, y1)), hi_view.full_label((y2, y1)))
-                                )
-                with tracer.span("transposition", kind="routing", dim=k, parity=parity) as sp:
-                    rounds = machine.compare_exchange(pairs) if pairs else 0
-                    if not tracer.disabled:
-                        sp.set(rounds=rounds, pairs=len(pairs))
-                ledger.charge_routing(
-                    rounds, detail=f"step4 transposition parity {parity} (k={k})"
-                )
-
-            # 4c: final alternating block sorts
-            sort_all(f"step4 final block sorts (k={k})", "final-block-sorts")
+            interpret(machine_program(dag), dag.phases, tracer, ledger, "machine", run_phase)
+        assert machine.rounds == ledger.total_rounds == dag.depth, (
+            "every round must be attributed"
+        )
+        return machine, ledger
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

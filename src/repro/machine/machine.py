@@ -20,15 +20,76 @@ cross-checks at small ``N, r`` use this one.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import zip_longest
 
 import numpy as np
 
 from ..graphs.product import ProductGraph
 from .routing import StepRouting, route_partial_permutation
 
-__all__ = ["NetworkMachine"]
+__all__ = ["NetworkMachine", "measure_step"]
 
 Label = tuple[int, ...]
+
+
+def measure_step(
+    network: ProductGraph, pairs: list[tuple[Label, Label]]
+) -> tuple[list[tuple[int, int]], int, StepRouting | None]:
+    """Validate one compare-exchange super-step and measure its cost.
+
+    Returns the pairs as flat node indices, the rounds the step is charged
+    and, when it routed, its :class:`~repro.machine.routing.StepRouting`
+    (``None`` when every pair is a network edge).  See
+    :meth:`NetworkMachine.compare_exchange` for the rules; the schedule
+    emitter charges transposition rounds with this same function.
+    """
+    seen: set[int] = set()
+    flat: list[tuple[int, int]] = []
+    # (dimension index, frozen rest-of-label) -> list of (sym_a, sym_b)
+    by_subgraph: dict[tuple[int, Label], list[tuple[int, int]]] = defaultdict(list)
+    all_adjacent = True
+    for lo, hi in pairs:
+        ia, ib = network.flat_index(lo), network.flat_index(hi)
+        if ia == ib or ia in seen or ib in seen:
+            raise ValueError(f"pairs must be disjoint; offending pair {lo}, {hi}")
+        seen.add(ia)
+        seen.add(ib)
+        flat.append((ia, ib))
+        diff = [i for i, (a, b) in enumerate(zip(lo, hi)) if a != b]
+        if len(diff) != 1:
+            raise ValueError(
+                f"compare-exchange partners must share a G subgraph "
+                f"(differ in exactly one position): {lo} vs {hi}"
+            )
+        d = diff[0]
+        by_subgraph[(d, lo[:d] + lo[d + 1 :])].append((lo[d], hi[d]))
+        if not network.factor.has_edge(lo[d], hi[d]):
+            all_adjacent = False
+    if all_adjacent:
+        return flat, 1, None
+
+    # route every subgraph's simultaneous two-way exchange; the subgraphs are
+    # link-disjoint, so the step's cost is the worst makespan and the routed
+    # paths can be reported side by side
+    cost = 0
+    full_paths: list[tuple[Label, ...]] = []
+    occupancy: list[int] = []
+    for (d, rest), items in by_subgraph.items():
+        destinations: dict[int, int] = {}
+        for sa, sb in items:
+            destinations[sa] = sb
+            destinations[sb] = sa
+        res = route_partial_permutation(network.factor, destinations)
+        cost = max(cost, res.makespan)
+        for sym_path in res.paths.values():
+            full_paths.append(tuple(rest[:d] + (sym,) + rest[d:] for sym in sym_path))
+        occupancy = [max(t) for t in zip_longest(occupancy, res.round_occupancy, fillvalue=0)]
+    return flat, cost, StepRouting(
+        paths=tuple(full_paths),
+        makespan=cost,
+        round_occupancy=tuple(occupancy),
+        peak_buffer_depth=max(occupancy, default=0),
+    )
 
 
 class NetworkMachine:
@@ -106,68 +167,11 @@ class NetworkMachine:
         """
         if not pairs:
             return 0
-        net = self.network
-        seen: set[int] = set()
-        # (dimension index, frozen rest-of-label) -> list of (sym_a, sym_b, flat_a, flat_b)
-        by_subgraph: dict[tuple[int, Label], list[tuple[int, int, int, int]]] = defaultdict(list)
-        all_adjacent = True
-        for lo, hi in pairs:
-            ia, ib = net.flat_index(lo), net.flat_index(hi)
-            if ia == ib or ia in seen or ib in seen:
-                raise ValueError(f"pairs must be disjoint; offending pair {lo}, {hi}")
-            seen.add(ia)
-            seen.add(ib)
-            diff = [i for i, (a, b) in enumerate(zip(lo, hi)) if a != b]
-            if len(diff) != 1:
-                raise ValueError(
-                    f"compare-exchange partners must share a G subgraph "
-                    f"(differ in exactly one position): {lo} vs {hi}"
-                )
-            d = diff[0]
-            rest = lo[:d] + lo[d + 1 :]
-            by_subgraph[(d, rest)].append((lo[d], hi[d], ia, ib))
-            if not net.factor.has_edge(lo[d], hi[d]):
-                all_adjacent = False
-
-        if all_adjacent:
-            cost = 1
-            routes = None
-        else:
-            # route every subgraph's simultaneous two-way exchange; the
-            # subgraphs are link-disjoint, so the step's cost is the worst
-            # makespan and the routed paths can be reported side by side
-            cost = 0
-            full_paths: list[tuple[Label, ...]] = []
-            occupancy: list[int] = []
-            for (d, rest), items in by_subgraph.items():
-                destinations: dict[int, int] = {}
-                for sa, sb, _, _ in items:
-                    destinations[sa] = sb
-                    destinations[sb] = sa
-                res = route_partial_permutation(net.factor, destinations)
-                cost = max(cost, res.makespan)
-                for sym_path in res.paths.values():
-                    full_paths.append(
-                        tuple(rest[:d] + (sym,) + rest[d:] for sym in sym_path)
-                    )
-                for t, depth in enumerate(res.round_occupancy):
-                    if t < len(occupancy):
-                        occupancy[t] = max(occupancy[t], depth)
-                    else:
-                        occupancy.append(depth)
-            routes = StepRouting(
-                paths=tuple(full_paths),
-                makespan=cost,
-                round_occupancy=tuple(occupancy),
-                peak_buffer_depth=max(occupancy, default=0),
-            )
-
-        # execute the exchanges
-        for items in by_subgraph.values():
-            for _, _, ia, ib in items:
-                a, b = self.keys[ia], self.keys[ib]
-                if b < a:
-                    self.keys[ia], self.keys[ib] = b, a
+        flat, cost, routes = measure_step(self.network, pairs)
+        for ia, ib in flat:
+            a, b = self.keys[ia], self.keys[ib]
+            if b < a:
+                self.keys[ia], self.keys[ib] = b, a
         self.comparisons += len(pairs)
         self.rounds += cost
         self.operations += 1

@@ -35,13 +35,7 @@ from .compiled import (
     clear_kernel_cache,
     compile_schedule,
 )
-from .emit import (
-    EmittedMachineSchedule,
-    clear_emission_caches,
-    emit_lattice_schedule,
-    emit_machine_schedule,
-    span_path_entry,
-)
+from .emit import clear_emission_caches, emit_lattice_schedule, emit_machine_schedule
 from .ir import (
     ComparatorDAG,
     SchedulePhase,
@@ -61,13 +55,19 @@ from .optimize import (
     optimize_schedule,
     repack_rounds,
 )
-from .program import SpanInstr, charge_phase, interpret, lattice_program, step4_point
+from .program import (
+    SpanInstr,
+    charge_phase,
+    interpret,
+    lattice_program,
+    machine_program,
+    step4_point,
+)
 
 __all__ = [
     "ActivityTracker",
     "ComparatorDAG",
     "CompiledSchedule",
-    "EmittedMachineSchedule",
     "KeyDomainError",
     "OptimizationCertificate",
     "OptimizationResult",
@@ -91,6 +91,7 @@ __all__ = [
     "exhaustive_zero_one_states",
     "interpret",
     "lattice_program",
+    "machine_program",
     "optimize_schedule",
     "repack_rounds",
     "emit_lattice_schedule",
@@ -98,7 +99,6 @@ __all__ = [
     "phase_detail",
     "replay",
     "snake_order_nodes",
-    "span_path_entry",
     "step4_point",
 ]
 

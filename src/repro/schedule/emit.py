@@ -14,21 +14,22 @@ that artifact.  Two emitters cover the two op vocabularies:
   charge-once-per-level accounting, so the recursion stacks the siblings on
   a leading axis and writes each phase once; one lattice phase = one
   :class:`ScheduleRound`.
-* :func:`emit_machine_schedule` — the machine vocabulary expands block sorts
-  into individual compare-exchange super-steps and measures routed costs, so
-  emission drives the fine-grained recursion once against a *planning
-  machine* (a :class:`~repro.machine.machine.NetworkMachine` loaded with
-  zero keys — every cost and pair list is key-independent) while a bus
-  recorder assembles the DAG plus a :class:`SpanInstr` program.  The program
-  replays the exact span tree (names, static attributes, ledger charges) so
-  interpreted runs remain indistinguishable from the historical driver to
-  the conformance checker and the topology observatory.
+* :func:`emit_machine_schedule` — a *lowering* of the lattice schedule to
+  the machine vocabulary, where block sorts are individual compare-exchange
+  super-steps with measured routed costs.  Step 4 is "any ``S_2`` inside
+  each ``PG_2``, plus two transpositions" (§4), so every lattice block sort
+  becomes the executable 2-D sorter's round template, recorded once on one
+  ``PG_2`` block of zero keys, and every transposition one round charged by
+  the machine's own cost function.  The phase paths are the lattice's; the
+  machine's span program is derived from them when a run is traced
+  (:func:`repro.schedule.program.machine_program`).
 
 Both emitters memoise per geometry cell: the lattice cache keys on
 ``(factor, n, r, S2 rounds, R rounds)`` (charges depend on the cost models),
-the machine cache on ``(factor graph, r, sorter)``, the factor graph by
-value (size, edge set and name).  Downstream, compiled batch
-kernels are additionally cached by the DAG's canonical SHA-256 hash — see
+the machine cache on ``(factor graph, r, sorter template)``, the factor
+graph by value (size, edge set and name) and the template by its pairs and
+charges.  Downstream, compiled batch kernels are additionally cached by the
+DAG's canonical SHA-256 hash — see
 :mod:`repro.schedule.compiled`.
 """
 
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
@@ -45,40 +45,21 @@ import numpy as np
 from ..observability.cachestats import CacheStats
 from ..orders.gray import rank_lattice
 from .ir import BlockGroups, ComparatorDAG, SchedulePhase, ScheduleRound, snake_order_nodes
-from .program import SpanInstr
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..core.machine_sort import MachineSorter
     from ..graphs.base import FactorGraph
-    from ..graphs.product import ProductGraph
-    from ..observability.events import TraceEvent
+    from ..sorters2d.base import SorterTemplate
 
 __all__ = [
     "emit_lattice_schedule",
     "emit_machine_schedule",
     "clear_emission_caches",
-    "EmittedMachineSchedule",
-    "span_path_entry",
 ]
 
 #: one lock covers both emission caches (they are touched together only by
 #: :func:`clear_emission_caches`, and contention is negligible)
 _EMIT_LOCK = threading.Lock()
-
-
-def span_path_entry(name: str, attrs: dict[str, Any]) -> str:
-    """Canonical path element for a span: name plus dimension and parity.
-
-    Extends :func:`repro.observability.events.phase_key` with the
-    transposition parity, so the two transpositions of one cleanup are
-    distinct phases (they are separate routing calls in Lemma 3)."""
-    dim = attrs.get("dim")
-    if dim is None:
-        return name
-    parity = attrs.get("parity")
-    if parity is None:
-        return f"{name}[d{dim}]"
-    return f"{name}[d{dim},p{parity}]"
 
 
 # ----------------------------------------------------------------------
@@ -182,103 +163,35 @@ def emit_lattice_schedule(
 
 
 # ----------------------------------------------------------------------
-# machine emitter: plan the fine-grained recursion on zero keys
+# machine emitter: the lattice schedule lowered to compare-exchanges
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EmittedMachineSchedule:
-    """The machine backend's emitted artifact: IR plus its span program."""
-
-    dag: ComparatorDAG
-    program: tuple[SpanInstr, ...]
-
-
-class _MachineEmitRecorder:
-    """Event-bus subscriber assembling the DAG and span program.
-
-    Subscribes to the bus a :class:`~repro.observability.tracer.Tracer` and
-    :class:`~repro.observability.timeline.MachineTimeline` publish to; every
-    ``machine_step`` becomes one :class:`ScheduleRound` attributed to the
-    innermost open charged (``s2``/``routing``) span.
-    """
-
-    def __init__(self, network: "ProductGraph") -> None:
-        self.network = network
-        self.phases: list[SchedulePhase] = []
-        self.program: list[SpanInstr] = []
-        self.rounds: list[ScheduleRound] = []
-        self._path: list[str] = []
-        self._charged: list[int] = []
-        self._span_phase: dict[int | None, int] = {}
-
-    def on_event(self, event: "TraceEvent") -> None:
-        if event.kind == "span_start":
-            attrs = dict(event.attrs)
-            self._path.append(span_path_entry(event.name, attrs))
-            phase: int | None = None
-            kind = attrs.get("kind")
-            if kind in ("s2", "routing"):
-                phase = len(self.phases)
-                self.phases.append(
-                    SchedulePhase(phase, tuple(self._path), str(kind), attrs.get("dim"), 0)
-                )
-                self._charged.append(phase)
-                self._span_phase[event.span_id] = phase
-            self.program.append(SpanInstr("open", event.name, attrs, phase))
-        elif event.kind == "span_end":
-            idx = self._span_phase.pop(event.span_id, None)
-            if idx is not None:
-                self.phases[idx] = dataclasses.replace(
-                    self.phases[idx], charged_rounds=int(event.attrs.get("rounds", 0))
-                )
-                self._charged.pop()
-            if self._path:
-                self._path.pop()
-            self.program.append(SpanInstr("close", event.name, dict(event.attrs), idx))
-        elif event.kind == "machine_step":
-            if not self._charged:
-                raise RuntimeError("machine step observed outside any charged phase span")
-            labels = np.asarray(event.attrs["pairs"], dtype=np.int64).reshape(-1, self.network.r)
-            flat = np.ravel_multi_index(tuple(labels.T), self.network.shape).reshape(-1, 2)
-            charge = int(event.attrs["rounds"])
-            index = len(self.rounds)
-            self.rounds.append(
-                ScheduleRound(index, self._charged[-1], charge, flat[:, 0], flat[:, 1])
-            )
-
-    def emitted(self) -> EmittedMachineSchedule:
-        dag = ComparatorDAG(
-            backend="machine",
-            factor=self.network.factor.name,
-            n=self.network.factor.n,
-            r=self.network.r,
-            num_nodes=self.network.num_nodes,
-            phases=tuple(self.phases),
-            rounds=tuple(self.rounds),
-            meta={"emitted": True},
-        )
-        return EmittedMachineSchedule(dag=dag, program=tuple(self.program))
-
-
-_MACHINE_CACHE: dict[tuple["FactorGraph", int, str], EmittedMachineSchedule] = {}
+_MACHINE_CACHE: dict[tuple["FactorGraph", int, "SorterTemplate"], ComparatorDAG] = {}
 
 MACHINE_CACHE_STATS = CacheStats("machine-emission", size_fn=lambda: len(_MACHINE_CACHE))
 
 
-def emit_machine_schedule(sorter: "MachineSorter") -> EmittedMachineSchedule:
-    """Emit the machine backend's schedule by planning one keyless run.
+def emit_machine_schedule(sorter: "MachineSorter") -> ComparatorDAG:
+    """Emit the machine backend's schedule by lowering the lattice schedule.
 
-    Drives the sorter's recursion against a planning machine holding all-zero
-    keys — every pair list, batching decision and routed cost depends only on
-    the geometry, so the recorded schedule is the schedule of *every* run.
+    Every block sort becomes the executable 2-D sorter's template rounds
+    (:class:`~repro.sorters2d.base.SorterTemplate`) over the blocks of the
+    phase, ``lo`` and ``hi`` swapped on descending blocks; every
+    transposition becomes one round charged what the machine measures for
+    its pairs, and no round when it has none.  Within a round the blocks
+    follow group snake rank in each subgraph, the order a parallel machine
+    issues them in.  The phases keep the lattice paths and are charged the
+    rounds they hold.
     """
-    from ..machine.machine import NetworkMachine
-    from ..observability import EventBus, MachineTimeline, Tracer
+    from ..machine.machine import measure_step
 
     network = sorter.network
+    factor, n, r = network.factor, network.factor.n, network.r
+    template = sorter.sorter.template(factor)
     # the factor graph itself (size, edge set and name): two labellings of
-    # one topology share a name but route differently
-    key = (network.factor, network.r, sorter.sorter.name)
+    # one topology share a name but route differently; and the template, not
+    # the sorter's name, which two sorters may share
+    key = (factor, r, template)
     with _EMIT_LOCK:
         cached = _MACHINE_CACHE.get(key)
     if cached is not None:
@@ -286,18 +199,38 @@ def emit_machine_schedule(sorter: "MachineSorter") -> EmittedMachineSchedule:
         return cached
     t_build = perf_counter()
 
-    bus = EventBus()
-    recorder = bus.subscribe(_MachineEmitRecorder(network))
-    machine = NetworkMachine(network, np.zeros(network.num_nodes, dtype=np.int64))
-    machine.timeline = MachineTimeline(network, bus=bus)
-    ledger = sorter._plan(machine, Tracer(bus))
-    emitted = recorder.emitted()
-    assert machine.rounds == ledger.total_rounds == emitted.dag.depth, (
-        "emission must attribute every planned round"
+    lattice = emit_lattice_schedule(factor, r, 1, 1)
+    steps = [(np.array(pairs).T, charge) for pairs, charge in zip(template.pairs, template.charges)]
+    phases: list[SchedulePhase] = []
+    rounds: list[ScheduleRound] = []
+    for phase, lattice_round in zip(lattice.phases, lattice.rounds):
+        ops: list[tuple[int, np.ndarray, np.ndarray]] = []  # (charge, lo, hi) per round
+        if phase.kind == "s2":
+            ((nodes, descending),) = lattice_round.blocks
+            k = r if phase.leaf == "initial-block-sorts" else phase.dim
+            if k > 2:  # the blocks of each subgraph by group snake rank
+                order = snake_order_nodes(n, k - 2)
+                nodes = nodes.reshape(-1, len(order), n * n)[:, order].reshape(-1, n * n)
+                descending = descending.reshape(-1, len(order))[:, order].ravel()
+            flip = descending[:, None]
+            for (lo, hi), charge in steps:
+                lo, hi = nodes[:, lo], nodes[:, hi]
+                ops.append((charge, np.where(flip, hi, lo).ravel(), np.where(flip, lo, hi).ravel()))
+        elif lattice_round.lo.size:
+            pairs = zip(lattice_round.lo.tolist(), lattice_round.hi.tolist())
+            labelled = [(network.label_of(a), network.label_of(b)) for a, b in pairs]
+            ops.append((measure_step(network, labelled)[1], lattice_round.lo, lattice_round.hi))
+        phases.append(dataclasses.replace(phase, charged_rounds=sum(op[0] for op in ops)))
+        start = len(rounds)
+        rounds.extend(ScheduleRound(start + i, phase.index, *op) for i, op in enumerate(ops))
+
+    dag = dataclasses.replace(
+        lattice, backend="machine", phases=tuple(phases), rounds=tuple(rounds),
+        meta={"emitted": True},
     )
     MACHINE_CACHE_STATS.record_miss(perf_counter() - t_build)
     with _EMIT_LOCK:
-        return _MACHINE_CACHE.setdefault(key, emitted)
+        return _MACHINE_CACHE.setdefault(key, dag)
 
 
 def clear_emission_caches() -> None:

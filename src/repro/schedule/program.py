@@ -4,10 +4,11 @@ A *span program* is a flat list of :class:`SpanInstr`: open and close the
 spans of the paper's recursion, run each charged phase of the
 :class:`~repro.schedule.ir.ComparatorDAG` inside its span, and mark the
 sites where intermediate lattice states are published.  :func:`interpret`
-runs one on either network backend; only running a phase differs.  The
-machine backend records its program at emission; the lattice backend's
-comes from the phase paths alone (:func:`lattice_program`), built on each
-traced run rather than during emission.
+runs one on either network backend; only running a phase differs.  Both
+backends' programs come from the phase paths alone, by one tree walk
+(:func:`span_program`) given the backend's span attributes
+(:func:`lattice_program`, :func:`machine_program`), built on each run
+rather than during emission.
 """
 
 from __future__ import annotations
@@ -15,9 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .ir import SchedulePhase, phase_detail
+from .ir import ComparatorDAG, SchedulePhase, phase_detail
 
-__all__ = ["SpanInstr", "charge_phase", "interpret", "lattice_program", "step4_point"]
+__all__ = [
+    "SpanInstr",
+    "charge_phase",
+    "interpret",
+    "lattice_program",
+    "machine_program",
+    "span_program",
+    "step4_point",
+]
 
 
 @dataclass(frozen=True)
@@ -86,15 +95,24 @@ def _entry(element: str) -> tuple[str, int, int | None]:
     return name, int(dim), int(parity) if parity else None
 
 
-def lattice_program(phases: Sequence[SchedulePhase], n: int, r: int) -> list[SpanInstr]:
-    """The lattice span program for ``phases`` of a ``PG_r`` schedule, below
-    the root ``sort`` span.
+#: a backend's span attributes: ``(name, base attrs, phase)`` -> the attrs a
+#: span opens and closes with; ``phase`` is ``None`` on structural spans,
+#: whose base is ``{"dim": k}``, and a charged span's base is its kind, dim
+#: and parity
+SpanAttrs = Callable[[str, dict[str, Any], "SchedulePhase | None"], tuple[dict, dict]]
+
+
+def span_program(
+    phases: Sequence[SchedulePhase], r: int, attrs: SpanAttrs, points: bool = False
+) -> list[SpanInstr]:
+    """The span program for ``phases`` of a ``PG_r`` schedule, below the root
+    ``sort`` span.
 
     Path elements become the structural spans, with the free Step-1/Step-3
     spans (``distribute``, ``interleave``) around each ``column-merges``.
-    The merge at the top of each round publishes its states after Steps 2,
-    3 and each Step-4 phase; a full sort (``phases`` starting with the
-    initial block sorts, not one merge's phases) also publishes
+    With ``points``, the merge at the top of each round publishes its states
+    after Steps 2, 3 and each Step-4 phase; a full sort (``phases`` starting
+    with the initial block sorts, not one merge's phases) also publishes
     ``initial_sorted`` and the lattice after each round.
     """
     program: list[SpanInstr] = []
@@ -112,13 +130,14 @@ def lattice_program(phases: Sequence[SchedulePhase], n: int, r: int) -> list[Spa
             name, dim, _ = _entry(stack.pop())
             emit("close", name, {})
             if name == "column-merges":  # Step 2 done; Step 3 is free
-                top = len(stack) == 1
+                top = points and len(stack) == 1
                 if top:
                     emit("point", f"merge{dim}_after_step2", {"dim": dim})
                 free("interleave", dim)
                 if top:
                     emit("point", f"merge{dim}_after_step3", {"dim": dim})
-            elif name == "merge" and not stack and phases[0].leaf == "initial-block-sorts":
+            elif (points and name == "merge" and not stack
+                  and phases[0].leaf == "initial-block-sorts"):
                 emit("point", f"after_merge_round_{dim}", {"dim": r})
 
     for index, phase in enumerate(phases):
@@ -131,23 +150,62 @@ def lattice_program(phases: Sequence[SchedulePhase], n: int, r: int) -> list[Spa
             name, dim, _ = _entry(element)
             if name == "column-merges":  # Step 1 is free
                 free("distribute", dim)
-            emit("open", name, {"dim": dim})
+            opened, _ = attrs(name, {"dim": dim}, None)
+            emit("open", name, opened)
             stack.append(element)
 
         name, dim, parity = _entry(leaf)
-        attrs: dict[str, Any] = {"kind": phase.kind, "dim": dim}
-        done: dict[str, Any] = {"rounds": phase.charged_rounds}
+        base: dict[str, Any] = {"kind": phase.kind, "dim": dim}
         if parity is not None:
-            attrs["parity"] = parity
-        elif name == "merge-base":
-            attrs, done = {**attrs, **done}, {}
-        else:  # block sorts report the blocks of one subgraph
-            done["blocks"] = n ** ((r if name == "initial-block-sorts" else dim) - 2)
-        emit("open", name, attrs, index)
+            base["parity"] = parity
+        opened, done = attrs(name, base, phase)
+        emit("open", name, opened, index)
         emit("close", name, done, index)
+        if not points:
+            continue
         if name == "initial-block-sorts":
             emit("point", "initial_sorted", {"dim": r})
         elif len(stack) == 2 and stack[1].startswith("cleanup["):
             emit("point", step4_point(phase), {"dim": dim})
     close_to(0)
     return program
+
+
+def lattice_program(phases: Sequence[SchedulePhase], n: int, r: int) -> list[SpanInstr]:
+    """The lattice backend's span program (:func:`span_program`, with points):
+    charged spans close with their modelled rounds, and block sorts with
+    the blocks of one subgraph (the merge base reports both on opening)."""
+
+    def attrs(name: str, base: dict[str, Any], phase: SchedulePhase | None):
+        if phase is None:
+            return base, {}
+        done: dict[str, Any] = {"rounds": phase.charged_rounds}
+        if name == "merge-base":
+            return {**base, **done}, {}
+        if phase.parity is None:
+            done["blocks"] = n ** ((r if name == "initial-block-sorts" else base["dim"]) - 2)
+        return base, done
+
+    return span_program(phases, r, attrs, points=True)
+
+
+def machine_program(dag: ComparatorDAG) -> list[SpanInstr]:
+    """The machine backend's span program (:func:`span_program`, no points),
+    read off the lowered rounds: ``merge`` spans carry their ``subgraphs``,
+    block sorts close with their rounds, blocks (every ``PG_2`` block of the
+    network) and comparisons, and transpositions with their rounds and
+    pairs."""
+    n, r = dag.n, dag.r
+    pairs = [0] * len(dag.phases)
+    for rd in dag.rounds:
+        pairs[rd.phase] += rd.comparator_count
+
+    def attrs(name: str, base: dict[str, Any], phase: SchedulePhase | None):
+        if phase is None:
+            return ({**base, "subgraphs": n ** (r - base["dim"])} if name == "merge" else base), {}
+        count = pairs[phase.index]
+        if phase.kind == "routing":
+            return base, {"rounds": phase.charged_rounds, "pairs": count}
+        return base, {"rounds": phase.charged_rounds, "blocks": n ** (r - 2), "comparisons": count}
+
+    return span_program(dag.phases, r, attrs)

@@ -27,6 +27,7 @@ from .base import (
     MeasuredExecutableModel,
     PublishedRoutingModel,
     RoutingModel,
+    SorterTemplate,
     TwoDimSorterModel,
 )
 from .hypercube2d import HypercubeThreeStepSorter
@@ -37,6 +38,7 @@ __all__ = [
     "AnalyticSorterModel",
     "TwoDimSorterModel",
     "ExecutableTwoDimSorter",
+    "SorterTemplate",
     "MeasuredExecutableModel",
     "RoutingModel",
     "PublishedRoutingModel",

@@ -32,17 +32,20 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 from ..graphs.base import FactorGraph
-from ..graphs.product import SubgraphView
+from ..graphs.product import ProductGraph, SubgraphView
 from ..machine.machine import NetworkMachine
 from ..machine.routing import exchange_rounds, published_routing_bound, route_partial_permutation
+from ..orders.gray import gray_rank
 
 __all__ = [
     "TwoDimSorterModel",
     "AnalyticSorterModel",
     "ExecutableTwoDimSorter",
+    "SorterTemplate",
     "RoutingModel",
     "PublishedRoutingModel",
     "AdjacentStepRoutingModel",
@@ -91,7 +94,11 @@ class ExecutableTwoDimSorter(ABC):
     Each block must end up sorted along its *local snake order* —
     nondecreasing where ``descending`` is false, nonincreasing where true
     (Step 4's alternating directions).  Returns the machine rounds charged.
-    Implementations must expose a ``name`` attribute for reports.
+    The machine backend runs one block in each direction
+    (:meth:`template`) and replays those rounds over every block of every
+    batch, so a sorter must be oblivious (the same pairs for any keys), and
+    a descending block must run the ascending pairs with ``lo`` and ``hi``
+    swapped.  Implementations should set a ``name`` for reports.
     """
 
     name = "executable"
@@ -113,16 +120,66 @@ class ExecutableTwoDimSorter(ABC):
         """Optional a-priori round bound (``None`` = unknown)."""
         return None
 
+    def template(self, factor: FactorGraph) -> "SorterTemplate":
+        """This sorter's rounds on one ``PG_2`` block of ``factor``, recorded
+        once per factor (:meth:`SorterTemplate.record`)."""
+        templates = self.__dict__.setdefault("_templates", {})
+        if factor not in templates:
+            templates[factor] = SorterTemplate.record(factor, self)
+        return templates[factor]
+
+
+@dataclass(frozen=True)
+class SorterTemplate:
+    """An executable sorter's rounds on one ascending ``PG_2`` block.
+
+    ``pairs[i]`` lists round ``i``'s ``(lo, hi)`` compare-exchanges as local
+    snake positions of the block; ``charges[i]`` is the rounds the machine
+    measured for it.  A descending block runs the same pairs with ``lo`` and
+    ``hi`` swapped, at the same cost, and a round costs a whole batch of
+    blocks what it costs one: routing cost depends only on the symbol pairs
+    inside each factor subgraph, and every factor subgraph of a batch lies
+    in one block.  So the template is the sorter on every batch of every
+    geometry over this factor.
+    """
+
+    pairs: tuple[tuple[tuple[int, int], ...], ...]
+    charges: tuple[int, ...]
+
+    @property
+    def rounds(self) -> int:
+        """Rounds one block sort is charged."""
+        return sum(self.charges)
+
+    @classmethod
+    def record(cls, factor: FactorGraph, sorter: ExecutableTwoDimSorter) -> "SorterTemplate":
+        """Run ``sorter`` on one ``PG_2`` block of zero keys in each direction."""
+        net = ProductGraph(factor, 2)
+
+        def run(descending: bool) -> list:
+            steps: list = []
+            machine = NetworkMachine(net, [0] * net.num_nodes)
+            machine.recorder = SimpleNamespace(record=lambda pairs, cost, routes: steps.append(
+                (tuple((gray_rank(a, net.n), gray_rank(b, net.n)) for a, b in pairs), cost)
+            ))
+            sorter.sort(machine, net.subgraph((), ()), descending)
+            return steps
+
+        ascending = run(False)
+        if run(True) != [(tuple((b, a) for a, b in pairs), c) for pairs, c in ascending]:
+            raise ValueError(
+                f"sorter {sorter.name!r}: a descending block must run the ascending "
+                "rounds with lo and hi swapped"
+            )
+        return cls(tuple(pairs for pairs, _ in ascending), tuple(c for _, c in ascending))
+
 
 @dataclass(frozen=True)
 class MeasuredExecutableModel(TwoDimSorterModel):
-    """Adapter: use an executable sorter's *measured* worst direction cost as
-    the lattice backend's ``S_2(N)`` charge.
-
-    Runs the executable sorter once on a scratch machine over a standalone
-    ``PG_2`` of the factor (reverse-sorted input, the usual adversarial
-    pattern for transposition networks) and charges that round count.  The
-    measurement is cached per ``n``.
+    """Adapter: use an executable sorter's *measured* cost as the lattice
+    backend's ``S_2(N)`` charge: the rounds its template
+    (:meth:`ExecutableTwoDimSorter.template`) is charged on the factor.
+    The sorters are oblivious, so the keys do not change the count.
     """
 
     name: str
@@ -132,19 +189,7 @@ class MeasuredExecutableModel(TwoDimSorterModel):
     def rounds(self, n: int) -> int:
         if n != self.factor.n:
             raise ValueError(f"model measured for N={self.factor.n}, asked for N={n}")
-        cache = getattr(self, "_cache", None)
-        if cache is None:
-            import numpy as np
-
-            from ..graphs.product import ProductGraph
-
-            net = ProductGraph(self.factor, 2)
-            machine = NetworkMachine(net, np.arange(net.num_nodes)[::-1].copy())
-            view = net.subgraph((), ())
-            cost = self.sorter.sort(machine, view, descending=False)
-            object.__setattr__(self, "_cache", cost)
-            return cost
-        return cache
+        return self.sorter.template(self.factor).rounds
 
 
 class RoutingModel(ABC):

@@ -8,22 +8,16 @@ from repro.core.machine_sort import MachineSorter
 from repro.graphs import ProductGraph, complete_binary_tree, path_graph
 from repro.machine.machine import NetworkMachine
 from repro.machine.stats import TrafficRecorder
+from repro.observability import EventBus, MachineTimeline, TrafficSubscriber
 
 
 def _run_sort_with_recorder(factor, r, rng):
     ms = MachineSorter.for_factor(factor, r)
     keys = rng.integers(0, 2**20, size=ms.network.num_nodes)
-    machine = NetworkMachine(ms.network, keys)
+    bus = EventBus()
     recorder = TrafficRecorder(ms.network)
-    machine.recorder = recorder
-    # drive the sorter's phases manually through the shared machine
-    root = ms.network.subgraph((), ())
-    blocks = ms._pg2_blocks(root)
-    ms.sorter.sort_batch(machine, blocks, [False] * len(blocks))
-    for j in range(3, r + 1):
-        from repro.machine.metrics import CostLedger
-
-        ms._merge_batch(machine, ms._level_views(j), CostLedger())
+    bus.subscribe(TrafficSubscriber(recorder))
+    machine, _ = ms.sort(keys, timeline=MachineTimeline(ms.network, bus=bus))
     return machine, recorder
 
 

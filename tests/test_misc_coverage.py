@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.lattice_sort import ProductNetworkSorter, SortOutcome
-from repro.core.machine_sort import (
-    MachineSorter,
-    _fix_reduced_position,
-    _fix_reduced_prefix,
-    _kept_positions,
-)
+from repro.core.machine_sort import MachineSorter
 from repro.graphs import (
     FactorGraph,
     ProductGraph,
@@ -20,7 +15,7 @@ from repro.graphs import (
     random_connected_graph,
 )
 from repro.machine.metrics import CostLedger
-from repro.orders.gray import gray_rank, rank_lattice
+from repro.orders.gray import gray_rank, gray_unrank, rank_lattice
 
 
 class TestCycleEmbeddingRegression:
@@ -44,44 +39,24 @@ class TestCycleEmbeddingRegression:
 
 
 class TestSubgraphNestingHelpers:
-    def test_kept_positions(self):
-        net = ProductGraph(path_graph(3), 4)
-        view = net.subgraph((2, 4), (1, 0))
-        assert _kept_positions(view) == [1, 3]
-
-    def test_fix_reduced_position(self):
-        net = ProductGraph(path_graph(3), 3)
-        root = net.subgraph((), ())
-        sub = _fix_reduced_position(root, 1, 2)  # fix the rightmost symbol
-        assert sub.positions == (1,) and sub.values == (2,)
-        subsub = _fix_reduced_position(sub, 1, 0)
-        # the sub-view's position 1 is the original position 2
-        assert subsub.positions == (1, 2) and subsub.values == (2, 0)
-
-    def test_fix_reduced_prefix(self):
-        net = ProductGraph(path_graph(3), 4)
-        root = net.subgraph((), ())
-        block = _fix_reduced_prefix(root, (1, 2))  # x4 = 1, x3 = 2
-        assert block.reduced_order == 2
-        full = block.full_label((0, 0))
-        assert full == (1, 2, 0, 0)
+    """How the machine schedule batches the subgraphs of a level."""
 
     def test_level_views_cover_everything(self):
-        ms = MachineSorter.for_factor(path_graph(3), 4)
-        views = ms._level_views(3)
-        assert len(views) == 3
-        seen = set()
-        for view in views:
-            seen.update(view.nodes())
-        assert len(seen) == 81
+        # every block sort of every level engages every node of the network
+        dag = MachineSorter.for_factor(path_graph(3), 4).schedule()
+        for phase in dag.phases:
+            if phase.kind == "s2":
+                rounds = dag.phase_rounds(phase.index)
+                touched = np.concatenate([rd.touched_nodes() for rd in rounds])
+                assert set(touched.tolist()) == set(range(81)), phase.path
 
     def test_pg2_blocks_in_group_rank_order(self):
-        ms = MachineSorter.for_factor(path_graph(3), 3)
-        blocks = ms._pg2_blocks(ms.network.subgraph((), ()))
-        assert len(blocks) == 3
-        # block z's prefix is the group label of gray rank z
-        prefixes = [b.values[-1] for b in blocks]
-        assert prefixes == [0, 1, 2]
+        # a batch issues its blocks by the Gray rank of their group label
+        ms = MachineSorter.for_factor(path_graph(3), 4)
+        first = ms.schedule().rounds[0]
+        per_block = first.comparator_count // 9
+        prefixes = [ms.network.label_of(int(node))[:2] for node in first.lo[::per_block]]
+        assert prefixes == [tuple(gray_unrank(z, 3, 2)) for z in range(9)]
 
 
 class TestSortOutcome:
@@ -138,15 +113,3 @@ class TestMachineSorterEdge:
         keys = rng.integers(0, 100, size=9)
         _, ledger = ms.sort(keys)
         assert ledger.s2_calls == 1 and ledger.routing_calls == 0
-
-    def test_heterogeneous_batch_rejected(self):
-        ms = MachineSorter.for_factor(path_graph(3), 3)
-        import numpy as np
-
-        from repro.machine.machine import NetworkMachine
-
-        machine = NetworkMachine(ms.network, np.arange(27))
-        v3 = ms.network.subgraph((), ())
-        v2 = ms.network.subgraph((1,), (0,))
-        with pytest.raises(ValueError):
-            ms._merge_batch(machine, [v3, v2], CostLedger())

@@ -223,7 +223,8 @@ class TestEmission:
     def test_machine_emission_cached_per_cell(self):
         cell = next(c for c in DEFAULT_MATRIX if c.backend == "machine")
         sorter = MachineSorter.for_factor(cell.build_factor(), cell.r)
-        assert sorter.emitted_schedule() is sorter.emitted_schedule()
+        assert sorter.schedule() is sorter.schedule()
+        assert MachineSorter.for_factor(cell.build_factor(), cell.r).schedule() is sorter.schedule()
         assert sorter.schedule().meta.get("emitted") is True
 
     def test_two_labellings_of_one_factor_keep_their_own_machine_schedules(self, rng):
@@ -245,6 +246,29 @@ class TestEmission:
             MachineSorter.for_factor(first, 3).schedule().schedule_hash()
             != MachineSorter.for_factor(second, 3).schedule().schedule_hash()
         )
+
+    def test_unnamed_sorters_keep_their_own_machine_schedules(self, schedule_caches, rng):
+        """Two executable sorters without a ``name`` of their own both read
+        ``"executable"``: the machine emission cache must tell them apart by
+        what they do, or one reports the other's rounds."""
+        from repro.graphs import path_graph
+        from repro.sorters2d import ExecutableTwoDimSorter, OddEvenSnakeSorter, ShearSorter
+
+        def unnamed(inner):
+            class Wrapper(ExecutableTwoDimSorter):
+                def sort_batch(self, machine, views, descending):
+                    return inner.sort_batch(machine, views, descending)
+
+            return Wrapper()
+
+        keys = rng.integers(0, 1000, size=64)
+        for inner in (OddEvenSnakeSorter(), ShearSorter()):
+            expected = MachineSorter.for_factor(path_graph(4), 3, inner).schedule()
+            sorter = MachineSorter.for_factor(path_graph(4), 3, unnamed(inner))
+            assert sorter.sorter.name == "executable"
+            assert sorter.schedule().schedule_hash() == expected.schedule_hash()
+            _, ledger = sorter.sort(keys)
+            assert ledger.total_rounds == expected.depth
 
     def test_emitted_hashes_reproduce_the_blessed_seed(self):
         """The byte-identity acceptance criterion: fresh emissions equal the

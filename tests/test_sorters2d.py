@@ -20,7 +20,12 @@ from repro.graphs.product import ProductGraph
 from repro.machine.machine import NetworkMachine
 from repro.orders import gray_rank, lattice_to_sequence
 from repro.core.verification import zero_one_sequences
-from repro.sorters2d import HypercubeThreeStepSorter, OddEvenSnakeSorter, ShearSorter
+from repro.sorters2d import (
+    ExecutableTwoDimSorter,
+    HypercubeThreeStepSorter,
+    OddEvenSnakeSorter,
+    ShearSorter,
+)
 
 SORTERS = {
     "odd-even-snake": OddEvenSnakeSorter(),
@@ -205,3 +210,26 @@ def test_petersen_pg2_sorts():
     m = NetworkMachine(net, keys)
     ShearSorter().sort(m, net.subgraph((), ()))
     assert np.array_equal(lattice_to_sequence(m.lattice()), np.sort(keys))
+
+
+class TestSorterTemplate:
+    def test_records_snake_positions_and_costs(self):
+        template = HypercubeThreeStepSorter().template(k2())
+        assert template.pairs == (((0, 1), (2, 3)), ((1, 2), (0, 3)), ((0, 1), (2, 3)))
+        assert template.charges == (1, 1, 1) and template.rounds == 3
+
+    def test_direction_asymmetric_sorter_is_refused(self):
+        """The machine lowering replays the ascending rounds swapped on
+        descending blocks; a sorter whose descending run differs is refused
+        rather than lowered wrongly."""
+
+        class Asymmetric(ExecutableTwoDimSorter):
+            name = "asymmetric"
+
+            def sort_batch(self, machine, views, descending):
+                # shearsort ascending, odd-even snake descending: both sort
+                inner = OddEvenSnakeSorter() if any(descending) else ShearSorter()
+                return inner.sort_batch(machine, views, descending)
+
+        with pytest.raises(ValueError, match="lo and hi swapped"):
+            Asymmetric().template(path_graph(3))

@@ -9,6 +9,13 @@ bytes), the ledger's records, the output lattice and, for the adaptive
 variant, its Step-4 skip counts.  The hashes were recorded from the
 recursive drivers the DAG interpreter replaced; any change to what a traced
 run publishes or charges shows up here.
+
+The machine backend's cases hash the same, plus every ``machine_step`` a
+:class:`~repro.observability.MachineTimeline` on the same bus publishes (its
+pairs in order, cost and routes), and its emitted schedules' hashes on the
+small factors are pinned too.  Both were recorded from the machine planner
+that ran the recursion a second time before the machine schedule became a
+lowering of the lattice schedule.
 """
 
 from __future__ import annotations
@@ -20,8 +27,11 @@ import pytest
 
 from repro.core.adaptive import AdaptiveProductNetworkSorter
 from repro.core.lattice_sort import ProductNetworkSorter
-from repro.graphs import cycle_graph, k2, path_graph
-from repro.observability import EventBus, Tracer
+from repro.core.machine_sort import MachineSorter
+from repro.graphs import complete_binary_tree, cycle_graph, k2, path_graph
+from repro.observability import EventBus, MachineTimeline, Tracer
+from repro.sorters2d import OddEvenSnakeSorter
+from tests.conftest import SMALL_FACTORS
 from repro.orders import sequence_to_lattice
 
 #: the seven geometries of the default workload matrix, plus two deeper ones
@@ -61,6 +71,19 @@ def _value(value) -> str:
     return repr(value)
 
 
+def _hash_run(events: list, ledger, lattice) -> "hashlib._Hash":
+    digest = hashlib.sha256()
+    for event in events:
+        attrs = ",".join(f"{k}={_value(v)}" for k, v in event.attrs.items())
+        digest.update(
+            f"{event.kind}|{event.name}|{event.span_id}|{event.parent_id}|{attrs}\n".encode()
+        )
+    for record in ledger.records:
+        digest.update(f"{record!r}\n".encode())
+    digest.update(_value(np.asarray(lattice)).encode())
+    return digest
+
+
 def _digest(geometry: str, variant: str, method: str, kind: str) -> str:
     make, n, r = GEOMETRIES[geometry]
     cls = AdaptiveProductNetworkSorter if variant == "adaptive" else ProductNetworkSorter
@@ -74,15 +97,7 @@ def _digest(geometry: str, variant: str, method: str, kind: str) -> str:
     else:
         lattice = _merge_input(keys, n, r)
         lattice, ledger = sorter.merge_sorted_subgraphs(lattice, tracer=Tracer(bus))
-    digest = hashlib.sha256()
-    for event in events:
-        attrs = ",".join(f"{k}={_value(v)}" for k, v in event.attrs.items())
-        digest.update(
-            f"{event.kind}|{event.name}|{event.span_id}|{event.parent_id}|{attrs}\n".encode()
-        )
-    for record in ledger.records:
-        digest.update(f"{record!r}\n".encode())
-    digest.update(_value(np.asarray(lattice)).encode())
+    digest = _hash_run(events, ledger, lattice)
     if variant == "adaptive":
         digest.update(f"skipped={sorter.steps4_skipped},executed={sorter.steps4_executed}".encode())
     return digest.hexdigest()[:16]
@@ -181,6 +196,87 @@ def test_traced_stream_is_pinned(case):
     assert _digest(*case) == PINNED[case]
 
 
-if __name__ == "__main__":  # print the table above from the current tree
+#: machine geometries: the default sorters on the all-adjacent factors, two
+#: routed labellings (a tree, and the relabelled path of
+#: ``tests/test_schedule.py``), and the generic odd-even snake sorter
+MACHINE_GEOMETRIES = {
+    "path-n3-r3": (lambda: path_graph(3), 3, None),
+    "path-n3-r4": (lambda: path_graph(3), 4, None),
+    "path-n4-r3": (lambda: path_graph(4), 3, None),
+    "cycle-n4-r3": (lambda: cycle_graph(4), 3, None),
+    "k2-n2-r4": (lambda: k2(), 4, None),
+    "cbt1-r3": (lambda: complete_binary_tree(1), 3, None),
+    "path-n4-r3-relabelled": (lambda: path_graph(4).relabel([2, 0, 3, 1]), 3, None),
+    "path-n3-r3-odd-even-snake": (lambda: path_graph(3), 3, OddEvenSnakeSorter),
+}
+
+
+def _machine_digest(geometry: str) -> str:
+    make, r, sorter2d = MACHINE_GEOMETRIES[geometry]
+    sorter = MachineSorter.for_factor(make(), r, None if sorter2d is None else sorter2d())
+    bus = EventBus()
+    events: list = []
+    bus.subscribe(events.append)
+    keys = _keys("random", sorter.n, r)
+    machine, ledger = sorter.sort(
+        keys, tracer=Tracer(bus), timeline=MachineTimeline(sorter.network, bus=bus)
+    )
+    return _hash_run(events, ledger, machine.lattice()).hexdigest()[:16]
+
+
+MACHINE_PINNED: dict[str, str] = {
+    "path-n3-r3": "9e9fabc1f67730b3",
+    "path-n3-r4": "7728796666225bb8",
+    "path-n4-r3": "2697f5e73ed1ab76",
+    "cycle-n4-r3": "c76dbbb088b18660",
+    "k2-n2-r4": "542e23fa171b1efd",
+    "cbt1-r3": "ddb428118bbd72bf",
+    "path-n4-r3-relabelled": "0e5134d618c26cfb",
+    "path-n3-r3-odd-even-snake": "b0b98faabcfe2084",
+}
+
+
+@pytest.mark.parametrize("geometry", list(MACHINE_GEOMETRIES))
+def test_machine_traced_stream_is_pinned(geometry):
+    assert _machine_digest(geometry) == MACHINE_PINNED[geometry]
+
+
+#: ``schedule_hash()`` of every small factor's machine schedule at r = 3
+#: (default sorter), cheapest first
+SMALL_FACTOR_MACHINE_HASHES: dict[str, str] = {
+    "path3": "eba39db0f9c19efcfadcfe336934dd2e0d65ec91a73b01ba7fc5f25e1f9e5304",
+    "path4": "55104dd2bc9d8dee0311dec0b312707d7f17843abd4e8b8fb6654f7dad8233c2",
+    "cycle4": "a90d73853f2754d4b2e029a532512bdc64d9c74b3ac572ca197fdf588739d61c",
+    "k2": "c9c4e2a004fd3fea97d41c0f13548d3b1c9fa71fb0d62776bd04ee27a314bba0",
+    "cbt1": "05b6259dcdd809fe6da228ba3e57292d01f24fd261baf3f6d2038280df443a5f",
+    "debruijn2": "72ddea1e1442e305b0f71d4dfaa75f65f14e867b1d9efa05a3a5e61ebbc89e04",
+    "complete4": "c68ea9a0a77af4f214428617bd68e1ec788082882b0a5aed7e84e79c5b661ea1",
+    "cycle5": "9331fe9bb515d0ce0d77adbf12cb8a89830fedf7c5fdd1e076a28d2661c5270f",
+    "star4": "237350464337e48aca65281440e21216677dcccbc416da384b92084111219664",
+    "wheel5": "8c5abc2f735f3d362a0972ad895e722aa79d57c7f0184b386c97517a02c637b1",
+    "random5": "99d5bc0029bbf12fb0545193988ab122b8c650b8cd133070d88f4c5be391244b",
+    "random7": "b50ce46f2f0e5479ca431694f349c328c2d9bafdc66c8b43d0be432e44ed18c1",
+    "se3": "8d4853fa6d6cc7623a6c7f55a3ad4df502b4d0a2d5e240a84eb24c47bdaf1ec0",
+    "cbt2": "869bbe780d724e802aea616d5af557cbff6948781d5a085f5d8a69cccc62db63",
+    "debruijn3": "59b8857f9fb00fea9ba6ede0a75c7ce7f6bea94e6a6d743993f57353a1e4dae8",
+    "petersen": "721d8f1c9adad3ec7cec23802ad8dd695d46243c8436e3daf86c9721ec62987f",
+}
+
+
+@pytest.mark.parametrize("name", list(SMALL_FACTOR_MACHINE_HASHES))
+def test_small_factor_machine_schedule_is_pinned(name):
+    dag = MachineSorter.for_factor(SMALL_FACTORS[name], 3).schedule()
+    assert dag.schedule_hash() == SMALL_FACTOR_MACHINE_HASHES[name]
+
+
+if __name__ == "__main__":  # python -m tests.test_traced_streams: the tables above
+    import time
+
     for case in CASES:
         print(f"    {case!r}: {_digest(*case)!r},")
+    for geometry in MACHINE_GEOMETRIES:
+        print(f"    {geometry!r}: {_machine_digest(geometry)!r},")
+    for name, factor in SMALL_FACTORS.items():
+        t0 = time.perf_counter()
+        dag = MachineSorter.for_factor(factor, 3).schedule()
+        print(f"    {name!r}: {dag.schedule_hash()!r},  # {time.perf_counter() - t0:.2f} s")
