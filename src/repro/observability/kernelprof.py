@@ -14,7 +14,8 @@ instruments the interpreted backends.  This module closes that gap:
   when a layer engages every disjoint pair the network offers, the
   comparator-agglomeration ideal — the layer's node-major or row-major
   layout, each slab's form, and the bytes its passes move, see
-  :func:`layer_moves`), the ``repro_compiled_run_seconds{cell}`` /
+  :func:`layer_moves`; built on a profiler's first run of each ``(kernel,
+  batch)`` and reused), the ``repro_compiled_run_seconds{cell}`` /
   ``repro_compiled_layer_seconds{cell}`` histograms and the
   ``repro_compiled_keys_total{cell}`` counter of a
   :class:`~repro.observability.metrics.MetricsRegistry`, and — when a
@@ -45,7 +46,7 @@ import numpy as np
 
 from ..schedule.compiled import NETWORKS, CompiledSchedule, compile_schedule
 from ..schedule.ir import snake_order_nodes
-from .metrics import MetricsRegistry
+from .metrics import Labels, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .tracer import Tracer
@@ -91,11 +92,12 @@ def layer_moves(step: Any, batch: int) -> int:
     """Keys one lowered layer reads plus writes over ``batch`` rows.
 
     Counts each NumPy pass of the layer's form at that batch size: the
-    gather reads and writes every key, twice when it also transposes back
-    to row-major; a compare-exchange (``minimum``, ``maximum``, then the
-    copy of the minima) moves 8 keys per comparator; a sorted slab reads
-    and writes each of its keys once; a network slab pays one
-    compare-exchange per comparator of its network on every block.
+    gather reads and writes every key (so does the copy an identity gather
+    runs as), twice when it also transposes back to row-major; a
+    compare-exchange (``minimum``, ``maximum``, then the copy of the
+    minima) moves 8 keys per comparator; a sorted slab reads and writes
+    each of its keys once; a network slab pays one compare-exchange per
+    comparator of its network on every block.
     """
     num_nodes = int(step.perm.size)
     moves = (4 if step.source_node_major and not step.node_major else 2) * num_nodes
@@ -279,6 +281,10 @@ class KernelProfiler:
         self._keys_total = r.counter(
             "repro_compiled_keys_total", "keys sorted by the compiled kernel, by cell"
         )
+        #: per ``(kernel, batch)``: :meth:`_layer_facts`
+        self._facts: dict[tuple[CompiledSchedule, int], tuple[tuple[dict[str, Any], int], ...]] = {}
+        #: per cell: its series of the three instruments, resolved once
+        self._label_keys: dict[str, tuple[Labels, Labels, Labels]] = {}
 
     def run(self, kernel: "CompiledSchedule", state: np.ndarray) -> tuple[np.ndarray, RunProfile]:
         """Execute ``kernel`` over ``state``, returning (output, profile).
@@ -305,29 +311,15 @@ class KernelProfiler:
 
         batch = 1 if squeeze else out.shape[0]
         itemsize = int(out.itemsize)
-        slots = max(kernel.num_nodes // 2, 1)
-        layers = []
-        for index, (layer, step) in enumerate(zip(kernel.layers, kernel.steps)):
-            t0, t1, t2 = stamps[2 + 3 * index : 5 + 3 * index]
-            comparators = int(layer.lo.size)
-            touched = 2 * comparators + sum(int(mat.size) for mat, _ in layer.block_groups)
-            layers.append(
-                LayerProfile(
-                    index=index,
-                    comparators=comparators,
-                    block_rows=sum(int(mat.shape[0]) for mat, _ in layer.block_groups),
-                    nodes_touched=touched,
-                    permute_ns=t1 - t0,
-                    compute_ns=t2 - t1,
-                    occupancy=touched / 2 / slots,
-                    bytes_touched=layer_moves(step, batch) * itemsize,
-                    layout=step.layout,
-                    slabs=tuple(
-                        (width, (stop - start) // width, form)
-                        for (start, stop, width), form in zip(step.slabs, step.forms(batch))
-                    ),
-                )
+        layers = tuple(
+            LayerProfile(
+                permute_ns=stamps[3 + 3 * index] - stamps[2 + 3 * index],
+                compute_ns=stamps[4 + 3 * index] - stamps[3 + 3 * index],
+                bytes_touched=moves * itemsize,
+                **facts,
             )
+            for index, (facts, moves) in enumerate(self._layer_facts(kernel, batch))
+        )
         profile = RunProfile(
             cell=kernel.cell,
             schedule_hash=kernel.schedule_hash,
@@ -335,18 +327,53 @@ class KernelProfiler:
             num_nodes=kernel.num_nodes,
             wall_ns=stamps[-1] - stamps[0],
             rows_ns=stamps[1] - stamps[0],
-            layers=tuple(layers),
+            layers=layers,
             restore_ns=stamps[-1] - stamps[-2],
         )
         self._record(profile, stamps)
         return out, profile
 
+    def _layer_facts(
+        self, kernel: "CompiledSchedule", batch: int
+    ) -> tuple[tuple[dict[str, Any], int], ...]:
+        """Per layer, the :class:`LayerProfile` fields no stamp changes, and
+        :func:`layer_moves`; built on the first run of ``(kernel, batch)``."""
+        facts = self._facts.get((kernel, batch))
+        if facts is None:
+            slots = max(kernel.num_nodes // 2, 1)
+            built = []
+            for index, (layer, step) in enumerate(zip(kernel.layers, kernel.steps)):
+                comparators = int(layer.lo.size)
+                touched = 2 * comparators + sum(int(mat.size) for mat, _ in layer.block_groups)
+                fields = {
+                    "index": index,
+                    "comparators": comparators,
+                    "block_rows": sum(int(mat.shape[0]) for mat, _ in layer.block_groups),
+                    "nodes_touched": touched,
+                    "occupancy": touched / 2 / slots,
+                    "layout": step.layout,
+                    "slabs": tuple(
+                        (width, (stop - start) // width, form)
+                        for (start, stop, width), form in zip(step.slabs, step.forms(batch))
+                    ),
+                }
+                built.append((fields, layer_moves(step, batch)))
+            facts = self._facts[(kernel, batch)] = tuple(built)
+        return facts
+
     def _record(self, profile: RunProfile, stamps: list[int]) -> None:
         cell = profile.cell
-        self._run_seconds.observe(profile.wall_s, cell=cell)
+        keys = self._label_keys.get(cell)
+        if keys is None:
+            keys = self._label_keys[cell] = tuple(
+                instrument.labels(cell=cell)
+                for instrument in (self._run_seconds, self._layer_seconds, self._keys_total)
+            )
+        run_key, layer_key, keys_key = keys
+        self._run_seconds.observe_at(run_key, profile.wall_s)
         for layer in profile.layers:
-            self._layer_seconds.observe(layer.wall_ns / 1e9, cell=cell)
-        self._keys_total.inc(profile.keys, cell=cell)
+            self._layer_seconds.observe_at(layer_key, layer.wall_ns / 1e9)
+        self._keys_total.inc_at(keys_key, profile.keys)
         tracer = self.tracer
         if tracer is not None:
             # perf_counter_ns and the tracer's perf_counter share one clock

@@ -114,11 +114,14 @@ class Counter(_Instrument):
 
     def inc(self, amount: float = 1, **labels: Any) -> None:
         """Add ``amount`` (must be >= 0) to the labelled series."""
+        self.inc_at(_labels_key(labels), amount)
+
+    def inc_at(self, key: Labels, amount: float = 1) -> None:
+        """:meth:`inc` the series of a label set resolved once by :meth:`labels`."""
         if amount < 0:
             raise ValueError("counters only go up")
         with self._lock:
-            key = self.labels(**labels)
-            self._series[key] += amount
+            self._series[key] = self._series.get(key, 0) + amount
 
     def value(self, **labels: Any) -> float:
         """Current total of the labelled series (0 if never incremented)."""
@@ -250,8 +253,12 @@ class Histogram(_Instrument):
 
     def observe(self, value: float, **labels: Any) -> None:
         """Record one observation in the labelled series."""
+        self.observe_at(self.labels(**labels), value)
+
+    def observe_at(self, key: Labels, value: float) -> None:
+        """:meth:`observe` into the series of a label set resolved by :meth:`labels`."""
         with self._lock:
-            series = self._series[self.labels(**labels)]
+            series = self._series[key]
             series.count += 1
             series.total += value
             # first bound >= value; past the last bound (or NaN): +Inf

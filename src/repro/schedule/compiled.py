@@ -11,9 +11,9 @@ into maximal parallel layers (:class:`ScheduleLayer`, the IR-level
 description of a layer).  Every operation lands one layer past the deepest
 of its own nodes, so no two operations of a layer share a node.
 
-The same pass lowers every layer to a :class:`LoweredLayer`: one gather
-into the layer's *layout*, then in-place compute on contiguous spans.  A
-layout orders the layer's keys as
+The same pass lowers every layer to a :class:`LoweredLayer`: one gather,
+then in-place compute on contiguous spans.  After the compute the layer's
+keys sit in its *layout*, which orders them as
 
 * its block-sort groups first, one slab per width, every block in local
   snake order — a descending block stored reversed, so one ascending
@@ -36,13 +36,22 @@ A layer stores its keys in one of two forms:
   keep one in-place ``sort`` of ``(blocks, width)`` rows per batch row,
   which ``np.sort`` runs faster than any network.
 
-A layer's gather is the composition of the previous layout with its own, so
-the previous layer's scatter, the descending flip, this layer's gather and
-any switch between the two forms are a single pass — a row gather of the
-node-major view; only a switch back to row-major adds a transpose.  The
-first gather is also the input copy, and one final gather restores
-row-major node order.  ``docs/schedule-ir.md`` records the measurements
-behind both forms and the threshold.
+A layer's gather composes the previous layout with its own, so the
+previous layer's scatter, the descending flip, this layer's gather and any
+switch between the two forms are a single pass — a row gather of the
+node-major view; only a switch back to row-major adds a transpose.  A sort
+does not care in which order its keys arrive, so a row-major slab gathers
+each block's keys in the order they sit in the previous layout: its
+``perm`` differs from its layout there, and only the layout is composed
+with the next layer.  The first gather is also the input copy.  On the
+row-major lattice cells, whose initial blocks are contiguous node ranges,
+it is the identity and runs as a C-ordered copy.  One final gather
+restores row-major node order.  The lowering checks once that every
+layout, and so every gather, permutes ``range(N)``; the row-major gathers
+then run ``np.take(..., mode="wrap")`` without NumPy's per-element bounds
+check.
+``docs/schedule-ir.md`` records the measurements behind both forms, the
+threshold and the gathers.
 
 This kernel is the only compiled executor: single lattices, batches and the
 served queues all run it, and :func:`repro.schedule.ir.replay` stays the
@@ -174,8 +183,10 @@ class ScheduleLayer:
 class LoweredLayer:
     """One layer as the kernel executes it: a gather, then in-place compute."""
 
-    #: key ``c`` of this layer's layout is key ``perm[c]`` of the previous
-    #: layout (of the input, for the first layer)
+    #: the gather, checked at lowering to permute ``range(N)``: key ``c`` is
+    #: read from key ``perm[c]`` of the previous layout (of the input, for
+    #: the first layer).  It lists a row-major slab's blocks in source
+    #: order; their sort leaves the keys in the layout's order
     perm: np.ndarray
     #: block-sort slabs ``(start, stop, width)``: keys ``start:stop`` hold
     #: blocks of ``width`` keys, position-major when ``node_major``, else one
@@ -188,6 +199,9 @@ class LoweredLayer:
     node_major: bool
     #: the previous layout (the input's, for the first layer) is node-major
     source_node_major: bool
+    #: ``perm`` is the identity between two row-major layouts: the gather is
+    #: a C-ordered copy
+    copies: bool
 
     @property
     def layout(self) -> str:
@@ -210,7 +224,10 @@ class LoweredLayer:
             return (x if self.source_node_major else x.T)[self.perm]
         if self.source_node_major:
             return np.ascontiguousarray(x[self.perm].T)
-        return np.take(x, self.perm, axis=1)
+        if self.copies:
+            return x.copy()
+        # ``perm`` was checked at lowering: no per-element bounds check
+        return np.take(x, self.perm, axis=1, mode="wrap")
 
     def compute(self, x: np.ndarray) -> None:
         """Sort the slabs and exchange the comparator pairs, in place.
@@ -261,21 +278,23 @@ class CompiledSchedule:
         self.cell = f"{dag.factor}-n{dag.n}-r{dag.r}"
         steps: list[LoweredLayer] = []
         columns = np.arange(dag.num_nodes, dtype=np.intp)
+        # compared as bytes: cheaper than np.array_equal on a small cell
+        identity = columns.tobytes()
+        once = np.bincount(columns).tobytes()  # a layout's counts: each node once
         # where every node sits in the previous layout (the input: node order)
         position = columns
         node_major = False  # the input is a row-major batch
         layers: list[ScheduleLayer] = []
         for lo, hi, blocks in pack_rounds(dag.rounds, dag.num_nodes):
-            layers.append(
-                ScheduleLayer(lo, hi, tuple((nodes, desc.nonzero()[0]) for nodes, desc in blocks))
-            )
+            groups = tuple((nodes, desc.nonzero()[0]) for nodes, desc in blocks)
+            layers.append(ScheduleLayer(lo, hi, groups))
             source_node_major = node_major
             node_major = all(nodes.shape[1] in NETWORKS for nodes, _ in blocks)
             slabs = []
             runs = []  # this layer's layout, in pieces
             start = 0
-            for nodes, descending in blocks:
-                stored = output_order(nodes, descending)
+            for (nodes, descending), (_, flipped) in zip(blocks, groups):
+                stored = output_order(nodes, descending) if flipped.size else nodes
                 # node-major slabs are position-major: position p of every
                 # block, then position p + 1
                 runs.append(stored.ravel("F") if node_major else stored.ravel())
@@ -283,18 +302,38 @@ class CompiledSchedule:
                 start += nodes.size
             mid, split = start, start + lo.size
             stop = split + hi.size
-            layout = np.concatenate((*runs, lo, hi), dtype=np.intp)  # the node each key holds
+            if lo.size:  # concatenating empty arrays is not free
+                runs += (lo, hi)
+            layout = np.concatenate(runs, dtype=np.intp)  # the node each key holds
             if stop < dag.num_nodes:
-                untouched = np.ones(dag.num_nodes, dtype=bool)
-                untouched[layout] = False
-                layout = np.concatenate((layout, untouched.nonzero()[0]))
+                touched = np.zeros(dag.num_nodes, dtype=bool)  # np.ones: a slower wrapper
+                touched[layout] = True
+                layout = np.concatenate((layout, (~touched).nonzero()[0]))
+            # every layout must permute the nodes: then every gather (one
+            # layout read through the previous one) and the restore permute
+            # the keys, and the row-major ones may skip NumPy's bounds check.
+            # A node engaged twice lengthens a partial layout; a full one
+            # shows it in its counts, which also grow past a node out of range
+            if layout.size != dag.num_nodes or (
+                stop == dag.num_nodes and np.bincount(layout).tobytes() != once
+            ):
+                raise ValueError(f"cell {self.cell}: layer {len(steps)} engages a node twice")
+            perm = position[layout]
+            copies = False
+            if not node_major:
+                # a sort ignores the order its keys arrive in: read each
+                # block's keys in the order they sit in the previous layout
+                for first, last, width in slabs:
+                    perm[first:last].reshape(-1, width).sort()
+                copies = not source_node_major and perm.tobytes() == identity
             steps.append(
                 LoweredLayer(
-                    perm=position[layout],
+                    perm=perm,
                     slabs=tuple(slabs),
                     comparators=(mid, split, stop),
                     node_major=node_major,
                     source_node_major=source_node_major,
+                    copies=copies,
                 )
             )
             position = np.empty(dag.num_nodes, dtype=np.intp)
@@ -348,7 +387,7 @@ class CompiledSchedule:
         if self.ends_node_major:
             out = np.ascontiguousarray(x[self.final_perm].T)
             return out[0] if squeeze else out
-        return np.take(x[0] if squeeze else x, self.final_perm, axis=-1)
+        return np.take(x[0] if squeeze else x, self.final_perm, axis=-1, mode="wrap")
 
     def run(self, state: np.ndarray) -> np.ndarray:
         """Execute the schedule over a key vector or a whole batch.

@@ -254,6 +254,17 @@ class ComparatorDAG:
     #: free-form extraction metadata (excluded from the canonical hash)
     meta: dict[str, Any] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # a round's index is not in the canonical form, so a misnumbered DAG
+        # would hash like the right one and break the optimizer's lookups
+        for i, rd in enumerate(self.rounds):
+            if rd.index != i:
+                raise ValueError(f"round {i} is numbered {rd.index}: number rounds by position")
+            if not 0 <= rd.phase < len(self.phases):
+                raise ValueError(
+                    f"round {i} names phase {rd.phase}, but the DAG has {len(self.phases)} phases"
+                )
+
     # -- summary ---------------------------------------------------------
     @property
     def comparator_count(self) -> int:
@@ -421,7 +432,7 @@ def pack_rounds(
         for nodes, descending in rd.blocks:
             if rd.disjoint:
                 rows = nodes.astype(np.intp)
-                layer = depth[rows].max(axis=1)
+                layer = np.maximum.reduce(depth[rows], axis=1)  # skips ndarray.max's wrapper
                 layer += 1
                 depth[rows] = layer[:, None]
             else:

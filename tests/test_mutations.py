@@ -47,6 +47,8 @@ def _edit(dag: ComparatorDAG, fault: str) -> ComparatorDAG:
         if fault == "inverted_transpositions" and leaf.startswith("transposition"):
             rd = ScheduleRound(rd.index, rd.phase, rd.charge, rd.hi, rd.lo, rd.blocks)
         rounds.append(rd)
+    # a DAG numbers its rounds by position
+    rounds = [dataclasses.replace(rd, index=i) for i, rd in enumerate(rounds)]
     return dataclasses.replace(dag, rounds=tuple(rounds))
 
 

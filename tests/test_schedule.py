@@ -353,6 +353,23 @@ class TestRoundFormat:
         assert not raced.without(block_sorts=[0]).disjoint
         assert raced.without(comparators=[1]).disjoint
 
+    def test_a_dag_numbers_its_rounds_by_position(self):
+        """A round's index is not hashed, so a misnumbered DAG is refused when
+        it is built rather than hashing like the right one."""
+        import dataclasses
+
+        dag = _mixed_dag([(((0, 1),), ()), (((2, 3),), ())])
+        first, second = dag.rounds
+        for rounds in (
+            (first, dataclasses.replace(second, index=0)),
+            (dataclasses.replace(first, index=1), dataclasses.replace(second, index=0)),
+            (first, dataclasses.replace(second, phase=2)),
+            (first, dataclasses.replace(second, phase=-1)),
+        ):
+            with pytest.raises(ValueError, match="round 1|round 0"):
+                dataclasses.replace(dag, rounds=rounds)
+        assert dataclasses.replace(dag, rounds=dag.rounds).schedule_hash() == dag.schedule_hash()
+
 
 def _mixed_dag(rounds_ops) -> ComparatorDAG:
     """A hand-built 16-node DAG, one round (and phase) per entry."""
@@ -425,18 +442,68 @@ class TestLowering:
     )
     def test_matches_replay_and_preserves_the_input(self, keys, rng):
         """Three rows sort every slab; 256 rows run the width-2 and width-4
-        slabs as networks (see ``test_mixed_layers_take_both_forms``)."""
-        dag = self._dag()
-        kernel = CompiledSchedule(dag)
-        batch = np.stack([keys, keys[::-1], keys[rng.permutation(16)]])
-        wide = np.stack([keys[rng.permutation(16)] for _ in range(256)])
-        for state in (keys, batch, wide):
-            before = state.copy()
-            out = kernel.run(state)
-            assert out.dtype == state.dtype and out.shape == state.shape
-            assert np.array_equal(out, replay(dag, state))
-            assert np.array_equal(state, before)
-            assert out.flags.c_contiguous and not np.shares_memory(out, state)
+        slabs as networks (see ``test_mixed_layers_take_both_forms``).  The
+        emitted path-n3-r3 kernels, whose first gather is a copy, run on the
+        same values; read-only, strided and Fortran-ordered inputs are
+        neither written nor aliased."""
+        emitted = _emit(next(c for c in DEFAULT_MATRIX if c.key == "path-n3-r3-lattice"))
+        kernels = (CompiledSchedule(self._dag()), _kernel(emitted, False), _kernel(emitted, True))
+        for kernel in kernels:
+            row = np.resize(keys, kernel.num_nodes)
+            batch = np.stack([row, row[::-1], row[rng.permutation(row.size)]])
+            wide = np.stack([row[rng.permutation(row.size)] for _ in range(256)])
+            read_only = wide.view()
+            read_only.flags.writeable = False
+            strided = np.repeat(batch, 2, axis=1)[:, ::2]
+            for state in (row, batch, wide, read_only, strided, np.asfortranarray(wide)):
+                before = state.copy()
+                out = kernel.run(state)
+                assert out.dtype == state.dtype and out.shape == state.shape
+                assert np.array_equal(out, replay(kernel.dag, state))
+                assert np.array_equal(state, before)
+                assert out.flags.c_contiguous and out.flags.writeable
+                assert not np.shares_memory(out, state)
+
+    @pytest.mark.parametrize("certified", [False, True], ids=["raw", "optimized"])
+    @pytest.mark.parametrize(
+        "cell",
+        [c for c in DEFAULT_MATRIX if c.backend == "lattice"],
+        ids=[c.key for c in DEFAULT_MATRIX if c.backend == "lattice"],
+    )
+    def test_first_lattice_gather_is_a_copy(self, cell, certified):
+        """The initial PG_2 blocks are contiguous node ranges, so a row-major
+        first layer read in source order gathers the identity and runs as a
+        copy.  k2-n2-r4's width-4 blocks are node-major: its first gather
+        also transposes the input, so it cannot be a copy."""
+        first = _kernel(_emit(cell), certified).steps[0]
+        assert first.node_major == (cell.family == "k2")
+        assert first.copies == (not first.node_major)
+        if first.copies:
+            assert np.array_equal(first.perm, np.arange(first.perm.size))
+
+    @pytest.mark.parametrize("certified", [False, True], ids=["raw", "optimized"])
+    @pytest.mark.parametrize("cell", DEFAULT_MATRIX, ids=CELL_IDS)
+    def test_row_major_slabs_gather_in_source_order(self, cell, certified):
+        """Each block of a row-major sort slab reads its keys in the order
+        they sit in the previous layout: a sort ignores the order its keys
+        arrive in.  The layout after the sort is still the blocks' output
+        order, which ``test_kernel_matches_replay`` checks."""
+        kernel = _kernel(_emit(cell), certified)
+        for step in kernel.steps:
+            if not step.node_major:
+                for start, stop, width in step.slabs:
+                    rows = step.perm[start:stop].reshape(-1, width)
+                    assert (np.diff(rows, axis=1) > 0).all()
+
+    def test_a_layer_engaging_a_node_twice_is_refused(self):
+        """The row-major gathers skip NumPy's per-element bounds check, so
+        the lowering checks once that every layout permutes the nodes: a
+        block naming a node twice is refused, in a layer that leaves nodes
+        untouched and in one that engages them all."""
+        whole = (0, *range(15))  # 16 keys, node 0 twice, node 15 missing
+        for block in ((0, 1, 1, 2), whole):
+            with pytest.raises(ValueError, match="layer 0 engages a node twice"):
+                CompiledSchedule(_mixed_dag([((), ((block, False),))]))
 
     def test_mixed_layers_take_both_forms(self):
         kernel = CompiledSchedule(self._dag())

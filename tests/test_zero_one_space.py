@@ -100,7 +100,7 @@ RACY = [
 
 def _replay_round(dag, rd: ScheduleRound, states: np.ndarray) -> np.ndarray:
     """Reference semantics for one round over node-major 0-1 states."""
-    one_round = dataclasses.replace(dag, rounds=(rd,))
+    one_round = dataclasses.replace(dag, rounds=(dataclasses.replace(rd, index=0),))
     return replay(one_round, states.T).T
 
 
