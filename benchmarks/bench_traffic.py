@@ -1,7 +1,8 @@
 """E18 (instrumentation) — link-level traffic profile of the sort.
 
-Uses the machine's traffic recorder to characterise how the algorithm loads
-the network — the kind of table an interconnect architect would ask for:
+Reads the machine schedule's static traffic pass to characterise how the
+algorithm loads the network — the kind of table an interconnect architect
+would ask for:
 
 * per-dimension compare-exchange counts: dimensions {1, 2} dominate (all
   2-D base sorts live there); higher dimensions only carry the Step-4
@@ -20,20 +21,16 @@ import pytest
 from conftest import print_table
 from repro.core.machine_sort import MachineSorter
 from repro.graphs import complete_binary_tree, cycle_graph, path_graph
-from repro.machine.stats import TrafficRecorder
-from repro.observability import EventBus, MachineTimeline, TrafficSubscriber
+from repro.machine import machine_traffic, traffic_stats
 from repro.orders import lattice_to_sequence
 
 
 def _instrumented_sort(factor, r, rng):
     ms = MachineSorter.for_factor(factor, r)
     keys = rng.integers(0, 2**20, size=ms.network.num_nodes)
-    bus = EventBus()
-    recorder = TrafficRecorder(ms.network)
-    bus.subscribe(TrafficSubscriber(recorder))
-    machine, _ = ms.sort(keys, timeline=MachineTimeline(ms.network, bus=bus))
+    machine, _ = ms.sort(keys)
     assert np.all(np.diff(lattice_to_sequence(machine.lattice())) >= 0)
-    return machine, recorder.stats(), keys
+    return machine, traffic_stats(machine_traffic(ms.schedule(), ms.network), ms.network), keys
 
 
 @pytest.mark.parametrize(

@@ -19,8 +19,7 @@ import numpy as np
 
 from repro import FactorGraph, MachineSorter, ProductNetworkSorter, lattice_to_sequence
 from repro.analysis import network_prediction
-from repro.machine.stats import TrafficRecorder
-from repro.observability import EventBus, MachineTimeline, TrafficSubscriber
+from repro.machine import machine_traffic, traffic_stats
 from repro.viz import render_factor_graph
 
 
@@ -58,10 +57,9 @@ def main() -> None:
     # fine-grained run at r = 2 with traffic instrumentation
     ms = MachineSorter.for_factor(canon, 2)
     keys2 = rng.integers(0, 10**6, size=36)
-    bus = EventBus()
-    recorder = bus.subscribe(TrafficSubscriber(TrafficRecorder(ms.network))).recorder
-    machine, _ = ms.sort(keys2, timeline=MachineTimeline(ms.network, bus=bus))
-    stats = recorder.stats()
+    machine, _ = ms.sort(keys2)
+    # the schedule is oblivious: its traffic is read off the emitted DAG
+    stats = traffic_stats(machine_traffic(ms.schedule(), ms.network), ms.network)
     assert np.array_equal(lattice_to_sequence(machine.lattice()), np.sort(keys2))
     print(
         f"\nfine-grained bowtie^2 sort: {machine.rounds} measured rounds, "

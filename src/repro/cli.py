@@ -9,8 +9,8 @@ Reproduces the paper's evaluation from the shell:
 * ``dirty-area`` — Lemma 1's ``<= N**2`` bound, measured;
 * ``trace`` — run one sort under the telemetry layer and export the phase
   span tree (Chrome trace-event JSON / JSONL / text summary);
-* ``topo`` — run one machine sort under the topology observatory and render
-  per-link congestion heatmaps and load-imbalance indices (terminal shading,
+* ``topo`` — read one machine schedule's per-link traffic off its DAG and
+  render congestion heatmaps and load-imbalance indices (terminal shading,
   standalone SVG, or JSON);
 * ``check`` — static schedule verifier: extract the comparator DAG of every
   benchreg matrix cell, certify obliviousness, and lint it (zero-one, races,
@@ -172,32 +172,44 @@ def _trace_factor(name: str, n: int):
     raise ValueError(f"unknown factor {name!r}")
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _sorter(args: argparse.Namespace, backend: str = "machine"):
+    """The ``backend`` sorter for ``--factor``/``--n``/``--r``, or ``None``
+    after printing why the geometry is refused (a usage error: exit 2)."""
     from .core.lattice_sort import ProductNetworkSorter
     from .core.machine_sort import MachineSorter
+
+    cls = MachineSorter if backend == "machine" else ProductNetworkSorter
+    try:
+        return cls.for_factor(_trace_factor(args.factor, args.n), args.r)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return None
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
+    from .machine.machine import machine_traffic
     from .observability import (
-        MachineTimeline,
         Tracer,
         chrome_trace_json,
+        machine_steps,
         phase_summary,
         spans_to_jsonl,
-        timeline_to_jsonl,
+        steps_to_jsonl,
     )
     from .orders import lattice_to_sequence
 
-    factor = _trace_factor(args.factor, args.n)
+    sorter = _sorter(args, args.backend)
+    if sorter is None:
+        return 2
     tracer = Tracer()
     rng = np.random.default_rng(args.seed)
-    timeline = None
+    keys = rng.integers(0, 2**31, size=sorter.network.num_nodes)
+    traffic = None
     if args.backend == "machine":
-        sorter = MachineSorter.for_factor(factor, args.r)
-        timeline = MachineTimeline(sorter.network, bus=tracer.bus)
-        keys = rng.integers(0, 2**31, size=sorter.network.num_nodes)
-        machine, ledger = sorter.sort(keys, tracer=tracer, timeline=timeline)
+        machine, ledger = sorter.sort(keys, tracer=tracer)
         seq = lattice_to_sequence(machine.lattice())
+        traffic = machine_traffic(sorter.schedule(), sorter.network)
     else:
-        sorter = ProductNetworkSorter.for_factor(factor, args.r)
-        keys = rng.integers(0, 2**31, size=sorter.network.num_nodes)
         lattice, ledger = sorter.sort_sequence(keys, tracer=tracer)
         seq = lattice_to_sequence(lattice)
     if not bool(np.all(np.asarray(seq)[:-1] <= np.asarray(seq)[1:])):
@@ -205,13 +217,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 1
 
     if args.export == "chrome":
-        text = chrome_trace_json(tracer, timeline=timeline)
-    elif args.export == "jsonl":
-        text = spans_to_jsonl(tracer)
-        if timeline is not None:
-            text += timeline_to_jsonl(timeline)
+        text = chrome_trace_json(tracer, traffic=traffic)
     else:
-        text = phase_summary(tracer, timeline=timeline)
+        steps = None if traffic is None else machine_steps(traffic, sorter.network)
+        if args.export == "jsonl":
+            text = spans_to_jsonl(tracer) + ("" if steps is None else steps_to_jsonl(steps))
+        else:
+            text = phase_summary(tracer, steps=steps)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
@@ -222,30 +234,21 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_topo(args: argparse.Namespace) -> int:
-    from .core.machine_sort import MachineSorter
-    from .observability import LinkObservatory, MachineTimeline, Tracer
+    from .observability import LinkObservatory
     from .observability.heatmap import (
         render_imbalance_table,
         render_topology_heatmap,
         topology_json,
         topology_svg,
     )
-    from .orders import lattice_to_sequence
 
-    factor = _trace_factor(args.factor, args.n)
-    tracer = Tracer()
-    sorter = MachineSorter.for_factor(factor, args.r)
-    observatory = LinkObservatory(sorter.network, bus=tracer.bus)
-    timeline = MachineTimeline(sorter.network, bus=tracer.bus)
-    rng = np.random.default_rng(args.seed)
-    keys = rng.integers(0, 2**31, size=sorter.network.num_nodes)
-    machine, _ = sorter.sort(keys, tracer=tracer, timeline=timeline)
-    seq = lattice_to_sequence(machine.lattice())
-    if not bool(np.all(np.asarray(seq)[:-1] <= np.asarray(seq)[1:])):
-        print("UNSORTED OUTPUT — topology not exported", file=sys.stderr)
-        return 1
+    sorter = _sorter(args)
+    if sorter is None:
+        return 2
+    # the schedule is oblivious: its wires are read off the DAG, no keys needed
+    observatory = LinkObservatory(sorter.network, sorter.schedule())
 
-    title = f"topology observatory — {args.factor} n={factor.n} r={args.r}"
+    title = f"topology observatory — {args.factor} n={sorter.n} r={args.r}"
     if args.export == "svg":
         text = topology_svg(observatory, title=title)
     elif args.export == "json":
@@ -397,23 +400,24 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_metrics(args: argparse.Namespace) -> int:
-    from .core.machine_sort import MachineSorter
-    from .observability import MachineTimeline, MetricsRegistry, MetricsSubscriber, Tracer
+    from .machine.machine import machine_traffic
+    from .observability import MetricsRegistry, MetricsSubscriber, Tracer, traffic_metrics
     from .orders import lattice_to_sequence
 
-    factor = _trace_factor(args.factor, args.n)
+    sorter = _sorter(args)
+    if sorter is None:
+        return 2
     tracer = Tracer()
     registry = MetricsRegistry()
     tracer.bus.subscribe(MetricsSubscriber(registry))
-    sorter = MachineSorter.for_factor(factor, args.r)
-    timeline = MachineTimeline(sorter.network, bus=tracer.bus)
     rng = np.random.default_rng(args.seed)
     keys = rng.integers(0, 2**31, size=sorter.network.num_nodes)
-    machine, _ = sorter.sort(keys, tracer=tracer, timeline=timeline)
+    machine, _ = sorter.sort(keys, tracer=tracer)
     seq = lattice_to_sequence(machine.lattice())
     if not bool(np.all(np.asarray(seq)[:-1] <= np.asarray(seq)[1:])):
         print("UNSORTED OUTPUT — metrics not exported", file=sys.stderr)
         return 1
+    traffic_metrics(registry, machine_traffic(sorter.schedule(), sorter.network), sorter.network)
     text = (
         json.dumps(registry.snapshot(), indent=2)
         if args.format == "json"
@@ -747,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("lattice", "machine"),
         default="machine",
-        help="lattice = modelled costs; machine = measured rounds + super-step timeline",
+        help="lattice = modelled costs; machine = measured rounds + per-super-step traffic",
     )
     p.add_argument(
         "--export",
@@ -780,7 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a standalone report instead of terminal output",
     )
     p.add_argument("--out", type=str, default=None, help="write to a file instead of stdout")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_topo)
 
     p = sub.add_parser(

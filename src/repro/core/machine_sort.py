@@ -19,10 +19,11 @@ interprets it on a machine holding the real keys: the span program derived
 from the phase paths (:func:`repro.schedule.program.machine_program`) opens
 the spans, each charged phase's rounds are issued as ``compare_exchange``
 super-steps (re-measuring, and asserting, the emitted costs), and the ledger
-is charged from the phase identity.  Telemetry consumers — tracer, timeline,
-traffic recorders, the conformance checker — see the §3.3 recursion's span
-tree, with every subgraph of a level batched into the same rounds as on
-real hardware.
+is charged from the phase identity.  A tracer sees the §3.3 recursion's
+span tree, with every subgraph of a level batched into the same rounds as
+on real hardware.  Which wires each round uses is a property of the
+schedule, not of the run: :func:`repro.machine.machine.machine_traffic`
+reads it off the DAG for the topology and traffic telemetry.
 
 Consequently the ledger shows the same ``(r-1)**2`` / ``(r-1)(r-2)`` call
 structure as Theorem 1, with measured (not modelled) round counts — now by
@@ -35,7 +36,7 @@ from ..graphs.base import FactorGraph
 from ..graphs.product import ProductGraph
 from ..machine.machine import NetworkMachine
 from ..machine.metrics import CostLedger
-from ..observability import MachineTimeline, Tracer, coerce_tracer
+from ..observability import Tracer, coerce_tracer
 from ..schedule import (
     ComparatorDAG,
     SchedulePhase,
@@ -95,12 +96,7 @@ class MachineSorter:
         factor graph, ``r`` and sorter template)."""
         return emit_machine_schedule(self)
 
-    def sort(
-        self,
-        keys,
-        tracer: Tracer | None = None,
-        timeline: MachineTimeline | None = None,
-    ) -> tuple[NetworkMachine, CostLedger]:
+    def sort(self, keys, tracer: Tracer | None = None) -> tuple[NetworkMachine, CostLedger]:
         """Sort flat ``keys`` (node flat-index order) into snake order.
 
         Interprets the emitted schedule: returns the machine (holding the
@@ -110,13 +106,10 @@ class MachineSorter:
         When a ``tracer`` is given, the run is recorded as a span tree of
         the charged phases with *measured* rounds and comparisons per span
         (Theorem 1's ``(r-1)**2`` / ``(r-1)(r-2)`` call structure, from
-        telemetry).  When a ``timeline`` is given it is attached to the
-        machine and receives every compare-exchange super-step.
+        telemetry).
         """
         dag = self.schedule()
         machine = NetworkMachine(self.network, keys)
-        if timeline is not None:
-            machine.timeline = timeline
         ledger = CostLedger()
         tracer = coerce_tracer(tracer)
         if self._labels is None:

@@ -2,6 +2,7 @@
 
 * :mod:`repro.machine.machine` — :class:`NetworkMachine`: one key per node,
   validated parallel compare-exchange as the sole communication primitive;
+  :func:`machine_traffic` reads a schedule's per-round traffic off its DAG;
 * :mod:`repro.machine.routing` — store-and-forward permutation routing in
   factor graphs with measured makespans and the paper's published ``R(N)``
   bounds;
@@ -18,7 +19,7 @@ from .collectives import (
     reduce_rounds,
     simulate_reduce,
 )
-from .machine import NetworkMachine
+from .machine import NetworkMachine, TrafficRound, machine_traffic
 from .metrics import CostLedger, PhaseRecord
 from .primitives import (
     odd_even_transposition_rounds,
@@ -26,7 +27,7 @@ from .primitives import (
     product_snake_labels,
     subgraph_snake_labels,
 )
-from .stats import TrafficRecorder, TrafficStats
+from .stats import TrafficStats, traffic_stats
 from .routing import (
     RoutingResult,
     exchange_rounds,
@@ -36,6 +37,8 @@ from .routing import (
 
 __all__ = [
     "NetworkMachine",
+    "TrafficRound",
+    "machine_traffic",
     "and_reduce_check_rounds",
     "broadcast_rounds",
     "factor_tree_depth",
@@ -43,8 +46,8 @@ __all__ = [
     "simulate_reduce",
     "CostLedger",
     "PhaseRecord",
-    "TrafficRecorder",
     "TrafficStats",
+    "traffic_stats",
     "RoutingResult",
     "exchange_rounds",
     "published_routing_bound",

@@ -21,13 +21,17 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import zip_longest
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
 from ..graphs.product import ProductGraph
 from .routing import StepRouting, route_partial_permutation
 
-__all__ = ["NetworkMachine", "measure_step"]
+if TYPE_CHECKING:
+    from ..schedule.ir import ComparatorDAG
+
+__all__ = ["NetworkMachine", "TrafficRound", "machine_traffic", "measure_step"]
 
 Label = tuple[int, ...]
 
@@ -92,6 +96,35 @@ def measure_step(
     )
 
 
+class TrafficRound(NamedTuple):
+    """One compare-exchange super-step of an emitted machine schedule."""
+
+    #: index of the :class:`~repro.schedule.ir.SchedulePhase` the round charges
+    phase: int
+    #: ``(lo, hi)`` flat node indices, in the round's comparator order
+    pairs: list[tuple[int, int]]
+    #: rounds the step is charged (>1 only when it routed)
+    charge: int
+    #: the routed paths and buffers, ``None`` when every pair is a network edge
+    routes: StepRouting | None
+
+
+def machine_traffic(dag: ComparatorDAG, network: ProductGraph) -> Iterator[TrafficRound]:
+    """The traffic of a machine schedule on ``network``, round by round.
+
+    The schedule is oblivious, so which wires each super-step uses and what
+    it costs follow from the DAG alone: every round with comparators is
+    measured once by :func:`measure_step`, without a key, in execution
+    order.  Rounds without comparators (vacuous transpositions) are not
+    super-steps and yield nothing, as on the machine.
+    """
+    labels = [network.label_of(i) for i in range(network.num_nodes)]
+    for rd in dag.rounds:
+        if rd.comparator_count:
+            pairs = [(labels[a], labels[b]) for a, b in zip(rd.lo.tolist(), rd.hi.tolist())]
+            yield TrafficRound(rd.phase, *measure_step(network, pairs))
+
+
 class NetworkMachine:
     """State and operation log of one simulated product-network machine.
 
@@ -118,13 +151,6 @@ class NetworkMachine:
         self.comparisons = 0
         #: number of compare-exchange super-steps issued
         self.operations = 0
-        #: optional :class:`~repro.machine.stats.TrafficRecorder`
-        self.recorder = None
-        #: optional :class:`~repro.observability.timeline.MachineTimeline` —
-        #: receives ``record(pairs, cost)`` once per super-step, and (when
-        #: built with a bus) republishes each step as a ``machine_step``
-        #: event for any other subscriber on the telemetry spine
-        self.timeline = None
 
     # ------------------------------------------------------------------
     # views
@@ -158,16 +184,14 @@ class NetworkMachine:
         each subgraph's simultaneous two-way key exchange is routed by
         :func:`repro.machine.routing.route_partial_permutation`, and the step
         costs the worst subgraph's makespan (all subgraphs route concurrently
-        — they are link-disjoint by construction).  Routed steps hand the
-        hooks a :class:`~repro.machine.routing.StepRouting` with the actual
-        per-packet label routes and buffer occupancy, so subscribers see the
-        wires the exchange really used.
+        — they are link-disjoint by construction).  What a step carried on
+        which wires is read off the schedule by :func:`machine_traffic`.
 
         Returns the rounds charged (also accumulated on :attr:`rounds`).
         """
         if not pairs:
             return 0
-        flat, cost, routes = measure_step(self.network, pairs)
+        flat, cost, _ = measure_step(self.network, pairs)
         for ia, ib in flat:
             a, b = self.keys[ia], self.keys[ib]
             if b < a:
@@ -175,10 +199,6 @@ class NetworkMachine:
         self.comparisons += len(pairs)
         self.rounds += cost
         self.operations += 1
-        if self.recorder is not None:
-            self.recorder.record(pairs, cost, routes)
-        if self.timeline is not None:
-            self.timeline.record(pairs, cost, routes)
         return cost
 
     # ------------------------------------------------------------------

@@ -1,15 +1,13 @@
-"""Traffic instrumentation for the fine-grained machine.
+"""Traffic statistics of a machine schedule.
 
 Answers the network-architecture questions the cost ledger abstracts away:
 which dimensions carry the sorting traffic, how evenly the links are used,
 and how much of the machine's parallelism the algorithm actually exploits.
-Attach a :class:`TrafficRecorder` to a :class:`NetworkMachine` and read its
-:meth:`TrafficRecorder.stats` after a run:
+The schedule is oblivious, so the answer is a reduction of its static
+traffic pass (:func:`~repro.machine.machine.machine_traffic`):
 
->>> machine = NetworkMachine(network, keys)
->>> machine.recorder = TrafficRecorder(network)
->>> MachineSorter(network).sort(keys)        # doctest: +SKIP
->>> machine.recorder.stats().dimension_ops   # doctest: +SKIP
+>>> dag = MachineSorter(network).schedule()                          # doctest: +SKIP
+>>> traffic_stats(machine_traffic(dag, network), network).dimension_ops  # doctest: +SKIP
 
 Findings this surfaces (see ``benchmarks/bench_traffic.py``): the
 multiway-merge sort touches dimension 1 far more than the others (all the
@@ -21,18 +19,18 @@ block transpositions all of them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 from ..graphs.product import ProductGraph
+from .machine import TrafficRound
 
-__all__ = ["TrafficStats", "TrafficRecorder"]
-
-Label = tuple[int, ...]
+__all__ = ["TrafficStats", "traffic_stats"]
 
 
 @dataclass(frozen=True)
 class TrafficStats:
-    """Aggregated traffic of one machine run."""
+    """Aggregated traffic of one machine schedule."""
 
     #: compare-exchange super-steps observed
     operations: int
@@ -53,88 +51,48 @@ class TrafficStats:
     routed_link_traversals: int = 0
     #: total directed link traversals of the run: two per pair of a purely
     #: adjacent step (the two-way key exchange) plus the routed steps' actual
-    #: path hops — the ground truth the topology observatory must reproduce
+    #: path hops — the total the topology observatory's wires sum to
     link_traversals: int = 0
     #: deepest intermediate-node buffer any routed step needed
     peak_buffer_depth: int = 0
 
 
-@dataclass
-class TrafficRecorder:
-    """Collects per-step traffic when attached to a machine.
-
-    The machine calls :meth:`record` once per compare-exchange super-step
-    (the hook is a single line in ``NetworkMachine.compare_exchange``); the
-    recorder never mutates machine state.
-    """
-
-    network: ProductGraph
-    _dimension_ops: Counter = field(default_factory=Counter)
-    _dimension_lane_sets: dict[int, set] = field(default_factory=dict)
-    _pairs_per_step: list[int] = field(default_factory=list)
-    _adjacent: int = 0
-    _routed: int = 0
-    _routed_hops: int = 0
-    _link_traversals: int = 0
-    _peak_buffer_depth: int = 0
-
-    def record(self, pairs: list[tuple[Label, Label]], cost: int, routes=None) -> None:
-        """Observe one super-step (called by the machine).
-
-        ``routes`` is the step's :class:`~repro.machine.routing.StepRouting`
-        when the exchange had to route, ``None`` for purely adjacent steps.
-        """
-        if routes is not None:
-            self._routed_hops += routes.link_traversals
-            self._link_traversals += routes.link_traversals
-            self._peak_buffer_depth = max(self._peak_buffer_depth, routes.peak_buffer_depth)
+def traffic_stats(traffic: Iterable[TrafficRound], network: ProductGraph) -> TrafficStats:
+    """Aggregate a traffic pass over ``network`` into :class:`TrafficStats`."""
+    dimension_ops: Counter = Counter()
+    lanes: dict[int, set] = {}
+    pairs_per_step: list[int] = []
+    adjacent = routed = routed_hops = link_traversals = peak_depth = 0
+    for step in traffic:
+        if step.routes is not None:
+            routed_hops += step.routes.link_traversals
+            link_traversals += step.routes.link_traversals
+            peak_depth = max(peak_depth, step.routes.peak_buffer_depth)
         else:
-            self._link_traversals += 2 * len(pairs)
-        self._pairs_per_step.append(len(pairs))
-        r = self.network.r
-        factor = self.network.factor
-        for lo, hi in pairs:
-            diff = [i for i, (a, b) in enumerate(zip(lo, hi)) if a != b]
-            if len(diff) != 1:  # pragma: no cover - machine validates first
-                continue
-            idx = diff[0]
-            dimension = r - idx
-            self._dimension_ops[dimension] += 1
-            lane = (dimension, lo[:idx] + lo[idx + 1 :])
-            self._dimension_lane_sets.setdefault(dimension, set()).add(lane)
-            if factor.has_edge(lo[idx], hi[idx]):
-                self._adjacent += 1
+            link_traversals += 2 * len(step.pairs)
+        pairs_per_step.append(len(step.pairs))
+        for a, b in step.pairs:
+            lo, hi = network.label_of(a), network.label_of(b)
+            idx = next(i for i, (x, y) in enumerate(zip(lo, hi)) if x != y)
+            dimension = network.r - idx
+            dimension_ops[dimension] += 1
+            lanes.setdefault(dimension, set()).add(lo[:idx] + lo[idx + 1 :])
+            if network.factor.has_edge(lo[idx], hi[idx]):
+                adjacent += 1
             else:
-                self._routed += 1
-
-    def stats(self) -> TrafficStats:
-        """Aggregate everything observed so far."""
-        operations = len(self._pairs_per_step)
-        pair_count = sum(self._pairs_per_step)
-        mean_parallelism = pair_count / operations if operations else 0.0
-        peak_pairs = max(self._pairs_per_step, default=0)
-        peak_util = 2 * peak_pairs / self.network.num_nodes if self.network.num_nodes else 0.0
-        return TrafficStats(
-            operations=operations,
-            pair_count=pair_count,
-            dimension_ops=dict(self._dimension_ops),
-            dimension_lanes={d: len(s) for d, s in self._dimension_lane_sets.items()},
-            mean_parallelism=mean_parallelism,
-            peak_node_utilisation=peak_util,
-            adjacent_pairs=self._adjacent,
-            routed_pairs=self._routed,
-            routed_link_traversals=self._routed_hops,
-            link_traversals=self._link_traversals,
-            peak_buffer_depth=self._peak_buffer_depth,
-        )
-
-    def reset(self) -> None:
-        """Forget everything (reuse across runs)."""
-        self._dimension_ops.clear()
-        self._dimension_lane_sets.clear()
-        self._pairs_per_step.clear()
-        self._adjacent = 0
-        self._routed = 0
-        self._routed_hops = 0
-        self._link_traversals = 0
-        self._peak_buffer_depth = 0
+                routed += 1
+    operations = len(pairs_per_step)
+    pair_count = sum(pairs_per_step)
+    return TrafficStats(
+        operations=operations,
+        pair_count=pair_count,
+        dimension_ops=dict(dimension_ops),
+        dimension_lanes={d: len(s) for d, s in lanes.items()},
+        mean_parallelism=pair_count / operations if operations else 0.0,
+        peak_node_utilisation=2 * max(pairs_per_step, default=0) / network.num_nodes,
+        adjacent_pairs=adjacent,
+        routed_pairs=routed,
+        routed_link_traversals=routed_hops,
+        link_traversals=link_traversals,
+        peak_buffer_depth=peak_depth,
+    )

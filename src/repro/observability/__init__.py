@@ -6,7 +6,10 @@ hierarchical tree of phase :class:`~repro.observability.tracer.Span` objects
 (distribute → column-merges → interleave → clean-up, recursing through
 dimensions ``3..r``), streams everything over one
 :class:`~repro.observability.events.EventBus`, and exports to JSONL, Chrome
-trace-event JSON (Perfetto / ``chrome://tracing``) and text summaries.
+trace-event JSON (Perfetto / ``chrome://tracing``) and text summaries.  The
+machine's link traffic is read off its schedule, not recorded
+(:class:`~repro.observability.topology.LinkObservatory`,
+:func:`~repro.observability.export.machine_steps`).
 
 Typical use::
 
@@ -42,18 +45,11 @@ from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from .cachestats import CacheStats, all_cache_stats, publish_cache_metrics
-    from .critical_path import (
-        ConformanceReport,
-        MergeLevelCheck,
-        PhaseBreakdown,
-        conformance_report,
-    )
     from .events import (
         CallbackSubscriber,
         EventBus,
         LedgerSubscriber,
         TraceEvent,
-        TrafficSubscriber,
         phase_key,
         point_event,
     )
@@ -66,10 +62,12 @@ if TYPE_CHECKING:
     )
     from .export import (
         chrome_trace_json,
+        machine_steps,
         phase_summary,
         spans_to_jsonl,
-        timeline_to_jsonl,
+        steps_to_jsonl,
         to_chrome_trace,
+        traffic_metrics,
     )
     from .httpexpo import MetricsServer, build_metrics_server
     from .kernelprof import (
@@ -94,7 +92,6 @@ if TYPE_CHECKING:
         SLOSpec,
         default_serve_slos,
     )
-    from .timeline import MachineStep, MachineTimeline
     from .tsdb import TimeSeriesStore
     from .topology import CongestionIndex, LinkObservatory
     from .tracer import NULL_TRACER, NullTracer, Span, Tracer, coerce_tracer, point_emitter
@@ -104,7 +101,6 @@ __all__ = [
     "EventBus",
     "CallbackSubscriber",
     "LedgerSubscriber",
-    "TrafficSubscriber",
     "point_event",
     "phase_key",
     "Span",
@@ -113,13 +109,13 @@ __all__ = [
     "NULL_TRACER",
     "coerce_tracer",
     "point_emitter",
-    "MachineStep",
-    "MachineTimeline",
+    "machine_steps",
     "spans_to_jsonl",
-    "timeline_to_jsonl",
+    "steps_to_jsonl",
     "to_chrome_trace",
     "chrome_trace_json",
     "phase_summary",
+    "traffic_metrics",
     "Counter",
     "Gauge",
     "Histogram",
@@ -142,10 +138,6 @@ __all__ = [
     "BurnPolicy",
     "SEVERITIES",
     "default_serve_slos",
-    "ConformanceReport",
-    "MergeLevelCheck",
-    "PhaseBreakdown",
-    "conformance_report",
     "CongestionIndex",
     "LinkObservatory",
     "render_topology_heatmap",
@@ -162,7 +154,6 @@ _EXPORTS: dict[str, str] = {
     "EventBus": "events",
     "CallbackSubscriber": "events",
     "LedgerSubscriber": "events",
-    "TrafficSubscriber": "events",
     "point_event": "events",
     "phase_key": "events",
     "Span": "tracer",
@@ -171,13 +162,13 @@ _EXPORTS: dict[str, str] = {
     "NULL_TRACER": "tracer",
     "coerce_tracer": "tracer",
     "point_emitter": "tracer",
-    "MachineStep": "timeline",
-    "MachineTimeline": "timeline",
+    "machine_steps": "export",
     "spans_to_jsonl": "export",
-    "timeline_to_jsonl": "export",
+    "steps_to_jsonl": "export",
     "to_chrome_trace": "export",
     "chrome_trace_json": "export",
     "phase_summary": "export",
+    "traffic_metrics": "export",
     "Counter": "metrics",
     "Gauge": "metrics",
     "Histogram": "metrics",
@@ -200,10 +191,6 @@ _EXPORTS: dict[str, str] = {
     "BurnPolicy": "slo",
     "SEVERITIES": "slo",
     "default_serve_slos": "slo",
-    "ConformanceReport": "critical_path",
-    "MergeLevelCheck": "critical_path",
-    "PhaseBreakdown": "critical_path",
-    "conformance_report": "critical_path",
     "CongestionIndex": "topology",
     "LinkObservatory": "topology",
     "render_topology_heatmap": "heatmap",

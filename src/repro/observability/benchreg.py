@@ -7,11 +7,13 @@ every cell is one full traced sort — and snapshots, per cell, only what
 * ``sorted_ok`` and the canonical emitted ``schedule_hash``;
 * the cost ledger's counts (total/S₂/routing rounds, call counts,
   comparisons) and the traced ``span_count``;
-* the :mod:`~repro.observability.critical_path` conformance verdict
-  (Lemma 3 / Theorem 1, from telemetry) and its structural round counts;
+* the conformance verdict of the cell's emitted schedule (Lemma 3 /
+  Theorem 1, :func:`~repro.staticcheck.lints.lint_depth`) and its
+  structural round counts;
 * machine-backend cells: the
-  :class:`~repro.observability.topology.LinkObservatory` totals (steps,
-  edges, traversals, peak load and buffer depth);
+  :class:`~repro.observability.topology.LinkObservatory` totals of the
+  schedule's traffic (steps, edges, traversals, peak load and buffer
+  depth);
 * an ``optimize`` block: the certified optimizer
   (:func:`repro.schedule.optimize.optimize_schedule`) run over the cell's
   emitted schedule — the optimized hash, per-pass certificates, fallback
@@ -151,24 +153,26 @@ def run_cell(cell: WorkloadCell, seed: int = 0) -> dict[str, Any]:
     from ..core.lattice_sort import ProductNetworkSorter
     from ..core.machine_sort import MachineSorter
     from ..orders import lattice_to_sequence
-    from .critical_path import conformance_report
+    from .topology import LinkObservatory
     from .tracer import Tracer
 
     factor = cell.build_factor()
     rng = np.random.default_rng(seed)
+    tracer = Tracer()
     topology = None
 
     if cell.backend == "machine":
         sorter: Any = MachineSorter.for_factor(factor, cell.r)
         keys = rng.integers(0, 2**31, size=sorter.network.num_nodes)
-        tracer, topology, machine, ledger = _traced_machine_sort(sorter, keys)
+        machine, ledger = sorter.sort(keys, tracer=tracer)
         seq = lattice_to_sequence(machine.lattice())
         s2_model = routing_model = None
         comparisons = int(machine.comparisons)
+        snapshot = LinkObservatory(sorter.network, sorter.schedule()).snapshot()
+        topology = {name: snapshot[name] for name in TOPOLOGY_TOTALS}
     elif cell.backend == "lattice":
         sorter = ProductNetworkSorter.for_factor(factor, cell.r)
         keys = rng.integers(0, 2**31, size=sorter.network.num_nodes)
-        tracer = Tracer()
         lattice, ledger = sorter.sort_sequence(keys, tracer=tracer)
         seq = lattice_to_sequence(lattice)
         s2_model = sorter.sorter2d.rounds(factor.n)
@@ -178,7 +182,6 @@ def run_cell(cell: WorkloadCell, seed: int = 0) -> dict[str, Any]:
     else:
         raise ValueError(f"unknown backend {cell.backend!r}")
 
-    report = conformance_report(tracer, s2_model, routing_model)
     record: dict[str, Any] = {
         "cell": cell.key,
         "sorted_ok": bool(np.all(np.asarray(seq)[:-1] <= np.asarray(seq)[1:])),
@@ -194,16 +197,7 @@ def run_cell(cell: WorkloadCell, seed: int = 0) -> dict[str, Any]:
             "comparisons": comparisons,
             "span_count": sum(1 for _ in tracer.iter_spans()),
         },
-        "conformance": {
-            "ok": report.ok,
-            "theorem1_calls_ok": report.theorem1_calls_ok,
-            "theorem1_rounds_ok": report.theorem1_rounds_ok,
-            "matches_model": report.matches_model,
-            "predicted_total_rounds": report.predicted_total_rounds,
-            "model_total_rounds": report.model_total_rounds,
-            "vacuous_routing_spans": report.vacuous_routing_spans,
-            "deviations": report.deviations,
-        },
+        "conformance": _conformance(sorter.schedule(), s2_model, routing_model),
     }
     if topology is not None:
         record["topology"] = topology
@@ -211,37 +205,35 @@ def run_cell(cell: WorkloadCell, seed: int = 0) -> dict[str, Any]:
     return record
 
 
-def _traced_machine_sort(sorter, keys):
-    """Run the machine sort once with the tracer, the machine timeline, the
-    traffic recorder and the link observatory all on one event bus (the
-    observatory attributes each link traversal to the enclosing phase span).
+def _conformance(dag, s2_model: int | None, routing_model: int | None) -> dict[str, Any]:
+    """The emitted schedule's conformance verdict from
+    :func:`~repro.staticcheck.lints.lint_depth`: Theorem 1's call counts,
+    its closed form at the schedule's own unit costs (vacuous
+    transpositions charge nothing) and, for a lattice cell, at the analytic
+    models; Lemma 3 on every merge.  ``deviations`` are the lint's findings."""
+    from ..analysis.complexity import sort_routing_calls, sort_rounds, sort_s2_calls
+    from ..staticcheck.lints import lint_depth
 
-    Returns ``(tracer, topology totals, machine, ledger)``; the observatory's
-    traversal total is cross-checked against the recorder's.
-    """
-    from ..machine.stats import TrafficRecorder
-    from .events import EventBus, TrafficSubscriber
-    from .timeline import MachineTimeline
-    from .topology import LinkObservatory
-    from .tracer import Tracer
-
-    bus = EventBus()
-    recorder = TrafficRecorder(sorter.network)
-    bus.subscribe(TrafficSubscriber(recorder))
-    observatory = LinkObservatory(sorter.network, bus=bus)
-    tracer = Tracer(bus=bus)
-    machine, ledger = sorter.sort(
-        keys, tracer=tracer, timeline=MachineTimeline(sorter.network, bus=bus)
+    result = lint_depth(dag, s2_model, routing_model)
+    stats = result.stats
+    live = stats["routing_phases"] - stats["vacuous_routing_phases"]
+    predicted = stats["s2_phases"] * (stats["s2_unit"] or 0) + live * (stats["routing_unit"] or 0)
+    model = (
+        None
+        if s2_model is None or routing_model is None
+        else sort_rounds(dag.r, s2_model, routing_model)
     )
-    snapshot = observatory.snapshot()
-    traversals = recorder.stats().link_traversals
-    if snapshot["total_traversals"] != traversals:  # pragma: no cover
-        raise AssertionError(
-            "topology observatory disagrees with the traffic recorder: "
-            f"{snapshot['total_traversals']} vs {traversals} traversals"
-        )
-    topology = {name: snapshot[name] for name in TOPOLOGY_TOTALS}
-    return tracer, topology, machine, ledger
+    return {
+        "ok": result.ok,
+        "theorem1_calls_ok": stats["s2_phases"] == sort_s2_calls(dag.r)
+        and stats["routing_phases"] == sort_routing_calls(dag.r),
+        "theorem1_rounds_ok": stats["depth"] == predicted,
+        "matches_model": None if model is None else stats["depth"] == model,
+        "predicted_total_rounds": predicted,
+        "model_total_rounds": model,
+        "vacuous_routing_spans": stats["vacuous_routing_phases"],
+        "deviations": [finding.message for finding in result.findings],
+    }
 
 
 def _optimize_record(

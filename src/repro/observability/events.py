@@ -1,12 +1,13 @@
 """The telemetry spine: typed events and the bus that fans them out.
 
 One run of the sorter produces a single stream of :class:`TraceEvent`
-objects — span boundaries from the :class:`~repro.observability.tracer.Tracer`,
-machine super-steps from :class:`~repro.machine.machine.NetworkMachine`,
+objects — span boundaries from the :class:`~repro.observability.tracer.Tracer`
 and free-form point events (the old ``trace(event, payload)`` states).
-Every consumer (cost ledger, traffic recorder, legacy trace callbacks,
-exporters) is a *subscriber* on one :class:`EventBus`, so a single run feeds
-all of them without any instrumentation site being charged twice.
+Every consumer (cost ledger, legacy trace callbacks, metrics, exporters) is
+a *subscriber* on one :class:`EventBus`, so a single run feeds all of them
+without any instrumentation site being charged twice.  What the machine's
+wires carry is not an event: the schedule fixes it, and
+:func:`~repro.machine.machine.machine_traffic` reads it off the DAG.
 
 Event kinds
 -----------
@@ -16,9 +17,6 @@ Event kinds
 ``point``
     an instantaneous observation with a payload — the lingua franca of the
     legacy ``trace`` hook (``step1_B``, ``step3_D``, ...).
-``machine_step``
-    one compare-exchange super-step of the fine-grained machine; the attrs
-    carry the pair list and the rounds charged.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ __all__ = [
     "EventBus",
     "CallbackSubscriber",
     "LedgerSubscriber",
-    "TrafficSubscriber",
     "point_event",
     "phase_key",
 ]
@@ -44,7 +41,7 @@ clock = time.perf_counter
 def phase_key(name: str, dim: Any = None) -> str:
     """Canonical phase key for a span: ``name`` plus its dimension, if any.
 
-    Every consumer that groups telemetry by phase — the timeline's
+    Every consumer that groups telemetry by phase — the
     ``phase_summary`` table and the topology observatory's per-phase edge
     attribution — must agree on what "a phase" is, or their rows can never
     be joined.  This is the one definition: ``"merge[d3]"`` for a span named
@@ -154,22 +151,3 @@ class LedgerSubscriber:
             self.ledger.charge_s2(rounds, detail=event.name, comparisons=comparisons)
         else:
             self.ledger.charge_routing(rounds, detail=event.name, comparisons=comparisons)
-
-
-class TrafficSubscriber:
-    """Adapter: feed ``machine_step`` events into a
-    :class:`~repro.machine.stats.TrafficRecorder` — the bus-side equivalent
-    of assigning ``machine.recorder`` directly."""
-
-    __slots__ = ("recorder",)
-
-    def __init__(self, recorder: Any) -> None:
-        self.recorder = recorder
-
-    def on_event(self, event: TraceEvent) -> None:
-        if event.kind == "machine_step":
-            self.recorder.record(
-                list(event.attrs["pairs"]),
-                int(event.attrs["rounds"]),
-                event.attrs.get("routes"),
-            )

@@ -1,8 +1,7 @@
 """Metrics registry: counters, gauges and histograms over the event bus.
 
 Where the span tree (:mod:`repro.observability.tracer`) keeps the *shape* of
-a run and the timeline (:mod:`repro.observability.timeline`) keeps its raw
-super-steps, this module turns a run into *tracked numbers*: a
+a run, this module turns a run into *tracked numbers*: a
 :class:`MetricsRegistry` of named instruments that a
 :class:`MetricsSubscriber` feeds from the same
 :class:`~repro.observability.events.EventBus` every other consumer rides.
@@ -405,11 +404,9 @@ class MetricsRegistry:
 
 
 class MetricsSubscriber:
-    """Feeds a :class:`MetricsRegistry` from the unified event bus.
-
-    One subscriber covers both telemetry sources: tracer events
-    (``span_start`` / ``span_end`` / ``point``) and machine events
-    (``machine_step``).  The instruments it maintains:
+    """Feeds a :class:`MetricsRegistry` from the tracer's events on the
+    unified event bus (``span_start`` / ``span_end`` / ``point``).  The
+    instruments it maintains:
 
     ==============================  =========  =================================
     metric                          type       meaning
@@ -420,17 +417,10 @@ class MetricsSubscriber:
     ``repro_span_depth``            gauge      currently open spans
     ``repro_span_seconds``          histogram  span wall time (seconds)
     ``repro_points_total``          counter    point events by name
-    ``repro_machine_steps_total``   counter    compare-exchange super-steps
-    ``repro_machine_pairs_total``   counter    node pairs engaged, total
-    ``repro_machine_pairs``         histogram  pairs engaged per super-step
-    ``repro_machine_utilisation``   gauge      last observed step utilisation
-    ``repro_link_traversals_total`` counter    directed-link traversals, by
-                                               step kind (adjacent/routed)
-    ``repro_peak_buffer_depth``     gauge      deepest intermediate-node
-                                               buffer seen so far (run max)
-    ``repro_buffer_occupancy``      histogram  buffered packets per routing
-                                               round
     ==============================  =========  =================================
+
+    The machine's traffic instruments are a function of its schedule, not
+    of a run: :func:`~repro.observability.export.traffic_metrics` adds them.
     """
 
     #: sub-second buckets for span wall time (simulation phases are fast)
@@ -447,19 +437,6 @@ class MetricsSubscriber:
             "repro_span_seconds", "span wall time in seconds", buckets=self.TIME_BUCKETS
         )
         self._points = r.counter("repro_points_total", "instantaneous point events, by name")
-        self._steps = r.counter("repro_machine_steps_total", "machine compare-exchange super-steps")
-        self._pairs_total = r.counter("repro_machine_pairs_total", "node pairs engaged in super-steps")
-        self._pairs = r.histogram("repro_machine_pairs", "node pairs engaged per super-step")
-        self._util = r.gauge("repro_machine_utilisation", "fraction of nodes busy, last super-step")
-        self._traversals = r.counter(
-            "repro_link_traversals_total", "directed-link traversals, by step kind"
-        )
-        self._buffer_peak = r.gauge(
-            "repro_peak_buffer_depth", "deepest intermediate-node buffer observed"
-        )
-        self._occupancy = r.histogram(
-            "repro_buffer_occupancy", "buffered packets per routing round"
-        )
         self._open_starts: dict[int, float] = {}
 
     def on_event(self, event: TraceEvent) -> None:
@@ -482,20 +459,3 @@ class MetricsSubscriber:
                 self._seconds.observe(max(event.time - start, 0.0))
         elif event.kind == "point":
             self._points.inc(name=event.name)
-        elif event.kind == "machine_step":
-            pairs = len(event.attrs.get("pairs", ()))
-            self._steps.inc()
-            self._pairs_total.inc(pairs)
-            self._pairs.observe(pairs)
-            utilisation = event.attrs.get("utilisation")
-            if utilisation is not None:
-                self._util.set(float(utilisation))
-            routes = event.attrs.get("routes")
-            if routes is None:
-                self._traversals.inc(2 * pairs, kind="adjacent")
-            else:
-                self._traversals.inc(routes.link_traversals, kind="routed")
-                if routes.peak_buffer_depth > self._buffer_peak.value():
-                    self._buffer_peak.set(routes.peak_buffer_depth)
-                for depth in routes.round_occupancy:
-                    self._occupancy.observe(depth)

@@ -1,19 +1,19 @@
-"""The topology observatory: what every wire of ``PG_r`` actually carried.
+"""The topology observatory: what every wire of ``PG_r`` carries.
 
-The span tree knows *which phase ran when* and the timeline knows *how many
-pairs each super-step engaged* — but neither can answer the
-network-architecture question underneath the paper's §4 cost model: **which
-links** carried the traffic, how evenly, and how deep the store-and-forward
-buffers really got.  :class:`LinkObservatory` answers it by riding the same
-:class:`~repro.observability.events.EventBus` as every other consumer:
-
-* ``span_start`` / ``span_end`` events maintain the enclosing-phase stack
-  (phase keys come from :func:`~repro.observability.events.phase_key`, the
-  same normalisation ``phase_summary`` uses, so tables join);
-* each ``machine_step`` event contributes its directed-link traversals —
-  two per pair for an adjacent step (the two-way key exchange), the actual
-  per-packet route hops (``StepRouting.paths``) for a routed step — to a
-  global edge histogram *and* to the current phase's histogram.
+The span tree knows *which phase ran when* and the cost ledger *how many
+rounds it took* — but neither answers the network-architecture question
+underneath the paper's §4 cost model: **which links** carry the traffic,
+how evenly, and how deep the store-and-forward buffers get.  The schedule
+is oblivious, so the answer is a function of the emitted machine DAG:
+:class:`LinkObservatory` reduces its static traffic pass
+(:func:`~repro.machine.machine.machine_traffic`).  Each super-step
+contributes its directed-link traversals — two per pair for an adjacent
+step (the two-way key exchange), the actual per-packet route hops
+(``StepRouting.paths``) for a routed step — to a global edge histogram
+*and* to its phase's histogram.  A round's phase key is
+:func:`~repro.observability.events.phase_key` of its phase's leaf: the name
+and ``dim`` of the span a traced run charges it to, the same normalisation
+``phase_summary`` uses, so the tables join.
 
 On top of the raw counts the observatory computes congestion and
 load-imbalance indices (:class:`CongestionIndex`) globally, per paper
@@ -25,9 +25,8 @@ depth — the empirical check of routing.py's "buffers stay tiny" claim.
 Invariants tests pin (and :mod:`~repro.observability.benchreg` snapshots
 with zero tolerance):
 
-* ``total_traversals`` equals the
-  :class:`~repro.machine.stats.TrafficRecorder`'s pair-derived
-  ``link_traversals`` exactly;
+* ``total_traversals`` equals :class:`~repro.machine.stats.TrafficStats`'s
+  pair-derived ``link_traversals`` exactly;
 * the per-phase edge histograms sum to the global histogram;
 * ``peak_buffer_depth <= 3`` for canonically-labelled factors (dilation-3
   linear embeddings).
@@ -37,18 +36,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..graphs.product import ProductGraph
-from .events import EventBus, TraceEvent, phase_key
+from .events import phase_key
 
-__all__ = ["CongestionIndex", "LinkObservatory", "UNATTRIBUTED"]
+if TYPE_CHECKING:
+    from ..machine.machine import TrafficRound
+    from ..schedule.ir import ComparatorDAG
 
-Label = tuple[int, ...]
+__all__ = ["CongestionIndex", "LinkObservatory"]
+
 Edge = tuple[int, int]  # directed (flat source, flat target)
-
-#: phase key for machine steps seen outside any open span
-UNATTRIBUTED = "(untraced)"
 
 
 def gini(values: list[int], population: int) -> float:
@@ -104,20 +103,21 @@ class CongestionIndex:
 
 
 class LinkObservatory:
-    """Per-link traffic accumulator riding the unified event bus.
+    """Per-link traffic of one machine schedule.
 
     Parameters
     ----------
     network:
-        the :class:`~repro.graphs.product.ProductGraph` being observed —
-        supplies the structural wire counts every index is normalised by.
-    bus:
-        optional :class:`EventBus`; when given, the observatory subscribes
-        itself (it is a regular subscriber — construct unattached and call
-        :meth:`on_event` manually to replay a recorded stream).
+        the :class:`~repro.graphs.product.ProductGraph` the schedule runs
+        on — supplies the structural wire counts every index is normalised
+        by.
+    dag:
+        the emitted machine schedule; its phases name the per-phase keys.
     """
 
-    def __init__(self, network: ProductGraph, bus: EventBus | None = None) -> None:
+    def __init__(self, network: ProductGraph, dag: ComparatorDAG) -> None:
+        from ..machine.machine import machine_traffic  # importing this module loads no machine
+
         self.network = network
         #: directed edge -> traversal count, whole run
         self._edge_loads: Counter = Counter()
@@ -131,37 +131,17 @@ class LinkObservatory:
         self._occupancy: list[int] = []
         self._steps = 0
         self._routed_steps = 0
-        # enclosing-phase stack: (span_id, phase key, inherited dim)
-        self._stack: list[tuple[int | None, str, Any]] = []
-        if bus is not None:
-            bus.subscribe(self)
+        keys = [phase_key(phase.leaf, phase.dim) for phase in dag.phases]
+        for step in machine_traffic(dag, network):
+            self._observe_step(keys[step.phase], step)
 
-    # ------------------------------------------------------------------
-    # event intake
-    # ------------------------------------------------------------------
-    def on_event(self, event: TraceEvent) -> None:
-        if event.kind == "span_start":
-            # dim inherits from the nearest ancestor (chrome-trace convention)
-            inherited = self._stack[-1][2] if self._stack else None
-            dim = event.attrs.get("dim", inherited)
-            self._stack.append((event.span_id, phase_key(event.name, dim), dim))
-        elif event.kind == "span_end":
-            if self._stack and self._stack[-1][0] == event.span_id:
-                self._stack.pop()
-        elif event.kind == "machine_step":
-            self._observe_step(event.attrs)
-
-    def _observe_step(self, attrs: Any) -> None:
-        phase = self._stack[-1][1] if self._stack else UNATTRIBUTED
+    def _observe_step(self, phase: str, step: TrafficRound) -> None:
         per_phase = self._phase_edge_loads.setdefault(phase, Counter())
-        flat = self.network.flat_index
         self._steps += 1
-        routes = attrs.get("routes")
         busy: set[int] = set()
-        if routes is None:
+        if step.routes is None:
             # purely adjacent step: each pair exchanges keys both ways
-            for lo, hi in attrs["pairs"]:
-                a, b = flat(lo), flat(hi)
+            for a, b in step.pairs:
                 busy.add(a)
                 busy.add(b)
                 for edge in ((a, b), (b, a)):
@@ -171,14 +151,15 @@ class LinkObservatory:
             # routed step: charge the wires the packets actually rode;
             # relaying intermediates did work too, so they count as busy
             self._routed_steps += 1
-            for path in routes.paths:
+            flat = self.network.flat_index
+            for path in step.routes.paths:
                 flats = [flat(label) for label in path]
                 busy.update(flats)
                 for a, b in zip(flats, flats[1:]):
                     self._edge_loads[(a, b)] += 1
                     per_phase[(a, b)] += 1
-            self._occupancy.extend(routes.round_occupancy)
-            depth = routes.peak_buffer_depth
+            self._occupancy.extend(step.routes.round_occupancy)
+            depth = step.routes.peak_buffer_depth
             if depth > self._phase_buffer_depth.get(phase, 0):
                 self._phase_buffer_depth[phase] = depth
         for node in busy:
@@ -327,17 +308,6 @@ class LinkObservatory:
                 phase: idx.as_dict() for phase, idx in self.phase_indices().items()
             },
         }
-
-    def reset(self) -> None:
-        """Forget everything (reuse across runs)."""
-        self._edge_loads.clear()
-        self._phase_edge_loads.clear()
-        self._phase_buffer_depth.clear()
-        self._node_busy.clear()
-        self._occupancy.clear()
-        self._steps = 0
-        self._routed_steps = 0
-        self._stack.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable
 
 from ..graphs.base import FactorGraph
@@ -129,6 +128,20 @@ class ExecutableTwoDimSorter(ABC):
         return templates[factor]
 
 
+class _LoggingMachine(NetworkMachine):
+    """A machine that keeps each super-step's pairs and charged rounds."""
+
+    def __init__(self, network: ProductGraph, keys) -> None:
+        super().__init__(network, keys)
+        self.steps: list = []
+
+    def compare_exchange(self, pairs: list) -> int:
+        cost = super().compare_exchange(pairs)
+        if pairs:
+            self.steps.append((pairs, cost))
+        return cost
+
+
 @dataclass(frozen=True)
 class SorterTemplate:
     """An executable sorter's rounds on one ascending ``PG_2`` block.
@@ -157,13 +170,12 @@ class SorterTemplate:
         net = ProductGraph(factor, 2)
 
         def run(descending: bool) -> list:
-            steps: list = []
-            machine = NetworkMachine(net, [0] * net.num_nodes)
-            machine.recorder = SimpleNamespace(record=lambda pairs, cost, routes: steps.append(
-                (tuple((gray_rank(a, net.n), gray_rank(b, net.n)) for a, b in pairs), cost)
-            ))
+            machine = _LoggingMachine(net, [0] * net.num_nodes)
             sorter.sort(machine, net.subgraph((), ()), descending)
-            return steps
+            return [
+                (tuple((gray_rank(a, net.n), gray_rank(b, net.n)) for a, b in pairs), cost)
+                for pairs, cost in machine.steps
+            ]
 
         ascending = run(False)
         if run(True) != [(tuple((b, a) for a, b in pairs), c) for pairs, c in ascending]:

@@ -8,7 +8,7 @@ requested lints and the certified optimizer over the certified DAG;
 with the reference replay.  Lattice
 cells additionally pin the depth lint to the analytic per-call round models,
 so conformance is checked against the exact published ``S_r(N)`` — the same
-convention the dynamic critical-path conformance uses.
+verdict the benchmark harness records for every cell.
 
 :func:`run_mutants` drives the seeded-fault harness over the canonical
 mutant cells — ``path-n3-r3`` on both backends, the smallest geometry where

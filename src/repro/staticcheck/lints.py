@@ -12,9 +12,8 @@ Every lint verifies the *schedule*, not a run of the sorter:
 * :func:`lint_depth` — conformance against the closed forms: ``(r-1)**2``
   ``S_2`` phases and ``(r-1)(r-2)`` routing phases (Theorem 1), per-merge
   call structure ``2(k-2)+1`` / ``2(k-2)`` (Lemma 3), uniform unit costs,
-  and the exact total ``S_r(N)`` — the same conventions as
-  :func:`repro.observability.critical_path.conformance_report`, but derived
-  from the static DAG instead of a live span tree;
+  and the exact total ``S_r(N)``; the benchmark harness's per-cell
+  conformance verdict is this lint's;
 * :func:`lint_zero_one` — zero-one certification (Lemma 2): simulate the
   schedule over 0-1 inputs and require every output snake-sorted.  Small
   networks are exhausted (all ``2**(N**r)`` inputs); larger ones use a sound
@@ -215,8 +214,7 @@ def lint_links(dag: ComparatorDAG, network: ProductGraph) -> LintResult:
 
 def _is_vacuous(dag: ComparatorDAG, phase_index: int) -> bool:
     """A routing phase with nothing to exchange and no rounds charged
-    (odd parity with < 2 blocks) — counts toward call structure, charges 0.
-    Mirrors the critical-path convention."""
+    (odd parity with < 2 blocks) — counts toward call structure, charges 0."""
     phase = dag.phases[phase_index]
     if phase.charged_rounds != 0:
         return False

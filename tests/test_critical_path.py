@@ -1,13 +1,17 @@
-"""Tests for the critical-path model-conformance analyzer.
+"""Conformance of the emitted schedules to the paper's closed forms.
 
-The acceptance bar: for every workload the analyzer's per-run totals must
-equal the paper's closed forms — Theorem 1's ``S_r = (r-1)^2 S_2 +
-(r-1)(r-2) R`` for the whole run and Lemma 3's ``M_k = 2(k-2)(S_2+R) +
-S_2`` for every merge level — asserted here for r in {2, 3, 4} on both
-backends, plus deviation detection on deliberately tampered span trees.
+The acceptance bar: every emitted schedule's phases and charges equal
+Theorem 1's ``S_r = (r-1)^2 S_2 + (r-1)(r-2) R`` for the whole sort and
+Lemma 3's ``M_k = 2(k-2)(S_2+R) + S_2`` for every merge, asserted here for
+r in {2, 3, 4} on both backends with :func:`~repro.staticcheck.lints.lint_depth`
+(the verdict the benchmark harness records per cell), plus deviation
+detection on deliberately edited DAGs.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import json
 
 import pytest
 
@@ -21,204 +25,206 @@ from repro.analysis.complexity import (
 from repro.core.lattice_sort import ProductNetworkSorter
 from repro.core.machine_sort import MachineSorter
 from repro.graphs import k2, path_graph
-from repro.observability import Tracer, conformance_report
+from repro.observability.benchreg import _conformance
+from repro.schedule import ComparatorDAG
+from repro.staticcheck.lints import lint_depth
 
 
-def _traced_lattice(factor, r, rng):
+def _lattice(factor, r):
     sorter = ProductNetworkSorter.for_factor(factor, r)
-    tracer = Tracer()
-    keys = rng.integers(0, 2**28, size=sorter.network.num_nodes)
-    sorter.sort_sequence(keys, tracer=tracer)
-    return tracer, sorter.sorter2d.rounds(factor.n), sorter.routing.rounds(factor.n)
+    return sorter.schedule(), sorter.sorter2d.rounds(factor.n), sorter.routing.rounds(factor.n)
 
 
-def _traced_machine(factor, r, rng):
-    sorter = MachineSorter.for_factor(factor, r)
-    tracer = Tracer()
-    keys = rng.integers(0, 2**28, size=sorter.network.num_nodes)
-    sorter.sort(keys, tracer=tracer)
-    return tracer
+def _machine(factor, r):
+    return MachineSorter.for_factor(factor, r).schedule()
+
+
+def _merges(dag: ComparatorDAG) -> dict[tuple[str, ...], tuple[int, list]]:
+    """Every merge instance's dimension and the phases below it."""
+    merges: dict[tuple[str, ...], tuple[int, list]] = {}
+    for phase in dag.phases:
+        for prefix, k in phase.merge_prefixes():
+            merges.setdefault(prefix, (k, []))[1].append(phase)
+    return merges
+
+
+def _messages(dag: ComparatorDAG, *models) -> list[str]:
+    return [finding.message for finding in lint_depth(dag, *models).findings]
 
 
 class TestClosedFormsLattice:
-    """Lattice backend charges the analytic model exactly — the analyzer
+    """The lattice backend charges the analytic model exactly — its schedule
     must reproduce Theorem 1 / Lemma 3 to the round, for r in {2, 3, 4}."""
 
     @pytest.mark.parametrize("r", [2, 3, 4])
-    def test_theorem1_exact(self, r, rng):
-        tracer, s2, routing = _traced_lattice(path_graph(3), r, rng)
-        report = conformance_report(tracer, s2, routing)
-        assert report.ok, report.deviations
-        assert report.backend == "lattice" and report.r == r
-        assert report.s2_spans == sort_s2_calls(r) == (r - 1) ** 2
-        assert report.routing_spans == sort_routing_calls(r) == (r - 1) * (r - 2)
-        assert report.vacuous_routing_spans == 0
-        # the headline: measured total == (r-1)^2 S2 + (r-1)(r-2) R
-        assert report.measured_total_rounds == sort_rounds(r, s2, routing)
-        assert report.model_total_rounds == sort_rounds(r, s2, routing)
-        assert report.theorem1_calls_ok and report.theorem1_rounds_ok
-        assert report.matches_model is True
+    def test_theorem1_exact(self, r):
+        dag, s2, routing = _lattice(path_graph(3), r)
+        result = lint_depth(dag, s2, routing)
+        assert result.ok, result.findings
+        stats = result.stats
+        assert stats["s2_phases"] == sort_s2_calls(r) == (r - 1) ** 2
+        assert stats["routing_phases"] == sort_routing_calls(r) == (r - 1) * (r - 2)
+        assert stats["vacuous_routing_phases"] == 0
+        # the headline: total == (r-1)^2 S2 + (r-1)(r-2) R
+        assert dag.depth == stats["depth"] == sort_rounds(r, s2, routing)
         # uniform unit costs, equal to the model's
-        assert report.s2_unit_rounds == (s2,)
+        assert stats["s2_unit"] == s2
         if r > 2:
-            assert report.routing_unit_rounds == (routing,)
+            assert stats["routing_unit"] == routing
+        verdict = _conformance(dag, s2, routing)
+        assert verdict["ok"] and verdict["theorem1_calls_ok"] and verdict["theorem1_rounds_ok"]
+        assert verdict["model_total_rounds"] == sort_rounds(r, s2, routing)
+        assert verdict["matches_model"] is True
 
     @pytest.mark.parametrize("r", [3, 4])
-    def test_lemma3_every_merge_level(self, r, rng):
-        tracer, s2, routing = _traced_lattice(path_graph(3), r, rng)
-        report = conformance_report(tracer, s2, routing)
+    def test_lemma3_every_merge_level(self, r):
+        dag, s2, routing = _lattice(path_graph(3), r)
+        merges = _merges(dag)
         # every dimension 3..r merges somewhere in the recursion (nested
         # merges of lower dimensions recur, e.g. dim 3 under both the
         # initial recursive sort and the dim-4 merge's columns)
-        assert {m.dim for m in report.merge_levels} == set(range(3, r + 1))
-        assert sum(1 for m in report.merge_levels if m.dim == r) == 1
-        for level in report.merge_levels:
-            k = level.dim
-            assert level.s2_spans == merge_s2_calls(k) == 2 * (k - 2) + 1
-            assert level.routing_spans == merge_routing_calls(k) == 2 * (k - 2)
+        assert {k for k, _ in merges.values()} == set(range(3, r + 1))
+        assert sum(1 for k, _ in merges.values() if k == r) == 1
+        for k, phases in merges.values():
+            assert sum(p.kind == "s2" for p in phases) == merge_s2_calls(k) == 2 * (k - 2) + 1
+            assert sum(p.kind == "routing" for p in phases) == merge_routing_calls(k)
             # Lemma 3: M_k = 2(k-2)(S2+R) + S2
-            assert level.measured_rounds == 2 * (k - 2) * (s2 + routing) + s2
-            assert level.ok
+            assert sum(p.charged_rounds for p in phases) == 2 * (k - 2) * (s2 + routing) + s2
+        assert lint_depth(dag, s2, routing).stats["merge_instances"] == {
+            "/".join(prefix): k for prefix, (k, _) in merges.items()
+        }
 
 
 class TestClosedFormsMachine:
     """Machine backend: measured unit costs, vacuous transpositions charge
-    zero — the closed form must still hold at the observed units."""
+    zero — the closed form must still hold at the schedule's own units."""
 
     @pytest.mark.parametrize("r", [2, 3, 4])
-    def test_theorem1_at_measured_units(self, r, rng):
-        tracer = _traced_machine(k2(), r, rng)
-        report = conformance_report(tracer)
-        assert report.ok, report.deviations
-        assert report.backend == "machine"
-        assert report.s2_spans == sort_s2_calls(r)
-        assert report.routing_spans == sort_routing_calls(r)
+    def test_theorem1_at_measured_units(self, r):
+        dag = _machine(k2(), r)
+        result = lint_depth(dag)
+        assert result.ok, result.findings
+        stats = result.stats
+        assert stats["s2_phases"] == sort_s2_calls(r)
+        assert stats["routing_phases"] == sort_routing_calls(r)
         # hypercube: parity-1 transposition of a 2-block merge is vacuous
-        assert report.vacuous_routing_spans == max(r - 2, 0)
-        assert len(report.s2_unit_rounds) == 1
-        s2_unit = report.s2_unit_rounds[0]
-        routing_unit = report.routing_unit_rounds[0] if report.routing_unit_rounds else 0
-        live = report.routing_spans - report.vacuous_routing_spans
-        assert report.measured_total_rounds == (
-            sort_s2_calls(r) * s2_unit + live * routing_unit
+        assert stats["vacuous_routing_phases"] == max(r - 2, 0)
+        live = stats["routing_phases"] - stats["vacuous_routing_phases"]
+        assert dag.depth == sort_s2_calls(r) * stats["s2_unit"] + live * (
+            stats["routing_unit"] or 0
         )
-        assert report.theorem1_rounds_ok
-        # no model supplied: model cross-check stays open
-        assert report.model_total_rounds is None and report.matches_model is None
+        # no model supplied: the model cross-check stays open
+        verdict = _conformance(dag, None, None)
+        assert verdict["theorem1_rounds_ok"] and verdict["predicted_total_rounds"] == dag.depth
+        assert verdict["model_total_rounds"] is None and verdict["matches_model"] is None
 
     @pytest.mark.parametrize("r", [3, 4])
-    def test_lemma3_call_structure(self, r, rng):
-        tracer = _traced_machine(k2(), r, rng)
-        report = conformance_report(tracer)
-        assert {m.dim for m in report.merge_levels} == set(range(3, r + 1))
-        for level in report.merge_levels:
-            assert level.calls_ok and level.rounds_ok
+    def test_lemma3_call_structure(self, r):
+        dag = _machine(k2(), r)
+        stats = lint_depth(dag).stats
+        merges = _merges(dag)
+        assert {k for k, _ in merges.values()} == set(range(3, r + 1))
+        for k, phases in merges.values():
+            s2 = [p for p in phases if p.kind == "s2"]
+            routing = [p for p in phases if p.kind == "routing"]
+            assert len(s2) == merge_s2_calls(k) and len(routing) == merge_routing_calls(k)
+            assert sum(p.charged_rounds for p in phases) == len(s2) * stats["s2_unit"] + sum(
+                p.charged_rounds for p in routing
+            )
+            assert {p.charged_rounds for p in routing} <= {0, stats["routing_unit"]}
 
-    def test_non_hypercube_machine_conforms(self, rng):
-        tracer = _traced_machine(path_graph(3), 3, rng)
-        report = conformance_report(tracer)
-        assert report.ok, report.deviations
-        assert report.vacuous_routing_spans == 0  # 3 blocks: nothing vacuous
+    def test_non_hypercube_machine_conforms(self):
+        result = lint_depth(_machine(path_graph(3), 3))
+        assert result.ok, result.findings
+        assert result.stats["vacuous_routing_phases"] == 0  # 3 blocks: nothing vacuous
 
 
 class TestPhaseBreakdown:
-    def test_phases_partition_the_rounds(self, rng):
-        tracer, s2, routing = _traced_lattice(path_graph(3), 3, rng)
-        report = conformance_report(tracer, s2, routing)
-        assert sum(p.rounds for p in report.phases) == report.measured_total_rounds
-        assert sum(p.count for p in report.phases) == sum(1 for _ in tracer.iter_spans())
-        by_name = {p.name: p for p in report.phases}
-        assert by_name["transposition"].kind == "routing"
-        assert by_name["transposition"].count == sort_routing_calls(3)
+    def test_phases_partition_the_rounds(self):
+        dag, _, _ = _lattice(path_graph(3), 3)
+        assert sum(p.charged_rounds for p in dag.phases) == dag.depth
+        for p in dag.phases:
+            assert sum(rd.charge for rd in dag.phase_rounds(p.index)) == p.charged_rounds
+        transpositions = [p for p in dag.phases if p.leaf == "transposition"]
+        assert {p.kind for p in transpositions} == {"routing"}
+        assert len(transpositions) == sort_routing_calls(3)
 
-    def test_as_dict_round_trips_json_safe(self, rng):
-        import json
+    def test_as_dict_round_trips_json_safe(self):
+        dag, s2, routing = _lattice(path_graph(3), 3)
+        verdict = json.loads(json.dumps(_conformance(dag, s2, routing)))
+        assert verdict["ok"] is True and verdict["deviations"] == []
+        stats = json.loads(json.dumps(lint_depth(dag, s2, routing).stats))
+        assert stats["s2_phases"] == 4
+        assert 3 in stats["merge_instances"].values()
 
-        tracer, s2, routing = _traced_lattice(path_graph(3), 3, rng)
-        doc = json.loads(json.dumps(conformance_report(tracer, s2, routing).as_dict()))
-        assert doc["ok"] is True
-        assert doc["s2_spans"] == 4
-        assert doc["merge_levels"][0]["dim"] == 3
-        assert doc["phases"]
+
+def _edit(dag: ComparatorDAG, phases=None, rounds=None) -> ComparatorDAG:
+    """``dag`` with its phases and rounds replaced, both renumbered by position."""
+    phases = list(dag.phases if phases is None else phases)
+    renumber = {p.index: i for i, p in enumerate(phases)}
+    rounds = [rd for rd in (dag.rounds if rounds is None else rounds) if rd.phase in renumber]
+    return dataclasses.replace(
+        dag,
+        phases=tuple(dataclasses.replace(p, index=i) for i, p in enumerate(phases)),
+        rounds=tuple(
+            dataclasses.replace(rd, index=i, phase=renumber[rd.phase])
+            for i, rd in enumerate(rounds)
+        ),
+    )
 
 
 class TestDeviationDetection:
-    """Tampered span trees must be flagged, not silently accepted."""
-
-    def _root(self, tracer, r=3, backend="machine"):
-        return tracer.span("sort", backend=backend, factor="k2", n=2, r=r)
+    """Edited schedules must be flagged, not silently accepted."""
 
     def test_missing_s2_span_flags_theorem1(self):
-        tracer = Tracer()
-        with self._root(tracer):  # r=3 needs 4 s2 + 2 routing spans
-            for _ in range(3):
-                with tracer.span("block-sorts", kind="s2", rounds=3):
-                    pass
-            for _ in range(2):
-                with tracer.span("transposition", kind="routing", rounds=1, pairs=4):
-                    pass
-        report = conformance_report(tracer)
-        assert not report.theorem1_calls_ok
-        assert any("Theorem 1 violated" in d for d in report.deviations)
+        dag = _machine(k2(), 3)  # r=3 needs 4 S2 + 2 routing phases
+        dropped = next(p for p in dag.phases if p.kind == "s2")
+        edited = _edit(dag, phases=[p for p in dag.phases if p is not dropped])
+        assert any("Theorem 1 requires 4" in m for m in _messages(edited))
+        assert _conformance(edited, None, None)["theorem1_calls_ok"] is False
 
     def test_non_uniform_s2_costs_flagged(self):
-        tracer = Tracer()
-        with self._root(tracer, r=2):
-            with tracer.span("a", kind="s2", rounds=3):
-                pass
-            with tracer.span("b", kind="s2", rounds=5):
-                pass
-        report = conformance_report(tracer)
-        assert any("not uniform" in d for d in report.deviations)
+        dag = _machine(k2(), 3)
+        phase = next(p for p in dag.phases if p.kind == "s2")
+        first = dag.phase_rounds(phase.index)[0]
+        phases = [
+            dataclasses.replace(p, charged_rounds=p.charged_rounds + 2) if p is phase else p
+            for p in dag.phases
+        ]
+        rounds = [
+            dataclasses.replace(rd, charge=rd.charge + 2) if rd is first else rd
+            for rd in dag.rounds
+        ]
+        messages = _messages(_edit(dag, phases, rounds))
+        assert any("non-uniform S2 unit cost" in m for m in messages)
+        assert not any("steps sum to" in m for m in messages)  # charges stay consistent
 
     def test_closed_form_mismatch_flagged(self):
-        tracer = Tracer()
-        with self._root(tracer, r=2) as root:
-            with tracer.span("a", kind="s2", rounds=3):
-                pass
-            root.set(rounds=7)  # extra rounds charged outside any s2/routing span
-        report = conformance_report(tracer)
-        assert report.measured_total_rounds == 10
-        assert not report.theorem1_rounds_ok
-        assert any("closed form violated" in d for d in report.deviations)
+        dag = _machine(k2(), 2)
+        # extra rounds charged to a step, outside its phase's charge
+        rounds = [dataclasses.replace(dag.rounds[0], charge=dag.rounds[0].charge + 7)]
+        edited = _edit(dag, rounds=rounds + list(dag.rounds[1:]))
+        assert edited.depth == dag.depth + 7
+        messages = _messages(edited)
+        assert any("!= closed form" in m for m in messages)
+        assert any("steps sum to" in m for m in messages)
+        assert _conformance(edited, None, None)["theorem1_rounds_ok"] is False
 
     def test_lattice_unit_cost_disagreeing_with_model_flagged(self):
-        tracer = Tracer()
-        with self._root(tracer, r=2, backend="lattice"):
-            with tracer.span("a", kind="s2", rounds=3):
-                pass
-        report = conformance_report(tracer, s2_model_rounds=4, routing_model_rounds=1)
-        assert any("lattice backend charged S2" in d for d in report.deviations)
-        assert report.matches_model is False
+        dag, s2, routing = _lattice(path_graph(3), 2)
+        messages = _messages(dag, s2 + 1, routing)
+        assert any(f"S2 unit {s2} != model {s2 + 1}" in m for m in messages)
+        assert _conformance(dag, s2 + 1, routing)["matches_model"] is False
 
     def test_lemma3_violation_flagged(self):
-        tracer = Tracer()
-        with self._root(tracer, r=3):
-            for _ in range(4):
-                with tracer.span("s", kind="s2", rounds=3):
-                    pass
-            for _ in range(2):
-                with tracer.span("t", kind="routing", rounds=1, pairs=4):
-                    pass
-            with tracer.span("merge", dim=3):  # empty merge subtree: 0 of each
-                pass
-        report = conformance_report(tracer)
-        assert any("Lemma 3 violated at dim 3" in d for d in report.deviations)
-
-    def test_unusable_r_reported(self):
-        tracer = Tracer()
-        with tracer.span("sort", backend="machine"):
-            pass
-        report = conformance_report(tracer)
-        assert not report.ok
-        assert any("no usable r" in d for d in report.deviations)
-
-    def test_requires_exactly_one_sort_root(self, rng):
-        with pytest.raises(ValueError, match="exactly one 'sort' root"):
-            conformance_report(Tracer())
-        tracer = Tracer()
-        for _ in range(2):
-            with tracer.span("sort", r=2):
-                pass
-        with pytest.raises(ValueError, match="exactly one 'sort' root"):
-            conformance_report(tracer)
+        dag = _machine(path_graph(3), 3)
+        # hoist one transposition out of its merge: Theorem 1's counts still
+        # hold, the merge's Lemma 3 call count does not
+        moved = next(p for p in dag.phases if p.kind == "routing")
+        phases = [
+            dataclasses.replace(p, path=("sort", p.path[-1])) if p is moved else p
+            for p in dag.phases
+        ]
+        messages = _messages(_edit(dag, phases))
+        assert any("Lemma 3 requires 2" in m for m in messages)
+        assert not any("Theorem 1" in m for m in messages)

@@ -1,9 +1,10 @@
 """Tests for the metrics registry and its event-bus subscriber.
 
 The instruments mirror the Prometheus data model (counter / gauge /
-histogram with label sets), and a single :class:`MetricsSubscriber` turns a
-traced sort — span events plus machine super-steps on one bus — into
-scrape-ready numbers that must agree with the cost ledger.
+histogram with label sets): a :class:`MetricsSubscriber` turns a traced
+sort's span events into scrape-ready numbers that must agree with the cost
+ledger, and :func:`~repro.observability.export.traffic_metrics` adds the
+machine schedule's traffic.
 """
 
 from __future__ import annotations
@@ -14,14 +15,15 @@ import pytest
 
 from repro.core.machine_sort import MachineSorter
 from repro.graphs import k2
+from repro.machine import machine_traffic
 from repro.observability import (
     Counter,
     Gauge,
     Histogram,
-    MachineTimeline,
     MetricsRegistry,
     MetricsSubscriber,
     Tracer,
+    traffic_metrics,
 )
 from repro.observability.events import point_event
 
@@ -152,11 +154,10 @@ class TestMetricsSubscriber:
         registry = MetricsRegistry()
         tracer.bus.subscribe(MetricsSubscriber(registry))
         sorter = MachineSorter.for_factor(k2(), r)
-        timeline = MachineTimeline(sorter.network, bus=tracer.bus)
-        machine, ledger = sorter.sort(
-            rng.integers(0, 100, size=2**r), tracer=tracer, timeline=timeline
-        )
-        return tracer, timeline, registry, machine, ledger
+        machine, ledger = sorter.sort(rng.integers(0, 100, size=2**r), tracer=tracer)
+        traffic = list(machine_traffic(sorter.schedule(), sorter.network))
+        traffic_metrics(registry, traffic, sorter.network)
+        return tracer, traffic, registry, machine, ledger
 
     def test_span_counters_agree_with_span_tree(self, rng):
         tracer, _, registry, _, ledger = self._instrumented_run(rng)
@@ -185,10 +186,10 @@ class TestMetricsSubscriber:
         assert 0 < attributed <= machine.comparisons
 
     def test_machine_step_instruments(self, rng):
-        _, timeline, registry, machine, _ = self._instrumented_run(rng)
+        _, traffic, registry, machine, _ = self._instrumented_run(rng)
         assert registry.counter("repro_machine_steps_total").value() == machine.operations
         pairs_total = registry.counter("repro_machine_pairs_total").value()
-        assert pairs_total == sum(s.pairs for s in timeline.steps)
+        assert pairs_total == sum(len(step.pairs) for step in traffic) == machine.comparisons
         hist = registry.histogram("repro_machine_pairs").snapshot_series()
         assert hist["count"] == machine.operations
         util = registry.gauge("repro_machine_utilisation").value()

@@ -18,23 +18,21 @@ from repro.core.machine_sort import MachineSorter
 from repro.core.multiway_merge import multiway_merge
 from repro.core.sorting import multiway_merge_sort
 from repro.graphs import ProductGraph, k2, path_graph
-from repro.machine.machine import NetworkMachine
+from repro.machine.machine import TrafficRound, machine_traffic, measure_step
 from repro.machine.metrics import CostLedger
-from repro.machine.stats import TrafficRecorder
 from repro.observability import (
     NULL_TRACER,
     CallbackSubscriber,
     EventBus,
     LedgerSubscriber,
-    MachineTimeline,
     Tracer,
-    TrafficSubscriber,
     chrome_trace_json,
     coerce_tracer,
+    machine_steps,
     phase_summary,
     point_event,
     spans_to_jsonl,
-    timeline_to_jsonl,
+    steps_to_jsonl,
     to_chrome_trace,
 )
 from repro.orders import lattice_to_sequence
@@ -269,78 +267,56 @@ class TestPointEventStates:
 
 
 class TestMachineTimeline:
+    """The per-super-step records of a machine schedule's traffic pass."""
+
     def test_records_every_super_step(self, rng):
         sorter = MachineSorter.for_factor(k2(), 3)
-        timeline = MachineTimeline(sorter.network)
-        machine, ledger = sorter.sort(rng.integers(0, 100, size=8), timeline=timeline)
-        assert len(timeline.steps) == machine.operations
-        assert sum(s.rounds for s in timeline.steps) == ledger.total_rounds
-        assert all(1 <= s.dimension <= 3 for s in timeline.steps if s.dimension is not None)
-        assert all(0 < s.utilisation <= 1.0 for s in timeline.steps)
-        summary = timeline.summary()
-        assert summary["steps"] == len(timeline.steps)
-        assert set(summary["dimension_steps"]) <= {1, 2, 3}
-
-    def test_reset_allows_reuse(self, rng):
-        sorter = MachineSorter.for_factor(k2(), 3)
-        timeline = MachineTimeline(sorter.network)
-        sorter.sort(rng.integers(0, 100, size=8), timeline=timeline)
-        first = len(timeline.steps)
-        timeline.reset()
-        assert timeline.steps == []
-        sorter.sort(rng.integers(0, 100, size=8), timeline=timeline)
-        assert len(timeline.steps) == first  # oblivious schedule
-
-    def test_bus_republication_feeds_traffic_recorder(self, rng):
-        # TrafficRecorder as a bus subscriber == TrafficRecorder on machine
-        net = ProductGraph(path_graph(3), 2)
-        bus = EventBus()
-        via_bus = TrafficRecorder(net)
-        bus.subscribe(TrafficSubscriber(via_bus))
-        timeline = MachineTimeline(net, bus=bus)
-        machine = NetworkMachine(net, np.arange(9)[::-1].copy())
-        direct = TrafficRecorder(net)
-        machine.recorder = direct
-        machine.timeline = timeline
-        machine.compare_exchange([((0, 0), (0, 1)), ((1, 0), (2, 0))])
-        machine.compare_exchange([((0, 1), (0, 2))])
-        assert via_bus.stats() == direct.stats()
-        assert len(timeline.steps) == 2
+        machine, ledger = sorter.sort(rng.integers(0, 100, size=8))
+        steps = machine_steps(machine_traffic(sorter.schedule(), sorter.network), sorter.network)
+        assert len(steps) == machine.operations
+        assert [s["step"] for s in steps] == list(range(len(steps)))
+        assert sum(s["rounds"] for s in steps) == ledger.total_rounds
+        assert sum(s["pairs"] for s in steps) == machine.comparisons
+        assert all(1 <= s["dimension"] <= 3 for s in steps if s["dimension"] is not None)
+        assert all(0 < s["utilisation"] <= 1.0 for s in steps)
 
     def test_mixed_dimension_step_has_no_single_dimension(self):
         net = ProductGraph(path_graph(3), 2)
-        machine = NetworkMachine(net, np.arange(9))
-        timeline = MachineTimeline(net)
-        machine.timeline = timeline
-        machine.compare_exchange([((0, 0), (0, 1)), ((1, 0), (2, 0))])  # dims 1 and 2
-        machine.compare_exchange([((0, 1), (0, 2))])  # dim 1 only
-        assert timeline.steps[0].dimension is None
-        assert timeline.steps[1].dimension == 1
+        traffic = [
+            TrafficRound(0, *measure_step(net, pairs))
+            for pairs in (
+                [((0, 0), (0, 1)), ((1, 0), (2, 0))],  # dims 1 and 2
+                [((0, 1), (0, 2))],  # dim 1 only
+            )
+        ]
+        steps = machine_steps(traffic, net)
+        assert steps[0]["dimension"] is None
+        assert steps[1]["dimension"] == 1
 
 
 class TestExporters:
     def _traced_machine_run(self, rng, r=3):
         tracer = Tracer()
         sorter = MachineSorter.for_factor(k2(), r)
-        timeline = MachineTimeline(sorter.network)
-        sorter.sort(rng.integers(0, 100, size=2**r), tracer=tracer, timeline=timeline)
-        return tracer, timeline
+        sorter.sort(rng.integers(0, 100, size=2**r), tracer=tracer)
+        return tracer, list(machine_traffic(sorter.schedule(), sorter.network)), sorter.network
 
     def test_jsonl_round_trip(self, rng):
-        tracer, timeline = self._traced_machine_run(rng)
+        tracer, traffic, network = self._traced_machine_run(rng)
         lines = spans_to_jsonl(tracer).splitlines()
         records = [json.loads(line) for line in lines]
         assert len(records) == sum(1 for _ in tracer.iter_spans())
         by_id = {rec["span_id"]: rec for rec in records}
         for rec in records:  # parent links resolve within the file
             assert rec["parent_id"] is None or rec["parent_id"] in by_id
-        steps = [json.loads(line) for line in timeline_to_jsonl(timeline).splitlines()]
-        assert len(steps) == len(timeline.steps)
+        steps = machine_steps(traffic, network)
+        assert [json.loads(line) for line in steps_to_jsonl(steps).splitlines()] == steps
         assert steps[0]["step"] == 0
+        assert "time" not in steps[0]  # placed by the schedule, not timed
 
     def test_chrome_trace_structure(self, rng):
-        tracer, timeline = self._traced_machine_run(rng)
-        doc = to_chrome_trace(tracer, timeline=timeline)
+        tracer, traffic, _ = self._traced_machine_run(rng)
+        doc = to_chrome_trace(tracer, traffic=traffic)
         text = json.dumps(doc)  # must be JSON-serialisable as-is
         doc = json.loads(text)
         assert set(doc) == {"traceEvents", "displayTimeUnit"}
@@ -349,7 +325,7 @@ class TestExporters:
         meta = [e for e in events if e["ph"] == "M"]
         counters = [e for e in events if e["ph"] == "C"]
         assert len(complete) == sum(1 for _ in tracer.iter_spans())
-        assert len(counters) == len(timeline.steps)
+        assert len(counters) == len(traffic)
         for e in complete:
             assert e["ts"] >= 0 and e["dur"] >= 0
             assert {"name", "cat", "pid", "tid", "args"} <= set(e)
@@ -360,8 +336,20 @@ class TestExporters:
         dims = {s.attrs["dim"] for s in tracer.iter_spans() if "dim" in s.attrs}
         assert {f"dimension {d}" for d in dims} <= track_names
 
+    def test_chrome_counters_sit_in_their_charged_spans_in_round_order(self, rng):
+        tracer, traffic, _ = self._traced_machine_run(rng, r=4)
+        events = to_chrome_trace(tracer, traffic=traffic)["traceEvents"]
+        charged = [e for e in events if e.get("cat") in ("s2", "routing")]
+        counters = [e for e in events if e["ph"] == "C"]
+        assert [c["args"]["pairs"] for c in counters] == [len(step.pairs) for step in traffic]
+        for step, counter in zip(traffic, counters):
+            span = charged[step.phase]
+            assert span["ts"] < counter["ts"] < span["ts"] + span["dur"]
+        stamps = [c["ts"] for c in counters]
+        assert stamps == sorted(stamps)
+
     def test_chrome_trace_dimension_tracks_inherited(self, rng):
-        tracer, _ = self._traced_machine_run(rng)
+        tracer, _, _ = self._traced_machine_run(rng)
         doc = to_chrome_trace(tracer)
         # children of a dim=k merge span (e.g. column-merges) inherit track k
         by_name = {}
@@ -371,11 +359,22 @@ class TestExporters:
         assert by_name["column-merges"]["tid"] == by_name["merge"]["tid"]
 
     def test_phase_summary_table(self, rng):
-        tracer, timeline = self._traced_machine_run(rng)
-        text = phase_summary(tracer, timeline=timeline)
+        tracer, traffic, network = self._traced_machine_run(rng)
+        text = phase_summary(tracer, steps=machine_steps(traffic, network))
         assert "phase" in text and "rounds" in text
         assert "initial-block-sorts" in text and "transposition" in text
-        assert "super-steps" in text  # the machine timeline footer
+        assert "super-steps" in text  # the machine footer
+
+    @pytest.mark.parametrize(
+        "factor,r", [(path_graph(3), 3), (k2(), 4)], ids=["path-n3-r3", "k2-n2-r4"]
+    )
+    def test_phase_summary_comparisons_total_the_machines(self, factor, r):
+        # a machine transposition's pairs are compare-exchanges too
+        tracer = Tracer()
+        sorter = MachineSorter.for_factor(factor, r)
+        machine, _ = sorter.sort(np.arange(sorter.network.num_nodes)[::-1], tracer=tracer)
+        rows = phase_summary(tracer).splitlines()[2:]
+        assert sum(int(row.split()[4]) for row in rows) == machine.comparisons
 
     def test_empty_exports(self):
         tracer = Tracer()
@@ -385,8 +384,8 @@ class TestExporters:
         assert "phase" in phase_summary(tracer)
 
     def test_chrome_trace_json_cli_equivalence(self, rng):
-        tracer, timeline = self._traced_machine_run(rng)
-        doc = json.loads(chrome_trace_json(tracer, timeline=timeline))
+        tracer, traffic, _ = self._traced_machine_run(rng)
+        doc = json.loads(chrome_trace_json(tracer, traffic=traffic))
         assert doc["traceEvents"]
 
 
@@ -427,81 +426,6 @@ class TestEventBus:
         assert a[0] is b[0]
 
 
-class TestTimelineRingBuffer:
-    """Opt-in ``max_steps`` bound: retain the tail, count the evictions."""
-
-    def _run(self, rng, max_steps=None):
-        sorter = MachineSorter.for_factor(k2(), 3)
-        timeline = MachineTimeline(sorter.network, max_steps=max_steps)
-        machine, _ = sorter.sort(rng.integers(0, 100, size=8), timeline=timeline)
-        return timeline, machine
-
-    def test_unbounded_by_default(self, rng):
-        timeline, machine = self._run(rng)
-        assert timeline.max_steps is None
-        assert timeline.dropped_steps == 0
-        assert len(timeline.steps) == machine.operations
-
-    def test_ring_retains_most_recent_steps(self, rng):
-        full, machine = self._run(rng)
-        bounded, _ = self._run(rng, max_steps=5)
-        assert len(bounded.steps) == 5
-        assert bounded.dropped_steps == machine.operations - 5
-        # indices stay absolute: the retained tail is the last five steps
-        assert [s.index for s in bounded.steps] == [
-            s.index for s in full.steps[-5:]
-        ]
-        assert bounded.steps[0].index == machine.operations - 5
-
-    def test_dropped_steps_surface_in_summary(self, rng):
-        timeline, machine = self._run(rng, max_steps=3)
-        summary = timeline.summary()
-        assert summary["steps"] == 3
-        assert summary["dropped_steps"] == machine.operations - 3
-        # aggregates cover only the retained window
-        assert summary["pairs"] == sum(s.pairs for s in timeline.steps)
-
-    def test_phase_summary_footer_reports_drops(self, rng):
-        tracer = Tracer()
-        sorter = MachineSorter.for_factor(k2(), 3)
-        timeline = MachineTimeline(sorter.network, max_steps=4)
-        sorter.sort(rng.integers(0, 100, size=8), tracer=tracer, timeline=timeline)
-        text = phase_summary(tracer, timeline=timeline)
-        assert f"({timeline.dropped_steps} dropped)" in text
-
-    def test_dropped_steps_still_reach_the_bus(self, rng):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append)
-        sorter = MachineSorter.for_factor(k2(), 3)
-        timeline = MachineTimeline(sorter.network, bus=bus, max_steps=2)
-        machine, _ = sorter.sort(rng.integers(0, 100, size=8), timeline=timeline)
-        assert len([e for e in seen if e.kind == "machine_step"]) == machine.operations
-
-    def test_reset_clears_drop_accounting(self, rng):
-        timeline, machine = self._run(rng, max_steps=3)
-        assert timeline.dropped_steps > 0
-        timeline.reset()
-        assert timeline.dropped_steps == 0
-        assert list(timeline.steps) == []
-        sorter = MachineSorter.for_factor(k2(), 3)
-        sorter.sort(rng.integers(0, 100, size=8), timeline=timeline)
-        assert timeline.steps[0].index == machine.operations - 3  # restarted at 0
-
-    def test_exact_capacity_drops_nothing(self, rng):
-        _, machine = self._run(rng)
-        timeline, _ = self._run(rng, max_steps=machine.operations)
-        assert timeline.dropped_steps == 0
-        assert timeline.steps[0].index == 0
-
-    def test_invalid_max_steps_rejected(self):
-        net = ProductGraph(k2(), 3)
-        with pytest.raises(ValueError, match="max_steps"):
-            MachineTimeline(net, max_steps=0)
-        with pytest.raises(ValueError, match="max_steps"):
-            MachineTimeline(net, max_steps=-1)
-
-
 class TestExportEdgeCases:
     """Exports must not crash on empty, disabled or span-less tracers."""
 
@@ -515,10 +439,10 @@ class TestExportEdgeCases:
         assert "phase" in text  # header renders, no rows
 
     def test_empty_timeline_exports(self):
-        timeline = MachineTimeline(ProductGraph(k2(), 2))
-        assert timeline_to_jsonl(timeline) == ""
-        assert timeline.summary()["steps"] == 0
-        doc = to_chrome_trace(Tracer(), timeline=timeline)
+        steps = machine_steps([], ProductGraph(k2(), 2))
+        assert steps_to_jsonl(steps) == ""
+        assert "machine: 0 super-steps" in phase_summary(Tracer(), steps=steps)
+        doc = to_chrome_trace(Tracer(), traffic=[])
         assert [e for e in doc["traceEvents"] if e["ph"] == "C"] == []
 
     def test_point_events_only_tracer(self):

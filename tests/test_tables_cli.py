@@ -184,3 +184,30 @@ class TestCli:
         records = [json.loads(line) for line in out.strip().splitlines()]
         s2 = [rec for rec in records if rec.get("kind") == "s2"]
         assert len(s2) == 4  # (r-1)^2 for r=3, straight from the event log
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--factor", "path", "--r", "1"], "r >= 2"),
+        (["--factor", "path", "--n", "1"], "at least 2 nodes"),
+    ],
+    ids=["r1", "n1"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["topo"],
+        ["trace", "--backend", "machine"],
+        ["trace", "--backend", "lattice"],
+        ["bench", "metrics"],
+    ],
+    ids=["topo", "trace-machine", "trace-lattice", "bench-metrics"],
+)
+def test_bad_geometry_is_a_usage_error(command, argv, message, capsys):
+    """A refused geometry exits 2 with its one-line reason, not a traceback."""
+    assert main(command + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert message in err and "\n" not in err and "Traceback" not in err

@@ -1,5 +1,6 @@
-"""Tests for the topology observatory: per-link accounting, imbalance
-indices, heatmap/SVG rendering and the ``repro topo`` CLI."""
+"""Tests for the topology observatory: per-link accounting of a machine
+schedule's static traffic pass, imbalance indices, heatmap/SVG rendering
+and the ``repro topo`` CLI."""
 
 from __future__ import annotations
 
@@ -13,15 +14,13 @@ import pytest
 from repro.cli import main
 from repro.core.machine_sort import MachineSorter
 from repro.graphs import complete_binary_tree, k2, path_graph, petersen_graph
-from repro.machine.stats import TrafficRecorder
+from repro.machine import machine_traffic, traffic_stats
 from repro.observability import (
     LinkObservatory,
-    MachineTimeline,
     MetricsRegistry,
-    MetricsSubscriber,
     Tracer,
-    TrafficSubscriber,
     phase_key,
+    traffic_metrics,
 )
 from repro.observability.heatmap import (
     phase_dimension_matrix,
@@ -31,23 +30,16 @@ from repro.observability.heatmap import (
     topology_json,
     topology_svg,
 )
-from repro.observability.topology import UNATTRIBUTED, gini
+from repro.observability.topology import gini
 from repro.viz import heat_shade, render_heatmap
 
 
-def observed_sort(factor, r, seed=0, with_recorder=False):
-    """Run one machine sort under full telemetry; return the consumers."""
-    tracer = Tracer()
+def observed(factor, r):
+    """The observatory and traffic stats of one machine schedule's pass."""
     sorter = MachineSorter.for_factor(factor, r)
-    obs = LinkObservatory(sorter.network, bus=tracer.bus)
-    recorder = None
-    if with_recorder:
-        recorder = TrafficRecorder(sorter.network)
-        tracer.bus.subscribe(TrafficSubscriber(recorder))
-    timeline = MachineTimeline(sorter.network, bus=tracer.bus)
-    keys = np.random.default_rng(seed).integers(0, 2**31, size=sorter.network.num_nodes)
-    sorter.sort(keys, tracer=tracer, timeline=timeline)
-    return obs, recorder, sorter.network
+    dag, network = sorter.schedule(), sorter.network
+    stats = traffic_stats(machine_traffic(dag, network), network)
+    return LinkObservatory(network, dag), stats, network
 
 
 class TestPhaseKey:
@@ -61,7 +53,7 @@ class TestPhaseKey:
         # the satellite requirement: both consumers key phases identically
         from repro.observability import phase_summary
 
-        obs, _, _ = observed_sort(k2(), 3)
+        obs, _, _ = observed(k2(), 3)
         tracer = Tracer()
         sorter = MachineSorter.for_factor(k2(), 3)
         keys = np.random.default_rng(0).integers(0, 2**31, size=8)
@@ -70,12 +62,27 @@ class TestPhaseKey:
         for phase in obs.phase_edge_loads():
             assert phase in table
 
+    @pytest.mark.parametrize("factor", [k2(), path_graph(3), complete_binary_tree(1)])
+    def test_rounds_are_attributed_to_their_charged_spans(self, factor):
+        # a round's phase key is its charged span's, in first-seen order:
+        # the traced run's charged spans that moved keys, keyed and deduplicated
+        obs, _, _ = observed(factor, 3)
+        tracer = Tracer()
+        sorter = MachineSorter.for_factor(factor, 3)
+        sorter.sort(np.zeros(sorter.network.num_nodes, dtype=np.int64), tracer=tracer)
+        keys = [
+            phase_key(span.name, span.attrs.get("dim"))
+            for span in tracer.iter_spans()
+            if span.kind in ("s2", "routing")
+            and span.attrs.get("comparisons", span.attrs.get("pairs"))
+        ]
+        assert list(obs.phase_edge_loads()) == list(dict.fromkeys(keys))
+
 
 class TestEdgeAccounting:
     def test_hypercube_totals_match_recorder_exactly(self):
         # acceptance criterion: the 3-D hypercube cell, exact equality
-        obs, recorder, _ = observed_sort(k2(), 3, with_recorder=True)
-        stats = recorder.stats()
+        obs, stats, _ = observed(k2(), 3)
         assert obs.total_traversals == stats.link_traversals
         assert obs.total_traversals > 0
         # adjacent-only network: every pair is two directed traversals
@@ -84,49 +91,29 @@ class TestEdgeAccounting:
 
     def test_routed_network_totals_match_recorder_exactly(self):
         factor = complete_binary_tree(2).canonically_labelled()
-        obs, recorder, _ = observed_sort(factor, 3, with_recorder=True)
-        stats = recorder.stats()
+        obs, stats, _ = observed(factor, 3)
         assert stats.routed_pairs > 0
         assert stats.routed_link_traversals > 0
         assert obs.total_traversals == stats.link_traversals
 
     def test_per_phase_histograms_sum_to_global(self):
         factor = complete_binary_tree(2).canonically_labelled()
-        obs, _, _ = observed_sort(factor, 3)
+        obs, _, _ = observed(factor, 3)
         summed = Counter()
         for loads in obs.phase_edge_loads().values():
             summed.update(loads)
         assert dict(summed) == obs.edge_loads()
 
     def test_every_edge_is_a_network_wire(self):
-        obs, _, network = observed_sort(k2(), 3)
+        obs, _, network = observed(k2(), 3)
         for u, v in obs.edge_loads():
             assert network.is_edge(network.label_of(u), network.label_of(v))
 
     def test_dimension_split_sums_to_total(self):
-        obs, _, _ = observed_sort(path_graph(3), 3)
+        obs, _, _ = observed(path_graph(3), 3)
         per_dim = obs.dimension_indices()
         assert set(per_dim) == {1, 2, 3}
         assert sum(ix.total_traversals for ix in per_dim.values()) == obs.total_traversals
-
-    def test_untraced_steps_fall_into_unattributed_bucket(self):
-        sorter = MachineSorter.for_factor(k2(), 2)
-        from repro.observability import EventBus
-
-        bus = EventBus()
-        obs = LinkObservatory(sorter.network, bus=bus)
-        keys = np.random.default_rng(0).integers(0, 2**31, size=4)
-        # no tracer on the bus: steps arrive with no enclosing span
-        sorter.sort(keys, timeline=MachineTimeline(sorter.network, bus=bus))
-        assert list(obs.phase_edge_loads()) == [UNATTRIBUTED]
-
-    def test_reset_forgets_everything(self):
-        obs, _, _ = observed_sort(k2(), 2)
-        assert obs.total_traversals > 0
-        obs.reset()
-        assert obs.total_traversals == 0
-        assert obs.steps == 0
-        assert obs.edge_loads() == {}
 
 
 class TestBufferDepth:
@@ -138,25 +125,25 @@ class TestBufferDepth:
             (complete_binary_tree(2).canonically_labelled(), 3),
             (petersen_graph().canonically_labelled(), 2),
         ]:
-            obs, recorder, _ = observed_sort(factor, r, with_recorder=True)
+            obs, stats, _ = observed(factor, r)
             assert obs.peak_buffer_depth <= 3
-            assert recorder.stats().peak_buffer_depth == obs.peak_buffer_depth
+            assert stats.peak_buffer_depth == obs.peak_buffer_depth
 
     def test_adjacent_only_network_never_buffers(self):
-        obs, _, _ = observed_sort(k2(), 3)
+        obs, _, _ = observed(k2(), 3)
         assert obs.peak_buffer_depth == 0
         assert obs.round_occupancy() == ()
 
     def test_phase_indices_carry_buffer_depth(self):
         factor = complete_binary_tree(2).canonically_labelled()
-        obs, _, _ = observed_sort(factor, 3)
+        obs, _, _ = observed(factor, 3)
         depths = [ix.peak_buffer_depth for ix in obs.phase_indices().values()]
         assert max(depths) == obs.peak_buffer_depth > 0
 
 
 class TestNodeUtilisation:
     def test_busy_counts_bounded_by_steps(self):
-        obs, _, network = observed_sort(path_graph(3), 3)
+        obs, _, network = observed(path_graph(3), 3)
         busy = obs.node_busy_steps()
         assert all(0 < b <= obs.steps for b in busy.values())
         util = obs.node_utilisation()
@@ -179,7 +166,7 @@ class TestGini:
 
 class TestCongestionIndices:
     def test_structural_wire_counts(self):
-        obs, _, network = observed_sort(path_graph(3), 3)
+        obs, _, network = observed(path_graph(3), 3)
         idx = obs.congestion()
         assert idx.directed_edges == 2 * network.num_edges
         per_dim = obs.dimension_indices()
@@ -189,14 +176,14 @@ class TestCongestionIndices:
             )
 
     def test_mean_and_max_consistency(self):
-        obs, _, _ = observed_sort(k2(), 3)
+        obs, _, _ = observed(k2(), 3)
         idx = obs.congestion()
         assert idx.max_load >= idx.mean_load > 0
         assert idx.total_traversals == pytest.approx(idx.mean_load * idx.directed_edges)
         assert 0.0 <= idx.gini < 1.0
 
     def test_snapshot_is_json_safe(self):
-        obs, _, _ = observed_sort(k2(), 3)
+        obs, _, _ = observed(k2(), 3)
         snap = json.loads(json.dumps(obs.snapshot()))
         assert snap["total_traversals"] == obs.total_traversals
         assert set(snap["per_dimension"]) == {"1", "2", "3"}
@@ -216,14 +203,14 @@ class TestRendering:
         assert heat_shade(5, 0) == " "
 
     def test_heatmap_has_total_row_and_scale(self):
-        obs, _, _ = observed_sort(k2(), 3)
+        obs, _, _ = observed(k2(), 3)
         text = render_topology_heatmap(obs)
         assert "TOTAL" in text
         assert "scale:" in text
         assert "d3" in text
 
     def test_matrix_total_row_sums_columns(self):
-        obs, _, _ = observed_sort(path_graph(3), 3)
+        obs, _, _ = observed(path_graph(3), 3)
         rows, cols, matrix = phase_dimension_matrix(obs)
         assert rows[-1] == "TOTAL"
         for c in range(len(cols)):
@@ -231,26 +218,26 @@ class TestRendering:
         assert sum(matrix[-1]) == obs.total_traversals
 
     def test_imbalance_table_lists_all_scopes(self):
-        obs, _, _ = observed_sort(k2(), 3)
+        obs, _, _ = observed(k2(), 3)
         table = render_imbalance_table(obs)
         assert "network" in table
         assert "dim 1" in table and "dim 3" in table
         assert "gini" in table
 
     def test_topology_json_round_trips(self):
-        obs, _, _ = observed_sort(k2(), 2)
+        obs, _, _ = observed(k2(), 2)
         doc = json.loads(topology_json(obs))
         assert doc["steps"] == obs.steps
 
     def test_svg_is_well_formed_xml(self):
-        obs, _, _ = observed_sort(k2(), 3)
+        obs, _, _ = observed(k2(), 3)
         root = ET.fromstring(topology_svg(obs))
         assert root.tag.endswith("svg")
         texts = [e.text for e in root.iter() if e.tag.endswith("text")]
         assert any("TOTAL" in (t or "") for t in texts)
 
     def test_html_wraps_the_svg(self):
-        obs, _, _ = observed_sort(k2(), 2)
+        obs, _, _ = observed(k2(), 2)
         html = topology_html(obs)
         assert html.startswith("<!DOCTYPE html>")
         assert "<svg" in html and "<?xml" not in html
@@ -259,14 +246,11 @@ class TestRendering:
 class TestMetricsInstruments:
     def test_link_traversal_counter_matches_observatory(self):
         factor = complete_binary_tree(2).canonically_labelled()
-        tracer = Tracer()
         sorter = MachineSorter.for_factor(factor, 3)
-        obs = LinkObservatory(sorter.network, bus=tracer.bus)
+        obs = LinkObservatory(sorter.network, sorter.schedule())
         registry = MetricsRegistry()
-        tracer.bus.subscribe(MetricsSubscriber(registry))
-        timeline = MachineTimeline(sorter.network, bus=tracer.bus)
-        keys = np.random.default_rng(0).integers(0, 2**31, size=sorter.network.num_nodes)
-        sorter.sort(keys, tracer=tracer, timeline=timeline)
+        traffic = machine_traffic(sorter.schedule(), sorter.network)
+        traffic_metrics(registry, traffic, sorter.network)
         counter = registry.counter("repro_link_traversals_total")
         total = counter.value(kind="adjacent") + counter.value(kind="routed")
         assert total == obs.total_traversals

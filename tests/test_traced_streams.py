@@ -10,12 +10,14 @@ variant, its Step-4 skip counts.  The hashes were recorded from the
 recursive drivers the DAG interpreter replaced; any change to what a traced
 run publishes or charges shows up here.
 
-The machine backend's cases hash the same, plus every ``machine_step`` a
-:class:`~repro.observability.MachineTimeline` on the same bus publishes (its
-pairs in order, cost and routes), and its emitted schedules' hashes on the
-small factors are pinned too.  Both were recorded from the machine planner
-that ran the recursion a second time before the machine schedule became a
-lowering of the lattice schedule.
+The machine backend's cases hash the same stream, and separately its
+schedule's static traffic pass (:func:`~repro.machine.machine.machine_traffic`:
+every super-step's label pairs in order, its charge and its routes); its
+emitted schedules' hashes on the small factors are pinned too.  The schedule
+hashes were recorded from the machine planner that ran the recursion a
+second time before the machine schedule became a lowering of the lattice
+schedule; both machine digests were recorded from the run-time step events
+the traffic pass replaced.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from repro.core.adaptive import AdaptiveProductNetworkSorter
 from repro.core.lattice_sort import ProductNetworkSorter
 from repro.core.machine_sort import MachineSorter
 from repro.graphs import complete_binary_tree, cycle_graph, k2, path_graph
-from repro.observability import EventBus, MachineTimeline, Tracer
+from repro.machine import machine_traffic
+from repro.observability import EventBus, Tracer
 from repro.sorters2d import OddEvenSnakeSorter
 from tests.conftest import SMALL_FACTORS
 from repro.orders import sequence_to_lattice
@@ -211,34 +214,40 @@ MACHINE_GEOMETRIES = {
 }
 
 
-def _machine_digest(geometry: str) -> str:
+def _machine_digests(geometry: str) -> tuple[str, str]:
+    """The traced run's stream digest and its schedule's traffic digest."""
     make, r, sorter2d = MACHINE_GEOMETRIES[geometry]
     sorter = MachineSorter.for_factor(make(), r, None if sorter2d is None else sorter2d())
     bus = EventBus()
     events: list = []
     bus.subscribe(events.append)
     keys = _keys("random", sorter.n, r)
-    machine, ledger = sorter.sort(
-        keys, tracer=Tracer(bus), timeline=MachineTimeline(sorter.network, bus=bus)
-    )
-    return _hash_run(events, ledger, machine.lattice()).hexdigest()[:16]
+    machine, ledger = sorter.sort(keys, tracer=Tracer(bus))
+    stream = _hash_run(events, ledger, machine.lattice()).hexdigest()[:16]
+    traffic = hashlib.sha256()
+    label = sorter.network.label_of
+    for step in machine_traffic(sorter.schedule(), sorter.network):
+        pairs = tuple((label(a), label(b)) for a, b in step.pairs)
+        traffic.update(f"{pairs!r}|{step.charge}|{step.routes!r}\n".encode())
+    return stream, traffic.hexdigest()[:16]
 
 
-MACHINE_PINNED: dict[str, str] = {
-    "path-n3-r3": "9e9fabc1f67730b3",
-    "path-n3-r4": "7728796666225bb8",
-    "path-n4-r3": "2697f5e73ed1ab76",
-    "cycle-n4-r3": "c76dbbb088b18660",
-    "k2-n2-r4": "542e23fa171b1efd",
-    "cbt1-r3": "ddb428118bbd72bf",
-    "path-n4-r3-relabelled": "0e5134d618c26cfb",
-    "path-n3-r3-odd-even-snake": "b0b98faabcfe2084",
+#: geometry -> (traced stream digest, traffic digest)
+MACHINE_PINNED: dict[str, tuple[str, str]] = {
+    "path-n3-r3": ("7326fd7280d8b9eb", "d36b9e2491f2c758"),
+    "path-n3-r4": ("fc3c05fd51a1ef5c", "e2c9a1f489da671f"),
+    "path-n4-r3": ("424c21f6c1f26c10", "d182a1e9c79080ff"),
+    "cycle-n4-r3": ("782b9cff1194148e", "d182a1e9c79080ff"),
+    "k2-n2-r4": ("937dce8d43340e48", "4485a38e5543a201"),
+    "cbt1-r3": ("f4e5236f8a5bd0ac", "771f55cdd9878263"),
+    "path-n4-r3-relabelled": ("dfe0a43600b12003", "561d07fa4274d35a"),
+    "path-n3-r3-odd-even-snake": ("5a288e9b4d27855d", "e263138991844263"),
 }
 
 
 @pytest.mark.parametrize("geometry", list(MACHINE_GEOMETRIES))
 def test_machine_traced_stream_is_pinned(geometry):
-    assert _machine_digest(geometry) == MACHINE_PINNED[geometry]
+    assert _machine_digests(geometry) == MACHINE_PINNED[geometry]
 
 
 #: ``schedule_hash()`` of every small factor's machine schedule at r = 3
@@ -275,7 +284,7 @@ if __name__ == "__main__":  # python -m tests.test_traced_streams: the tables ab
     for case in CASES:
         print(f"    {case!r}: {_digest(*case)!r},")
     for geometry in MACHINE_GEOMETRIES:
-        print(f"    {geometry!r}: {_machine_digest(geometry)!r},")
+        print(f"    {geometry!r}: {_machine_digests(geometry)!r},")
     for name, factor in SMALL_FACTORS.items():
         t0 = time.perf_counter()
         dag = MachineSorter.for_factor(factor, 3).schedule()
