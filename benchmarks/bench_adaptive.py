@@ -33,8 +33,8 @@ def _sort(sorter, keys):
 
 def test_adaptive_ablation_table(rng):
     factor = path_graph(3)
-    plain = ProductNetworkSorter.for_factor(factor, 4, keep_log=False)
-    adaptive = AdaptiveProductNetworkSorter.for_factor(factor, 4, keep_log=False)
+    plain = ProductNetworkSorter.for_factor(factor, 4)
+    adaptive = AdaptiveProductNetworkSorter.for_factor(factor, 4)
 
     rows = []
     results = {}
@@ -69,7 +69,7 @@ def test_adaptive_ablation_table(rng):
 
 @pytest.mark.parametrize("input_class", sorted(INPUT_CLASSES), ids=sorted(INPUT_CLASSES))
 def test_adaptive_wallclock(benchmark, input_class, rng):
-    adaptive = AdaptiveProductNetworkSorter.for_factor(path_graph(3), 4, keep_log=False)
+    adaptive = AdaptiveProductNetworkSorter.for_factor(path_graph(3), 4)
     keys = INPUT_CLASSES[input_class](rng)
     lattice, _ = benchmark(_sort, adaptive, keys)
     assert np.array_equal(lattice_to_sequence(lattice), np.sort(keys))

@@ -47,7 +47,7 @@ def test_backend_wallclock(benchmark, backend, rng):
     factor, r = path_graph(4), 3
     keys = rng.integers(0, 2**20, size=64)
     if backend == "lattice":
-        sorter = ProductNetworkSorter.for_factor(factor, r, keep_log=False)
+        sorter = ProductNetworkSorter.for_factor(factor, r)
         lattice, _ = benchmark(_lattice_sort, sorter, keys)
     else:
         ms = MachineSorter.for_factor(factor, r)
@@ -85,7 +85,7 @@ def test_s2_model_ablation(rng):
     }
     keys = rng.integers(0, 2**20, size=8**3)
     for name, model in models.items():
-        sorter = ProductNetworkSorter.for_factor(factor, 3, sorter2d=model, keep_log=False)
+        sorter = ProductNetworkSorter.for_factor(factor, 3, sorter2d=model)
         lattice, ledger = sorter.sort_sequence(keys)
         assert np.array_equal(lattice_to_sequence(lattice), np.sort(keys))
         costs[name] = ledger.total_rounds

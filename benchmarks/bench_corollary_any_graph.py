@@ -50,7 +50,7 @@ def test_corollary_random_factors(benchmark, rng):
         cert = torus_emulation_certificate(factor)
         assert cert.embedding.dilation <= 3
         r = 3
-        sorter = ProductNetworkSorter.for_factor(factor, r, keep_log=False)
+        sorter = ProductNetworkSorter.for_factor(factor, r)
         keys = rng.integers(0, 2**28, size=factor.n**r)
         lattice, ledger = sorter.sort_sequence(keys)
         assert np.array_equal(lattice_to_sequence(lattice), np.sort(keys))
@@ -76,7 +76,7 @@ def test_corollary_random_factors(benchmark, rng):
 def test_corollary_structured_non_hamiltonian(benchmark, factory, r, rng):
     """Deterministic non-Hamiltonian factors (the hard case for labelling)."""
     factor = factory()
-    sorter = ProductNetworkSorter.for_factor(factor, r, keep_log=False)
+    sorter = ProductNetworkSorter.for_factor(factor, r)
     keys = rng.integers(0, 2**28, size=factor.n**r)
     lattice, ledger = benchmark(_sort, sorter, keys)
     assert np.array_equal(lattice_to_sequence(lattice), np.sort(keys))

@@ -79,7 +79,7 @@ def test_routing_model_ablation(n, r, rng):
         ("published R(N)=N-1", PublishedRoutingModel(factor)),
         ("adjacent-step", AdjacentStepRoutingModel(factor)),
     ]:
-        sorter = ProductNetworkSorter.for_factor(factor, r, routing=model, keep_log=False)
+        sorter = ProductNetworkSorter.for_factor(factor, r, routing=model)
         lattice, ledger = sorter.sort_sequence(keys)
         assert np.array_equal(lattice_to_sequence(lattice), np.sort(keys))
         totals[name] = ledger.total_rounds

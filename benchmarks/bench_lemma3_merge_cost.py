@@ -39,7 +39,7 @@ CASES = [
 @pytest.mark.parametrize("name,factory,n,k", CASES, ids=[f"{c[0]}-N{c[2]}-k{c[3]}" for c in CASES])
 def test_lemma3_exact(benchmark, name, factory, n, k, rng):
     factor = factory(n)
-    sorter = ProductNetworkSorter.for_factor(factor, k, keep_log=False)
+    sorter = ProductNetworkSorter.for_factor(factor, k)
     lattice = _sorted_input(n, k, rng)
     merged, ledger = benchmark(_run_merge, sorter, lattice)
 
@@ -59,7 +59,7 @@ def test_lemma3_recurrence_table(rng):
     rows = []
     prev = None
     for k in range(2, 7):
-        sorter = ProductNetworkSorter.for_factor(factor, k, keep_log=False)
+        sorter = ProductNetworkSorter.for_factor(factor, k)
         lattice = _sorted_input(n, k, rng)
         _, ledger = sorter.merge_sorted_subgraphs(lattice)
         s2 = sorter.sorter2d.rounds(n)

@@ -29,7 +29,7 @@ def _sort(sorter, keys):
 
 @pytest.mark.parametrize("n,r", [(4, 3), (8, 3), (16, 2), (8, 4)], ids=lambda v: str(v))
 def test_grid_constant(benchmark, n, r, rng):
-    sorter = ProductNetworkSorter.for_factor(path_graph(n), r, keep_log=False)
+    sorter = ProductNetworkSorter.for_factor(path_graph(n), r)
     keys = rng.integers(0, 2**28, size=n**r)
     lattice, ledger = benchmark(_sort, sorter, keys)
     assert np.array_equal(lattice_to_sequence(lattice), np.sort(keys))
@@ -43,7 +43,7 @@ def test_grid_linear_in_n_at_fixed_r(rng):
     r = 3
     rows, ratios = [], []
     for n in (3, 4, 6, 8, 12, 16):
-        sorter = ProductNetworkSorter.for_factor(path_graph(n), r, keep_log=False)
+        sorter = ProductNetworkSorter.for_factor(path_graph(n), r)
         keys = rng.integers(0, 2**28, size=n**r)
         lattice, ledger = sorter.sort_sequence(keys)
         assert np.array_equal(lattice_to_sequence(lattice), np.sort(keys))
@@ -67,7 +67,7 @@ def test_grid_vs_diameter_lower_bound(rng):
     r = 2
     rows = []
     for n in (8, 16, 32):
-        sorter = ProductNetworkSorter.for_factor(path_graph(n), r, keep_log=False)
+        sorter = ProductNetworkSorter.for_factor(path_graph(n), r)
         keys = rng.integers(0, 2**28, size=n**r)
         _, ledger = sorter.sort_sequence(keys)
         diameter = r * (n - 1)

@@ -29,7 +29,7 @@ def _sort(sorter, keys):
 @pytest.mark.parametrize("height,r", [(1, 3), (2, 2), (2, 3), (3, 2)], ids=lambda v: str(v))
 def test_mct_sorts(benchmark, height, r, rng):
     factor = complete_binary_tree(height)
-    sorter = ProductNetworkSorter.for_factor(factor, r, keep_log=False)
+    sorter = ProductNetworkSorter.for_factor(factor, r)
     keys = rng.integers(0, 2**28, size=factor.n**r)
     lattice, ledger = benchmark(_sort, sorter, keys)
     assert np.array_equal(lattice_to_sequence(lattice), np.sort(keys))
@@ -43,7 +43,7 @@ def test_mct_linear_in_n_at_fixed_r(rng):
     for height in (1, 2, 3, 4):
         factor = complete_binary_tree(height)
         n = factor.n
-        sorter = ProductNetworkSorter.for_factor(factor, r, keep_log=False)
+        sorter = ProductNetworkSorter.for_factor(factor, r)
         keys = rng.integers(0, 2**28, size=n**r)
         lattice, ledger = sorter.sort_sequence(keys)
         assert np.array_equal(lattice_to_sequence(lattice), np.sort(keys))
@@ -63,7 +63,7 @@ def test_mct_s2_is_linear(rng):
     rows = []
     for height in (1, 2, 3, 4, 5):
         factor = complete_binary_tree(height)
-        sorter = ProductNetworkSorter.for_factor(factor, 2, keep_log=False)
+        sorter = ProductNetworkSorter.for_factor(factor, 2)
         s2 = sorter.sorter2d.rounds(factor.n)
         rows.append([height, factor.n, s2, f"{s2 / factor.n:.2f}"])
         assert factor.n <= s2 <= 25 * factor.n

@@ -67,7 +67,7 @@ def test_hypercube_quadratic_shape(rng):
     """O(r^2): second differences of the round counts are constant-ish."""
     totals = []
     for r in range(2, 10):
-        sorter = ProductNetworkSorter.for_factor(k2(), r, keep_log=False)
+        sorter = ProductNetworkSorter.for_factor(k2(), r)
         keys = rng.integers(0, 2**28, size=2**r)
         _, ledger = sorter.sort_sequence(keys)
         totals.append(ledger.total_rounds)

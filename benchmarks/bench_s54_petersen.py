@@ -46,7 +46,7 @@ def test_grid_subgraph_argument(petersen):
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_petersen_cube_sorts(benchmark, r, petersen, rng):
-    sorter = ProductNetworkSorter.for_factor(petersen, r, keep_log=False)
+    sorter = ProductNetworkSorter.for_factor(petersen, r)
     keys = rng.integers(0, 2**28, size=10**r)
     lattice, ledger = benchmark(_sort, sorter, keys)
     assert np.array_equal(lattice_to_sequence(lattice), np.sort(keys))
@@ -66,7 +66,7 @@ def test_petersen_o_r_squared_table(petersen, rng):
         predicted = sort_rounds(r, s2, routing)
         measured = "-"
         if r <= 3:
-            sorter = ProductNetworkSorter.for_factor(petersen, r, keep_log=False)
+            sorter = ProductNetworkSorter.for_factor(petersen, r)
             keys = rng.integers(0, 2**28, size=10**r)
             _, ledger = sorter.sort_sequence(keys)
             measured = ledger.total_rounds

@@ -43,7 +43,7 @@ def _sort(sorter, keys):
 )
 def test_debruijn_family_sorts(benchmark, factory, order, r, rng):
     factor = factory(order)
-    sorter = ProductNetworkSorter.for_factor(factor, r, keep_log=False)
+    sorter = ProductNetworkSorter.for_factor(factor, r)
     keys = rng.integers(0, 2**28, size=factor.n**r)
     lattice, ledger = benchmark(_sort, sorter, keys)
     assert np.array_equal(lattice_to_sequence(lattice), np.sort(keys))
@@ -57,7 +57,7 @@ def test_s2_grows_log_squared(rng):
     rows, ratios = [], []
     for order in (2, 3, 4, 5, 6):
         factor = de_bruijn_graph(order)
-        sorter = ProductNetworkSorter.for_factor(factor, 2, keep_log=False)
+        sorter = ProductNetworkSorter.for_factor(factor, 2)
         s2 = sorter.sorter2d.rounds(factor.n)
         lg2 = math.ceil(math.log2(factor.n)) ** 2
         ratios.append(s2 / lg2)
@@ -78,7 +78,7 @@ def test_vs_flat_batcher_shape(rng):
     for order in (2, 3, 4, 5):
         factor = de_bruijn_graph(order)
         n = factor.n
-        sorter = ProductNetworkSorter.for_factor(factor, r, keep_log=False)
+        sorter = ProductNetworkSorter.for_factor(factor, r)
         keys = rng.integers(0, 2**28, size=n**r)
         _, ledger = sorter.sort_sequence(keys)
         flat_lg = math.ceil(math.log2(n**r))

@@ -41,7 +41,7 @@ def test_theorem1_exact(benchmark, name, factory, rs, rng):
     rows = []
     # benchmark the largest instance; assert on all
     for r in rs:
-        sorter = ProductNetworkSorter.for_factor(factor, r, keep_log=False)
+        sorter = ProductNetworkSorter.for_factor(factor, r)
         keys = rng.integers(0, 2**28, size=n**r)
         if r == rs[-1]:
             lattice, ledger = benchmark(_sort, sorter, keys)
@@ -69,7 +69,7 @@ def test_theorem1_quadratic_growth_in_r(rng):
     factor = k2()
     ratios = []
     for r in range(2, 9):
-        sorter = ProductNetworkSorter.for_factor(factor, r, keep_log=False)
+        sorter = ProductNetworkSorter.for_factor(factor, r)
         keys = rng.integers(0, 2**28, size=2**r)
         _, ledger = sorter.sort_sequence(keys)
         ratios.append(ledger.total_rounds / (r - 1) ** 2)

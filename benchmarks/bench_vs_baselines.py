@@ -136,7 +136,7 @@ def test_round_comparison_on_grid_substrate(rng):
     for n in (4, 8, 16):
         r = 3
         total = n**r
-        sorter = ProductNetworkSorter.for_factor(path_graph(n), r, keep_log=False)
+        sorter = ProductNetworkSorter.for_factor(path_graph(n), r)
         keys = rng.integers(0, 2**28, size=total)
         lattice, ledger = sorter.sort_sequence(keys)
         assert np.array_equal(lattice_to_sequence(lattice), np.sort(keys))

@@ -27,8 +27,8 @@ from repro.extensions import bulk_multiway_merge_sort, randomized_slab_sort
 def demo_adaptive() -> None:
     print("=" * 64)
     print("1. Adaptive clean-check (skip Step 4 when the interleave is clean)")
-    plain = ProductNetworkSorter.for_factor(path_graph(3), 4, keep_log=False)
-    adaptive = AdaptiveProductNetworkSorter.for_factor(path_graph(3), 4, keep_log=False)
+    plain = ProductNetworkSorter.for_factor(path_graph(3), 4)
+    adaptive = AdaptiveProductNetworkSorter.for_factor(path_graph(3), 4)
     rng = np.random.default_rng(0)
     for label, keys in [
         ("all-equal keys", np.zeros(81)),

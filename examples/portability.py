@@ -50,7 +50,7 @@ def main(seed: int = 0) -> None:
     print(f"{'network':<38} {'N':>3} {'r':>2} {'keys':>6} {'S2 model':<24} {'rounds':>7} ok")
     print("-" * 95)
     for factor, r, label in instances:
-        sorter = ProductNetworkSorter.for_factor(factor, r, keep_log=False)
+        sorter = ProductNetworkSorter.for_factor(factor, r)
         keys = rng.integers(0, 10**6, size=sorter.network.num_nodes)
         lattice, ledger = sorter.sort_sequence(keys)
         ok = bool(np.array_equal(lattice_to_sequence(lattice), np.sort(keys)))

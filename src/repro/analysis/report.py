@@ -113,7 +113,7 @@ def _section_grid(seed: int) -> str:
     rng = np.random.default_rng(seed)
     rows = []
     for n in (4, 8, 16):
-        sorter = ProductNetworkSorter.for_factor(path_graph(n), 3, keep_log=False)
+        sorter = ProductNetworkSorter.for_factor(path_graph(n), 3)
         keys = rng.integers(0, 2**28, size=n**3)
         lattice, ledger = sorter.sort_sequence(keys)
         assert np.all(np.diff(lattice_to_sequence(lattice)) >= 0)

@@ -57,7 +57,7 @@ def measure_sort(
     """Sort random keys on the factor's r-dimensional product and compare the
     ledger with the Theorem 1 prediction."""
     if sorter is None:
-        sorter = ProductNetworkSorter.for_factor(factor, r, keep_log=False)
+        sorter = ProductNetworkSorter.for_factor(factor, r)
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, 2**31, size=sorter.network.num_nodes)
     lattice, ledger = sorter.sort_sequence(keys)

@@ -23,8 +23,9 @@ Reproduces the paper's evaluation from the shell:
   ``/healthz``, ``/snapshot.json``) warmed with profiled kernel runs;
 * ``serve`` — the micro-batched sort service: ``POST /sort`` +
   ``GET /queues.json`` + live ``/metrics`` (plus ``/readyz`` readiness) on
-  one port, graceful shutdown on SIGINT/SIGTERM; ``--slo`` adds a tsdb
-  sampler and burn-rate alerts, served as ``/alerts.json``;
+  one port, graceful shutdown on SIGINT/SIGTERM; ``--slo`` adds
+  burn-rate alerts sampled on a background thread, served as
+  ``/alerts.json``;
 * ``loadgen`` — open-loop load generation (Poisson/burst arrivals, four
   key mixes) against an in-process service or a live ``--target`` URL,
   every response verified against snake-order ground truth; ``--slo``
@@ -533,6 +534,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_queue_depth=args.max_queue_depth,
             deadline_ms=args.deadline_ms,
         )
+        if args.slo:
+            from .observability.slo import default_serve_slos
+
+            specs = default_serve_slos(window_scale=args.slo_scale)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -547,17 +552,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 print(str(exc), file=sys.stderr)
                 return 2
             await asyncio.sleep(0)  # the prewarmed cells tier up before connections
-            store = None
             evaluator = None
             if args.slo:
-                from .observability.slo import SLOEvaluator, default_serve_slos
-                from .observability.tsdb import TimeSeriesStore
+                from .observability.slo import SLOEvaluator
 
-                store = TimeSeriesStore(service.registry, interval_s=args.sample_interval)
-                evaluator = SLOEvaluator(
-                    store, list(default_serve_slos(window_scale=args.slo_scale))
-                )
-                store.on_tick.append(evaluator.evaluate)
+                evaluator = SLOEvaluator(service.registry, specs)
+                evaluator.tick()  # baseline sample: every later event counts
             try:
                 server = build_sort_server(
                     service, loop, host=args.host, port=args.port, evaluator=evaluator
@@ -566,8 +566,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 print(f"cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
                 return 1
             server.start()
-            if store is not None:
-                store.start()
+            if evaluator is not None:
+                evaluator.start()
             alerts = f", alerts {server.url('/alerts.json')}" if args.slo else ""
             print(
                 f"sort service on {server.url('/sort')} (POST) — queues "
@@ -587,8 +587,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     "shutting down: draining queues, closing listening socket",
                     file=sys.stderr,
                 )
-                if store is not None:
-                    store.stop()
+                if evaluator is not None:
+                    evaluator.stop()
                 server.stop()
         return 0
 
@@ -931,13 +931,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deadline-ms", type=float, default=None,
                    help="latency SLO; completions past it count deadline misses")
     p.add_argument("--slo", action="store_true",
-                   help="background tsdb sampler + default serving SLOs with "
-                   "burn-rate alerting, mounting /alerts.json on the same port")
+                   help="default serving SLOs with burn-rate alerting, sampled on "
+                   "a background thread at the shortest alert window / 20, "
+                   "mounting /alerts.json on the same port")
     p.add_argument("--slo-scale", type=float, default=1.0, metavar="FACTOR",
-                   help="scale the burn-rate alert windows (1.0 = the SRE-book "
-                   "5m/1h defaults; smaller reacts faster, for drills)")
-    p.add_argument("--sample-interval", type=float, default=0.25, metavar="SECONDS",
-                   help="tsdb sampling interval")
+                   help="scale the burn-rate alert windows (1.0 = page on 60s/5s, "
+                   "warn on 300s/30s; smaller reacts faster, for drills)")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
@@ -968,10 +967,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="in-process service: artificial per-flush service time "
                    "(overload/backpressure drills)")
     p.add_argument("--slo", action="store_true",
-                   help="evaluate SLO burn rates during the run (in-process: a "
-                   "tsdb sampler + the default serving SLOs with windows scaled "
-                   "to the run; --target: fetch the server's /alerts.json); the "
-                   "alert snapshot lands in the document's 'slo' section")
+                   help="evaluate SLO burn rates during the run (in-process: the "
+                   "default serving SLOs with windows scaled to the run, sampled "
+                   "on a background thread; --target: fetch the server's "
+                   "/alerts.json); the alert snapshot lands in the document's "
+                   "'slo' section")
     p.add_argument("--json", action="store_true", help="machine-readable result document")
     p.add_argument("--out", type=str, default=None, help="write to a file instead of stdout")
     p.add_argument("--seed", type=int, default=0)

@@ -74,7 +74,7 @@ class AdaptiveProductNetworkSorter(ProductNetworkSorter):
         tracer = coerce_tracer(tracer)
         emit = point_emitter(tracer)
         a = self._fresh_lattice(lattice)
-        ledger = CostLedger(keep_log=self.keep_log)
+        ledger = CostLedger()
         phases = self.schedule().phases
         n, r = self.n, self.r
         self.steps4_skipped = self.steps4_executed = 0
@@ -96,7 +96,7 @@ class AdaptiveProductNetworkSorter(ProductNetworkSorter):
 
     def merge_sorted_subgraphs(self, lattice: np.ndarray, tracer: TracerLike = None) -> SortOutcome:
         a = self._merge_input(lattice)
-        ledger = CostLedger(keep_log=self.keep_log)
+        ledger = CostLedger()
         self.steps4_skipped = self.steps4_executed = 0
         self._run_phases(a, self._merge_phases(), ledger, point_emitter(coerce_tracer(tracer)))
         return SortOutcome(a, ledger)

@@ -101,8 +101,6 @@ class ProductNetworkSorter:
         the ``R(N)`` cost model; defaults to the paper's conservative
         full-permutation accounting
         (:class:`~repro.sorters2d.base.PublishedRoutingModel`).
-    keep_log:
-        whether ledgers retain the per-phase record list.
     """
 
     def __init__(
@@ -110,14 +108,12 @@ class ProductNetworkSorter:
         network: ProductGraph,
         sorter2d: TwoDimSorterModel | None = None,
         routing: RoutingModel | None = None,
-        keep_log: bool = True,
     ) -> None:
         if network.r < 2:
             raise ValueError("the algorithm needs r >= 2 (§3.3 sorts N**r keys, r >= 2)")
         self.network = network
         self.sorter2d = sorter2d if sorter2d is not None else sorter_for_factor(network.factor)
         self.routing = routing if routing is not None else PublishedRoutingModel(network.factor)
-        self.keep_log = keep_log
 
     @classmethod
     def for_factor(
@@ -126,14 +122,13 @@ class ProductNetworkSorter:
         r: int,
         sorter2d: TwoDimSorterModel | None = None,
         routing: RoutingModel | None = None,
-        keep_log: bool = True,
         **kwargs,
     ) -> "ProductNetworkSorter":
         """Build the sorter for the r-dimensional product of a factor.
 
         Extra keyword arguments are forwarded to the constructor (so
         subclasses like the adaptive sorter can add knobs)."""
-        return cls(ProductGraph(factor, r), sorter2d, routing, keep_log, **kwargs)
+        return cls(ProductGraph(factor, r), sorter2d, routing, **kwargs)
 
     # ------------------------------------------------------------------
     # public API
@@ -178,7 +173,7 @@ class ProductNetworkSorter:
         a = self._fresh_lattice(lattice)
         tracer = coerce_tracer(tracer)
         dag = self.schedule()
-        ledger = CostLedger(keep_log=self.keep_log)
+        ledger = CostLedger()
         if tracer.disabled:
             out = compile_schedule(dag).run(a.reshape(-1))
             for phase in dag.phases:
@@ -209,7 +204,7 @@ class ProductNetworkSorter:
         Used by the Lemma 3 benchmark and the worked example of Figs. 12-15.
         """
         a = self._merge_input(lattice)
-        ledger = CostLedger(keep_log=self.keep_log)
+        ledger = CostLedger()
         self._interpret(a, self._merge_phases(), ledger, coerce_tracer(tracer))
         return SortOutcome(a, ledger)
 

@@ -59,8 +59,6 @@ class CostLedger:
     routing_rounds: int = 0
     comparisons: int = 0
     records: list[PhaseRecord] = field(default_factory=list)
-    #: when False, skip appending PhaseRecords (large runs)
-    keep_log: bool = True
 
     # ------------------------------------------------------------------
     @property
@@ -75,8 +73,7 @@ class CostLedger:
         self.s2_calls += 1
         self.s2_rounds += rounds
         self.comparisons += comparisons
-        if self.keep_log:
-            self.records.append(PhaseRecord("S2", detail, rounds, comparisons))
+        self.records.append(PhaseRecord("S2", detail, rounds, comparisons))
 
     def charge_routing(self, rounds: int, detail: str = "", comparisons: int = 0) -> None:
         """Charge one factor-graph permutation routing of the given cost."""
@@ -85,18 +82,7 @@ class CostLedger:
         self.routing_calls += 1
         self.routing_rounds += rounds
         self.comparisons += comparisons
-        if self.keep_log:
-            self.records.append(PhaseRecord("R", detail, rounds, comparisons))
-
-    def absorb(self, other: "CostLedger") -> None:
-        """Fold a sub-computation's ledger into this one (recursive calls)."""
-        self.s2_calls += other.s2_calls
-        self.s2_rounds += other.s2_rounds
-        self.routing_calls += other.routing_calls
-        self.routing_rounds += other.routing_rounds
-        self.comparisons += other.comparisons
-        if self.keep_log:
-            self.records.extend(other.records)
+        self.records.append(PhaseRecord("R", detail, rounds, comparisons))
 
     def summary(self) -> dict[str, int]:
         """Compact dict view for reports and benchmark tables."""

@@ -28,11 +28,10 @@ Passing ``tracer=None`` (the default everywhere) routes through the shared
 preallocated no-op object — untraced runs pay essentially nothing.
 
 On top of the metrics layer sit the SLO alerts (``docs/slo.md``):
-:class:`~repro.observability.tsdb.TimeSeriesStore` samples every registry
-series into ring buffers, and :class:`~repro.observability.slo.SLOEvaluator`
-turns the samples into multi-window burn-rate alerts, served as
-``/alerts.json`` by ``repro serve --slo`` and reported by
-``repro loadgen --slo``.
+:class:`~repro.observability.slo.SLOEvaluator` samples one cumulative
+``(bad, total)`` pair per objective from the registry and turns the samples
+into multi-window burn-rate alerts, served as ``/alerts.json`` by
+``repro serve --slo`` and reported by ``repro loadgen --slo``.
 
 The package surface is lazy: each public name is imported from its
 submodule on first use, so importing one submodule — as the compiled kernel
@@ -92,7 +91,6 @@ if TYPE_CHECKING:
         SLOSpec,
         default_serve_slos,
     )
-    from .tsdb import TimeSeriesStore
     from .topology import CongestionIndex, LinkObservatory
     from .tracer import NULL_TRACER, NullTracer, Span, Tracer, coerce_tracer, point_emitter
 
@@ -132,7 +130,6 @@ __all__ = [
     "render_profile",
     "MetricsServer",
     "build_metrics_server",
-    "TimeSeriesStore",
     "SLOSpec",
     "SLOEvaluator",
     "BurnPolicy",
@@ -185,7 +182,6 @@ _EXPORTS: dict[str, str] = {
     "render_profile": "kernelprof",
     "MetricsServer": "httpexpo",
     "build_metrics_server": "httpexpo",
-    "TimeSeriesStore": "tsdb",
     "SLOSpec": "slo",
     "SLOEvaluator": "slo",
     "BurnPolicy": "slo",

@@ -260,7 +260,6 @@ def _optimize_record(
     dag = sorter.schedule()
     result = optimize_schedule(
         dag,
-        validate=True,
         network=ProductGraph(factor, cell.r),
         s2_model_rounds=s2_model,
         routing_model_rounds=routing_model,

@@ -279,7 +279,7 @@ class Histogram(_Instrument):
             return quantile_from_buckets(self.buckets, series.bucket_counts, q)
 
     def raw_samples(self) -> list[tuple[Labels, int, float, tuple[int, ...]]]:
-        """Consistent raw samples of every series, for the tsdb sampler.
+        """Consistent raw samples of every series, for the SLO sampler.
 
         Returns one ``(labels, count, sum, bucket_counts)`` tuple per series,
         where ``bucket_counts`` is the *non-cumulative* per-bound count vector

@@ -25,13 +25,21 @@ threshold — the long window rejects blips, the short window makes the alert
 * **page** — fast windows, high burn (default 14.4× on 60s/5s);
 * **warn** — slow windows, low burn (default 3× on 300s/30s).
 
-:class:`SLOEvaluator` runs every spec against a
-:class:`~repro.observability.tsdb.TimeSeriesStore` and drives an
-ok → warning → page state machine per spec; every transition appends to the
-alert history, is exposed in the ``/alerts.json`` snapshot, and — when a
+:class:`SLOEvaluator` reads a
+:class:`~repro.observability.metrics.MetricsRegistry` directly.  Each
+:meth:`~SLOEvaluator.tick` samples one cumulative ``(t, bad, total)``
+triple per spec — every series of the spec's metrics summed, an instrument
+not registered yet counting as zero — and then evaluates: a window's error
+ratio is Δbad / Δtotal against the last sample at or before the window's
+start (or the oldest sample held).  The first tick, taken before any
+traffic, reads zeros, so every event counts, whichever label set it lands
+in.  Each spec drives an ok → warning → page state machine; every
+transition appends to the alert history, is exposed in the
+``/alerts.json`` snapshot, and — when a
 :class:`~repro.observability.tracer.Tracer` is attached — emits a
 ``slo-firing`` / ``slo-resolved`` point event on the tracer bus, next to the
-``serve-*`` events the service itself publishes.
+``serve-*`` events the service itself publishes.  :meth:`~SLOEvaluator.start`
+runs the ticks on a daemon thread at :attr:`~SLOEvaluator.interval_s`.
 
 :func:`default_serve_slos` declares the four serving objectives
 (availability, p99 request latency, deadline misses, queue wait); pass
@@ -42,11 +50,15 @@ alert math).
 
 from __future__ import annotations
 
+import logging
+import math
 import threading
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any
+import time
+from collections import deque
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from .tsdb import TimeSeriesStore
+from .metrics import Histogram, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .tracer import Tracer
@@ -64,6 +76,17 @@ SEVERITIES = ("ok", "warning", "page")
 
 _SEVERITY_RANK = {name: i for i, name in enumerate(SEVERITIES)}
 
+#: transition events kept per spec (oldest dropped first)
+MAX_EVENTS = 256
+
+#: the sampler ticks this often per shortest burn window ...
+TICKS_PER_WINDOW = 20
+#: ... but never faster than this
+MIN_INTERVAL_S = 0.005
+
+#: one sample: (time, cumulative bad events, cumulative total events)
+Sample = tuple[float, float, float]
+
 
 @dataclass(frozen=True)
 class BurnPolicy:
@@ -77,11 +100,13 @@ class BurnPolicy:
     burn: float
 
     def __post_init__(self) -> None:
-        if self.long_s <= 0 or self.short_s <= 0:
-            raise ValueError("burn windows must be positive")
+        # written so that NaN fails too: a NaN or infinite window leaves the
+        # sampler without a cadence
+        if not (0 < self.long_s < math.inf and 0 < self.short_s < math.inf):
+            raise ValueError("burn windows must be positive and finite")
         if self.short_s > self.long_s:
             raise ValueError("short window must not exceed the long window")
-        if self.burn <= 0:
+        if not self.burn > 0:
             raise ValueError("burn threshold must be positive")
 
     def scaled(self, factor: float) -> "BurnPolicy":
@@ -99,14 +124,11 @@ class SLOSpec:
     objective: float
     kind: str = "counter_ratio"
     description: str = ""
-    #: counter_ratio: the bad-event and total-event counters (+ label filters)
+    #: counter_ratio: the bad-event and total-event counters
     bad_metric: str | None = None
-    bad_labels: dict[str, str] = field(default_factory=dict)
     total_metric: str | None = None
-    total_labels: dict[str, str] = field(default_factory=dict)
     #: histogram_threshold: the latency histogram and the good/bad boundary
     metric: str | None = None
-    labels: dict[str, str] = field(default_factory=dict)
     threshold_s: float | None = None
     page: BurnPolicy = BurnPolicy(long_s=60.0, short_s=5.0, burn=14.4)
     warn: BurnPolicy = BurnPolicy(long_s=300.0, short_s=30.0, burn=3.0)
@@ -134,39 +156,32 @@ class SLOSpec:
             return self
         return replace(self, page=self.page.scaled(factor), warn=self.warn.scaled(factor))
 
-    def error_ratio(
-        self, store: TimeSeriesStore, window_s: float, now: float | None = None
-    ) -> float | None:
-        """Bad-over-total inside the window; ``None`` with no events."""
+    def sample(self, instruments: dict[str, Any]) -> tuple[float, float]:
+        """Cumulative ``(bad, total)`` events, summed over every series.
+
+        ``instruments`` maps metric names to registry instruments; a name
+        not registered yet counts as zero events.  A histogram is read
+        through :meth:`~repro.observability.metrics.Histogram.raw_samples`,
+        under its lock, so count and buckets come from the same moment; its
+        bad events are the count minus the observations in buckets at or
+        below the snapped threshold.
+        """
         if self.kind == "counter_ratio":
             assert self.bad_metric is not None and self.total_metric is not None
-            total = store.increase(self.total_metric, window_s, now=now, **self.total_labels)
-            if total <= 0:
-                return None
-            bad = store.increase(self.bad_metric, window_s, now=now, **self.bad_labels)
-            return min(max(bad / total, 0.0), 1.0)
+            bad, total = instruments.get(self.bad_metric), instruments.get(self.total_metric)
+            return _series_sum(bad), _series_sum(total)
         assert self.metric is not None and self.threshold_s is not None
-        win = store.histogram_increase(self.metric, window_s, now=now, **self.labels)
-        if win is None:
-            return None
-        bounds, count, _sum, bucket_deltas = win
-        if count <= 0:
-            return None
+        hist = instruments.get(self.metric)
+        if not isinstance(hist, Histogram):
+            return 0.0, 0.0
         # snap the threshold to the largest bound <= threshold_s
-        good = 0
-        for bound, delta in zip(bounds, bucket_deltas):
-            if bound <= self.threshold_s * (1.0 + 1e-9):
-                good += delta
-        return min(max((count - good) / count, 0.0), 1.0)
-
-    def burn_rate(
-        self, store: TimeSeriesStore, window_s: float, now: float | None = None
-    ) -> float | None:
-        """Error ratio over the window in budget multiples (``None`` = no data)."""
-        ratio = self.error_ratio(store, window_s, now=now)
-        if ratio is None:
-            return None
-        return ratio / self.budget
+        snapped = self.threshold_s * (1.0 + 1e-9)
+        good_buckets = sum(1 for bound in hist.buckets if bound <= snapped)
+        count = good = 0
+        for _key, series_count, _sum, buckets in hist.raw_samples():
+            count += series_count
+            good += sum(buckets[:good_buckets])
+        return float(count - good), float(count)
 
     def to_json(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
@@ -180,49 +195,98 @@ class SLOSpec:
         }
         if self.kind == "counter_ratio":
             doc["bad_metric"] = self.bad_metric
-            doc["bad_labels"] = dict(self.bad_labels)
             doc["total_metric"] = self.total_metric
-            doc["total_labels"] = dict(self.total_labels)
         else:
             doc["metric"] = self.metric
-            doc["labels"] = dict(self.labels)
             doc["threshold_s"] = self.threshold_s
         return doc
+
+
+def _series_sum(instrument: Any) -> float:
+    """Every series of a counter summed; zero when it is not registered."""
+    if instrument is None:
+        return 0.0
+    return float(sum(value for _key, value in instrument.series()))
+
+
+def error_ratio(samples: Iterable[Sample], window_s: float, now: float) -> float | None:
+    """Δbad / Δtotal over the trailing window; ``None`` with no events.
+
+    The baseline is the last sample at or before ``now − window_s``, or the
+    oldest sample held; the end is the last sample at or before ``now``.
+    """
+    start = now - window_s
+    baseline: Sample | None = None
+    last: Sample | None = None
+    for point in samples:
+        if point[0] > now:
+            break
+        if baseline is None or point[0] <= start:
+            baseline = point
+        last = point
+    if baseline is None or last is None:
+        return None
+    total = last[2] - baseline[2]
+    if total <= 0:
+        return None
+    return min(max((last[1] - baseline[1]) / total, 0.0), 1.0)
+
+
+def _burns(spec: SLOSpec, samples: Iterable[Sample], now: float) -> dict[str, float | None]:
+    """The four windows' burn rates (``None`` = no events in the window)."""
+    burns: dict[str, float | None] = {}
+    for key, window in (
+        ("page_long", spec.page.long_s),
+        ("page_short", spec.page.short_s),
+        ("warn_long", spec.warn.long_s),
+        ("warn_short", spec.warn.short_s),
+    ):
+        ratio = error_ratio(samples, window, now)
+        burns[key] = None if ratio is None else ratio / spec.budget
+    return burns
 
 
 class _AlertState:
     """Mutable per-spec alert state inside the evaluator."""
 
-    __slots__ = ("severity", "since", "events", "pages_fired")
+    __slots__ = ("severity", "since", "events", "pages_fired", "samples", "burns")
 
     def __init__(self) -> None:
         self.severity = "ok"
         self.since: float | None = None
         self.events: list[dict[str, Any]] = []
         self.pages_fired = 0
+        self.samples: deque[Sample] = deque()
+        self.burns: dict[str, float | None] = dict.fromkeys(
+            ("page_long", "page_short", "warn_long", "warn_short")
+        )
 
 
 class SLOEvaluator:
-    """Runs specs against the store and keeps the alert state machine.
+    """Samples the registry per spec and keeps the alert state machine.
 
-    Thread-safe: the serving stack calls :meth:`evaluate` from the tsdb
-    sampler thread (via ``store.on_tick``) while scrape threads call
-    :meth:`snapshot` for ``/alerts.json``.
+    Thread-safe: the sampler thread (or a test) calls :meth:`tick` while
+    scrape threads call :meth:`snapshot` for ``/alerts.json``.  ``clock``
+    (``time.monotonic`` by default) stamps a tick taken without ``now``.
     """
 
     def __init__(
         self,
-        store: TimeSeriesStore,
+        registry: MetricsRegistry,
         specs: tuple[SLOSpec, ...] | list[SLOSpec] = (),
         tracer: "Tracer | None" = None,
-        max_events: int = 256,
+        clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.store = store
+        self.registry = registry
         self.tracer = tracer
-        self.max_events = max_events
+        self.ticks = 0
+        self.last_tick: float | None = None
+        self._clock = clock
         self._lock = threading.RLock()
         self._specs: list[SLOSpec] = []
         self._states: dict[str, _AlertState] = {}
+        self._thread: threading.Thread | None = None
+        self._stop = threading.Event()
         for spec in specs:
             self.add(spec)
 
@@ -238,65 +302,47 @@ class SLOEvaluator:
         with self._lock:
             return tuple(self._specs)
 
-    # -- evaluation ------------------------------------------------------
+    @property
+    def interval_s(self) -> float:
+        """Sampling cadence: the shortest burn window ÷ 20, never below 5 ms."""
+        windows = [w for s in self.specs for w in (s.page.short_s, s.warn.short_s)]
+        return max(min(windows, default=0.0) / TICKS_PER_WINDOW, MIN_INTERVAL_S)
 
-    def _burns(self, spec: SLOSpec, now: float) -> dict[str, float | None]:
-        return {
-            "page_long": spec.burn_rate(self.store, spec.page.long_s, now=now),
-            "page_short": spec.burn_rate(self.store, spec.page.short_s, now=now),
-            "warn_long": spec.burn_rate(self.store, spec.warn.long_s, now=now),
-            "warn_short": spec.burn_rate(self.store, spec.warn.short_s, now=now),
-        }
+    def samples(self, name: str) -> list[Sample]:
+        """The ``(t, bad, total)`` samples held for one spec, oldest first."""
+        with self._lock:
+            return list(self._states[name].samples)
 
-    @staticmethod
-    def _severity(spec: SLOSpec, burns: dict[str, float | None]) -> str:
-        def fires(long_key: str, short_key: str, threshold: float) -> bool:
-            lng, sht = burns[long_key], burns[short_key]
-            return lng is not None and sht is not None and lng >= threshold and sht >= threshold
+    # -- sampling and evaluation -----------------------------------------
 
-        if fires("page_long", "page_short", spec.page.burn):
-            return "page"
-        if fires("warn_long", "warn_short", spec.warn.burn):
-            return "warning"
-        return "ok"
-
-    def evaluate(self, now: float | None = None) -> list[dict[str, Any]]:
-        """Evaluate every spec once; returns the transition events (if any).
+    def tick(self, now: float | None = None) -> list[dict[str, Any]]:
+        """Sample every spec once, then evaluate; returns the transitions.
 
         Each transition dict carries the spec name, ``from``/``to``
         severities, the burn rates that drove it, and ``kind`` —
         ``"firing"`` when escalating away from ok-ward, ``"resolved"`` when
         the new severity is ``ok``.  The same events go to the tracer bus as
-        ``slo-firing`` / ``slo-resolved`` point events.
+        ``slo-firing`` / ``slo-resolved`` point events.  Samples no window
+        can reach any more are dropped, keeping one baseline before the
+        longest window.
         """
+        stamp = self._clock() if now is None else float(now)
+        instruments = {inst.name: inst for inst in self.registry}
         with self._lock:
-            stamp = self.store.now() if now is None else float(now)
             transitions: list[dict[str, Any]] = []
             for spec in self._specs:
-                burns = self._burns(spec, stamp)
-                severity = self._severity(spec, burns)
                 state = self._states[spec.name]
-                if severity == state.severity:
-                    continue
-                kind = "resolved" if severity == "ok" else "firing"
-                event = {
-                    "slo": spec.name,
-                    "kind": kind,
-                    "from": state.severity,
-                    "to": severity,
-                    "time": stamp,
-                    "burn": {k: v for k, v in burns.items() if v is not None},
-                }
-                state.events.append(event)
-                del state.events[: -self.max_events]
-                if _SEVERITY_RANK[severity] > _SEVERITY_RANK[state.severity]:
-                    state.since = stamp
-                if severity == "page":
-                    state.pages_fired += 1
-                if severity == "ok":
-                    state.since = None
-                state.severity = severity
-                transitions.append(event)
+                samples = state.samples
+                samples.append((stamp, *spec.sample(instruments)))
+                horizon = stamp - max(spec.page.long_s, spec.warn.long_s)
+                while len(samples) > 1 and samples[1][0] <= horizon:
+                    samples.popleft()
+                state.burns = _burns(spec, samples, stamp)
+                event = self._step(spec, state, stamp)
+                if event is not None:
+                    transitions.append(event)
+            self.ticks += 1
+            self.last_tick = stamp
         if self.tracer is not None:
             for event in transitions:
                 self.tracer.event(
@@ -307,6 +353,73 @@ class SLOEvaluator:
                     previous=event["from"],
                 )
         return transitions
+
+    @staticmethod
+    def _step(spec: SLOSpec, state: _AlertState, stamp: float) -> dict[str, Any] | None:
+        """Move one spec's state machine to its current severity."""
+        burns = state.burns
+
+        def fires(policy: BurnPolicy, prefix: str) -> bool:
+            lng, sht = burns[f"{prefix}_long"], burns[f"{prefix}_short"]
+            return lng is not None and sht is not None and min(lng, sht) >= policy.burn
+
+        if fires(spec.page, "page"):
+            severity = "page"
+        elif fires(spec.warn, "warn"):
+            severity = "warning"
+        else:
+            severity = "ok"
+        if severity == state.severity:
+            return None
+        event = {
+            "slo": spec.name,
+            "kind": "resolved" if severity == "ok" else "firing",
+            "from": state.severity,
+            "to": severity,
+            "time": stamp,
+            "burn": {k: v for k, v in burns.items() if v is not None},
+        }
+        state.events.append(event)
+        del state.events[:-MAX_EVENTS]
+        if _SEVERITY_RANK[severity] > _SEVERITY_RANK[state.severity]:
+            state.since = stamp
+        if severity == "page":
+            state.pages_fired += 1
+        if severity == "ok":
+            state.since = None
+        state.severity = severity
+        return event
+
+    def start(self) -> "SLOEvaluator":
+        """Start the background sampler thread (idempotent); returns self."""
+        if self._thread is not None and self._thread.is_alive():
+            return self
+        self._stop.clear()
+        interval = self.interval_s
+
+        def _loop() -> None:
+            while not self._stop.wait(interval):
+                try:
+                    self.tick()
+                except Exception:  # never kill the sampler; next tick retries
+                    logging.getLogger(__name__).exception("SLO tick failed")
+
+        self._thread = threading.Thread(target=_loop, name="repro-slo-sampler", daemon=True)
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        """Stop the sampler thread (if running) and join it."""
+        self._stop.set()
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
+            self._thread = None
+
+    def __enter__(self) -> "SLOEvaluator":
+        return self.start()
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.stop()
 
     # -- reporting -------------------------------------------------------
 
@@ -326,10 +439,10 @@ class SLOEvaluator:
                     worst = max(worst, _SEVERITY_RANK[event["to"]])
         return SEVERITIES[worst]
 
-    def snapshot(self, now: float | None = None) -> dict[str, Any]:
-        """The ``/alerts.json`` document: specs, live burns, alert history."""
+    def snapshot(self) -> dict[str, Any]:
+        """The ``/alerts.json`` document as of the last tick: specs, burns,
+        alert history (``evaluated_at`` is ``None`` before the first tick)."""
         with self._lock:
-            stamp = self.store.now() if now is None else float(now)
             alerts: list[dict[str, Any]] = []
             for spec in self._specs:
                 state = self._states[spec.name]
@@ -339,12 +452,12 @@ class SLOEvaluator:
                         "severity": state.severity,
                         "since": state.since,
                         "pages_fired": state.pages_fired,
-                        "burn": self._burns(spec, stamp),
+                        "burn": dict(state.burns),
                         "events": list(state.events),
                     }
                 )
             return {
-                "evaluated_at": stamp,
+                "evaluated_at": self.last_tick,
                 "severities": list(SEVERITIES),
                 "page_alerts": self.page_alerts,
                 "max_severity_seen": self.max_severity_seen,

@@ -29,8 +29,8 @@ provably equivalent schedule.  Three passes run in order:
 
 Every pass emits an :class:`OptimizationCertificate`.  A failed certificate
 aborts the pipeline; :func:`optimize_schedule` then falls back to the
-unoptimized schedule (``fell_back=True``).  When ``validate=True`` (the
-default) the pipeline additionally runs the translation validator
+unoptimized schedule (``fell_back=True``).  Otherwise the pipeline runs
+the translation validator
 (:func:`repro.staticcheck.validate.validate_translation`), which proves
 ``optimized == original`` as functions — 0-1 certification of the optimized
 DAG, the races/links/depth lints, and an obliviousness replay
@@ -406,6 +406,7 @@ class OptimizationResult:
     original: ComparatorDAG
     optimized: ComparatorDAG
     certificates: tuple[OptimizationCertificate, ...]
+    #: the translation validation; ``None`` only when a pass certificate failed
     validation: "TranslationValidation | None"
     fell_back: bool
 
@@ -466,7 +467,7 @@ class OptimizationResult:
         return "\n".join(lines)
 
 
-_RESULTS: dict[tuple[str, bool, bool], OptimizationResult] = {}
+_RESULTS: dict[tuple[str, bool], OptimizationResult] = {}
 _RESULTS_LOCK = threading.Lock()
 OPTIMIZER_CACHE_STATS = CacheStats("optimized-schedules", size_fn=lambda: len(_RESULTS))
 
@@ -480,7 +481,6 @@ def clear_optimizer_cache() -> None:
 
 def optimize_schedule(
     dag: ComparatorDAG,
-    validate: bool = True,
     network: "ProductGraph | None" = None,
     s2_model_rounds: int | None = None,
     routing_model_rounds: int | None = None,
@@ -493,11 +493,11 @@ def optimize_schedule(
     race/depth legality.  Results are cached by the original schedule hash;
     a lookup without a network reuses a sound result built with one.
     """
-    key = (dag.schedule_hash(), bool(validate), network is not None)
+    key = (dag.schedule_hash(), network is not None)
     with _RESULTS_LOCK:
         cached = _RESULTS.get(key)
         if cached is None and network is None:
-            wider = _RESULTS.get((key[0], key[1], True))
+            wider = _RESULTS.get((key[0], True))
             cached = wider if wider is not None and wider.ok else None
     if cached is not None:
         OPTIMIZER_CACHE_STATS.record_hit()
@@ -505,7 +505,6 @@ def optimize_schedule(
     t0 = time.perf_counter()
     result = _optimize_uncached(
         dag,
-        validate=validate,
         network=network,
         s2_model_rounds=s2_model_rounds,
         routing_model_rounds=routing_model_rounds,
@@ -519,7 +518,6 @@ def optimize_schedule(
 
 def _optimize_uncached(
     dag: ComparatorDAG,
-    validate: bool,
     network: "ProductGraph | None",
     s2_model_rounds: int | None,
     routing_model_rounds: int | None,
@@ -538,28 +536,26 @@ def _optimize_uncached(
                 validation=None,
                 fell_back=True,
             )
-    validation: "TranslationValidation | None" = None
-    if validate:
-        # deferred import: staticcheck depends on repro.schedule at module
-        # level, so the reverse edge must stay function-local
-        from ..staticcheck.validate import validate_translation
+    # deferred import: staticcheck depends on repro.schedule at module
+    # level, so the reverse edge must stay function-local
+    from ..staticcheck.validate import validate_translation
 
-        validation = validate_translation(
-            dag,
-            current,
-            network=network,
-            s2_model_rounds=s2_model_rounds,
-            routing_model_rounds=routing_model_rounds,
-            seed=seed,
+    validation = validate_translation(
+        dag,
+        current,
+        network=network,
+        s2_model_rounds=s2_model_rounds,
+        routing_model_rounds=routing_model_rounds,
+        seed=seed,
+    )
+    if not validation.ok:
+        return OptimizationResult(
+            original=dag,
+            optimized=dag,
+            certificates=tuple(certificates),
+            validation=validation,
+            fell_back=True,
         )
-        if not validation.ok:
-            return OptimizationResult(
-                original=dag,
-                optimized=dag,
-                certificates=tuple(certificates),
-                validation=validation,
-                fell_back=True,
-            )
     return OptimizationResult(
         original=dag,
         optimized=current,

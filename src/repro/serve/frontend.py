@@ -21,7 +21,7 @@ both the service API and its telemetry:
     (:meth:`SortService.readiness`);
 ``GET /alerts.json``
     only with an ``evaluator`` (the ``repro serve --slo`` path): the
-    SLOs re-evaluated at the request's arrival, as
+    alerts as of the evaluator's last tick, as
     :meth:`~repro.observability.slo.SLOEvaluator.snapshot`;
 ``GET /metrics`` / ``GET /snapshot.json`` / ``GET /healthz``
     the usual exposition, now including the ``repro_serve_*`` instruments.
@@ -127,7 +127,6 @@ def build_sort_server(
     if evaluator is not None:
 
         def alerts_handler(_payload: bytes) -> tuple[int, str, bytes]:
-            evaluator.evaluate()
             return _json_body(200, evaluator.snapshot())
 
         handlers[("GET", "/alerts.json")] = alerts_handler

@@ -33,14 +33,13 @@ Two observability layers ride along:
   directly comparable, and per-request dominance (a request's server
   latency can never exceed what its client measured) guarantees
   server p99 ≤ client p99 on a clean run;
-* **SLO evaluation** (``slo=True`` / ``repro loadgen --slo``) — a
-  :class:`~repro.observability.tsdb.TimeSeriesStore` sampler runs during
-  the drive, an :class:`~repro.observability.slo.SLOEvaluator` with the
-  default serving SLOs (windows scaled to the run duration) evaluates on
-  every tick, and the final alert snapshot lands in the document's ``slo``
-  section, whose worst severity and page-alert count benchreg's serving
-  section gates (a page-severity alert during a clean run fails the
-  candidate).  A per-flush penalty (``--flush-penalty``) with a small
+* **SLO evaluation** (``slo=True`` / ``repro loadgen --slo``) — an
+  :class:`~repro.observability.slo.SLOEvaluator` with the default serving
+  SLOs (windows scaled to the run duration) samples and evaluates on its
+  own thread during the drive, and the final alert snapshot lands in the
+  document's ``slo`` section, whose worst severity and page-alert count
+  benchreg's serving section gates (a page-severity alert during a clean
+  run fails the candidate).  A per-flush penalty (``--flush-penalty``) with a small
   ``--max-queue-depth`` is the overload drill that pages instead
   (``docs/slo.md``).
 
@@ -66,7 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..observability.metrics import MetricsRegistry
     from ..observability.slo import SLOEvaluator
     from ..observability.tracer import Tracer
-    from ..observability.tsdb import TimeSeriesStore
 
 __all__ = [
     "ARRIVALS",
@@ -371,8 +369,6 @@ def run_loadgen(
     target: str | None = None,
     http_timeout: float = 30.0,
     slo: bool = False,
-    slo_specs: "tuple[Any, ...] | None" = None,
-    sample_interval_s: float = 0.02,
 ) -> dict[str, Any]:
     """Run one scenario to completion and return its result document.
 
@@ -386,11 +382,10 @@ def run_loadgen(
     snake-order ground truth and counted under zero-tolerance ``counts``.
 
     ``slo=True`` evaluates SLO burn rates during and after the run and adds
-    the alert snapshot as the ``slo`` section.  In-process a tsdb sampler
-    and an evaluator are built for the run (``slo_specs`` overrides the
-    defaults; windows scale to the run duration).  Against a ``target``
-    the server evaluates its own SLOs; its ``/alerts.json`` is fetched
-    best-effort.
+    the alert snapshot as the ``slo`` section.  In-process an evaluator
+    with the default serving SLOs is built for the run (windows scale to
+    the run duration).  Against a ``target`` the server evaluates its own
+    SLOs; its ``/alerts.json`` is fetched best-effort.
     """
     rng = np.random.default_rng(scenario.seed)
     offsets = arrival_offsets(scenario, rng)
@@ -430,26 +425,18 @@ def run_loadgen(
 
     metrics_registry = registry if registry is not None else MetricsRegistry()
 
-    store: "TimeSeriesStore | None" = None
     slo_evaluator: "SLOEvaluator | None" = None
     if slo:
         from ..observability.slo import SLOEvaluator as _Evaluator
         from ..observability.slo import default_serve_slos
-        from ..observability.tsdb import TimeSeriesStore as _Store
 
-        # scale the sampler and the burn windows to the run: the page-long
-        # window spans (roughly) the whole drive, the short windows a slice
-        # of it, so a 2-second burst exercises the same alert math as an
-        # hour of production traffic
+        # scale the burn windows (and with them the sampling cadence) to the
+        # run: the page-long window spans (roughly) the whole drive, the
+        # short windows a slice of it, so a 2-second burst exercises the
+        # same alert math as an hour of production traffic
         est_duration = float(offsets[-1]) + 0.5
-        interval = max(min(sample_interval_s, est_duration / 40.0), 0.005)
-        capacity = max(int(est_duration / interval) + 128, 256)
-        store = _Store(metrics_registry, interval_s=interval, capacity=capacity)
-        specs = slo_specs if slo_specs is not None else default_serve_slos(
-            window_scale=est_duration / 60.0
-        )
-        slo_evaluator = _Evaluator(store, list(specs), tracer=tracer)
-        store.on_tick.append(slo_evaluator.evaluate)
+        specs = default_serve_slos(window_scale=est_duration / 60.0)
+        slo_evaluator = _Evaluator(metrics_registry, specs, tracer=tracer)
 
     async def amain() -> tuple[dict[str, Any], dict[str, Any]]:
         async with SortService(
@@ -462,17 +449,17 @@ def run_loadgen(
             await service.drain()
             return result, service.queues_snapshot()
 
-    if store is not None:
-        store.tick()  # baseline sample before any traffic
-        store.start()
+    if slo_evaluator is not None:
+        slo_evaluator.tick()  # baseline sample before any traffic
+        slo_evaluator.start()
     try:
         result, snapshot = asyncio.run(amain())
     finally:
-        if store is not None:
-            store.stop()
-    if store is not None and slo_evaluator is not None:
-        final = store.tick()  # end-of-run sample, evaluated by on_tick
-        doc["slo"] = slo_evaluator.snapshot(final)
+        if slo_evaluator is not None:
+            slo_evaluator.stop()
+    if slo_evaluator is not None:
+        slo_evaluator.tick()  # end-of-run sample
+        doc["slo"] = slo_evaluator.snapshot()
     doc.update(result)
     latencies = doc.pop("_latencies_s", [])
     doc["service"] = snapshot

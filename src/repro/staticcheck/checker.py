@@ -246,7 +246,6 @@ def run_check(
         # reuses this result instead of optimizing the cell a second time
         optimization = optimize_schedule(
             emit_schedule(factor, cell.r, backend=cell.backend),
-            validate=True,
             network=ProductGraph(factor, cell.r),
             s2_model_rounds=s2_model,
             routing_model_rounds=routing_model,

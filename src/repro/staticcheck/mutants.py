@@ -374,7 +374,7 @@ def run_optimizer_fault_harness(
 
     base = emit_schedule(factor, r, backend=backend)
     network = ProductGraph(factor, r)
-    result = optimize_schedule(base, validate=True, network=network, seed=seed)
+    result = optimize_schedule(base, network=network, seed=seed)
     outcomes = []
     for fault in OPTIMIZER_FAULTS:
         faulty = fault.apply(result.optimized)

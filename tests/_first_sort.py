@@ -25,7 +25,7 @@ from repro.schedule import compile_schedule
 
 
 def first_sort(r: int) -> dict[str, object]:
-    sorter = ProductNetworkSorter.for_factor(k2(), r, keep_log=False)
+    sorter = ProductNetworkSorter.for_factor(k2(), r)
     keys = np.random.default_rng(12345).integers(0, 2**31, size=2**r)
     t0 = perf_counter()
     dag = sorter.schedule()

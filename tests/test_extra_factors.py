@@ -124,7 +124,7 @@ class TestEndToEndSorts:
     )
     def test_sorts(self, factory, r, rng):
         factor = factory()
-        sorter = ProductNetworkSorter.for_factor(factor, r, keep_log=False)
+        sorter = ProductNetworkSorter.for_factor(factor, r)
         keys = rng.integers(0, 2**20, size=factor.n**r)
         lattice, ledger = sorter.sort_sequence(keys)
         assert np.array_equal(lattice_to_sequence(lattice), np.sort(keys))
@@ -134,7 +134,7 @@ class TestEndToEndSorts:
         """A 2-level factorisation: the product of two 3x3 meshes sorts the
         same keys as the 4-dimensional grid would."""
         factor = grid_2d_factor(3, 3)
-        sorter = ProductNetworkSorter.for_factor(factor, 2, keep_log=False)
+        sorter = ProductNetworkSorter.for_factor(factor, 2)
         keys = rng.integers(0, 10**6, size=81)
         lattice, _ = sorter.sort_sequence(keys)
         assert np.array_equal(lattice_to_sequence(lattice), np.sort(keys))

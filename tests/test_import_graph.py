@@ -27,7 +27,6 @@ HEAVY = (
     "socketserver",
     "repro.observability.httpexpo",
     "repro.observability.slo",
-    "repro.observability.tsdb",
     "repro.serve.frontend",
     "repro.serve.loadgen",
 )

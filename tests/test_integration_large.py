@@ -41,7 +41,7 @@ CUBE16_HASH = "bc2565e193308685f5e0f37e77defce39f07a86e341b0e7bb185c393ed675145"
 )
 def test_large_sorts(factory, r, size, rng):
     factor = factory()
-    sorter = ProductNetworkSorter.for_factor(factor, r, keep_log=False)
+    sorter = ProductNetworkSorter.for_factor(factor, r)
     assert sorter.network.num_nodes == size
     keys = rng.integers(-(2**31), 2**31, size=size)
     lattice, ledger = sorter.sort_sequence(keys)
@@ -72,7 +72,7 @@ def test_hypercube_r16_accounting():
 
 
 def test_float_and_negative_keys_at_scale(rng):
-    sorter = ProductNetworkSorter.for_factor(path_graph(10), 3, keep_log=False)
+    sorter = ProductNetworkSorter.for_factor(path_graph(10), 3)
     keys = rng.normal(scale=1e6, size=1000)
     lattice, _ = sorter.sort_sequence(keys)
     assert np.array_equal(lattice_to_sequence(lattice), np.sort(keys))
@@ -81,7 +81,7 @@ def test_float_and_negative_keys_at_scale(rng):
 @pytest.mark.slow
 def test_grid32_r3(rng):
     """32,768 keys on a 32^3 grid."""
-    sorter = ProductNetworkSorter.for_factor(path_graph(32), 3, keep_log=False)
+    sorter = ProductNetworkSorter.for_factor(path_graph(32), 3)
     keys = rng.integers(0, 2**31, size=32**3)
     lattice, ledger = sorter.sort_sequence(keys)
     assert np.array_equal(lattice_to_sequence(lattice), np.sort(keys))

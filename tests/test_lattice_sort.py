@@ -140,13 +140,6 @@ class TestTheorem1Accounting:
         assert phases.count("R") == ledger.routing_calls
         assert ledger.records[0].detail == "initial PG2 block sorts"
 
-    def test_keep_log_false(self, rng):
-        sorter = ProductNetworkSorter.for_factor(path_graph(3), 3, keep_log=False)
-        keys = rng.integers(0, 100, size=27)
-        _, ledger = sorter.sort_sequence(keys)
-        assert ledger.records == []
-        assert ledger.total_rounds > 0
-
 
 class TestLemma3Merge:
     @pytest.mark.parametrize("n,k", [(2, 3), (3, 3), (3, 4), (4, 3), (2, 5)])

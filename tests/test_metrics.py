@@ -10,6 +10,8 @@ machine schedule's traffic.
 from __future__ import annotations
 
 import json
+import sys
+import time
 
 import pytest
 
@@ -363,25 +365,29 @@ class TestThreadSafety:
 
 
 class TestSamplerConcurrency:
-    """Satellite: the tsdb sampler thread must never torn-read.
+    """Satellite: the SLO sampler must never torn-read.
 
-    A histogram observation updates count, sum and one bucket; the tsdb
-    sampler snapshots all three via ``raw_samples()``.  With worker threads
-    hammering a shared histogram while the sampler ticks at full speed,
-    every sampled tuple must stay internally consistent (bucket counts sum
-    to the observation count) and every per-series sequence monotone.
+    A histogram observation updates count, sum and one bucket; the SLO
+    evaluator's tick reads count and buckets together via ``raw_samples()``.
+    With worker threads hammering a shared histogram while the evaluator
+    ticks at full speed, every sample must stay consistent: a torn read
+    (count ahead of its bucket) would count a fast observation as slow for
+    one tick and make the bad-event series step back at the next.
     """
 
     def test_sampler_never_tears_a_histogram_under_load(self):
         import threading
 
-        from repro.observability.tsdb import TimeSeriesStore
+        from repro.observability.slo import SLOEvaluator, SLOSpec
 
         registry = MetricsRegistry()
         hist = registry.histogram("t_seconds", "test", buckets=(0.01, 0.1, 1.0))
         counter = registry.counter("t_total", "test")
-        store = TimeSeriesStore(registry, interval_s=1.0, capacity=4096,
-                                clock=lambda: 0.0)
+        slow = SLOSpec(name="slow", objective=0.9, kind="histogram_threshold",
+                       metric="t_seconds", threshold_s=0.1)
+        events = SLOSpec(name="events", objective=0.9, bad_metric="t_total",
+                         total_metric="t_total")
+        evaluator = SLOEvaluator(registry, [slow, events])
         ticks = 0
 
         def hammer(worker: int) -> None:
@@ -391,27 +397,31 @@ class TestSamplerConcurrency:
                 counter.inc(cell="shared", worker=str(worker))
 
         workers = [threading.Thread(target=hammer, args=(w,)) for w in range(4)]
-        for t in workers:
-            t.start()
-        # tick as fast as possible for the whole duration of the hammering
-        while any(t.is_alive() for t in workers):
-            store.tick(now=float(ticks))
-            ticks += 1
-        for t in workers:
-            t.join()
-        store.tick(now=float(ticks))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-observe as often as possible
+        try:
+            for t in workers:
+                t.start()
+            # tick as fast as possible for the whole duration of the hammering
+            deadline = time.monotonic() + 60.0
+            while any(t.is_alive() for t in workers) and time.monotonic() < deadline:
+                evaluator.tick(now=float(ticks))
+                ticks += 1
+            for t in workers:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in workers)
+        evaluator.tick(now=float(ticks))
 
-        key = ("t_seconds", (("cell", "shared"),))
-        samples = list(store._series[key].points)
+        samples = evaluator.samples("slow")
         assert len(samples) >= 2
-        prev_count = 0
-        for _t, count, _total, bucket_counts in samples:
-            # internal consistency: never a torn read across the lock
-            assert sum(bucket_counts) == count
-            # counts only ever grow
-            assert count >= prev_count
-            prev_count = count
-        # the final sample saw every observation
-        assert prev_count == 4 * 4000
-        assert len(store.match("t_total", cell="shared")) == 4  # one series per worker
-        assert store.increase("t_total", window_s=float(ticks + 1), now=float(ticks)) > 0
+        prev_bad = prev_total = 0.0
+        for _t, bad, total in samples:
+            # half of every worker's observations are slow, and no read is torn
+            assert prev_bad <= bad <= total
+            assert total - bad >= prev_total - prev_bad
+            prev_bad, prev_total = bad, total
+        # the final sample saw every observation, across the worker series
+        assert (prev_bad, prev_total) == (2 * 4000, 4 * 4000)
+        assert evaluator.samples("events")[-1][1:] == (4 * 4000, 4 * 4000)

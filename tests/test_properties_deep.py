@@ -33,7 +33,7 @@ COMMON = dict(
 def test_any_connected_factor_sorts(product, seed):
     """The headline claim, property-tested: ANY connected factor works."""
     factor, r = product
-    sorter = ProductNetworkSorter.for_factor(factor, r, keep_log=False)
+    sorter = ProductNetworkSorter.for_factor(factor, r)
     rng = np.random.default_rng(seed)
     keys = rng.integers(-1000, 1000, size=factor.n**r)
     lattice, ledger = sorter.sort_sequence(keys)
@@ -47,7 +47,7 @@ def test_any_connected_factor_sorts(product, seed):
 def test_permutation_invariance(product, seed):
     """Shuffling the input placement never changes the sorted lattice."""
     factor, r = product
-    sorter = ProductNetworkSorter.for_factor(factor, r, keep_log=False)
+    sorter = ProductNetworkSorter.for_factor(factor, r)
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, 50, size=factor.n**r)
     a, _ = sorter.sort_sequence(keys)
@@ -60,7 +60,7 @@ def test_permutation_invariance(product, seed):
 def test_idempotence(product, seed):
     """Sorting a sorted lattice is a fixed point (data-wise)."""
     factor, r = product
-    sorter = ProductNetworkSorter.for_factor(factor, r, keep_log=False)
+    sorter = ProductNetworkSorter.for_factor(factor, r)
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, 50, size=factor.n**r)
     once, _ = sorter.sort_lattice(keys.reshape(sorter.network.shape))
@@ -106,7 +106,7 @@ def test_merge_conserves_and_orders(n, seed):
 def test_duplicate_saturation(product, seed, cardinality):
     """Heavy duplication (1-3 distinct values) never breaks anything."""
     factor, r = product
-    sorter = ProductNetworkSorter.for_factor(factor, r, keep_log=False)
+    sorter = ProductNetworkSorter.for_factor(factor, r)
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, cardinality, size=factor.n**r)
     lattice, _ = sorter.sort_sequence(keys)

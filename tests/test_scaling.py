@@ -74,7 +74,7 @@ class TestOnMeasuredData:
         rng = np.random.default_rng(0)
         xs, ys = [], []
         for n in (4, 8, 16, 32):
-            sorter = ProductNetworkSorter.for_factor(path_graph(n), 2, keep_log=False)
+            sorter = ProductNetworkSorter.for_factor(path_graph(n), 2)
             keys = rng.integers(0, 2**20, size=n * n)
             _, ledger = sorter.sort_sequence(keys)
             xs.append(n)

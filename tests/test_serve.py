@@ -744,17 +744,16 @@ class TestAlertsRoute:
     @pytest.fixture()
     def slo_server(self):
         from repro.observability.slo import SLOEvaluator, default_serve_slos
-        from repro.observability.tsdb import TimeSeriesStore
 
         registry = MetricsRegistry()
-        store = TimeSeriesStore(registry, interval_s=1.0, clock=lambda: 0.0)
-        evaluator = SLOEvaluator(store, list(default_serve_slos(window_scale=0.05)))
+        evaluator = SLOEvaluator(registry, default_serve_slos(window_scale=0.05))
         box, close = _serve_in_thread(registry, evaluator=evaluator)
-        box["registry"], box["store"] = registry, store
+        box["registry"], box["evaluator"] = registry, evaluator
         yield box
         close()
 
-    def test_alerts_json_reevaluates_per_request(self, slo_server):
+    def test_alerts_json_serves_the_last_tick(self, slo_server):
+        """The route serves the alerts as of the evaluator's last tick."""
         status, body = _get(slo_server["url"] + "/alerts.json")
         assert status == 200
         doc = json.loads(body)
@@ -762,18 +761,16 @@ class TestAlertsRoute:
             s.name for s in default_serve_slos()
         ]
         assert doc["current_severity"] == "ok" and doc["page_alerts"] == 0
-        # every request sheds between two samples; nobody calls evaluate()
-        # but the route itself, so the page proves it re-evaluates
-        registry, store = slo_server["registry"], slo_server["store"]
-        requests = registry.counter("repro_serve_requests_total")
-        sheds = registry.counter("repro_serve_rejections_total")
-        requests.inc(0, cell="c")
-        sheds.inc(0, cell="c", reason="queue_full")
-        store.tick(now=0.0)
-        requests.inc(100, cell="c")
-        sheds.inc(100, cell="c", reason="queue_full")
-        store.tick(now=1.0)
+        assert doc["evaluated_at"] is None  # no tick yet
+        # every request sheds between two samples, into series that did not
+        # exist at the first one: they still count in full
+        registry, evaluator = slo_server["registry"], slo_server["evaluator"]
+        evaluator.tick(now=0.0)
+        registry.counter("repro_serve_requests_total").inc(100, cell="c")
+        registry.counter("repro_serve_rejections_total").inc(100, cell="c", reason="queue_full")
+        evaluator.tick(now=1.0)
         doc = json.loads(_get(slo_server["url"] + "/alerts.json")[1])
+        assert doc["evaluated_at"] == 1.0
         avail = doc["alerts"][0]
         assert avail["spec"]["name"] == "serve-availability"
         assert avail["severity"] == "page" and doc["page_alerts"] == 1
@@ -1180,6 +1177,14 @@ class TestServeSloCli:
         assert args.slo is True and args.flush_penalty == 0.05
         with pytest.raises(SystemExit):
             build_parser().parse_args(["dash"])
+
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_serve_rejects_a_non_positive_slo_scale(self, capsys, scale):
+        """A bad window scale is a one-line usage error before the service
+        starts, not a traceback from inside it."""
+        assert main(["serve", "--slo", "--slo-scale", scale]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "burn windows must be positive and finite"
 
     def test_overload_drill_pages(self, capsys):
         """The documented overload drill (README, docs/slo.md), verbatim."""

@@ -51,14 +51,6 @@ class TestRendering:
 
 
 class TestCostLedger:
-    def test_absorb(self):
-        a, b = CostLedger(), CostLedger()
-        a.charge_s2(3)
-        b.charge_routing(4)
-        a.absorb(b)
-        assert a.total_rounds == 7
-        assert a.s2_calls == 1 and a.routing_calls == 1
-
     def test_summary(self):
         ledger = CostLedger()
         ledger.charge_s2(3, comparisons=10)
@@ -71,36 +63,6 @@ class TestCostLedger:
             ledger.charge_s2(-1)
         with pytest.raises(ValueError):
             ledger.charge_routing(-1)
-
-    def test_keep_log_false_skips_records(self):
-        ledger = CostLedger(keep_log=False)
-        ledger.charge_s2(1)
-        assert ledger.records == []
-
-    def test_absorb_mixed_keep_log_settings(self):
-        # logging absorber + silent absorbee: totals fold in, no records come
-        logging, silent = CostLedger(keep_log=True), CostLedger(keep_log=False)
-        logging.charge_s2(3, detail="mine")
-        silent.charge_s2(5)
-        silent.charge_routing(2)
-        logging.absorb(silent)
-        assert logging.s2_calls == 2 and logging.s2_rounds == 8
-        assert logging.routing_calls == 1 and logging.total_rounds == 10
-        assert [rec.detail for rec in logging.records] == ["mine"]
-
-        # silent absorber + logging absorbee: totals fold in, log stays off
-        silent2, logging2 = CostLedger(keep_log=False), CostLedger(keep_log=True)
-        logging2.charge_routing(4, detail="theirs")
-        silent2.absorb(logging2)
-        assert silent2.routing_calls == 1 and silent2.routing_rounds == 4
-        assert silent2.records == []
-
-    def test_absorb_comparisons_accumulate(self):
-        a, b = CostLedger(), CostLedger()
-        a.charge_s2(1, comparisons=10)
-        b.charge_routing(1, comparisons=7)
-        a.absorb(b)
-        assert a.comparisons == 17
 
 
 class TestCli:

@@ -420,7 +420,7 @@ class TestZeroOneSpace:
         tracemalloc.start()
         try:
             analyze_zero_one_activity(dag)
-            result = optimize_schedule(dag, validate=True)
+            result = optimize_schedule(dag)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
