@@ -52,6 +52,7 @@ from .optimize import (
     agglomerate_chains,
     clear_optimizer_cache,
     eliminate_dead_ops,
+    lemma1_windows,
     optimize_schedule,
     repack_rounds,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "exhaustive_zero_one_states",
     "interpret",
     "lattice_program",
+    "lemma1_windows",
     "machine_program",
     "optimize_schedule",
     "repack_rounds",

@@ -32,9 +32,10 @@ A layer stores its keys in one of two forms:
   slab as a min/max network over whole runs (:data:`NETWORKS`: 1/3/5
   comparators for widths 2/3/4), fewer sorts the lanes with one ``sort``
   along the position axis;
-* **row-major** ``(batch, N)`` otherwise: the wide slabs (widths 9 and 16)
-  keep one in-place ``sort`` of ``(blocks, width)`` rows per batch row,
-  which ``np.sort`` runs faster than any network.
+* **row-major** ``(batch, N)`` otherwise: the wide slabs (widths 9 and 16,
+  and the optimizer's 18- and 32-wide Lemma-1 windows) keep one in-place
+  ``sort`` of ``(blocks, width)`` rows per batch row, which ``np.sort``
+  runs faster than any network.
 
 A layer's gather composes the previous layout with its own, so the
 previous layer's scatter, the descending flip, this layer's gather and any

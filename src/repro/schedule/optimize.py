@@ -1,16 +1,28 @@
 """Certified optimization passes over the Schedule IR.
 
 The pipeline rewrites an emitted :class:`ComparatorDAG` into a cheaper but
-provably equivalent schedule.  Three passes run in order:
+provably equivalent schedule.  Four passes run in order:
 
-1. **dead-op elimination** (:func:`eliminate_dead_ops`) — the standalone 0-1
+1. **Lemma-1 windows** (:func:`lemma1_windows`) — each lattice clean-up
+   (block sorts, two odd-even transpositions between snake-adjacent ``PG_2``
+   blocks, block sorts again) becomes two passes of ``2 N**2``-wide sorts
+   along each chain of blocks: windows ``(c0, c1), (c2, c3), …`` in the
+   block-sorts round, ``(c1, c2), (c3, c4), …`` in the final one.  On 0-1
+   inputs Lemma 1 bounds the dirty area after the interleave by ``N**2``,
+   so it lies within two adjacent blocks, and one of the two passes sorts
+   them.  A window is not a §4 ``PG_2`` operation, so this pass runs only
+   when no network asks for a link-legal schedule, and only where the block
+   width has no node-major network (:data:`~repro.schedule.compiled.NETWORKS`).
+   Its proof is the 0-1 certification of the rewritten DAG: the dead-op
+   pass's analysis and the translation validator.
+2. **dead-op elimination** (:func:`eliminate_dead_ops`) — the standalone 0-1
    activity analysis (:mod:`repro.schedule.activity`) marks every comparator
    and block sort that never moves a key on any certified 0-1 input; by the
    zero-one principle's threshold argument those operations are inert on
    *every* input, so deleting them preserves the computed function exactly.
    The pass only fires when the analysis also certified sortedness over its
    whole state space.
-2. **agglomeration** (:func:`agglomerate_chains`) — comparator chains that
+3. **agglomeration** (:func:`agglomerate_chains`) — comparator chains that
    span one complete ``PG_2`` block inside a single phase are collapsed into
    one block-sort super-op (Schiller's agglomeration law): the
    compiled kernel executes the super-op as one vectorised ``np.sort`` slab
@@ -19,7 +31,7 @@ provably equivalent schedule.  Three passes run in order:
    constraints; components whose restricted 0-1 simulation provably sorts
    are certified locally, the rest (merge networks, which only sort
    *reachable* inputs) defer to the translation validator.
-3. **depth re-packing** (:func:`repack_rounds`) — ASAP layer scheduling
+4. **depth re-packing** (:func:`repack_rounds`) — ASAP layer scheduling
    within each phase under a dependency-graph interference check: an op is
    hoisted to the earliest round after the last op sharing a node with it.
    The pass proves itself by checking that every node sees exactly the same
@@ -36,8 +48,9 @@ the translation validator
 DAG, the races/links/depth lints, and an obliviousness replay
 cross-check — and likewise falls back when validation fails.
 
-Results are memoised by the original schedule hash (see
-``optimizer_cache_stats`` under :func:`repro.schedule.cache_stats`).
+Results are memoised by the original schedule hash and whether a network
+was given (see ``optimizer_cache_stats`` under
+:func:`repro.schedule.cache_stats`).
 """
 
 from __future__ import annotations
@@ -46,7 +59,7 @@ import dataclasses
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
@@ -54,7 +67,8 @@ from ..observability.cachestats import CacheStats
 from ..orders.gray import gray_sequence
 from .activity import MAX_EXHAUSTIVE_NODES, MAX_STATES, analyze_zero_one_activity
 from .activity import compare_exchange, exhaustive_zero_one_states, unsorted_columns
-from .ir import ComparatorDAG, ScheduleRound, pack_rounds
+from .compiled import NETWORKS
+from .ir import BlockGroups, ComparatorDAG, ScheduleRound, output_order, pack_rounds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..graphs.product import ProductGraph
@@ -67,12 +81,13 @@ __all__ = [
     "agglomerate_chains",
     "clear_optimizer_cache",
     "eliminate_dead_ops",
+    "lemma1_windows",
     "optimize_schedule",
     "repack_rounds",
 ]
 
 #: the optimization passes, in pipeline order
-PASS_NAMES = ("dead-op-elimination", "agglomeration", "depth-repacking")
+PASS_NAMES = ("lemma1-windows", "dead-op-elimination", "agglomeration", "depth-repacking")
 
 
 @dataclass(frozen=True)
@@ -111,6 +126,10 @@ class OptimizationCertificate:
         )
 
 
+#: one optimization pass: the rewritten DAG and its certificate
+_Pass = Callable[[ComparatorDAG], tuple[ComparatorDAG, OptimizationCertificate]]
+
+
 def _rebuild(dag: ComparatorDAG, rounds: list[ScheduleRound], pass_name: str) -> ComparatorDAG:
     """New DAG with the same phases and the given rounds, renumbered, stamping
     the pass into the metadata."""
@@ -134,7 +153,147 @@ def _rebuild(dag: ComparatorDAG, rounds: list[ScheduleRound], pass_name: str) ->
 
 
 # ----------------------------------------------------------------------
-# pass 1: dead-op elimination
+# pass 1: Lemma-1 windowed clean-up
+# ----------------------------------------------------------------------
+
+#: the leaves of one clean-up's phases, in emission order
+_CLEANUP_LEAVES = ("block-sorts", "transposition", "transposition", "final-block-sorts")
+
+
+def _cleanups(dag: ComparatorDAG) -> Iterator[tuple[ScheduleRound, ...]]:
+    """Each clean-up's rounds ``(block sorts, transposition, transposition,
+    final block sorts)``, where every phase holds one round and both block
+    sort rounds are the same one group of ``PG_2`` blocks."""
+    by_phase: dict[int, list[ScheduleRound]] = {}
+    for rd in dag.rounds:
+        by_phase.setdefault(rd.phase, []).append(rd)
+    for p in dag.phases:
+        group = dag.phases[p.index : p.index + 4]
+        if tuple(q.leaf for q in group) != _CLEANUP_LEAVES or any(
+            q.path[:-1] != p.path[:-1] for q in group
+        ):
+            continue
+        rounds = [by_phase.get(q.index, []) for q in group]
+        if any(len(rds) != 1 for rds in rounds):
+            continue
+        sorts, t0, t1, final = (rds[0] for rds in rounds)
+        if sorts.comparator_count or final.comparator_count or t0.blocks or t1.blocks:
+            continue
+        if len(sorts.blocks) != 1 or len(final.blocks) != 1:
+            continue
+        (nodes, descending), (final_nodes, final_descending) = sorts.blocks[0], final.blocks[0]
+        if (
+            nodes.shape[1] == dag.n * dag.n
+            and np.array_equal(nodes, final_nodes)
+            and np.array_equal(descending, final_descending)
+        ):
+            yield sorts, t0, t1, final
+
+
+def _block_chains(
+    sorts: ScheduleRound, transpositions: tuple[ScheduleRound, ...], num_nodes: int
+) -> np.ndarray | None:
+    """The clean-up's blocks as a ``(chains, blocks)`` matrix of row numbers
+    of ``sorts``, each chain ordered lo-block -> hi-block along the
+    transposition pairs; ``None`` unless the pairs link the blocks into
+    equal-length chains."""
+    ((nodes, _),) = sorts.blocks
+    owner = np.full(num_nodes, -1, dtype=np.intp)
+    owner[nodes] = np.arange(len(nodes))[:, None]
+    lo = owner[np.concatenate([rd.lo for rd in transpositions])]
+    hi = owner[np.concatenate([rd.hi for rd in transpositions])]
+    if (lo < 0).any() or (hi < 0).any() or (lo == hi).any():
+        return None
+    succ = np.full(len(nodes), -1, dtype=np.intp)
+    pred = succ.copy()
+    succ[lo], pred[hi] = hi, lo
+    # one successor and one predecessor per block
+    if not (np.array_equal(succ[lo], hi) and np.array_equal(pred[hi], lo)):
+        return None
+    chain = [np.flatnonzero(pred < 0)]
+    while len(chain) < len(nodes) and (succ[chain[-1]] >= 0).all():
+        chain.append(succ[chain[-1]])
+    chains = np.stack(chain, axis=1)
+    # every block once (a cycle has no head), every chain ending together
+    if chains.size != len(nodes) or (succ[chain[-1]] >= 0).any():
+        return None
+    return chains
+
+
+def _windows(blocks: np.ndarray, first: int) -> BlockGroups:
+    """Block-sort groups over ``(chains, blocks, N**2)`` output-order rows:
+    blocks ``first, first + 1`` of each chain as one ascending window, then
+    ``first + 2, first + 3`` and so on; pass A (``first == 0``) also sorts
+    an odd last block alone."""
+    z, width = blocks.shape[1], blocks.shape[2]
+    stop = first + (z - first) // 2 * 2
+    pairs = np.concatenate((blocks[:, first:stop:2], blocks[:, first + 1 : stop : 2]), axis=-1)
+    rows = [pairs.reshape(-1, 2 * width)]
+    if first == 0 and z % 2:
+        rows.append(blocks[:, -1])
+    return tuple((nodes, np.zeros(len(nodes), dtype=bool)) for nodes in rows)
+
+
+def lemma1_windows(dag: ComparatorDAG) -> tuple[ComparatorDAG, OptimizationCertificate]:
+    """Clean each merge in two passes of ``2 N**2``-wide sorts (Lemma 1).
+
+    A clean-up qualifies when its four phases each hold one round, its
+    block sorts are one group of ``PG_2`` blocks, and the final block sorts
+    repeat them.  Nothing qualifies when the block width has a node-major
+    network (:data:`~repro.schedule.compiled.NETWORKS`): the kernel already
+    runs those blocks faster than any row-major window sort.  Each chain's
+    block order ``c0, c1, …`` comes from its transposition pairs, lo-block
+    -> hi-block, never from row order: at ``r >= 4`` a clean-up lists its
+    blocks in label order, not snake order.  Pass A replaces the block
+    sorts with windows ``(c0, c1), (c2, c3), …`` (an odd last block alone),
+    pass B the final block sorts with ``(c1, c2), (c3, c4), …``; each window
+    sorts the two blocks' output-order rows ascending.  Each transposition
+    phase keeps one empty round with its charge, so the phase structure and
+    ``S_r(N)`` are untouched.  Soundness rests on the 0-1 certification of
+    the result (Lemma 1 bounds the dirty area by ``N**2``), which the
+    dead-op pass and the translation validator redo.
+    """
+    width = dag.n * dag.n
+    rewritten: dict[int, ScheduleRound] = {}
+    removed_cmp = removed_blk = windows = cleanups = 0
+    candidates = () if width in NETWORKS else _cleanups(dag)
+    for sorts, t0, t1, final in candidates:
+        chains = _block_chains(sorts, (t0, t1), dag.num_nodes)
+        if chains is None:
+            continue
+        ((nodes, descending),) = sorts.blocks
+        blocks = output_order(nodes, descending)[chains]
+        for rd, ops in ((sorts, _windows(blocks, 0)), (final, _windows(blocks, 1))):
+            rewritten[rd.index] = ScheduleRound(rd.index, rd.phase, rd.charge, blocks=ops)
+            windows += sum(len(rows) for rows, _ in ops)
+        for rd in (t0, t1):
+            rewritten[rd.index] = ScheduleRound(rd.index, rd.phase, rd.charge)
+        removed_cmp += t0.comparator_count + t1.comparator_count
+        removed_blk += 2 * len(nodes)
+        cleanups += 1
+    out = dag
+    if rewritten:
+        out = _rebuild(dag, [rewritten.get(rd.index, rd) for rd in dag.rounds], "lemma1-windows")
+    evidence = (
+        f"{cleanups} clean-ups rewritten as two passes of 2N^2 windows along their "
+        f"transposition chains (Lemma 1: dirty area <= N^2; proved by the 0-1 "
+        f"certification of the result)"
+        if width not in NETWORKS
+        else f"block width {width} runs as a node-major network: clean-ups kept"
+    )
+    return out, OptimizationCertificate(
+        pass_name="lemma1-windows",
+        ok=True,
+        evidence=evidence,
+        comparators_removed=removed_cmp,
+        block_sorts_removed=removed_blk,
+        super_ops_added=windows,
+        stats={"cleanups": cleanups},
+    )
+
+
+# ----------------------------------------------------------------------
+# pass 2: dead-op elimination
 # ----------------------------------------------------------------------
 
 def eliminate_dead_ops(
@@ -174,7 +333,7 @@ def eliminate_dead_ops(
 
 
 # ----------------------------------------------------------------------
-# pass 2: agglomeration into n-sorter super-ops
+# pass 3: agglomeration into n-sorter super-ops
 # ----------------------------------------------------------------------
 
 #: one chain comparator: ``(round index, op index, lo, hi)``
@@ -321,7 +480,7 @@ def agglomerate_chains(dag: ComparatorDAG) -> tuple[ComparatorDAG, OptimizationC
 
 
 # ----------------------------------------------------------------------
-# pass 3: depth re-packing
+# pass 4: depth re-packing
 # ----------------------------------------------------------------------
 
 def _node_sequences(dag: ComparatorDAG) -> dict[int, list[tuple[Any, ...]]]:
@@ -488,17 +647,17 @@ def optimize_schedule(
 ) -> OptimizationResult:
     """Run the full pass pipeline with per-pass certificates and fallback.
 
-    ``network`` (optional) enables the validator's links lint; without it
-    the validator still proves equivalence (0-1 certification + replay) and
-    race/depth legality.  Results are cached by the original schedule hash;
-    a lookup without a network reuses a sound result built with one.
+    ``network`` (optional) asks for a network-legal schedule: the Lemma-1
+    windows pass, whose windows are not §4 ``PG_2`` operations, is skipped
+    and the validator adds its links lint.  Without one, the pipeline
+    optimizes for the compiled kernel, and the validator still proves
+    equivalence (0-1 certification + replay) and race/depth legality.
+    Results are cached by the original schedule hash and whether a network
+    was given.
     """
     key = (dag.schedule_hash(), network is not None)
     with _RESULTS_LOCK:
         cached = _RESULTS.get(key)
-        if cached is None and network is None:
-            wider = _RESULTS.get((key[0], True))
-            cached = wider if wider is not None and wider.ok else None
     if cached is not None:
         OPTIMIZER_CACHE_STATS.record_hit()
         return cached
@@ -525,7 +684,10 @@ def _optimize_uncached(
 ) -> OptimizationResult:
     certificates: list[OptimizationCertificate] = []
     current = dag
-    for pass_fn in (eliminate_dead_ops, agglomerate_chains, repack_rounds):
+    passes: tuple[_Pass, ...] = (eliminate_dead_ops, agglomerate_chains, repack_rounds)
+    if network is None:  # no link-legal schedule asked for: windows may run
+        passes = (lemma1_windows, *passes)
+    for pass_fn in passes:
         current, cert = pass_fn(current)
         certificates.append(cert)
         if not cert.ok:

@@ -4,8 +4,8 @@
 emits the schedule once and cross-checks the real backend against it under
 adversarial key assignments (obliviousness certificate), then runs the
 requested lints and the certified optimizer over the certified DAG;
-``compiled=True`` additionally requires the served batch kernel to agree
-with the reference replay.  Lattice
+``compiled=True`` additionally requires the served batch kernel to be the
+certified one and to agree with the reference replay.  Lattice
 cells additionally pin the depth lint to the analytic per-call round models,
 so conformance is checked against the exact published ``S_r(N)`` — the same
 verdict the benchmark harness records for every cell.
@@ -86,8 +86,11 @@ class CellCheck:
     report: VerificationReport | None
     #: the certified optimizer pipeline's outcome
     optimize: OptimizationResult
-    #: compiled-kernel equivalence verdict (None when not requested)
+    #: compiled-kernel verdict (None when not requested): the served kernel is
+    #: the certified one and agrees with the reference replay
     compiled_ok: bool | None = None
+    #: the served kernel is the certified one, not the raw fallback
+    compiled_certified: bool | None = None
 
     @property
     def ok(self) -> bool:
@@ -123,7 +126,7 @@ class CellCheck:
             },
         }
         if self.compiled_ok is not None:
-            payload["compiled"] = {"ok": self.compiled_ok}
+            payload["compiled"] = {"ok": self.compiled_ok, "certified": self.compiled_certified}
         payload["optimize"] = self.optimize.to_json()
         if self.report is not None:
             payload["lints"] = {
@@ -184,6 +187,7 @@ class CheckRun:
                 key: [
                     {
                         "fault": oc.fault,
+                        "target": oc.target,
                         "expected_check": oc.expected_check,
                         "failed_checks": oc.failed_checks,
                         "caught": oc.caught,
@@ -210,17 +214,22 @@ def _select_cells(
     return chosen
 
 
-def _check_compiled(certificate: ObliviousnessCertificate, seed: int) -> bool:
-    """The served batch kernel must agree with the reference replay.
+def _check_compiled(certificate: ObliviousnessCertificate, seed: int) -> tuple[bool, bool]:
+    """The served batch kernel must be the certified one and agree with the
+    reference replay; returns ``(ok, certified)``.
 
+    :func:`~repro.schedule.compile_schedule` falls back to the raw kernel
+    when a certificate or the validation fails, so an optimizer that
+    stopped certifying would still sort: the fallback is refused here.
     Runs the whole adversarial key battery as one ``(batch, N^r)`` array
-    through the certified kernel (:func:`~repro.schedule.compile_schedule`)
-    and compares it row for row against :func:`~repro.schedule.replay` of
-    the emitted DAG.
+    through the kernel and compares it row for row against
+    :func:`~repro.schedule.replay` of the emitted DAG.
     """
     dag = certificate.dag
+    kernel = compile_schedule(dag)
     batch = np.stack(list(adversarial_key_sets(dag.num_nodes, seed).values()))
-    return bool(np.array_equal(compile_schedule(dag).run(batch), replay(dag, batch)))
+    matches = bool(np.array_equal(kernel.run(batch), replay(dag, batch)))
+    return kernel.certified and matches, kernel.certified
 
 
 def run_check(
@@ -242,8 +251,6 @@ def run_check(
     for cell in _select_cells(cells, only):
         factor = cell.build_factor()
         s2_model, routing_model = _analytic_models(cell)
-        # first, so the lattice backend's kernel (optimized without a network)
-        # reuses this result instead of optimizing the cell a second time
         optimization = optimize_schedule(
             emit_schedule(factor, cell.r, backend=cell.backend),
             network=ProductGraph(factor, cell.r),
@@ -261,10 +268,10 @@ def run_check(
                 s2_model_rounds=s2_model,
                 routing_model_rounds=routing_model,
             )
-        run.cells.append(
-            CellCheck(cell=cell, certificate=certificate, report=report, optimize=optimization,
-                      compiled_ok=_check_compiled(certificate, seed) if compiled else None)
-        )
+        check = CellCheck(cell=cell, certificate=certificate, report=report, optimize=optimization)
+        if compiled:
+            check.compiled_ok, check.compiled_certified = _check_compiled(certificate, seed)
+        run.cells.append(check)
     run.optimizer_faults = run_optimizer_faults(seed=seed)
     return run
 
@@ -336,7 +343,10 @@ def render_check(run: CheckRun, verbose: bool = False) -> str:
         if not check.certificate.ok:
             lines.append(f"[FAIL] {check.cell.key} oblivious: backend diverges from "
                          f"the emitted schedule — {check.certificate.hashes}")
-        if check.compiled_ok is False:
+        if check.compiled_certified is False:
+            lines.append(f"[FAIL] {check.cell.key} compiled: the optimizer fell back, "
+                         f"so the raw kernel would serve")
+        elif check.compiled_ok is False:
             lines.append(f"[FAIL] {check.cell.key} compiled: batch kernel output "
                          f"differs from reference replay")
     lines += ["", render_optimizer(run)]

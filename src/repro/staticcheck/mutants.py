@@ -267,6 +267,8 @@ class OptimizerFault:
     the lints have teeth), an optimizer fault corrupts the *optimized*
     schedule the real pipeline produced — simulating an unsound optimizer —
     and the translation validator must refuse the translation (exit 1).
+    ``apply`` raises :class:`ValueError` on a schedule that has nothing of
+    its kind to break.
     """
 
     name: str
@@ -316,6 +318,28 @@ def _fault_overpack_rounds(dag: ComparatorDAG) -> ComparatorDAG:
     raise ValueError("optimized schedule has no dependent adjacent rounds to overpack")
 
 
+def _fault_split_window(dag: ComparatorDAG) -> ComparatorDAG:
+    """Split the schedule's last Lemma-1 window back into its two blocks.
+
+    Each block is still sorted, but no key crosses between them any more,
+    so a 0-1 input whose dirty area straddles the two blocks stays
+    unsorted: the 0-1 equivalence certification must fail.
+    """
+    width = 2 * dag.n * dag.n
+    rounds = list(dag.rounds)
+    for i in range(len(rounds) - 1, -1, -1):
+        rd = rounds[i]
+        first = 0  # the group's first block-sort number
+        for nodes, descending in rd.blocks:
+            first += len(nodes)
+            if nodes.shape[1] == width:
+                rest = rd.without(block_sorts=[first - 1])
+                halves = (nodes[-1].reshape(2, -1), descending[-1:].repeat(2))
+                rounds[i] = replace(rest, blocks=rest.blocks + (halves,))
+                return _rebuild(dag, list(dag.phases), rounds, "split_window")
+    raise ValueError("optimized schedule has no Lemma-1 window to split")
+
+
 #: the seeded optimizer fault classes, in canonical order
 OPTIMIZER_FAULTS: tuple[OptimizerFault, ...] = (
     OptimizerFault(
@@ -330,6 +354,12 @@ OPTIMIZER_FAULTS: tuple[OptimizerFault, ...] = (
         "races",
         _fault_overpack_rounds,
     ),
+    OptimizerFault(
+        "split_window",
+        "split the last Lemma-1 window back into its two blocks",
+        "zero-one",
+        _fault_split_window,
+    ),
 )
 
 
@@ -341,6 +371,10 @@ class OptimizerFaultOutcome:
     expected_check: str
     failed_checks: list[str]
     validation: "TranslationValidation" = field(repr=False)
+    #: which optimized schedule was faulted: ``"network"`` (network-legal,
+    #: validated with the links lint) or ``"kernel"`` (what
+    #: :func:`~repro.schedule.compile_schedule` serves, validated without one)
+    target: str
 
     @property
     def caught(self) -> bool:
@@ -350,12 +384,12 @@ class OptimizerFaultOutcome:
     def describe(self) -> str:
         if self.caught:
             return (
-                f"{self.fault}: CAUGHT by {self.expected_check} "
+                f"{self.target} {self.fault}: CAUGHT by {self.expected_check} "
                 f"(validator exit 1; all failed checks: "
                 f"{', '.join(self.failed_checks)})"
             )
         return (
-            f"{self.fault}: ESCAPED — expected {self.expected_check}, "
+            f"{self.target} {self.fault}: ESCAPED — expected {self.expected_check}, "
             f"failed checks: {', '.join(self.failed_checks) or 'none'} "
             f"(validator exit {self.validation.exit_code})"
         )
@@ -368,23 +402,35 @@ def run_optimizer_fault_harness(
     seed: int = 0,
 ) -> list[OptimizerFaultOutcome]:
     """Optimize the real schedule, seed each fault into the *optimized* DAG,
-    and require the translation validator to reject every one."""
+    and require the translation validator to reject every one.
+
+    Both optimized schedules are faulted: the network-legal one, validated
+    with the network, and the compiled kernel's, validated without one as
+    :func:`~repro.schedule.compile_schedule` validates it.  A fault with
+    nothing to break in a schedule (``split_window`` where no window was
+    written) is not run on it.
+    """
     from ..schedule.optimize import optimize_schedule
     from .validate import validate_translation
 
     base = emit_schedule(factor, r, backend=backend)
     network = ProductGraph(factor, r)
-    result = optimize_schedule(base, network=network, seed=seed)
     outcomes = []
-    for fault in OPTIMIZER_FAULTS:
-        faulty = fault.apply(result.optimized)
-        validation = validate_translation(base, faulty, network=network, seed=seed)
-        outcomes.append(
-            OptimizerFaultOutcome(
-                fault=fault.name,
-                expected_check=fault.expected_check,
-                failed_checks=validation.failed_checks,
-                validation=validation,
+    for target, net in (("network", network), ("kernel", None)):
+        optimized = optimize_schedule(base, network=net, seed=seed).optimized
+        for fault in OPTIMIZER_FAULTS:
+            try:
+                faulty = fault.apply(optimized)
+            except ValueError:
+                continue
+            validation = validate_translation(base, faulty, network=net, seed=seed)
+            outcomes.append(
+                OptimizerFaultOutcome(
+                    fault=fault.name,
+                    expected_check=fault.expected_check,
+                    failed_checks=validation.failed_checks,
+                    validation=validation,
+                    target=target,
+                )
             )
-        )
     return outcomes

@@ -308,7 +308,8 @@ class TestProfileCell:
 
     def test_every_layer_reports_its_form(self):
         """k2-n2-r4's width-4 slabs sort at batch 1 and run as networks at
-        256; path-n4-r3's width-16 slabs stay row-major sorts."""
+        256; path-n4-r3's width-16 blocks and 32-wide Lemma-1 windows stay
+        row-major sorts, and no comparator layer is left."""
         doc = profile_cell("k2-n2-r4", batches=(1, 256), runs=1, seed=0)
         for point, form in zip(doc["batches"], ("sort", "network")):
             for layer in point["per_layer"]:
@@ -320,7 +321,8 @@ class TestProfileCell:
                 assert layer["bytes_touched"] == moves * point["batch"] * 8
         assert "node 4x4:network" in render_profile(doc)
         text = render_profile(profile_cell("path-n4-r3", batches=(256,), runs=1, seed=0))
-        assert "row 4x16:sort" in text and "node compare" in text
+        assert "row 4x16:sort" in text and "row 2x32:sort" in text and "row 1x32:sort" in text
+        assert "node compare" not in text
 
     def test_full_benchreg_key_and_unknown_cell(self):
         assert resolve_profile_cell("path-n3-r3-lattice").key == "path-n3-r3-lattice"

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import path_graph
+import repro.schedule.optimize as optimize
+from repro.graphs import ProductGraph, path_graph
 from repro.observability.benchreg import DEFAULT_MATRIX
 from repro.schedule import (
     PASS_NAMES,
@@ -27,6 +28,7 @@ from repro.schedule import (
     analyze_zero_one_activity,
     compile_schedule,
     eliminate_dead_ops,
+    lemma1_windows,
     optimize_schedule,
     repack_rounds,
     replay,
@@ -136,13 +138,129 @@ class TestCertificates:
         assert report.ok
 
 
+class TestLemma1Windows:
+    """The windows pass on its own: where it fires, that each chain runs
+    lo-block -> hi-block, and that the kernels it feeds sort every key kind."""
+
+    WINDOWED = [c for c in DEFAULT_MATRIX if c.backend == "lattice" and c.n > 2 and c.r == 3]
+
+    @staticmethod
+    def _unsorted_rows(dag, original, keys):
+        out = replay(dag, keys)[:, snake_order_nodes(original.n, original.r)]
+        return (out[:, 1:] < out[:, :-1]).any(axis=1)
+
+    @staticmethod
+    def _rows(num_nodes):
+        rng = np.random.default_rng(7)
+        return np.concatenate(
+            [
+                rng.integers(-(2**31), 2**31, size=(1000, num_nodes)),
+                rng.integers(0, 2, size=(1000, num_nodes)),
+            ]
+        )
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_r4_cells_sort_along_the_transposition_chains(self, n):
+        """Beyond the certified cells: every clean-up is rewritten and 1,000
+        random and 1,000 0-1 rows come out sorted."""
+        dag = emit_schedule(path_graph(n), 4, backend="lattice")
+        windowed, cert = lemma1_windows(dag)
+        cleanups = [p for p in dag.phases if p.leaf == "block-sorts"]
+        assert cert.ok and cert.stats["cleanups"] == len(cleanups) == 3
+        assert windowed.comparator_count == 0 and windowed.depth == dag.depth
+        assert not self._unsorted_rows(windowed, dag, self._rows(dag.num_nodes)).any()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_a_row_order_pairing_does_not_sort(self, n, monkeypatch):
+        """At r = 4 a clean-up lists its blocks in label order: pairing the
+        rows as listed, not along the chains, leaves random rows unsorted."""
+        real = optimize._block_chains
+
+        def row_order(sorts, transpositions, num_nodes):
+            chains = real(sorts, transpositions, num_nodes)
+            return np.arange(chains.size).reshape(chains.shape)
+
+        monkeypatch.setattr(optimize, "_block_chains", row_order)
+        dag = emit_schedule(path_graph(n), 4, backend="lattice")
+        windowed, _ = lemma1_windows(dag)
+        assert self._unsorted_rows(windowed, dag, self._rows(dag.num_nodes)).any()
+
+    @pytest.mark.parametrize(
+        "cell",
+        [c for c in DEFAULT_MATRIX if c.n == 2 or c.backend == "machine"],
+        ids=[c.key for c in DEFAULT_MATRIX if c.n == 2 or c.backend == "machine"],
+    )
+    def test_network_widths_and_machine_dags_are_left_alone(self, cell):
+        dag = _emit(cell)
+        out, cert = lemma1_windows(dag)
+        assert out is dag and cert.ok and cert.stats == {"cleanups": 0}
+        assert (cert.comparators_removed, cert.block_sorts_removed, cert.super_ops_added) == (0,) * 3
+
+    @pytest.mark.parametrize("cell", WINDOWED, ids=[c.key for c in WINDOWED])
+    def test_the_served_kernel_runs_the_windows(self, cell):
+        """Only the networkless result holds windows; the network-legal one
+        and its links verdict are those of the three-pass pipeline."""
+        dag = _emit(cell)
+        kernel = compile_schedule(dag)
+        width = 2 * dag.n * dag.n
+        assert kernel.certified
+        assert any(nodes.shape[1] == width for nodes, _ in kernel.layers[-1].block_groups)
+        network = ProductGraph(cell.build_factor(), cell.r)
+        legal = optimize_schedule(dag, network=network)
+        assert legal.ok and [c.pass_name for c in legal.certificates] == list(PASS_NAMES[1:])
+        assert all(
+            nodes.shape[1] < width for rd in legal.optimized.rounds for nodes, _ in rd.blocks
+        )
+        assert kernel.num_layers == CompiledSchedule(legal.optimized).num_layers - 1
+
+    @pytest.mark.parametrize("batch", [1, 256])
+    @pytest.mark.parametrize("cell", WINDOWED, ids=[c.key for c in WINDOWED])
+    def test_windowed_kernels_match_replay_on_every_key_kind(self, cell, batch):
+        dag = _emit(cell)
+        kernel = compile_schedule(dag)
+        rng = np.random.default_rng(batch)
+        shape = (batch, dag.num_nodes)
+        floats = rng.choice(np.array([-np.inf, -1.5, -0.0, 0.0, 2.0, np.inf]), size=shape)
+        kinds = {
+            "duplicate-heavy": rng.integers(0, 3, size=shape),
+            "presorted": np.sort(rng.integers(-99, 99, size=shape), axis=1),
+            "reversed": np.sort(rng.integers(-99, 99, size=shape), axis=1)[:, ::-1],
+            "inf and signed zeros": floats,
+        }
+        for kind, keys in kinds.items():
+            out = kernel.run(keys)
+            # == on floats: the sign of a zero is not preserved
+            assert np.array_equal(out, replay(dag, keys)), kind
+            assert np.array_equal(out, _snake_sorted(dag, keys)), kind
+
+
 class TestTranslationValidator:
     def test_fault_harness_catches_every_seeded_fault(self):
         outcomes = run_optimizer_fault_harness(path_graph(3), 3, backend="machine")
-        assert len(outcomes) == len(OPTIMIZER_FAULTS) >= 2
+        # no window to split in a machine schedule
+        assert [(oc.target, oc.fault) for oc in outcomes] == [
+            (target, fault.name)
+            for target in ("network", "kernel")
+            for fault in OPTIMIZER_FAULTS
+            if fault.name != "split_window"
+        ]
         for outcome in outcomes:
             assert outcome.caught, outcome.describe()
             assert outcome.validation.exit_code == 1
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_a_split_window_is_caught_in_the_served_kernel(self, n):
+        outcomes = run_optimizer_fault_harness(path_graph(n), 3, backend="lattice")
+        assert [(oc.target, oc.fault) for oc in outcomes] == [
+            (target, fault.name)
+            for target in ("network", "kernel")
+            for fault in OPTIMIZER_FAULTS
+            if (target, fault.name) != ("network", "split_window")
+        ]
+        for outcome in outcomes:
+            assert outcome.caught, outcome.describe()
+        split = outcomes[-1]
+        assert split.fault == "split_window" and "oblivious-replay" in split.failed_checks
 
     def test_validator_accepts_the_identity_translation(self):
         dag = emit_schedule(path_graph(3), 2, backend="lattice")

@@ -555,9 +555,9 @@ class TestLowering:
             ),
             (
                 "path-n4-r3-lattice",
-                ["row-major"] * 3 + ["node-major", "row-major"],
-                [("sort",)] * 3 + [(), ("sort",)],
-                [("sort",)] * 3 + [(), ("sort",)],
+                ["row-major"] * 4,
+                [("sort",)] * 4,
+                [("sort",)] * 4,
             ),
         ],
         ids=["k2-n2-r4", "path-n4-r3"],

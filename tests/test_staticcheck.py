@@ -36,6 +36,7 @@ from repro.staticcheck import (
     lint_links,
     lint_races,
     lint_zero_one,
+    render_check,
     run_check,
     verify_dag,
 )
@@ -337,6 +338,26 @@ def test_run_check_covers_full_matrix():
         assert set(check.report.results) == set(LINT_NAMES)
     payload = run.to_json()
     assert payload["ok"] and len(payload["cells"]) == len(DEFAULT_MATRIX)
+
+
+def test_compiled_check_refuses_a_kernel_that_fell_back(schedule_caches, monkeypatch):
+    """A windows pass that stops certifying drops the served kernel to the
+    raw one, which still sorts and leaves the network-legal result as it
+    was: only the compiled check's certificate requirement sees it."""
+    import repro.schedule.optimize as optimize
+
+    def failing(dag):
+        cert = optimize.OptimizationCertificate("lemma1-windows", ok=False, evidence="seeded")
+        return dag, cert
+
+    monkeypatch.setattr(optimize, "lemma1_windows", failing)
+    run = run_check(only=["path-n3-r3-lattice"], compiled=True)
+    (check,) = run.cells
+    assert check.optimize.ok and check.certificate.ok
+    assert (check.compiled_ok, check.compiled_certified) == (False, False)
+    assert check.failed == ["compiled"] and run.exit_code == 1
+    assert check.to_json()["compiled"] == {"ok": False, "certified": False}
+    assert "compiled: the optimizer fell back" in render_check(run)
 
 
 def test_run_check_cell_filter_and_unknown_cell():
